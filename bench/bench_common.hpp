@@ -5,9 +5,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -31,8 +33,15 @@ namespace evord::bench {
 struct JsonRecord {
   std::vector<std::pair<std::string, std::string>> fields;
 
+  /// Every digit a double needs to round-trip; NaN and infinities have
+  /// no JSON spelling and are written as null.
   JsonRecord& add(const std::string& key, double value) {
+    if (!std::isfinite(value)) {
+      fields.emplace_back(key, "null");
+      return *this;
+    }
     std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
     os << value;
     fields.emplace_back(key, os.str());
     return *this;

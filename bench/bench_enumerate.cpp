@@ -119,15 +119,15 @@ void BM_Enumerate_SemTraceParallel(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)), 3, 2, rng);
   const std::uint64_t expected = count_schedules(t);
   std::atomic<std::uint64_t> seen{0};
+  EnumerateOptions options;
+  options.num_threads = 2;
   for (auto _ : state) {
     seen = 0;
-    const EnumerateStats stats = enumerate_schedules_parallel(
-        t, {},
-        [&](const std::vector<EventId>&) {
+    const EnumerateStats stats = enumerate_schedules(
+        t, options, [&](std::size_t, const std::vector<EventId>&) {
           seen.fetch_add(1, std::memory_order_relaxed);
           return true;
-        },
-        /*num_threads=*/2);
+        });
     EVORD_CHECK(stats.schedules == expected,
                 "parallel enumeration lost schedules");
     benchmark::DoNotOptimize(stats);
@@ -285,13 +285,13 @@ std::vector<evord::bench::JsonRecord> run_enumerate_thread_sweep() {
   return evord::bench::run_thread_sweep(
       "enumerate", "random_sem_14", [&](std::size_t threads) {
         std::atomic<std::uint64_t> seen{0};
-        const EnumerateStats stats = enumerate_schedules_parallel(
-            t, {},
-            [&](const std::vector<EventId>&) {
+        EnumerateOptions options;
+        options.num_threads = threads;
+        const EnumerateStats stats = enumerate_schedules(
+            t, options, [&](std::size_t, const std::vector<EventId>&) {
               seen.fetch_add(1, std::memory_order_relaxed);
               return true;
-            },
-            threads);
+            });
         if (threads == 1) {
           serial_count = stats.schedules;
         } else {

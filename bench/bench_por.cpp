@@ -1,18 +1,17 @@
 // Partial-order reduction experiment: the same class enumeration with
-// reduction off vs sleep+persistent vs source+wakeup
-// (search/independence.hpp), on the Theorem-1 reduction traces and the
-// wide fork/join family where pairwise-independent children make the
-// unreduced schedule tree maximally interleaved.
+// reduction off vs source+wakeup (search/independence.hpp), on the
+// Theorem-1 reduction traces and the wide fork/join family where
+// pairwise-independent children make the unreduced schedule tree
+// maximally interleaved.
 //
-// Every mode triple is checked for identical causal-class sets before
-// its wall times land in a row, so BENCH_por.json can never describe a
-// wrong answer.  Each row carries states/terminals/wall for all three
-// modes, `reduction_factor_{sleep,source}` = states_off / states_on, and
-// the optimality row `schedules_per_class` = terminals_source / classes
+// Every mode pair is checked for identical causal-class sets before its
+// wall times land in a row, so BENCH_por.json can never describe a wrong
+// answer.  Each row carries states/terminals/wall for both modes,
+// `reduction_factor_source` = states_off / states_source, and the
+// optimality row `schedules_per_class` = terminals_source / classes
 // (1.0 = exactly one explored schedule per causal class).  Hard bars,
-// enforced on every run: schedules_per_class <= 1.1 everywhere, the
-// source factor >= 2x the sleep+persistent factor on Theorem-1 traces,
-// and >= 5x absolute on the wide forks.
+// enforced on every run: schedules_per_class <= 1.1 everywhere and the
+// source factor >= 5x on the wide forks.
 #include <benchmark/benchmark.h>
 
 #include <set>
@@ -60,7 +59,7 @@ ModeResult run_mode(const Trace& trace, search::ReductionMode mode) {
   options.reduction = mode;
   Timer timer;
   r.stats = enumerate_causal_classes(
-      trace, options, [&](const std::vector<EventId>& s) {
+      trace, options, [&](std::size_t, const std::vector<EventId>& s) {
         r.classes.insert(class_fingerprint(trace, s));
         return true;
       });
@@ -70,19 +69,14 @@ ModeResult run_mode(const Trace& trace, search::ReductionMode mode) {
 
 JsonRecord run_family(const std::string& workload, const Trace& trace) {
   const ModeResult off = run_mode(trace, search::ReductionMode::kOff);
-  const ModeResult sleep =
-      run_mode(trace, search::ReductionMode::kSleepPersistent);
   const ModeResult src = run_mode(trace, search::ReductionMode::kSourceWakeup);
-  EVORD_CHECK(sleep.classes == off.classes,
-              workload << ": sleep+persistent changed the causal-class set");
   EVORD_CHECK(src.classes == off.classes,
               workload << ": source+wakeup changed the causal-class set");
-  const auto factor_of = [&](const ModeResult& on) {
-    return on.stats.search.states_visited > 0
-               ? static_cast<double>(off.stats.search.states_visited) /
-                     static_cast<double>(on.stats.search.states_visited)
-               : 0.0;
-  };
+  const double factor =
+      src.stats.search.states_visited > 0
+          ? static_cast<double>(off.stats.search.states_visited) /
+                static_cast<double>(src.stats.search.states_visited)
+          : 0.0;
   // The optimality row: explored schedules per causal class under
   // source+wakeup.  1.0 means exactly one representative per class.
   const double spc =
@@ -97,20 +91,16 @@ JsonRecord run_family(const std::string& workload, const Trace& trace) {
       .add("events", static_cast<std::uint64_t>(trace.num_events()))
       .add("classes", static_cast<std::uint64_t>(off.classes.size()))
       .add("states_off", off.stats.search.states_visited)
-      .add("states_sleep", sleep.stats.search.states_visited)
       .add("states_source", src.stats.search.states_visited)
       .add("terminals_off", off.stats.schedules_visited)
-      .add("terminals_sleep", sleep.stats.schedules_visited)
       .add("terminals_source", src.stats.schedules_visited)
       .add("wall_ms_off", off.wall_ms)
-      .add("wall_ms_sleep", sleep.wall_ms)
       .add("wall_ms_source", src.wall_ms)
       .add("sleep_pruned", src.stats.search.sleep_pruned)
       .add("persistent_skipped", src.stats.search.persistent_skipped)
       .add("dyn_excused", src.stats.search.dyn_excused)
       .add("schedules_per_class", spc)
-      .add("reduction_factor_sleep", factor_of(sleep))
-      .add("reduction_factor_source", factor_of(src));
+      .add("reduction_factor_source", factor);
 }
 
 Trace theorem1_trace(const CnfFormula& formula) {
@@ -134,16 +124,10 @@ std::vector<JsonRecord> run_por_sweep() {
     rows.push_back(run_family(name, theorem1_trace(formula)));
     const JsonRecord& row = rows.back();
     // The optimality bar: source+wakeup explores at most 1.1 schedules
-    // per causal class, and beats the PR-4 sleep+persistent state
-    // reduction by at least 2x on the Theorem-1 traces.
+    // per causal class.
     const double spc = field_of(row, "schedules_per_class");
     EVORD_CHECK(spc <= 1.1,
                 name << ": schedules_per_class " << spc << " > 1.1");
-    const double f_sleep = field_of(row, "reduction_factor_sleep");
-    const double f_source = field_of(row, "reduction_factor_source");
-    EVORD_CHECK(f_source >= 2.0 * f_sleep,
-                name << ": source factor " << f_source
-                     << " < 2x sleep+persistent factor " << f_sleep);
   }
   for (const auto& [children, per_child] :
        {std::pair<std::size_t, std::size_t>{4, 2}, {5, 2}, {4, 3}, {6, 2}}) {
@@ -173,7 +157,7 @@ void BM_ClassEnum_WideFork_Unreduced(benchmark::State& state) {
   options.reduction = search::ReductionMode::kOff;
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, options, [](const std::vector<EventId>&) { return true; });
+        t, options, [](std::size_t, const std::vector<EventId>&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
 }
@@ -182,7 +166,7 @@ void BM_ClassEnum_WideFork_Reduced(benchmark::State& state) {
   const Trace t = wide_fork_trace(4, 2);
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, {}, [](const std::vector<EventId>&) { return true; });
+        t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
 }

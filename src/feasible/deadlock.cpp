@@ -73,6 +73,11 @@ struct WitnessCandidate {
 /// stuck-state fingerprint set that counts each distinct stuck state
 /// once across tasks.
 struct DeadlockHooks {
+  /// The verdict, witness validity and distinct-stuck-state count are
+  /// all functions of reachable stepper states, so the broader
+  /// stepper-state excusals apply.
+  static constexpr bool kStateOnly = true;
+
   search::ShardedFingerprintSet* stuck_set;  ///< null in serial mode
   WitnessCandidate* witness;
 
@@ -91,19 +96,11 @@ template <class Dedup>
 using DeadlockSearch =
     search::EnumerationSearch<search::NullTracker, Dedup, DeadlockHooks>;
 
-search::SearchOptions to_search_options(const DeadlockOptions& options) {
-  search::SearchOptions so;
-  so.max_states = options.max_states;
-  so.time_budget_seconds = options.time_budget_seconds;
-  so.max_memory_bytes = options.max_memory_bytes;
-  so.num_threads = options.num_threads;
-  so.steal = options.steal;
-  so.reduction = options.reduction;
-  // The verdict, witness validity and distinct-stuck-state count are all
-  // functions of reachable stepper states, so the broader stepper-state
-  // excusals apply.
-  so.state_only_excusals = true;
-  so.spill = options.spill;
+/// The engine-facing budget: everything from the options except
+/// max_schedules (a stuck-state search has no complete-schedule budget).
+search::SearchOptions engine_options(const DeadlockOptions& options) {
+  search::SearchOptions so = options;
+  so.max_schedules = 0;
   return so;
 }
 
@@ -121,7 +118,7 @@ search::PackedStateRegistry::Config stuck_config(
 
 DeadlockReport run_serial(const Trace& trace, const DeadlockOptions& options,
                           const search::IndependenceRelation* indep) {
-  const search::SearchOptions so = to_search_options(options);
+  const search::SearchOptions so = engine_options(options);
   search::SharedContext ctx(so);
   search::ShardedFingerprintSet visited(
       search::make_store_config(trace, so, 1));
@@ -164,7 +161,7 @@ DeadlockReport run_parallel(const Trace& trace, const DeadlockOptions& options,
                             std::vector<search::SearchTask> roots,
                             std::size_t threads,
                             const search::IndependenceRelation* indep) {
-  search::SearchOptions so = to_search_options(options);
+  search::SearchOptions so = engine_options(options);
   const bool reduced = so.reduction != search::ReductionMode::kOff;
   // Private-set tasks re-explore states their regions share (that is
   // what makes the witness deterministic), so on DAG-shaped state
@@ -318,8 +315,7 @@ DeadlockReport analyze_deadlocks(const Trace& trace,
   if (threads > 1) {
     // NullTracker engine: stepper-state (untracked) dynamic independence.
     std::vector<search::SearchTask> roots = search::root_tasks(
-        trace, options.stepper, {}, options.reduction, indep.get(),
-        /*tracker_sensitive=*/false);
+        trace, options.stepper, indep.get(), /*tracker_sensitive=*/false);
     if (!roots.empty()) {
       report = run_parallel(trace, options, std::move(roots), threads,
                             indep.get());

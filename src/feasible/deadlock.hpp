@@ -21,42 +21,34 @@
 
 namespace evord {
 
-struct DeadlockOptions {
+/// Budget, workers and reduction come from search::SearchOptions; this
+/// explorer honours max_states, time_budget_seconds, max_memory_bytes,
+/// spill, num_threads, steal and reduction.  It decides reachability of
+/// stuck states, not of complete schedules, so max_schedules is ignored.
+///
+/// The parallel search returns bit-identical reports (verdict, witness,
+/// counts) under any split/steal pattern; see docs/SEARCH.md.  Its tasks
+/// deliberately re-explore states their regions share (witness
+/// determinism), so a steal.max_split_depth of 0 is replaced by a small
+/// default cap rather than unlimited splitting.
+///
+/// `reduction` is ON by default (kSourceWakeup — source sets + wakeup
+/// frames + stepper-state dynamic independence): the reduction preserves
+/// every reachable transition-less state, so the verdict and the
+/// distinct-stuck-state count are exact and the witness is a valid stuck
+/// prefix (though not necessarily the globally shortest one — turn
+/// reduction off for that).  Reduced witnesses are canonicalized after
+/// the search: the prefix is re-permuted to the greedy
+/// smallest-event-first order over its own event set when that
+/// permutation provably reaches the same stuck state, so the reported
+/// witness does not depend on WHICH equivalent interleaving the reduced
+/// walk happened to explore.
+struct DeadlockOptions : search::SearchOptions {
+  DeadlockOptions()
+      : SearchOptions(search::kDefaultMaxStates,
+                      search::ReductionMode::kSourceWakeup) {}
+
   StepperOptions stepper;
-  std::size_t max_states = 4'000'000;  ///< 0 = unlimited
-  double time_budget_seconds = 0.0;    ///< 0 = unlimited
-  /// Byte budget over the visited/stuck stores, witness buffers and
-  /// queued task descriptors (0 = unlimited).  Strict and global across
-  /// workers; see search::SearchOptions::max_memory_bytes.
-  std::uint64_t max_memory_bytes = 0;
-  /// Spill cold dedup/memo shards to an mmap-backed temp file when the
-  /// byte budget nears exhaustion instead of stopping with
-  /// StopReason::kMemory; results stay bit-identical.  Only meaningful
-  /// with max_memory_bytes set.  See search::SearchOptions::spill.
-  bool spill = false;
-  /// Worker count: 1 = serial (default), 0 = hardware concurrency;
-  /// clamped to search::max_worker_threads().  The parallel search runs
-  /// on the work-stealing scheduler and returns bit-identical reports
-  /// (verdict, witness, counts) under any split/steal pattern; see
-  /// docs/SEARCH.md for the argument.
-  std::size_t num_threads = 1;
-  /// Work-stealing scheduler tuning (never affects results).  This
-  /// engine's tasks deliberately re-explore states their regions share
-  /// (witness determinism), so a max_split_depth of 0 is replaced by a
-  /// small default cap rather than unlimited splitting.
-  search::StealOptions steal;
-  /// Partial-order reduction (search/independence.hpp).  ON by default
-  /// (kSourceWakeup — source sets + wakeup frames + stepper-state
-  /// dynamic independence): the reduction preserves every reachable
-  /// transition-less state, so the verdict and the distinct-stuck-state
-  /// count are exact and the witness is a valid stuck prefix (though
-  /// not necessarily the globally shortest one — turn reduction off for
-  /// that).  Reduced witnesses are canonicalized after the search: the
-  /// prefix is re-permuted to the greedy smallest-event-first order over
-  /// its own event set when that permutation provably reaches the same
-  /// stuck state, so the reported witness does not depend on WHICH
-  /// equivalent interleaving the reduced walk happened to explore.
-  search::ReductionMode reduction = search::ReductionMode::kSourceWakeup;
 };
 
 struct DeadlockReport {

@@ -1,6 +1,7 @@
 #include "feasible/enumerate.hpp"
 
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "search/engine.hpp"
@@ -9,12 +10,14 @@ namespace evord {
 
 namespace {
 
-/// Enumeration hooks: forward terminals to the caller's visitor; stuck
-/// prefixes are only counted (by the engine).
+/// Enumeration hooks: forward terminals to the caller's visitor with the
+/// worker slot; stuck prefixes are only counted (by the engine).
 struct EnumHooks {
+  static constexpr bool kStateOnly = false;
   const ScheduleVisitor* visit;
+  std::size_t slot;
   bool on_terminal(const std::vector<EventId>& schedule) {
-    return (*visit)(schedule);
+    return (*visit)(slot, schedule);
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/,
                 const std::vector<std::uint32_t>& /*dewey*/) {}
@@ -23,34 +26,12 @@ struct EnumHooks {
 using EnumSearch =
     search::EnumerationSearch<search::NullTracker, search::NoDedup, EnumHooks>;
 
-search::SearchOptions to_search_options(const EnumerateOptions& options) {
-  search::SearchOptions so;
-  so.max_terminals = options.max_schedules;
-  so.time_budget_seconds = options.time_budget_seconds;
-  so.max_memory_bytes = options.max_memory_bytes;
-  so.steal = options.steal;
-  if (options.representatives_only) {
-    so.reduction = search::ReductionMode::kSourceWakeup;
-  }
-  return so;
-}
-
-EnumerateStats finish(const search::SearchStats& stats) {
-  EnumerateStats out;
-  out.schedules = stats.terminals;
-  out.deadlocked_prefixes = stats.deadlocked_prefixes;
-  out.truncated = stats.truncated;
-  out.stopped_by_visitor = stats.stopped_by_visitor;
-  out.search = stats;
-  return out;
-}
-
 }  // namespace
 
 EnumerateStats enumerate_schedules(const Trace& trace,
                                    const EnumerateOptions& options,
                                    const ScheduleVisitor& visit) {
-  const search::SearchOptions so = to_search_options(options);
+  const search::SearchOptions& so = options;
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
@@ -58,91 +39,58 @@ EnumerateStats enumerate_schedules(const Trace& trace,
   if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
-  EnumSearch engine(trace, options.stepper, so, &ctx, search::NullTracker{},
-                    search::NoDedup{}, EnumHooks{&visit}, indep.get());
-  engine.seed(options.seed_prefix);
-  return finish(engine.run());
-}
-
-std::size_t num_enumerate_subtrees(const Trace& trace,
-                                   const EnumerateOptions& options) {
-  return search::root_events(trace, options.stepper, options.seed_prefix)
-      .size();
-}
-
-EnumerateStats enumerate_schedules_parallel_indexed(
-    const Trace& trace, const EnumerateOptions& options,
-    const IndexedScheduleVisitor& visit, std::size_t num_threads) {
   // One initial task per first-level enabled event; the work-stealing
   // scheduler splits further subtrees off adaptively, so even a single
   // root child parallelises.  All budgets stay strict and global: the
   // tasks share one SharedContext, so max_schedules caps the combined
   // visit count exactly.
-  const std::size_t threads = search::resolve_num_threads(num_threads);
-  const search::ReductionMode reduction =
-      options.representatives_only ? search::ReductionMode::kSourceWakeup
-                                   : search::ReductionMode::kOff;
-  std::unique_ptr<search::IndependenceRelation> indep;
-  if (reduction != search::ReductionMode::kOff) {
-    indep = std::make_unique<search::IndependenceRelation>(trace);
+  const std::size_t threads = search::resolve_num_threads(so.num_threads);
+  std::vector<search::SearchTask> roots;
+  if (threads > 1) {
+    roots = search::root_tasks(trace, options.stepper, indep.get(),
+                               /*tracker_sensitive=*/true);
   }
-  std::vector<search::SearchTask> roots = search::root_tasks(
-      trace, options.stepper, options.seed_prefix, reduction, indep.get(),
-      /*tracker_sensitive=*/true);
-  if (threads <= 1 || roots.empty()) {
-    // Serial fallback also covers empty traces and deadlocked roots.
-    const ScheduleVisitor wrapped = [&](const std::vector<EventId>& s) {
-      return visit(0, s);
-    };
-    return enumerate_schedules(trace, options, wrapped);
+  search::SearchStats stats;
+  if (roots.empty()) {
+    // Serial: also covers empty traces and deadlocked roots.
+    EnumSearch engine(trace, options.stepper, so, &ctx, search::NullTracker{},
+                      search::NoDedup{}, EnumHooks{&visit, 0}, indep.get());
+    stats = engine.run();
+  } else {
+    stats = search::run_work_stealing(
+        std::move(roots), threads, so.steal.seed, ctx,
+        [&](const search::SearchTask& task, search::WorkerHandle& worker) {
+          EnumSearch engine(trace, options.stepper, so, &ctx,
+                            search::NullTracker{}, search::NoDedup{},
+                            EnumHooks{&visit, worker.worker_id()},
+                            indep.get());
+          engine.seed(task.seed);
+          engine.attach_worker(&worker, &task);
+          if (indep != nullptr) engine.set_initial_sleep(task.sleep);
+          return engine.run();
+        });
   }
-
-  const search::SearchOptions so = to_search_options(options);
-  search::SharedContext ctx(so);
-  const search::ScopedAccountant charge_guard(options.charge_store,
-                                              &ctx.memory);
-  const search::SearchStats total = search::run_work_stealing(
-      std::move(roots), threads, so.steal.seed, ctx,
-      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-        const ScheduleVisitor sub =
-            [&visit, slot = worker.worker_id()](const std::vector<EventId>& s) {
-              return visit(slot, s);
-            };
-        EnumSearch engine(trace, options.stepper, so, &ctx,
-                          search::NullTracker{}, search::NoDedup{},
-                          EnumHooks{&sub}, indep.get());
-        engine.seed(options.seed_prefix);
-        engine.seed(task.seed);
-        engine.attach_worker(&worker, &task);
-        if (indep != nullptr) engine.set_initial_sleep(task.sleep);
-        return engine.run();
-      });
-  return finish(total);
-}
-
-EnumerateStats enumerate_schedules_parallel(const Trace& trace,
-                                            const EnumerateOptions& options,
-                                            const ScheduleVisitor& visit,
-                                            std::size_t num_threads) {
-  return enumerate_schedules_parallel_indexed(
-      trace, options,
-      [&visit](std::size_t /*slot*/, const std::vector<EventId>& s) {
-        return visit(s);
-      },
-      num_threads);
+  EnumerateStats out;
+  out.schedules = stats.terminals;
+  out.deadlocked_prefixes = stats.deadlocked_prefixes;
+  out.truncated = stats.truncated;
+  out.stopped_by_visitor = stats.stopped_by_visitor;
+  out.search = std::move(stats);
+  return out;
 }
 
 std::optional<std::vector<EventId>> find_schedule_where(
     const Trace& trace, const EnumerateOptions& options,
     const std::function<bool(const std::vector<EventId>&)>& pred) {
+  std::mutex mu;
   std::optional<std::vector<EventId>> found;
-  enumerate_schedules(trace, options, [&](const std::vector<EventId>& s) {
-    if (pred(s)) {
-      found = s;
-      return false;
-    }
-    return true;
-  });
+  enumerate_schedules(trace, options,
+                      [&](std::size_t, const std::vector<EventId>& s) {
+                        if (!pred(s)) return true;
+                        const std::lock_guard<std::mutex> lock(mu);
+                        if (!found.has_value()) found = s;
+                        return false;
+                      });
   return found;
 }
 
@@ -161,8 +109,9 @@ std::optional<std::vector<EventId>> find_schedule_with_order(
 
 std::uint64_t count_schedules(const Trace& trace,
                               const EnumerateOptions& options) {
-  return enumerate_schedules(trace, options,
-                             [](const std::vector<EventId>&) { return true; })
+  return enumerate_schedules(
+             trace, options,
+             [](std::size_t, const std::vector<EventId>&) { return true; })
       .schedules;
 }
 

@@ -7,14 +7,14 @@
 // the paper's theorem — so callers bound it with max_schedules and a time
 // budget, and the tests/benches use it on deliberately small traces.
 //
-// Both variants run on the unified search core (search/engine.hpp).  The
-// parallel variant runs the schedule tree on the work-stealing scheduler
+// The engine runs on the unified search core (search/engine.hpp).  With
+// num_threads > 1 the schedule tree runs on the work-stealing scheduler
 // (search/scheduler.hpp): one initial task per first-level choice, with
 // further subtrees split off adaptively whenever a worker runs dry; each
-// task gets its own stepper, so the visitor must be thread-safe.
-// Budgets are strict and global: max_schedules is enforced through a
-// shared atomic counter, so the combined visit count never exceeds it
-// even in parallel mode.
+// task gets its own stepper, so the visitor must be thread-safe across
+// worker slots.  Budgets are strict and global: max_schedules is
+// enforced through a shared atomic counter, so the combined visit count
+// never exceeds it even in parallel mode.
 #pragma once
 
 #include <cstdint>
@@ -32,42 +32,26 @@ class PackedStateRegistry;
 
 namespace evord {
 
-struct EnumerateOptions {
+/// Budget, workers and reduction come from search::SearchOptions; this
+/// explorer honours max_schedules, time_budget_seconds,
+/// max_memory_bytes, num_threads, steal and reduction.  It keeps no
+/// dedup store, so max_states and spill have nothing to act on.
+///
+/// `reduction` is OFF by default because it changes this engine's
+/// contract: with kSourceWakeup only representative schedules (at least
+/// one per causal class) are visited, so schedule counts drop and
+/// per-schedule accumulation (e.g. "does any schedule order a before b")
+/// under-approximates when a/b commute.  Feasibility ("does a complete
+/// schedule exist") and deadlocked-prefix reachability remain exact, and
+/// the class-preserving conditional excusals keep the set of causal
+/// classes unchanged (tested in tests/por_test.cpp).
+struct EnumerateOptions : search::SearchOptions {
   StepperOptions stepper;
-  /// Stop after this many complete schedules (0 = unlimited).  Strict and
-  /// global, including in the parallel variant.
-  std::uint64_t max_schedules = 0;
-  /// Stop after this many seconds (0 = unlimited).
-  double time_budget_seconds = 0.0;
-  /// Stop once the search's charged memory reaches this many bytes
-  /// (0 = unlimited).  Strict and global across workers; see
-  /// search::SearchOptions::max_memory_bytes.
-  std::uint64_t max_memory_bytes = 0;
   /// Optional caller-owned store (e.g. an exact solver's class-dedup
   /// set) attached to the search's memory accountant for the duration of
   /// the run, so its footprint counts against max_memory_bytes; detached
   /// before return.
   search::PackedStateRegistry* charge_store = nullptr;
-  /// Fast-forward through this schedule prefix before enumerating (every
-  /// event must be enabled in sequence).  Callers doing their own
-  /// root-split parallelism seed each subtree this way.
-  std::vector<EventId> seed_prefix;
-  /// Work-stealing scheduler tuning (parallel variant only; never
-  /// affects results).
-  search::StealOptions steal;
-  /// Opt-in partial-order reduction: visit only representative schedules
-  /// (at least one per Mazurkiewicz trace / causal class) instead of all
-  /// of them.  OFF by default because it changes this engine's contract:
-  /// schedule counts drop, and per-schedule accumulation (e.g. "does any
-  /// schedule order a before b") under-approximates when a/b commute.
-  /// Feasibility ("does a complete schedule exist") and deadlocked-
-  /// prefix reachability remain exact.  When set, SearchOptions
-  /// ReductionMode::kSourceWakeup is applied with the class-preserving
-  /// conditional excusals, so every complete causal class keeps at least
-  /// one representative (pruned schedules are causally invisible
-  /// permutations of visited ones — the set of causal classes is
-  /// unchanged, tested in tests/por_test.cpp).
-  bool representatives_only = false;
 };
 
 struct EnumerateStats {
@@ -78,40 +62,19 @@ struct EnumerateStats {
   search::SearchStats search;            ///< unified engine statistics
 };
 
-/// Called with each complete schedule; return false to stop the search.
-using ScheduleVisitor =
-    std::function<bool(const std::vector<EventId>& schedule)>;
-
-/// Parallel visitor that also receives the executing worker's slot index
-/// (in [0, resolved thread count)): calls with the same slot never
-/// overlap, so callers can keep per-slot accumulators and merge without
-/// locking.  Must be thread-safe across slots.
-using IndexedScheduleVisitor = std::function<bool(
+/// Called with each complete schedule and the slot of the worker that
+/// found it (in [0, resolved thread count); always 0 when serial); return
+/// false to stop the search.  Calls with the same slot never overlap, so
+/// callers can keep per-slot accumulators and merge without locking; it
+/// must otherwise be thread-safe across slots.
+using ScheduleVisitor = std::function<bool(
     std::size_t slot, const std::vector<EventId>& schedule)>;
 
+/// Visits every complete schedule, on options.num_threads workers
+/// (0 = hardware concurrency; clamped to search::max_worker_threads()).
 EnumerateStats enumerate_schedules(const Trace& trace,
                                    const EnumerateOptions& options,
                                    const ScheduleVisitor& visit);
-
-/// Number of initial scheduler tasks the parallel variant starts from:
-/// the count of first-level enabled events after the seed prefix.
-std::size_t num_enumerate_subtrees(const Trace& trace,
-                                   const EnumerateOptions& options);
-
-/// Work-stealing parallel variant; `visit` must be thread-safe.  With
-/// num_threads == 0 the hardware concurrency is used; every request is
-/// clamped to search::max_worker_threads().
-EnumerateStats enumerate_schedules_parallel(const Trace& trace,
-                                            const EnumerateOptions& options,
-                                            const ScheduleVisitor& visit,
-                                            std::size_t num_threads = 0);
-
-/// As above, but the visitor also learns which worker slot delivered
-/// each schedule — callers keeping per-slot accumulators merge without
-/// locking.
-EnumerateStats enumerate_schedules_parallel_indexed(
-    const Trace& trace, const EnumerateOptions& options,
-    const IndexedScheduleVisitor& visit, std::size_t num_threads = 0);
 
 /// Convenience: the first complete schedule satisfying `pred`, if any
 /// exists within the budget.

@@ -54,17 +54,6 @@ struct CanPrecedeHooks {
 
 using SpaceSearch = search::MemoizedSearch<CanPrecedeHooks>;
 
-search::SearchOptions to_search_options(const ScheduleSpaceOptions& options) {
-  search::SearchOptions so;
-  so.max_states = options.max_states;
-  so.time_budget_seconds = options.time_budget_seconds;
-  so.max_memory_bytes = options.max_memory_bytes;
-  so.num_threads = options.num_threads;
-  so.steal = options.steal;
-  so.spill = options.spill;
-  return so;
-}
-
 void init_matrices(const Trace& trace, const ScheduleSpaceOptions& options,
                    bool build_matrix, CanPrecedeResult& result) {
   if (build_matrix) {
@@ -85,19 +74,17 @@ void or_merge(std::vector<DynamicBitset>& into,
 CanPrecedeResult run_search(const Trace& trace,
                             const ScheduleSpaceOptions& options,
                             bool build_matrix) {
-  search::SearchOptions so = to_search_options(options);
-  if (options.representatives_only) {
-    so.reduction = search::ReductionMode::kSourceWakeup;
-  }
+  const search::SearchOptions& so = options;
   std::unique_ptr<search::IndependenceRelation> indep;
   if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
-  const std::size_t threads =
-      search::resolve_num_threads(options.num_threads);
-  std::vector<search::SearchTask> roots = search::root_tasks(
-      trace, options.stepper, {}, so.reduction, indep.get(),
-      /*tracker_sensitive=*/false);
+  const std::size_t threads = search::resolve_num_threads(so.num_threads);
+  std::vector<search::SearchTask> roots;
+  if (threads > 1) {
+    roots = search::root_tasks(trace, options.stepper, indep.get(),
+                               /*tracker_sensitive=*/false);
+  }
 
   CanPrecedeResult result;
   init_matrices(trace, options, build_matrix, result);
@@ -119,7 +106,7 @@ CanPrecedeResult run_search(const Trace& trace,
                         so.max_memory_bytes == 0 && !so.spill &&
                         (verdict_only || warm->size() == 0);
 
-  if (threads <= 1 || roots.empty()) {
+  if (roots.empty()) {
     std::unique_ptr<search::FingerprintBoolMap> own;
     search::FingerprintBoolMap* memo = warm;
     const std::uint64_t preexisting = use_warm ? warm->size() : 0;
@@ -233,9 +220,8 @@ CanPrecedeResult compute_feasibility(const Trace& trace,
 
 std::unique_ptr<search::FingerprintBoolMap> make_feasibility_memo(
     const Trace& trace, const ScheduleSpaceOptions& options) {
-  const search::SearchOptions so = to_search_options(options);
   return std::make_unique<search::FingerprintBoolMap>(
-      search::make_store_config(trace, so, 1, /*synchronized=*/false));
+      search::make_store_config(trace, options, 1, /*synchronized=*/false));
 }
 
 namespace {
@@ -263,10 +249,11 @@ struct PairHooks {
 PairQueryResult can_precede_pair(const Trace& trace, EventId first,
                                  EventId second,
                                  const ScheduleSpaceOptions& options) {
-  // Never reduced (representatives_only is deliberately ignored): the
-  // query's verdict is an exact "does such a schedule exist", and the
-  // pruning hooks already restrict the walk.
-  const search::SearchOptions so = to_search_options(options);
+  // Never reduced (`reduction` is deliberately ignored): the query's
+  // verdict is an exact "does such a schedule exist", and the pruning
+  // hooks already restrict the walk.
+  search::SearchOptions so = options;
+  so.reduction = search::ReductionMode::kOff;
   search::SharedContext ctx(so);
   search::FingerprintBoolMap memo(
       search::make_store_config(trace, so, 1, /*synchronized=*/false));

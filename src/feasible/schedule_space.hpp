@@ -36,21 +36,25 @@ class FingerprintBoolMap;
 
 namespace evord {
 
-struct ScheduleSpaceOptions {
+/// Budget, workers and reduction come from search::SearchOptions; this
+/// explorer honours max_states, time_budget_seconds, max_memory_bytes,
+/// spill, num_threads, steal and reduction (can_precede_pair runs
+/// serial and unreduced, see there).  It has no complete-schedule
+/// budget: max_schedules is ignored.
+///
+/// With num_threads > 1 workers run warming tasks on the work-stealing
+/// scheduler and share one memo table; results are identical to the
+/// serial sweep (see docs/SEARCH.md).  `reduction` is OFF by default
+/// because it changes the contract: the feasibility verdict stays exact
+/// (sleep + source sets preserve terminal reachability), but can_precede
+/// / can_coexist become under-approximations — marks come only from
+/// states and children the reduced walk expands.  kSourceWakeup applies
+/// the stepper-state (untracked) dynamic-independence excusals.
+struct ScheduleSpaceOptions : search::SearchOptions {
+  ScheduleSpaceOptions()
+      : SearchOptions(search::kDefaultMaxStates, search::ReductionMode::kOff) {}
+
   StepperOptions stepper;
-  /// Abort after visiting this many distinct states (0 = unlimited).
-  std::size_t max_states = 4'000'000;
-  /// Abort after this many seconds (0 = unlimited).
-  double time_budget_seconds = 0.0;
-  /// Abort once the memo store (plus scheduler task descriptors) has
-  /// charged this many bytes (0 = unlimited).  Strict and global across
-  /// workers; see search::SearchOptions::max_memory_bytes.
-  std::uint64_t max_memory_bytes = 0;
-  /// Spill cold dedup/memo shards to an mmap-backed temp file when the
-  /// byte budget nears exhaustion instead of stopping with
-  /// StopReason::kMemory; results stay bit-identical.  Only meaningful
-  /// with max_memory_bytes set.  See search::SearchOptions::spill.
-  bool spill = false;
   /// Also compute the coexistence matrix: can_coexist(x, y) iff some
   /// completable state has x and y simultaneously enabled and executing
   /// them back-to-back (in some order) still completes.  This is the
@@ -58,23 +62,6 @@ struct ScheduleSpaceOptions {
   /// conflicting accesses, a simultaneous-access race.  Adds O(p^2)
   /// memo lookups per state.
   bool build_coexist = false;
-  /// Worker count for the memoized sweep: 1 = serial (the default),
-  /// 0 = hardware concurrency; clamped to search::max_worker_threads().
-  /// Workers run warming tasks on the work-stealing scheduler and share
-  /// one memo table; results are identical to the serial sweep (see
-  /// docs/SEARCH.md).
-  std::size_t num_threads = 1;
-  /// Work-stealing scheduler tuning (never affects results).
-  search::StealOptions steal;
-  /// Opt-in partial-order reduction for the sweep.  OFF by default
-  /// because it changes the contract: the feasibility verdict stays
-  /// exact (sleep + source sets preserve terminal reachability), but
-  /// can_precede / can_coexist become under-approximations — marks come
-  /// only from states and children the reduced walk expands.  Ignored by
-  /// can_precede_pair (the pair query's verdict must stay exact).  When
-  /// set, SearchOptions ReductionMode::kSourceWakeup is applied with the
-  /// stepper-state (untracked) dynamic-independence excusals.
-  bool representatives_only = false;
   /// Caller-owned completability memo that survives across sweeps on the
   /// same trace (service layer: AnalysisSession keeps one per trace, so
   /// a repeated feasibility query answers from the root memo hit without
@@ -136,7 +123,8 @@ std::unique_ptr<search::FingerprintBoolMap> make_feasibility_memo(
 /// `first` strictly before `second`?  (Interleaving could-have-happened-
 /// before for one pair.)  Prunes every branch that executes `second`
 /// while `first` is pending and stops at the first witness, so it is
-/// usually far cheaper than the full matrix sweep.
+/// usually far cheaper than the full matrix sweep.  Runs serial and
+/// unreduced whatever num_threads and reduction say.
 struct PairQueryResult {
   bool possible = false;
   bool truncated = false;  ///< budget hit; `possible == false` is then unproven

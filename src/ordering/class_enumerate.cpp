@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "search/engine.hpp"
-#include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace evord {
@@ -263,11 +262,14 @@ class CausalTracker {
 };
 
 /// Enumeration hooks: forward complete schedules to the caller's
-/// visitor; deduped/stuck prefixes are counted by the engine.
+/// visitor with the worker slot; deduped/stuck prefixes are counted by
+/// the engine.
 struct ClassHooks {
-  const std::function<bool(const std::vector<EventId>&)>* visit;
+  static constexpr bool kStateOnly = false;
+  const std::function<bool(std::size_t, const std::vector<EventId>&)>* visit;
+  std::size_t slot;
   bool on_terminal(const std::vector<EventId>& schedule) {
-    return (*visit)(schedule);
+    return (*visit)(slot, schedule);
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/,
                 const std::vector<std::uint32_t>& /*dewey*/) {}
@@ -277,20 +279,93 @@ using ClassSearch =
     search::EnumerationSearch<CausalTracker, search::SharedSetDedup,
                               ClassHooks>;
 
-search::SearchOptions to_search_options(const ClassEnumOptions& options) {
-  search::SearchOptions so;
-  so.max_states = options.max_prefixes;
-  so.max_terminals = options.max_schedules;
-  so.time_budget_seconds = options.time_budget_seconds;
-  so.max_memory_bytes = options.max_memory_bytes;
-  so.steal = options.steal;
-  so.reduction = options.reduction;
-  so.spill = options.spill;
-  return so;
+/// Claims the initial state in `prefix_seen` once, as the serial engine
+/// would at its first dfs() entry (tasks start one event in), so
+/// distinct-prefix counts match the serial run exactly.  Returns the
+/// stats of that one claimed state.
+search::SearchStats claim_root(const Trace& trace,
+                               const ClassEnumOptions& options,
+                               search::SharedContext& ctx,
+                               search::ShardedFingerprintSet& prefix_seen) {
+  const bool reduced = options.reduction != search::ReductionMode::kOff;
+  const TraceStepper root_stepper(trace, options.stepper);
+  const CausalTracker root_tracker(trace, options.causal);
+  std::vector<std::uint64_t> key;
+  const std::vector<std::uint64_t>* payload = nullptr;
+  const std::vector<EventId> root_sleep;  // the root sleeps on nothing
+  if (prefix_seen.verify_collisions()) {
+    root_stepper.encode_key(key);
+    root_tracker.extend_key(root_stepper.done_bits(), key);
+    if (reduced) search::extend_key_with_sleep(root_sleep, key);
+    payload = &key;
+  }
+  std::uint64_t root_fp = root_tracker.fingerprint(root_stepper.state_hash());
+  if (reduced) {
+    // Must match the serial engine's claim key exactly: the (state,
+    // sleep set) pair, with an empty sleep set at the root.
+    root_fp = search::fold_sleep(root_fp, search::sleep_set_hash(root_sleep));
+  }
+  prefix_seen.insert(root_fp, payload);
+  ctx.states.fetch_add(1, std::memory_order_relaxed);
+  search::SearchStats root;
+  root.states_visited = 1;
+  root.depth_states.assign(trace.num_events() + 1, 0);
+  root.depth_states[0] = 1;
+  return root;
 }
 
-ClassEnumStats finish(const search::SearchStats& stats,
-                      const search::ShardedFingerprintSet& prefix_seen) {
+}  // namespace
+
+ClassEnumStats enumerate_causal_classes(
+    const Trace& trace, const ClassEnumOptions& options,
+    const std::function<bool(std::size_t, const std::vector<EventId>&)>&
+        visit) {
+  const search::SearchOptions& so = options;
+  search::SharedContext ctx(so);
+  const search::ScopedAccountant charge_guard(options.charge_store,
+                                              &ctx.memory);
+  // One prefix-fingerprint set shared by every task: a state reachable
+  // from two task regions is explored by whichever task gets there first
+  // (its completions are identical either way).  Hash mode: the prefix
+  // fingerprints fold the causal tracker's state into the hash, so the
+  // store never uses exact packed keys.
+  search::ShardedFingerprintSet prefix_seen(search::make_store_config(
+      trace, so, 16, /*synchronized=*/true, /*pure_state_key=*/false));
+  prefix_seen.set_accountant(&ctx.memory);
+  std::unique_ptr<search::IndependenceRelation> indep;
+  if (so.reduction != search::ReductionMode::kOff) {
+    indep = std::make_unique<search::IndependenceRelation>(trace);
+  }
+  const std::size_t threads = search::resolve_num_threads(so.num_threads);
+  std::vector<search::SearchTask> roots;
+  if (threads > 1) {
+    roots = search::root_tasks(trace, options.stepper, indep.get(),
+                               /*tracker_sensitive=*/true);
+  }
+  search::SearchStats stats;
+  if (roots.empty()) {
+    // Serial: also covers empty traces and deadlocked roots.
+    ClassSearch engine(trace, options.stepper, so, &ctx,
+                       CausalTracker(trace, options.causal),
+                       search::SharedSetDedup(&prefix_seen),
+                       ClassHooks{&visit, 0}, indep.get());
+    stats = engine.run();
+  } else {
+    stats = claim_root(trace, options, ctx, prefix_seen);
+    stats.merge(search::run_work_stealing(
+        std::move(roots), threads, so.steal.seed, ctx,
+        [&](const search::SearchTask& task, search::WorkerHandle& worker) {
+          ClassSearch engine(trace, options.stepper, so, &ctx,
+                             CausalTracker(trace, options.causal),
+                             search::SharedSetDedup(&prefix_seen),
+                             ClassHooks{&visit, worker.worker_id()},
+                             indep.get());
+          engine.seed(task.seed);
+          engine.attach_worker(&worker, &task);
+          if (indep != nullptr) engine.set_initial_sleep(task.sleep);
+          return engine.run();
+        }));
+  }
   ClassEnumStats out;
   out.schedules_visited = stats.terminals;
   out.prefixes_pruned = stats.dedup_hits;
@@ -298,129 +373,12 @@ ClassEnumStats finish(const search::SearchStats& stats,
   out.distinct_prefixes = static_cast<std::size_t>(stats.states_visited);
   out.truncated = stats.truncated;
   out.stopped_by_visitor = stats.stopped_by_visitor;
-  out.search = stats;
+  out.search = std::move(stats);
   out.search.memo_bytes = prefix_seen.bytes();
   out.search.spilled_bytes = prefix_seen.spilled_bytes();
   out.search.spill_events = prefix_seen.spill_events();
   out.search.shard_sizes = prefix_seen.shard_sizes();
   return out;
-}
-
-}  // namespace
-
-ClassEnumStats enumerate_causal_classes(
-    const Trace& trace, const ClassEnumOptions& options,
-    const std::function<bool(const std::vector<EventId>&)>& visit) {
-  const search::SearchOptions so = to_search_options(options);
-  search::SharedContext ctx(so);
-  const search::ScopedAccountant charge_guard(options.charge_store,
-                                              &ctx.memory);
-  // Prefix fingerprints fold the causal tracker's state into the hash,
-  // so the store stays in 64-bit hash mode (never exact packed keys).
-  search::ShardedFingerprintSet prefix_seen(search::make_store_config(
-      trace, so, 16, /*synchronized=*/true, /*pure_state_key=*/false));
-  prefix_seen.set_accountant(&ctx.memory);
-  const bool reduced = so.reduction != search::ReductionMode::kOff;
-  std::unique_ptr<search::IndependenceRelation> indep;
-  if (reduced) indep = std::make_unique<search::IndependenceRelation>(trace);
-  ClassSearch engine(trace, options.stepper, so, &ctx,
-                     CausalTracker(trace, options.causal),
-                     search::SharedSetDedup(&prefix_seen),
-                     ClassHooks{&visit}, indep.get());
-  engine.seed(options.seed_prefix);
-  return finish(engine.run(), prefix_seen);
-}
-
-std::size_t num_root_subtrees(const Trace& trace,
-                              const ClassEnumOptions& options) {
-  return search::root_events(trace, options.stepper, options.seed_prefix)
-      .size();
-}
-
-ClassEnumStats enumerate_causal_classes_parallel(
-    const Trace& trace, const ClassEnumOptions& options,
-    std::size_t num_threads,
-    const std::function<bool(std::size_t, const std::vector<EventId>&)>&
-        visit) {
-  const std::size_t threads = search::resolve_num_threads(num_threads);
-  const bool reduced = options.reduction != search::ReductionMode::kOff;
-  std::unique_ptr<search::IndependenceRelation> indep;
-  if (reduced) indep = std::make_unique<search::IndependenceRelation>(trace);
-  std::vector<search::SearchTask> roots = search::root_tasks(
-      trace, options.stepper, options.seed_prefix, options.reduction,
-      indep.get(), /*tracker_sensitive=*/true);
-  if (threads <= 1 || roots.empty()) {
-    // Serial fallback also covers empty traces and deadlocked roots.
-    const std::function<bool(const std::vector<EventId>&)> wrapped =
-        [&](const std::vector<EventId>& s) { return visit(0, s); };
-    return enumerate_causal_classes(trace, options, wrapped);
-  }
-
-  const search::SearchOptions so = to_search_options(options);
-  search::SharedContext ctx(so);
-  const search::ScopedAccountant charge_guard(options.charge_store,
-                                              &ctx.memory);
-  // One prefix-fingerprint set shared by every task: a state reachable
-  // from two task regions is explored by whichever task gets there first
-  // (its completions are identical either way).  Hash mode: the prefix
-  // fingerprints fold the causal tracker's state into the hash.
-  search::ShardedFingerprintSet prefix_seen(search::make_store_config(
-      trace, so, 16, /*synchronized=*/true, /*pure_state_key=*/false));
-  prefix_seen.set_accountant(&ctx.memory);
-
-  // Claim the root (post-seed) state once, as the serial engine would at
-  // its first dfs() entry, so distinct-prefix counts match it exactly.
-  search::SearchStats total;
-  {
-    TraceStepper root_stepper(trace, options.stepper);
-    CausalTracker root_tracker(trace, options.causal);
-    for (EventId e : options.seed_prefix) {
-      EVORD_CHECK(root_stepper.enabled(e), "seed prefix is not schedulable");
-      root_tracker.apply(e, root_stepper.done_bits());
-      root_stepper.apply(e);
-    }
-    std::vector<std::uint64_t> key;
-    const std::vector<std::uint64_t>* payload = nullptr;
-    const std::vector<EventId> root_sleep;  // the root sleeps on nothing
-    if (prefix_seen.verify_collisions()) {
-      root_stepper.encode_key(key);
-      root_tracker.extend_key(root_stepper.done_bits(), key);
-      if (reduced) search::extend_key_with_sleep(root_sleep, key);
-      payload = &key;
-    }
-    std::uint64_t root_fp =
-        root_tracker.fingerprint(root_stepper.state_hash());
-    if (reduced) {
-      // Must match the serial engine's claim key exactly: the (state,
-      // sleep set) pair, with an empty sleep set at the root.
-      root_fp = search::fold_sleep(root_fp,
-                                   search::sleep_set_hash(root_sleep));
-    }
-    prefix_seen.insert(root_fp, payload);
-    ctx.states.fetch_add(1, std::memory_order_relaxed);
-    total.states_visited = 1;
-    total.depth_states.assign(trace.num_events() + 1, 0);
-    total.depth_states[options.seed_prefix.size()] = 1;
-  }
-
-  total.merge(search::run_work_stealing(
-      std::move(roots), threads, so.steal.seed, ctx,
-      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-        const std::function<bool(const std::vector<EventId>&)> sub =
-            [&visit, slot = worker.worker_id()](const std::vector<EventId>& s) {
-              return visit(slot, s);
-            };
-        ClassSearch engine(trace, options.stepper, so, &ctx,
-                           CausalTracker(trace, options.causal),
-                           search::SharedSetDedup(&prefix_seen),
-                           ClassHooks{&sub}, indep.get());
-        engine.seed(options.seed_prefix);
-        engine.seed(task.seed);
-        engine.attach_worker(&worker, &task);
-        if (reduced) engine.set_initial_sleep(task.sleep);
-        return engine.run();
-      }));
-  return finish(total, prefix_seen);
 }
 
 }  // namespace evord

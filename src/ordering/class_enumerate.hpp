@@ -33,49 +33,32 @@ class PackedStateRegistry;
 
 namespace evord {
 
-struct ClassEnumOptions {
+/// Budget, workers and reduction come from search::SearchOptions; this
+/// explorer honours every field.  max_states caps distinct prefixes
+/// (prefixes past it are still claimed and counted but not expanded),
+/// and max_schedules caps complete schedules delivered to the visitor;
+/// both are global across workers.
+///
+/// `reduction` is ON by default (kSourceWakeup — source sets + wakeup
+/// frames + tracked dynamic independence): class enumeration accumulates
+/// over causal classes, and the reduction preserves every complete
+/// causal class (the pruned schedules are causal-equivalent permutations
+/// of explored ones — the tracked excusals commute only pairs whose
+/// order the CausalTracker cannot observe) and every deadlocked
+/// frontier.  Schedule COUNTS drop under reduction — use the plain
+/// enumerator for counting.
+struct ClassEnumOptions : search::SearchOptions {
+  ClassEnumOptions()
+      : SearchOptions(/*default_max_states=*/0,
+                      search::ReductionMode::kSourceWakeup) {}
+
   StepperOptions stepper;
   CausalOptions causal;
-  /// Stop expanding after this many distinct prefixes (0 = unlimited).
-  /// Global across all workers in the parallel variant: prefixes past the
-  /// budget are still claimed and counted but not expanded.
-  std::size_t max_prefixes = 0;
-  /// Stop after this many complete schedules delivered to the visitor
-  /// (0 = unlimited).  Strict and global: enforced through a shared
-  /// atomic counter, so the combined visit count never exceeds it even
-  /// in parallel mode.
-  std::uint64_t max_schedules = 0;
-  double time_budget_seconds = 0.0;
-  /// Byte budget over the prefix-fingerprint store and queued task
-  /// descriptors (0 = unlimited).  Strict and global across workers;
-  /// see search::SearchOptions::max_memory_bytes.
-  std::uint64_t max_memory_bytes = 0;
-  /// Spill cold dedup/memo shards to an mmap-backed temp file when the
-  /// byte budget nears exhaustion instead of stopping with
-  /// StopReason::kMemory; results stay bit-identical.  Only meaningful
-  /// with max_memory_bytes set.  See search::SearchOptions::spill.
-  bool spill = false;
   /// Optional caller-owned store (e.g. an exact solver's class-dedup
   /// set) attached to the search's memory accountant for the duration of
   /// the run, so its footprint counts against max_memory_bytes alongside
   /// the prefix store; detached before return.
   search::PackedStateRegistry* charge_store = nullptr;
-  /// Fast-forward through this schedule prefix before enumerating (every
-  /// event must be enabled in sequence).  The parallel variant seeds
-  /// each task's subtree this way.
-  std::vector<EventId> seed_prefix;
-  /// Work-stealing scheduler tuning (parallel variant only; never
-  /// affects results).
-  search::StealOptions steal;
-  /// Partial-order reduction (search/independence.hpp).  ON by default
-  /// (kSourceWakeup — source sets + wakeup frames + tracked dynamic
-  /// independence): class enumeration accumulates over causal classes,
-  /// and the reduction preserves every complete causal class (the pruned
-  /// schedules are causal-equivalent permutations of explored ones — the
-  /// tracked excusals commute only pairs whose order the CausalTracker
-  /// cannot observe) and every deadlocked frontier.  Schedule COUNTS
-  /// drop under reduction — use the plain enumerator for counting.
-  search::ReductionMode reduction = search::ReductionMode::kSourceWakeup;
 };
 
 struct ClassEnumStats {
@@ -88,35 +71,22 @@ struct ClassEnumStats {
   search::SearchStats search;  ///< unified engine statistics
 };
 
-/// Visits complete schedules covering every complete causal class;
-/// return false from the visitor to stop.
+/// Visits complete schedules covering every complete causal class, on
+/// options.num_threads workers (0 = hardware concurrency; clamped to
+/// search::max_worker_threads()); return false from the visitor to stop.
+/// The visitor receives the executing worker's slot index (in [0,
+/// resolved thread count); always 0 when serial) first: calls with the
+/// same slot never overlap, so callers can keep per-slot accumulators
+/// lock-free; it must otherwise be thread-safe.  Each scheduler task
+/// runs an engine with its own stepper and causal tracker, and prefix
+/// dedup runs through one sharded fingerprint set shared by all tasks: a
+/// prefix state reachable from two task regions is expanded by whichever
+/// task claims it first (its completions are identical either way), so
+/// every distinct state is expanded exactly once and — absent budgets —
+/// schedules_visited and the union of delivered causal classes match
+/// the serial engine exactly.
 ClassEnumStats enumerate_causal_classes(
     const Trace& trace, const ClassEnumOptions& options,
-    const std::function<bool(const std::vector<EventId>&)>& visit);
-
-/// Number of initial scheduler tasks the parallel variant starts from:
-/// the events enabled after `options.seed_prefix` (usually empty) has
-/// been applied.
-std::size_t num_root_subtrees(const Trace& trace,
-                              const ClassEnumOptions& options);
-
-/// Work-stealing parallel variant: each scheduler task runs an engine
-/// with its own stepper and causal tracker.  The visitor is invoked
-/// concurrently and receives the executing worker's slot index (in
-/// [0, resolved thread count)) first: calls with the same slot never
-/// overlap, so callers can keep per-slot accumulators lock-free; it must
-/// otherwise be thread-safe.  Prefix dedup runs through one sharded
-/// fingerprint set shared by all tasks: a prefix state reachable from
-/// two task regions is expanded by whichever task claims it first (its
-/// completions are identical either way), so every distinct state is
-/// expanded exactly once and — absent budgets — schedules_visited and
-/// the union of delivered causal classes match the serial engine
-/// exactly.  All budgets (max_prefixes, max_schedules, the deadline)
-/// are global across workers.  num_threads == 0 uses the hardware
-/// concurrency; every request is clamped to search::max_worker_threads().
-ClassEnumStats enumerate_causal_classes_parallel(
-    const Trace& trace, const ClassEnumOptions& options,
-    std::size_t num_threads,
     const std::function<bool(std::size_t, const std::vector<EventId>&)>&
         visit);
 

@@ -43,13 +43,10 @@ OrderingRelations compute_interleaving(const Trace& trace,
   OrderingRelations r = make_empty_result(trace, Semantics::kInterleaving);
 
   ScheduleSpaceOptions sso;
+  static_cast<search::SearchOptions&>(sso) = options;
+  // The interleaving matrices need every schedule: never reduced.
+  sso.reduction = search::ReductionMode::kOff;
   sso.stepper.respect_dependences = options.respect_dependences;
-  sso.max_states = options.max_states;
-  sso.time_budget_seconds = options.time_budget_seconds;
-  sso.max_memory_bytes = options.max_memory_bytes;
-  sso.num_threads = options.num_threads;
-  sso.steal = options.steal;
-  sso.spill = options.spill;
   const CanPrecedeResult cp = compute_can_precede(trace, sso);
 
   r.truncated = cp.truncated;
@@ -272,110 +269,57 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
   const CausalOptions causal{.include_data_edges =
                                  options.causal_data_edges};
   search::ShardedFingerprintSet dedup;
-  const std::size_t num_threads =
-      search::resolve_num_threads(options.num_threads);
+  // One private accumulator per worker slot (lock-free accepts —
+  // same-slot visits never overlap), class dedup shared through the
+  // sharded set, all budgets strict and global via the explorer's
+  // shared search context.
+  std::vector<CausalAccumulator> accs;
+  const std::size_t slots = search::resolve_num_threads(options.num_threads);
+  accs.reserve(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    accs.emplace_back(trace, causal, dedup);
+  }
+  const auto accept = [&](std::size_t slot, const std::vector<EventId>& s) {
+    accs[slot].accept(s);
+    return true;
+  };
 
   if (options.class_dedup) {
     ClassEnumOptions co;
+    static_cast<search::SearchOptions&>(co) = options;
+    // ExactOptions::max_states budgets the interleaving sweep only.
+    co.max_states = 0;
     co.stepper.respect_dependences = options.respect_dependences;
     co.causal = causal;
-    co.max_schedules = options.max_schedules;
-    co.time_budget_seconds = options.time_budget_seconds;
-    co.max_memory_bytes = options.max_memory_bytes;
-    co.steal = options.steal;
-    co.spill = options.spill;
     // The class-dedup set lives here but grows inside the enumeration:
     // charge it against the same byte budget as the prefix store.
     co.charge_store = &dedup;
-    co.reduction = options.reduction;
-    if (num_threads <= 1) {
-      CausalAccumulator acc(trace, causal, dedup);
-      const ClassEnumStats stats = enumerate_causal_classes(
-          trace, co, [&](const std::vector<EventId>& s) {
-            acc.accept(s);
-            return true;
-          });
-      r.schedules_seen = stats.schedules_visited;
-      r.deadlocked_prefixes = stats.deadlocked_prefixes;
-      r.truncated = stats.truncated || stats.stopped_by_visitor;
-      r.search = stats.search;
-      r.search.memo_bytes += dedup.bytes();  // class-dedup fingerprints
-      acc.finish(r, semantics);
-      return r;
-    }
-    // Work-stealing parallel engine: one private accumulator per worker
-    // slot (lock-free accepts — same-slot visits never overlap), class
-    // dedup shared through the sharded set, all budgets strict and
-    // global via the shared search context.
-    std::vector<CausalAccumulator> accs;
-    accs.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-      accs.emplace_back(trace, causal, dedup);
-    }
-    const ClassEnumStats stats = enumerate_causal_classes_parallel(
-        trace, co, num_threads,
-        [&](std::size_t slot, const std::vector<EventId>& s) {
-          accs[slot].accept(s);
-          return true;
-        });
+    const ClassEnumStats stats = enumerate_causal_classes(trace, co, accept);
     r.schedules_seen = stats.schedules_visited;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated || stats.stopped_by_visitor;
     r.search = stats.search;
-    // The shared stores are authoritative for memo bytes: prefix-set
-    // bytes arrive via stats.search (set once from the set itself),
-    // and the class-dedup set is added here exactly once — never
-    // summed per worker.
-    r.search.memo_bytes += dedup.bytes();
-    for (std::size_t i = 1; i < accs.size(); ++i) accs[0].merge(accs[i]);
-    accs[0].finish(r, semantics);
-    return r;
-  }
-
-  EnumerateOptions eo;
-  eo.stepper.respect_dependences = options.respect_dependences;
-  eo.max_schedules = options.max_schedules;
-  eo.time_budget_seconds = options.time_budget_seconds;
-  eo.max_memory_bytes = options.max_memory_bytes;
-  eo.steal = options.steal;
-  eo.charge_store = &dedup;
-  if (num_threads <= 1) {
-    CausalAccumulator acc(trace, causal, dedup);
-    const EnumerateStats stats =
-        enumerate_schedules(trace, eo, [&](const std::vector<EventId>& s) {
-          acc.accept(s);
-          return true;
-        });
+  } else {
+    EnumerateOptions eo;
+    static_cast<search::SearchOptions&>(eo) = options;
+    // The plain enumerator's schedule counts stay exact: never reduced.
+    eo.reduction = search::ReductionMode::kOff;
+    eo.stepper.respect_dependences = options.respect_dependences;
+    eo.charge_store = &dedup;
+    const EnumerateStats stats = enumerate_schedules(trace, eo, accept);
     r.schedules_seen = stats.schedules;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated;
     r.search = stats.search;
-    r.search.memo_bytes += dedup.bytes();  // class-dedup fingerprints
-    acc.finish(r, semantics);
-    return r;
+    // The plain enumerator keeps no store of its own; parallel runs
+    // report the shared class-dedup set's load instead.
+    if (slots > 1) r.search.shard_sizes = dedup.shard_sizes();
   }
-  // Work-stealing parallel walk of the plain (non-prefix-dedup)
-  // enumerator; class-level dedup still runs through the shared sharded
-  // set, and the worker slot routes each schedule to a private
-  // accumulator.
-  std::vector<CausalAccumulator> accs;
-  accs.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    accs.emplace_back(trace, causal, dedup);
-  }
-  const EnumerateStats stats = enumerate_schedules_parallel_indexed(
-      trace, eo,
-      [&](std::size_t slot, const std::vector<EventId>& s) {
-        accs[slot].accept(s);
-        return true;
-      },
-      num_threads);
-  r.schedules_seen = stats.schedules;
-  r.deadlocked_prefixes = stats.deadlocked_prefixes;
-  r.truncated = stats.truncated;
-  r.search = stats.search;
-  r.search.memo_bytes += dedup.bytes();  // class-dedup fingerprints
-  if (r.search.shard_sizes.empty()) r.search.shard_sizes = dedup.shard_sizes();
+  // The shared stores are authoritative for memo bytes: prefix-set bytes
+  // arrive via stats.search (set once from the set itself), and the
+  // class-dedup set is added here exactly once — never summed per
+  // worker.
+  r.search.memo_bytes += dedup.bytes();
   for (std::size_t i = 1; i < accs.size(); ++i) accs[0].merge(accs[i]);
   accs[0].finish(r, semantics);
   return r;

@@ -17,7 +17,39 @@
 
 namespace evord {
 
-struct ExactOptions {
+/// Budget, workers and reduction come from search::SearchOptions.
+/// Interleaving semantics runs the memoized state-space sweep
+/// (ScheduleSpaceOptions) and honours max_states, time_budget_seconds,
+/// max_memory_bytes, spill, num_threads and steal — never `reduction`,
+/// whose matrices need the unreduced sweep.  Causal and interval
+/// semantics enumerate schedules (ClassEnumOptions with class_dedup,
+/// EnumerateOptions without) and honour max_schedules,
+/// time_budget_seconds, max_memory_bytes, num_threads and steal; the
+/// class_dedup path also honours spill and `reduction` and ignores
+/// max_states.
+///
+/// Every budget is strict and global across workers (one shared search
+/// context, so a budget of N caps the combined total at N).  The
+/// parallel search runs on the work-stealing scheduler: workers
+/// accumulate into private per-slot state merged associatively at the
+/// end, and deduplicate classes AND class prefixes against shared
+/// sharded fingerprint sets, so every distinct prefix state is expanded
+/// exactly once across all workers.  Relation matrices, causal_classes,
+/// feasible_empty and — absent budgets — schedules_seen are identical to
+/// the serial engine's (tested), regardless of thread count, steal order
+/// or subtree splits.  Interleaving semantics runs warming tasks on the
+/// same scheduler and its parallel results are bit-identical to serial
+/// (docs/SEARCH.md).
+///
+/// `reduction` defaults to kSourceWakeup: it preserves the set of
+/// complete causal classes (pruned schedules are commuting permutations
+/// of explored ones), so the relation matrices, causal_classes and
+/// feasible_empty are unchanged; only `schedules_seen` shrinks.
+struct ExactOptions : search::SearchOptions {
+  ExactOptions()
+      : SearchOptions(search::kDefaultMaxStates,
+                      search::ReductionMode::kSourceWakeup) {}
+
   /// Enforce F3 (shared-data dependences constrain the schedules).
   /// Disable for the paper's §5.3 "ignore dependences" variant.
   bool respect_dependences = true;
@@ -29,66 +61,12 @@ struct ExactOptions {
   /// and interval semantics.
   bool causal_data_edges = true;
 
-  /// Causal/interval engine: stop after this many complete schedules
-  /// (0 = unlimited).
-  std::uint64_t max_schedules = 0;
-
   /// Causal/interval engine: prune schedule prefixes whose state AND
   /// induced causal order were already explored (one representative per
   /// causal-class prefix; see ordering/class_enumerate.hpp).  Exponentially
   /// faster on traces where many schedules share a causal order; results
   /// are identical (tested), only `schedules_seen` shrinks.
   bool class_dedup = true;
-  /// Causal/interval engine, class_dedup path only: partial-order
-  /// reduction in the underlying class enumeration
-  /// (search/independence.hpp).  ON by default — reduction preserves the
-  /// set of complete causal classes (pruned schedules are commuting
-  /// permutations of explored ones), so the relation matrices,
-  /// causal_classes and feasible_empty are unchanged; only
-  /// `schedules_seen` shrinks further.  Ignored with class_dedup ==
-  /// false (the plain enumerator's schedule counts stay exact) and by
-  /// interleaving semantics (its matrices need the unreduced sweep).
-  /// kSourceWakeup (the default) adds source sets, wakeup frames and
-  /// tracked dynamic independence on top of the PR-4 sleep sets.
-  search::ReductionMode reduction = search::ReductionMode::kSourceWakeup;
-  /// Interleaving engine: stop after this many distinct states
-  /// (0 = unlimited).
-  std::size_t max_states = 4'000'000;
-  /// Either engine: stop after this many seconds (0 = unlimited).
-  double time_budget_seconds = 0.0;
-  /// Either engine: stop once the underlying search's charged memory —
-  /// prefix/memo fingerprint stores, queued task descriptors — reaches
-  /// this many bytes (0 = unlimited).  Strict and global across
-  /// workers; the result is flagged `truncated` with
-  /// StopReason::kMemory.  See search::SearchOptions::max_memory_bytes.
-  std::uint64_t max_memory_bytes = 0;
-  /// Spill cold dedup/memo shards to an mmap-backed temp file when the
-  /// byte budget nears exhaustion instead of stopping with
-  /// StopReason::kMemory; results stay bit-identical.  Only meaningful
-  /// with max_memory_bytes set.  See search::SearchOptions::spill.
-  bool spill = false;
-
-  /// Causal/interval engine: number of worker threads (0 = hardware
-  /// concurrency, 1 = serial; every request is clamped to
-  /// search::max_worker_threads()).  The search runs on the
-  /// work-stealing scheduler: workers accumulate into private per-slot
-  /// state merged associatively at the end, and deduplicate classes AND
-  /// class prefixes against shared sharded fingerprint sets, so every
-  /// distinct prefix state is expanded exactly once across all workers.
-  /// Relation matrices, causal_classes, feasible_empty and — absent
-  /// budgets — schedules_seen are identical to the serial engine's
-  /// (tested), regardless of thread count, steal order or subtree
-  /// splits.  All budgets (max_schedules, max_states and the time
-  /// budget) are strict and global across workers: they share one
-  /// search context, so a budget of N caps the combined total at N.
-  /// Interleaving semantics also honors this: the memoized state-space
-  /// sweep runs warming tasks on the same scheduler and its parallel
-  /// results are bit-identical to serial (docs/SEARCH.md).
-  std::size_t num_threads = 1;
-
-  /// Work-stealing scheduler tuning (never affects results; see
-  /// search::StealOptions).
-  search::StealOptions steal;
 };
 
 /// Computes all six relations under the chosen semantics.

@@ -9,10 +9,12 @@ namespace {
 
 EnumerateOptions to_enum_options(const ExactOptions& options) {
   EnumerateOptions eo;
+  static_cast<search::SearchOptions&>(eo) = options;
+  // Witnesses are the first match in serial DFS order over every
+  // schedule: deterministic and never reduced.
+  eo.num_threads = 1;
+  eo.reduction = search::ReductionMode::kOff;
   eo.stepper.respect_dependences = options.respect_dependences;
-  eo.max_schedules = options.max_schedules;
-  eo.time_budget_seconds = options.time_budget_seconds;
-  eo.max_memory_bytes = options.max_memory_bytes;
   return eo;
 }
 

@@ -421,12 +421,12 @@ BoundedVerdict AnytimeQuery::can_deadlock() {
     for (std::size_t i = 0; i < options_.ladder.size(); ++i) {
       const QueryBudget& rung = options_.ladder[i];
       DeadlockOptions dopts;
+      static_cast<search::SearchOptions&>(dopts) = rung_options(rung);
+      // The rung keeps the deadlock search's own reduction default and
+      // stops at its byte budget instead of spilling.
+      dopts.reduction = DeadlockOptions().reduction;
+      dopts.spill = false;
       dopts.stepper.respect_dependences = options_.exact.respect_dependences;
-      dopts.max_states = rung.max_states;
-      dopts.max_memory_bytes = rung.max_memory_bytes;
-      dopts.time_budget_seconds = rung.time_budget_seconds;
-      dopts.num_threads = options_.exact.num_threads;
-      dopts.steal = options_.exact.steal;
       report = analyze_deadlocks(trace_, dopts);
       p.rungs_tried = i + 1;
       // A stuck witness is valid however far the search got; no need to

@@ -30,7 +30,11 @@
 //   by any engine sharing the store (it counts toward the global
 //   distinct-state budget).
 //
-//   Enumeration hooks: `bool on_terminal(const std::vector<EventId>&)`
+//   Enumeration hooks: `kStateOnly` (true when every result the hooks
+//   build is a function of reachable stepper states — the deadlock
+//   search — so a NullTracker engine may use the unconditional
+//   stepper-state dynamic excusals; false whenever schedules or causal
+//   classes are surfaced), `bool on_terminal(const std::vector<EventId>&)`
 //   (false stops the whole search), `void on_stuck(const
 //   std::vector<EventId>& path, std::uint64_t fp, const
 //   std::vector<std::uint32_t>& dewey)` — `dewey` is the stuck state's
@@ -47,28 +51,26 @@
 //   std::size_t depth)` (called once per completable state, before it is
 //   memoized; may re-enter the search via pair_completable()).
 //
-// Partial-order reduction (SearchOptions::reduction != kOff): both
-// engines thread a sleep set through the DFS — inherited along edges,
-// extended across explored siblings — and, under kSleepPersistent,
-// expand only a persistent subset of the enabled events at each state
-// (search/independence.hpp).  kSourceWakeup sharpens both halves:
-// selection uses source sets with necessary enabling closures and
-// dynamic (state-aware) independence, and sleep inheritance uses
-// per-depth wakeup frames (compute_wakeup_masks) — one independence
-// mask per sleeping/selected event, evaluated at the expanded state —
-// so excused pairs (surplus-token V/V, already-posted Post ops)
-// propagate into child sleep sets instead of being re-split.  The
-// frames are a pure function of (stepper state, sleep set), so dedup/
-// memo claims still key on exactly the (state, sleep set) pair: the
-// reduced subtree below a node is a deterministic function of that
+// Partial-order reduction (SearchOptions::reduction == kSourceWakeup):
+// both engines thread a sleep set through the DFS — inherited along
+// edges, extended across explored siblings — and expand only a source
+// subset of the enabled events at each state (search/independence.hpp:
+// necessary enabling closures and dynamic, state-aware independence).
+// Sleep inheritance uses per-depth wakeup frames (compute_wakeup_masks)
+// — one independence mask per sleeping/selected event, evaluated at the
+// expanded state — so excused pairs (surplus-token V/V, already-posted
+// Post ops) propagate into child sleep sets instead of being re-split.
+// The frames are a pure function of (stepper state, sleep set), so
+// dedup/memo claims still key on exactly the (state, sleep set) pair:
+// the reduced subtree below a node is a deterministic function of that
 // pair, which keeps pruning sound and the parallel walk bit-identical
 // to serial.  Donated tasks carry their subtree root's sleep set in
-// SearchTask::sleep, derived from the donor's frame under kSourceWakeup
-// (the same masks the in-walk children use, so donation is just
-// serialization of the frame).  Stuck states are still reported under
-// their raw state fingerprint (not sleep-folded), so distinct-stuck-
-// state counting is reduction-blind.  Soundness per explorer is a
-// front-end decision; see docs/SEARCH.md §POR.
+// SearchTask::sleep, derived from the donor's frame (the same masks the
+// in-walk children use, so donation is just serialization of the
+// frame).  Stuck states are still reported under their raw state
+// fingerprint (not sleep-folded), so distinct-stuck-state counting is
+// reduction-blind.  Soundness per explorer is a front-end decision; see
+// docs/SEARCH.md §POR.
 //
 // Work stealing: in parallel mode each engine instance runs one
 // SearchTask on a scheduler worker (search/scheduler.hpp).  After
@@ -89,7 +91,7 @@
 //                   returns "not completable" WITHOUT memoizing it —
 //                   unsound once truncated, which is why `truncated` is
 //                   flagged.
-//   max_terminals — strict and global: a shared atomic counter ensures
+//   max_schedules — strict and global: a shared atomic counter ensures
 //                   the combined number of terminal visits never exceeds
 //                   the budget, serial or parallel.
 //   deadline      — polled every 256 states (memo hits included); trips
@@ -100,6 +102,14 @@
 //                   StopReason::kMemory (overshoot bounded by one
 //                   state's charge per worker).  The deterministic
 //                   fault hooks (util/fault.hpp) ride the same polls.
+//
+// Budget cuts and the memo: a cut (requested stop, deadline, memory,
+// fault or max_states) makes a state's children report "not
+// completable" without having been searched.  A MemoizedSearch that has
+// seen a cut therefore never memoizes a `false` verdict — the store
+// outlives the run (warm session memos) and is shared by every worker,
+// so an unproven `false` would poison later lookups.  `true` verdicts
+// are always proven (a complete schedule was reached) and are kept.
 #pragma once
 
 #include <algorithm>
@@ -204,7 +214,7 @@ struct SharedContext {
   /// Strict global max_memory_bytes gate; the stores, scheduler and
   /// witness buffers charge it, the engines poll it (search/memory.hpp).
   MemoryAccountant memory;
-  std::atomic<std::uint64_t> terminals{0};  ///< strict max_terminals gate
+  std::atomic<std::uint64_t> terminals{0};  ///< strict max_schedules gate
   std::atomic<std::uint64_t> states{0};     ///< global distinct states
   std::atomic<bool> stop{false};
   std::atomic<std::uint8_t> stop_reason{0};
@@ -224,78 +234,41 @@ struct SharedContext {
   }
 };
 
-/// The first-level enabled events after `seed_prefix` — the initial task
-/// partition: every schedule extends exactly one of them, so subtrees
-/// can be explored independently.
-inline std::vector<EventId> root_events(
-    const Trace& trace, const StepperOptions& stepper_options,
-    const std::vector<EventId>& seed_prefix = {}) {
-  TraceStepper stepper(trace, stepper_options);
-  for (EventId e : seed_prefix) {
-    EVORD_CHECK(stepper.enabled(e), "seed prefix is not schedulable");
-    stepper.apply(e);
-  }
-  std::vector<EventId> first;
-  stepper.enabled_events(first);
-  return first;
-}
-
 /// Builds the initial work-stealing tasks: one per first-level enabled
-/// event after `seed_prefix`, with dewey key {i}.  Empty when the seeded
-/// state is already terminal or stuck (callers fall back to serial).
-/// Under reduction the first level is reduced exactly as the serial
-/// engine would reduce it — tasks cover the persistent/source subset
-/// only, and each carries the sleep set its subtree root inherits from
-/// its earlier siblings — so the parallel walk covers the same reduced
-/// tree.  `tracker_sensitive` must match the engine the tasks will run
-/// on (kSourceWakeup only), mirroring the engines' own
-/// DynamicIndependence construction: false only for MemoizedSearch and
-/// for NullTracker engines running with state_only_excusals set;
-/// true otherwise.
+/// event, with dewey key {i}.  Empty when the initial state is already
+/// terminal or stuck (callers fall back to serial).  Under reduction
+/// (`indep` non-null) the first level is reduced exactly as the serial
+/// engine would reduce it — tasks cover the source subset only, and each
+/// carries the sleep set its subtree root inherits from its earlier
+/// siblings — so the parallel walk covers the same reduced tree.
+/// `tracker_sensitive` must match the engine the tasks will run on,
+/// mirroring the engines' own DynamicIndependence construction: false
+/// for MemoizedSearch and for NullTracker engines whose hooks are
+/// kStateOnly; true otherwise.
 inline std::vector<SearchTask> root_tasks(
     const Trace& trace, const StepperOptions& stepper_options,
-    const std::vector<EventId>& seed_prefix = {},
-    ReductionMode reduction = ReductionMode::kOff,
-    const IndependenceRelation* indep = nullptr,
-    bool tracker_sensitive = true) {
+    const IndependenceRelation* indep, bool tracker_sensitive) {
   TraceStepper stepper(trace, stepper_options);
-  for (EventId e : seed_prefix) {
-    EVORD_CHECK(stepper.enabled(e), "seed prefix is not schedulable");
-    stepper.apply(e);
-  }
   std::vector<EventId> first;
   stepper.enabled_events(first);
   const DynamicIndependence dyn(indep, tracker_sensitive);
-  if (indep != nullptr && !first.empty()) {
-    std::vector<EventId> chosen;
-    if (reduction == ReductionMode::kSleepPersistent) {
-      PersistentSetSelector selector(indep);
-      selector.select(stepper, first, chosen);
-      first = std::move(chosen);
-    } else if (reduction == ReductionMode::kSourceWakeup) {
-      SourceSetSelector selector(indep, &dyn);
-      selector.select(stepper, first, chosen, nullptr);
-      first = std::move(chosen);
-    }
-  }
   // The root's wakeup frame (empty sleep set), for the dynamic child
   // sleeps — exactly what the serial engine computes at depth 0.
   const std::vector<EventId> no_sleep;
   std::vector<std::uint64_t> masks;
-  if (reduction == ReductionMode::kSourceWakeup && indep != nullptr &&
-      first.size() <= 64) {
+  if (indep != nullptr && !first.empty()) {
+    std::vector<EventId> chosen;
+    SourceSetSelector selector(indep, &dyn);
+    selector.select(stepper, first, chosen, nullptr);
+    first = std::move(chosen);
     compute_wakeup_masks(dyn, stepper, no_sleep, first, masks, nullptr);
   }
   std::vector<SearchTask> tasks(first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     tasks[i].seed.push_back(first[i]);
     tasks[i].dewey.push_back(static_cast<std::uint32_t>(i));
-    if (reduction != ReductionMode::kOff && indep != nullptr) {
-      if (!masks.empty()) {
-        child_sleep_from_masks(no_sleep, first, i, masks, tasks[i].sleep);
-      } else {
-        child_sleep_set(*indep, no_sleep, first, i, tasks[i].sleep);
-      }
+    if (indep != nullptr) {
+      child_sleep(*indep, no_sleep, first, i, masks, tasks[i].sleep);
     }
   }
   return tasks;
@@ -316,18 +289,13 @@ class EnumerationSearch {
         dedup_(std::move(dedup)),
         hooks_(std::move(hooks)),
         indep_(indep),
-        selector_(indep),
         // Dynamic independence must preserve the tracker's state exactly
-        // when the engine carries one; NullTracker engines may opt into
-        // the broader stepper-state-only excusals (SearchOptions::
-        // state_only_excusals) when their results are pure functions of
-        // the reachable stepper states.
-        dyn_(indep, !std::is_same_v<Tracker, NullTracker> ||
-                        !options.state_only_excusals),
+        // when the engine carries one; NullTracker engines whose hooks
+        // are kStateOnly get the broader stepper-state excusals.
+        dyn_(indep,
+             !std::is_same_v<Tracker, NullTracker> || !Hooks::kStateOnly),
         source_selector_(indep, &dyn_),
         reduce_(options.reduction != ReductionMode::kOff),
-        persistent_(options.reduction == ReductionMode::kSleepPersistent),
-        source_(options.reduction == ReductionMode::kSourceWakeup),
         num_events_(trace.num_events()) {
     EVORD_CHECK(!reduce_ || indep_ != nullptr,
                 "reduction requires an IndependenceRelation");
@@ -348,8 +316,8 @@ class EnumerationSearch {
     stats_.depth_states.assign(num_events_ + 1, 0);
   }
 
-  /// Fast-forwards through `prefix` before searching (task seeding and
-  /// user seed prefixes).  Every event must be enabled in sequence.
+  /// Fast-forwards through `prefix` before searching (task seeding).
+  /// Every event must be enabled in sequence.
   void seed(const std::vector<EventId>& prefix) {
     for (EventId e : prefix) {
       EVORD_CHECK(stepper_.enabled(e), "seed prefix is not schedulable");
@@ -360,15 +328,10 @@ class EnumerationSearch {
   }
 
   /// Enables adaptive subtree splitting for this scheduler task.  Must
-  /// be called after all seed() calls; `task->seed` must be the suffix
-  /// of the seeded path that belongs to the task (the rest is the user
-  /// seed prefix shared by every task).
+  /// be called after seed(task->seed).
   void attach_worker(WorkerHandle* worker, const SearchTask* task) {
     worker_ = worker;
     task_ = task;
-    EVORD_CHECK(task->seed.size() <= path_.size(),
-                "task seed longer than the seeded path");
-    user_seed_len_ = path_.size() - task->seed.size();
   }
 
   /// Installs the sleep set of the engine's start state (the subtree
@@ -407,7 +370,7 @@ class EnumerationSearch {
   bool visit_terminal() {
     const std::uint64_t count =
         ctx_->terminals.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options_.max_terminals != 0 && count > options_.max_terminals) {
+    if (options_.max_schedules != 0 && count > options_.max_schedules) {
       stats_.truncated = true;
       set_reason(StopReason::kMaxTerminals);
       ctx_->request_stop(StopReason::kMaxTerminals);
@@ -420,7 +383,7 @@ class EnumerationSearch {
       ctx_->request_stop(StopReason::kVisitor);
       return false;
     }
-    if (options_.max_terminals != 0 && count >= options_.max_terminals) {
+    if (options_.max_schedules != 0 && count >= options_.max_schedules) {
       stats_.truncated = true;
       set_reason(StopReason::kMaxTerminals);
       ctx_->request_stop(StopReason::kMaxTerminals);
@@ -458,8 +421,7 @@ class EnumerationSearch {
       std::vector<EventId>& siblings = enabled_stack_[d];
       for (std::size_t j = sibling_index_[d] + 1; j < siblings.size(); ++j) {
         SearchTask task;
-        task.seed.assign(path_.begin() +
-                             static_cast<std::ptrdiff_t>(user_seed_len_),
+        task.seed.assign(path_.begin(),
                          path_.begin() +
                              static_cast<std::ptrdiff_t>(seed_len + d));
         task.seed.push_back(siblings[j]);
@@ -469,16 +431,11 @@ class EnumerationSearch {
         task.dewey.push_back(static_cast<std::uint32_t>(j));
         if (reduce_) {
           // The stolen subtree starts from exactly the sleep set the
-          // serial walk would carry into sibling j — under kSourceWakeup
-          // that means the ancestor state's wakeup frame, since dynamic
-          // independence must be evaluated at the DONOR's state d.
-          if (source_ && !mask_stack_[d].empty()) {
-            child_sleep_from_masks(sleep_stack_[d], enabled_stack_[d], j,
-                                   mask_stack_[d], task.sleep);
-          } else {
-            child_sleep_set(*indep_, sleep_stack_[d], enabled_stack_[d], j,
-                            task.sleep);
-          }
+          // serial walk would carry into sibling j — the ancestor state's
+          // wakeup frame, since dynamic independence must be evaluated at
+          // the DONOR's state d.
+          child_sleep(*indep_, sleep_stack_[d], enabled_stack_[d], j,
+                      mask_stack_[d], task.sleep);
         }
         worker_->spawn(std::move(task));
       }
@@ -560,46 +517,19 @@ class EnumerationSearch {
         return true;
       }
       std::vector<EventId>& selected = enabled_stack_[depth];
-      if (persistent_) {
-        selector_.select(stepper_, full_enabled_, selected);
-        stats_.persistent_skipped += full_enabled_.size() - selected.size();
-      } else if (source_) {
-        source_selector_.select(stepper_, full_enabled_, selected,
-                                &stats_.dyn_excused);
-        stats_.persistent_skipped += full_enabled_.size() - selected.size();
-      } else {
-        selected = full_enabled_;
-      }
-      // Drop sleeping events (every schedule through them is equivalent
-      // to one already explored from an earlier sibling of an ancestor).
-      const std::vector<EventId>& zset = sleep_stack_[depth];
-      if (!zset.empty()) {
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < selected.size(); ++i) {
-          if (std::binary_search(zset.begin(), zset.end(), selected[i])) {
-            ++stats_.sleep_pruned;
-          } else {
-            selected[kept++] = selected[i];
-          }
-        }
-        selected.resize(kept);
-      }
+      source_selector_.select(stepper_, full_enabled_, selected,
+                              &stats_.dyn_excused);
+      stats_.persistent_skipped += full_enabled_.size() - selected.size();
+      drop_sleeping(sleep_stack_[depth], selected, stats_.sleep_pruned);
       // Fully slept: not stuck — the state has enabled events, they are
       // just all covered by earlier exploration.
       if (selected.empty()) return true;
       // This state's wakeup frame: dynamic-independence masks over the
       // post-filter selected events, read by the child-sleep computation
-      // below AND by try_split donation from this depth (empty = static
-      // fallback for > 64 selected events).
-      if (source_) {
-        if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
-        if (selected.size() <= 64) {
-          compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
-                               mask_stack_[depth], &stats_.dyn_excused);
-        } else {
-          mask_stack_[depth].clear();
-        }
-      }
+      // below AND by try_split donation from this depth.
+      if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
+      compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
+                           mask_stack_[depth], &stats_.dyn_excused);
     } else {
       stepper_.enabled_events(enabled_stack_[depth]);
       if (enabled_stack_[depth].empty()) {
@@ -620,14 +550,8 @@ class EnumerationSearch {
       const EventId e = enabled_stack_[depth][i];
       if (reduce_) {
         if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
-        if (source_ && !mask_stack_[depth].empty()) {
-          child_sleep_from_masks(sleep_stack_[depth], enabled_stack_[depth],
-                                 i, mask_stack_[depth],
-                                 sleep_stack_[depth + 1]);
-        } else {
-          child_sleep_set(*indep_, sleep_stack_[depth], enabled_stack_[depth],
-                          i, sleep_stack_[depth + 1]);
-        }
+        child_sleep(*indep_, sleep_stack_[depth], enabled_stack_[depth], i,
+                    mask_stack_[depth], sleep_stack_[depth + 1]);
       }
       const typename Tracker::Undo tu = tracker_.apply(e, stepper_.done_bits());
       const TraceStepper::Undo su = stepper_.apply(e);
@@ -653,23 +577,19 @@ class EnumerationSearch {
   std::vector<std::uint32_t> dewey_scratch_;
   std::vector<std::uint64_t> key_scratch_;
   const IndependenceRelation* indep_;
-  PersistentSetSelector selector_;
   DynamicIndependence dyn_;
   SourceSetSelector source_selector_;
   bool reduce_;
-  bool persistent_;
-  bool source_;
   bool exact_ = false;  ///< dedup on the packed word, not a hash
   std::vector<std::vector<EventId>> sleep_stack_;  ///< sleep set per depth
-  /// Wakeup frame per depth (kSourceWakeup): dynamic-independence masks
-  /// for (sleep ∪ selected) at that state, shared by the in-walk
-  /// child-sleep computation and try_split donation.
+  /// Wakeup frame per depth: dynamic-independence masks for (sleep ∪
+  /// selected) at that state, shared by the in-walk child-sleep
+  /// computation and try_split donation.
   std::vector<std::vector<std::uint64_t>> mask_stack_;
   std::vector<EventId> initial_sleep_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;
   const SearchTask* task_ = nullptr;
-  std::size_t user_seed_len_ = 0;
   std::size_t num_events_;
   std::uint32_t budget_poll_ = 0;
 };
@@ -691,14 +611,11 @@ class MemoizedSearch {
         stepper_(trace, stepper_options),
         hooks_(std::move(hooks)),
         indep_(indep),
-        selector_(indep),
         // Memoized completability depends only on stepper state, so the
         // untracked (unconditional) excusals apply.
         dyn_(indep, /*tracker_sensitive=*/false),
         source_selector_(indep, &dyn_),
         reduce_(options.reduction != ReductionMode::kOff),
-        persistent_(options.reduction == ReductionMode::kSleepPersistent),
-        source_(options.reduction == ReductionMode::kSourceWakeup),
         num_events_(trace.num_events()) {
     EVORD_CHECK(!reduce_ || indep_ != nullptr,
                 "reduction requires an IndependenceRelation");
@@ -802,13 +719,8 @@ class MemoizedSearch {
       }
       if (reduce_) {
         if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
-        if (source_ && !mask_stack_[depth].empty()) {
-          child_sleep_from_masks(sleep_stack_[depth], enabled_stack_[depth], i,
-                                 mask_stack_[depth], sleep_stack_[depth + 1]);
-        } else {
-          child_sleep_set(*indep_, sleep_stack_[depth], enabled_stack_[depth],
-                          i, sleep_stack_[depth + 1]);
-        }
+        child_sleep(*indep_, sleep_stack_[depth], enabled_stack_[depth], i,
+                    mask_stack_[depth], sleep_stack_[depth + 1]);
       }
       const TraceStepper::Undo u = stepper_.apply(e);
       const bool child_ok = explore(depth + 1);
@@ -821,6 +733,10 @@ class MemoizedSearch {
       }
     }
     if (completable) hooks_.on_completable_state(*this, depth);
+    // Once a budget cut has stopped some child early, `false` is
+    // unproven: return it (the run is flagged truncated) but never let
+    // it into the shared, possibly warm, store.
+    if (!completable && stats_.truncated) return false;
     if (memo_->store(fp, completable, payload(depth))) {
       ++stats_.states_visited;
       ++stats_.depth_states[stepper_.num_executed()];
@@ -873,34 +789,17 @@ class MemoizedSearch {
     return &key_scratch_;
   }
 
-  /// Persistent-selects and sleep-filters enabled_stack_[depth] in
-  /// place.  Also drops hook-disallowed children up front: sleep-set
-  /// inheritance treats every earlier listed sibling as explored, so a
-  /// child the hooks would skip must not enter later siblings' sleep.
+  /// Source-selects and sleep-filters enabled_stack_[depth] in place.
+  /// Also drops hook-disallowed children up front: sleep-set inheritance
+  /// treats every earlier listed sibling as explored, so a child the
+  /// hooks would skip must not enter later siblings' sleep.
   void reduce_enabled(std::size_t depth) {
     std::vector<EventId>& selected = enabled_stack_[depth];
-    if (persistent_) {
-      full_enabled_.swap(selected);
-      selector_.select(stepper_, full_enabled_, selected);
-      stats_.persistent_skipped += full_enabled_.size() - selected.size();
-    } else if (source_) {
-      full_enabled_.swap(selected);
-      source_selector_.select(stepper_, full_enabled_, selected,
-                              &stats_.dyn_excused);
-      stats_.persistent_skipped += full_enabled_.size() - selected.size();
-    }
-    const std::vector<EventId>& zset = sleep_stack_[depth];
-    if (!zset.empty()) {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < selected.size(); ++i) {
-        if (std::binary_search(zset.begin(), zset.end(), selected[i])) {
-          ++stats_.sleep_pruned;
-        } else {
-          selected[kept++] = selected[i];
-        }
-      }
-      selected.resize(kept);
-    }
+    full_enabled_.swap(selected);
+    source_selector_.select(stepper_, full_enabled_, selected,
+                            &stats_.dyn_excused);
+    stats_.persistent_skipped += full_enabled_.size() - selected.size();
+    drop_sleeping(sleep_stack_[depth], selected, stats_.sleep_pruned);
     selected.erase(
         std::remove_if(selected.begin(), selected.end(),
                        [&](EventId e) {
@@ -909,17 +808,10 @@ class MemoizedSearch {
         selected.end());
     // Wakeup frame for this depth, computed once over the FINAL sibling
     // list (sibling indices below refer to it): consumed by the child
-    // sleep sets in explore() and by try_split donation.  Empty = static
-    // child_sleep_set fallback (> 64 siblings).
-    if (source_) {
-      if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
-      if (selected.size() <= 64) {
-        compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
-                             mask_stack_[depth], &stats_.dyn_excused);
-      } else {
-        mask_stack_[depth].clear();
-      }
-    }
+    // sleep sets in explore() and by try_split donation.
+    if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
+    compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
+                         mask_stack_[depth], &stats_.dyn_excused);
   }
 
   /// Answers steal demand by donating the deepest eligible unexplored
@@ -954,13 +846,8 @@ class MemoizedSearch {
                           sibling_index_.begin() + d);
         task.dewey.push_back(static_cast<std::uint32_t>(j));
         if (reduce_) {
-          if (source_ && !mask_stack_[d].empty()) {
-            child_sleep_from_masks(sleep_stack_[d], enabled_stack_[d], j,
-                                   mask_stack_[d], task.sleep);
-          } else {
-            child_sleep_set(*indep_, sleep_stack_[d], enabled_stack_[d], j,
-                            task.sleep);
-          }
+          child_sleep(*indep_, sleep_stack_[d], enabled_stack_[d], j,
+                      mask_stack_[d], task.sleep);
         }
         worker_->spawn(std::move(task));
       }
@@ -981,15 +868,12 @@ class MemoizedSearch {
   std::vector<std::size_t> donated_upto_;
   std::vector<std::uint64_t> key_scratch_;
   const IndependenceRelation* indep_;
-  PersistentSetSelector selector_;
   DynamicIndependence dyn_;
   SourceSetSelector source_selector_;
   bool reduce_;
-  bool persistent_;
-  bool source_;
   bool exact_ = false;  ///< memoize on the packed word, not a hash
   std::vector<std::vector<EventId>> sleep_stack_;  ///< sleep set per depth
-  /// Per-depth wakeup frame (see compute_wakeup_masks); source mode only.
+  /// Per-depth wakeup frame (see compute_wakeup_masks); reduction only.
   std::vector<std::vector<std::uint64_t>> mask_stack_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;

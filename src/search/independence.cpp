@@ -140,7 +140,7 @@ IndependenceRelation::IndependenceRelation(const Trace& trace)
   fill_max(dep_, max_dep_index_);
   fill_max(hard_dep_, max_hard_index_);
   // dep_proc_mask_[a]: bit q set iff process q has ANY event dependent
-  // with a — the persistent-set closure's candidate filter, one word
+  // with a — the source-set closure's candidate filter, one word
   // per event when the trace has at most 64 processes.
   if (num_procs_ <= 64) {
     for (EventId a = 0; a < n_; ++a) {

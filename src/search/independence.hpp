@@ -1,6 +1,6 @@
-// Trace-level independence relation, persistent-set and source-set
-// selection, and dynamic (state-aware) independence for partial-order
-// reduction (search/engine.hpp, SearchOptions::reduction).
+// Trace-level independence relation, source-set selection, and dynamic
+// (state-aware) independence for partial-order reduction
+// (search/engine.hpp, SearchOptions::reduction).
 //
 // Two events are *independent* when, whenever both are enabled, executing
 // them in either order reaches the same state — same stepper frontier AND
@@ -25,32 +25,23 @@
 // would glue every child to its parent and erase the reduction on
 // fork/join-parallel workloads).
 //
-// The persistent-set selector returns, for a given state, a subset P of
-// the enabled events such that every schedule from the state that avoids
-// P executes only events independent of all of P.  Construction (one
-// candidate per enabled seed event, smallest wins):
+// The source-set selector (ReductionMode::kSourceWakeup) returns, for a
+// given state, a subset P of the enabled events such that every schedule
+// from the state that avoids P executes only events independent of all
+// of P.  It follows Abdulla et al.'s source sets and Valmari-style
+// stubborn sets.  Construction (one candidate per enabled seed event,
+// smallest wins):
 //   W := {proc(seed)};  repeat: for p in W with next event a, add every
-//   process q not in W that still has an unexecuted event dependent with
-//   a; give up (return all enabled) if some p in W has its next event
-//   disabled.  P := {next event of p : p in W}.
-// Soundness: a schedule avoiding P never executes an event of a W
-// process (its next event is in P and program order gates the rest), and
-// by the closure no event of a non-W process is dependent with any next
-// event of W, so every executed event is independent of all of P.  The
-// "∃ unexecuted dependent event" test is O(1) via a precomputed
-// per-(event, process) maximum dependent position.
-//
-// The source-set selector (ReductionMode::kSourceWakeup) refines this in
-// two ways, following Abdulla et al.'s source sets and Valmari-style
-// stubborn sets:
-//   * a DISABLED closure head no longer aborts the candidate — instead
-//     the head's *necessary enabling set* joins W (processes holding an
-//     unexecuted V for a blocked P, an unexecuted Post for a blocked
-//     Wait, the joined child for a blocked Join, the forking process for
-//     an unstarted process, the processes of unexecuted D-predecessors).
-//     Any run that ever executes the head must first execute one of
-//     those, so the persistence argument is preserved while P shrinks to
-//     the ENABLED heads only;
+//   process q not in W that still has an unexecuted event dependent
+//   with a; P := the ENABLED next events of W.
+// Two refinements keep P small:
+//   * a DISABLED closure head does not pull in its dependent processes —
+//     instead the head's *necessary enabling set* joins W (processes
+//     holding an unexecuted V for a blocked P, an unexecuted Post for a
+//     blocked Wait, the joined child for a blocked Join, the forking
+//     process for an unstarted process, the processes of unexecuted
+//     D-predecessors).  Any run that ever executes the head must first
+//     execute one of those;
 //   * statically dependent pairs can be *dynamically excused* at the
 //     current state (DynamicIndependence below): semaphore V/V when the
 //     current count already covers every remaining P (new tokens are
@@ -59,12 +50,18 @@
 //     Post is a no-op), and Clear/Clear always.  Only conditions that
 //     stay true along every P-avoiding run are used inside the closure
 //     (count can only grow while all P-holders are in W; posted cannot
-//     flip while all Clear-holders are in W), which is exactly what the
-//     persistence proof needs.  Engines with no causal tracker
-//     (deadlock, the memoized sweep) get the unconditional variants:
-//     they only need stepper-state commutation, which V/V, Post/Post,
-//     Post/Wait and Clear/Clear satisfy from any state where both are
-//     enabled.
+//     flip while all Clear-holders are in W).  Engines whose results
+//     are functions of stepper states alone (deadlock, the memoized
+//     sweep) get the unconditional variants: they only need stepper-
+//     state commutation, which V/V, Post/Post, Post/Wait and
+//     Clear/Clear satisfy from any state where both are enabled.
+// Soundness: a schedule avoiding P never executes an event of a W
+// process (its next event is in P, blocked behind the enabling set, or
+// gated by program order), and by the closure no event of a non-W
+// process is dependent with any next event of W, so every executed event
+// is independent of all of P.  The "∃ unexecuted dependent event" test
+// is O(1) via a precomputed per-(event, process) maximum dependent
+// position.
 #pragma once
 
 #include <algorithm>
@@ -99,7 +96,7 @@ class IndependenceRelation {
   }
 
   /// True when per-event process masks are available (<= 64 processes),
-  /// enabling the word-parallel persistent-set closure.
+  /// enabling the word-parallel source-set closure.
   bool has_proc_masks() const { return num_procs_ <= 64; }
   /// Bit q set iff process q has any event dependent with `a`.  All-zero
   /// when has_proc_masks() is false.
@@ -398,118 +395,16 @@ class DynamicIndependence {
   bool tracked_;
 };
 
-/// Per-engine scratch for persistent-set selection (reused per state).
-/// With at most 64 processes the closure runs word-parallel: candidate
-/// processes for each head event come from one AND of the event's
-/// dependent-process mask with the still-active, not-yet-in-W mask,
-/// then only the surviving bits pay the per-process position check.
-/// `force_scalar` keeps the per-process scan (bench comparison knob);
-/// both paths produce identical sets.
-class PersistentSetSelector {
- public:
-  explicit PersistentSetSelector(const IndependenceRelation* indep,
-                                 bool force_scalar = false)
-      : indep_(indep),
-        masked_(indep != nullptr && indep->has_proc_masks() &&
-                !force_scalar) {}
-
-  /// Writes into `out` a persistent subset of `enabled` (which must be
-  /// the state's full enabled list in process-id order, non-empty),
-  /// preserving that order.  Falls back to the full enabled list when
-  /// every closure gives up.  Deterministic: a pure function of the
-  /// stepper state.
-  void select(const TraceStepper& stepper, const std::vector<EventId>& enabled,
-              std::vector<EventId>& out) {
-    const Trace& trace = stepper.trace();
-    const std::size_t num_procs = indep_->num_processes();
-    // Processes with any unexecuted event; fixed for the whole state.
-    std::uint64_t active = 0;
-    if (masked_) {
-      for (ProcId q = 0; q < num_procs; ++q) {
-        if (stepper.next_of(q) != kNoEvent) active |= std::uint64_t{1} << q;
-      }
-    }
-    best_.clear();
-    for (const EventId seed : enabled) {
-      std::uint64_t w_mask = 0;
-      if (masked_) {
-        w_mask = std::uint64_t{1} << trace.event(seed).process;
-      } else {
-        in_w_.assign(num_procs, false);
-        in_w_[trace.event(seed).process] = true;
-      }
-      w_.clear();
-      w_.push_back(trace.event(seed).process);
-      bool ok = true;
-      for (std::size_t head = 0; ok && head < w_.size(); ++head) {
-        const EventId a = stepper.next_of(w_[head]);
-        // Every W process has an unexecuted event (it was added because
-        // one of them is dependent with a next event of W), but that
-        // next event must also be ENABLED: a schedule avoiding a
-        // disabled next event could still be blocked by it forever, so
-        // the persistence argument needs all of P enabled.
-        if (a == kNoEvent || !stepper.enabled(a)) {
-          ok = false;
-          break;
-        }
-        if (masked_) {
-          std::uint64_t cand = indep_->dep_proc_mask(a) & active & ~w_mask;
-          while (cand != 0) {
-            const ProcId q = static_cast<ProcId>(std::countr_zero(cand));
-            cand &= cand - 1;
-            if (indep_->process_has_dependent_after(a, q,
-                                                    stepper.position(q))) {
-              w_mask |= std::uint64_t{1} << q;
-              w_.push_back(q);
-            }
-          }
-          continue;
-        }
-        for (ProcId q = 0; q < num_procs; ++q) {
-          if (in_w_[q] || stepper.next_of(q) == kNoEvent) continue;
-          if (indep_->process_has_dependent_after(a, q,
-                                                  stepper.position(q))) {
-            in_w_[q] = true;
-            w_.push_back(q);
-          }
-        }
-      }
-      if (!ok) continue;
-      if (best_.empty() || w_.size() < best_.size()) best_ = w_;
-      if (best_.size() == 1) break;
-    }
-    out.clear();
-    if (best_.empty()) {  // every closure hit a disabled next event
-      out = enabled;
-      return;
-    }
-    // P = the next (enabled) events of the chosen processes, in the
-    // enabled list's process-id order.
-    for (const EventId e : enabled) {
-      if (std::find(best_.begin(), best_.end(), trace.event(e).process) !=
-          best_.end()) {
-        out.push_back(e);
-      }
-    }
-  }
-
- private:
-  const IndependenceRelation* indep_;
-  bool masked_;
-  std::vector<ProcId> w_;
-  std::vector<ProcId> best_;
-  std::vector<bool> in_w_;
-};
-
 /// Per-engine scratch for source-set selection (ReductionMode::
-/// kSourceWakeup).  Same stubborn-set closure shape as the persistent
-/// selector, with the two refinements from the file comment: disabled
-/// heads pull in their necessary enabling set instead of aborting the
-/// candidate, and dependent-process tests go through the dynamic
-/// (state-aware) independence oracle.  The returned set P is the ENABLED
-/// next events of the closure's process set W; candidates are scored by
-/// (|P|, |W|), smallest wins.  Deterministic: a pure function of the
-/// stepper state.
+/// kSourceWakeup; the construction is in the file comment).  Disabled
+/// heads pull in their necessary enabling set, and dependent-process
+/// tests go through the dynamic (state-aware) independence oracle.  The
+/// returned set P is the ENABLED next events of the closure's process
+/// set W; candidates are scored by (|P|, |W|), smallest wins.  With at
+/// most 64 processes the closure runs word-parallel: candidate processes
+/// for each head come from one AND of the head's dependent-process mask
+/// with the still-active, not-yet-in-W mask; beyond 64 it scans every
+/// process.  Deterministic: a pure function of the stepper state.
 class SourceSetSelector {
  public:
   SourceSetSelector(const IndependenceRelation* indep,
@@ -690,14 +585,18 @@ inline void child_sleep_set(const IndependenceRelation& indep,
 // deterministic function of the state either way.
 
 /// Fills `masks` (one word per event of sleep ++ selected; bit j =
-/// independent of selected[j] at the stepper's state).  Requires
-/// selected.size() <= 64.
+/// independent of selected[j] at the stepper's state).  Leaves `masks`
+/// empty — the static fallback — past 64 selected events.
 inline void compute_wakeup_masks(const DynamicIndependence& dyn,
                                  const TraceStepper& stepper,
                                  const std::vector<EventId>& sleep,
                                  const std::vector<EventId>& selected,
                                  std::vector<std::uint64_t>& masks,
                                  std::uint64_t* excused_ctr) {
+  if (selected.size() > 64) {
+    masks.clear();
+    return;
+  }
   const IndependenceRelation& rel = dyn.relation();
   masks.assign(sleep.size() + selected.size(), 0);
   for (std::size_t i = 0; i < masks.size(); ++i) {
@@ -735,6 +634,39 @@ inline void child_sleep_from_masks(const std::vector<EventId>& sleep,
     if ((masks[sleep.size() + j] & bit) != 0) out.push_back(selected[j]);
   }
   std::sort(out.begin(), out.end());
+}
+
+/// The sleep set child `chosen_index` inherits: through the state's
+/// wakeup frame when it has one, else through the static relation.
+inline void child_sleep(const IndependenceRelation& indep,
+                        const std::vector<EventId>& sleep,
+                        const std::vector<EventId>& selected,
+                        std::size_t chosen_index,
+                        const std::vector<std::uint64_t>& masks,
+                        std::vector<EventId>& out) {
+  if (masks.empty()) {
+    child_sleep_set(indep, sleep, selected, chosen_index, out);
+  } else {
+    child_sleep_from_masks(sleep, selected, chosen_index, masks, out);
+  }
+}
+
+/// Drops the events of the (sorted) sleep set from `selected`, keeping
+/// order: every schedule through them is equivalent to one already
+/// explored from an earlier sibling of an ancestor.
+inline void drop_sleeping(const std::vector<EventId>& sleep,
+                          std::vector<EventId>& selected,
+                          std::uint64_t& pruned) {
+  if (sleep.empty()) return;
+  std::size_t kept = 0;
+  for (const EventId e : selected) {
+    if (std::binary_search(sleep.begin(), sleep.end(), e)) {
+      ++pruned;
+    } else {
+      selected[kept++] = e;
+    }
+  }
+  selected.resize(kept);
 }
 
 }  // namespace evord::search

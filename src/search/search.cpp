@@ -26,10 +26,6 @@ const char* to_string(ReductionMode mode) {
   switch (mode) {
     case ReductionMode::kOff:
       return "off";
-    case ReductionMode::kSleep:
-      return "sleep";
-    case ReductionMode::kSleepPersistent:
-      return "sleep+persistent";
     case ReductionMode::kSourceWakeup:
       return "source+wakeup";
   }

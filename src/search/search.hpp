@@ -19,7 +19,7 @@ namespace evord::search {
 enum class StopReason : std::uint8_t {
   kNone = 0,
   kMaxStates = 1,     ///< distinct-state budget (max_states)
-  kMaxTerminals = 2,  ///< terminal budget (max_terminals / max_schedules)
+  kMaxTerminals = 2,  ///< terminal budget (max_schedules)
   kDeadline = 3,      ///< wall-clock time budget
   kVisitor = 4,       ///< a visitor returned false
   kMemory = 5,        ///< byte budget (max_memory_bytes) or store failure
@@ -35,27 +35,20 @@ const char* to_string(StopReason reason);
 /// counts or interleaving-semantics matrices; each explorer front-end
 /// picks the default that matches its semantics (docs/SEARCH.md §POR).
 enum class ReductionMode : std::uint8_t {
+  /// Every interleaving: the reference the reduced walk is checked
+  /// against.
   kOff = 0,
-  /// Sleep sets only: every state is still reachable, but transitions
-  /// whose trace was covered by an earlier sibling are pruned.
-  kSleep = 1,
-  /// Sleep sets + persistent sets (the full reduction): at each state
-  /// only a provably sufficient subset of the enabled events is
-  /// expanded.  All transition-less (terminal / stuck) states remain
-  /// reachable, so verdict- and class-level results are preserved.
-  kSleepPersistent = 2,
-  /// Sleep sets + source sets + dynamic independence (the optimal-mode
-  /// refinement, see docs/SEARCH.md §6): the source-set selector closes
-  /// over *necessary enabling sets* instead of giving up when a closure
-  /// head is disabled, and state-aware (conditional) independence
-  /// reclaims commutations the static relation misses — semaphore V/V
-  /// with enough surplus tokens, Post/Post and Post/Wait on an already
-  /// posted variable, Clear/Clear — evaluated per state through the
-  /// per-depth wakeup frames the engines maintain (and serialize across
-  /// work-stealing donation).  Same soundness class as kSleepPersistent:
-  /// every transition-less state stays reachable and causal classes are
-  /// preserved, with strictly fewer explored schedules.
-  kSourceWakeup = 3,
+  /// Sleep sets + source sets + dynamic independence (docs/SEARCH.md
+  /// §6): the source-set selector closes over *necessary enabling sets*
+  /// when a closure head is disabled, and state-aware (conditional)
+  /// independence reclaims commutations the static relation misses —
+  /// semaphore V/V with enough surplus tokens, Post/Post and Post/Wait
+  /// on an already posted variable, Clear/Clear — evaluated per state
+  /// through the per-depth wakeup frames the engines maintain (and
+  /// serialize across work-stealing donation).  Every transition-less
+  /// state stays reachable and causal classes are preserved; the walk
+  /// explores one schedule per causal class on every bench family.
+  kSourceWakeup = 1,
 };
 
 const char* to_string(ReductionMode mode);
@@ -69,23 +62,30 @@ struct StealOptions {
   /// root.  Subtrees smaller than this are never split off, keeping the
   /// task grain coarse enough to amortise task setup (seed replay).
   std::size_t grain = 4;
-  /// Maximum schedule depth (events executed, counting the seed prefix)
-  /// at which a split may occur.  0 = no depth cutoff.
+  /// Maximum schedule depth (events executed from the initial state) at
+  /// which a split may occur.  0 = no depth cutoff.
   std::size_t max_split_depth = 0;
   /// Seeds the per-worker victim-selection RNG.  Varying it perturbs the
   /// steal order without affecting results.
   std::uint64_t seed = 0;
 };
 
-/// Budgets shared by every engine.  All zero values mean "unlimited".
+/// The one budget and parallelism struct of the search core.  Every
+/// explorer's options struct (EnumerateOptions, ScheduleSpaceOptions,
+/// DeadlockOptions, ClassEnumOptions, ExactOptions) inherits it, so a
+/// front-end hands its budget to the engines by slicing; the table in
+/// docs/SEARCH.md §3 lists which explorer honours which field.  All zero
+/// values mean "unlimited".
 struct SearchOptions {
+  SearchOptions() = default;
+
   /// Stop expanding new distinct states after this many (global across
   /// all workers in parallel mode).
   std::size_t max_states = 0;
   /// Stop after this many terminal (complete-schedule) visits.  Enforced
   /// strictly via a shared atomic counter: the combined visit count never
   /// exceeds the budget, serial or parallel.
-  std::uint64_t max_terminals = 0;
+  std::uint64_t max_schedules = 0;
   /// Stop after this many seconds of wall clock.
   double time_budget_seconds = 0.0;
   /// Stop once the search's charged memory — fingerprint/memo store
@@ -96,33 +96,33 @@ struct SearchOptions {
   /// the same contract as max_states.  Engines poll per expanded state,
   /// so overshoot is bounded by one state's charge per worker.
   std::uint64_t max_memory_bytes = 0;
-  /// Worker count: 0 = hardware concurrency, 1 = serial.  Clamped to
-  /// max_worker_threads() (scheduler.hpp) so oversubscription is
-  /// impossible.
-  std::size_t num_threads = 1;
-  /// Work-stealing knobs (steal_grain / max_split_depth / steal_seed).
-  StealOptions steal;
-  /// Partial-order reduction (sleep sets + persistent sets).  Engines
-  /// running with a mode other than kOff must be handed an
-  /// IndependenceRelation (search/independence.hpp).  Explorer
-  /// front-ends choose soundness-matched defaults; see docs/SEARCH.md.
-  ReductionMode reduction = ReductionMode::kOff;
-  /// kSourceWakeup only: let the dynamic-independence excusals assume
-  /// that ONLY the stepper state matters — V/V, Post/Post and Post/Wait
-  /// commute unconditionally instead of under their class-preserving
-  /// conditions (surplus tokens / already posted).  Sound solely for
-  /// front-ends whose results are functions of reachable stepper states
-  /// (deadlock search); front-ends that surface schedules or causal
-  /// classes must leave it false.  Ignored by engines carrying a causal
-  /// tracker (they always use the conditional excusals).
-  bool state_only_excusals = false;
   /// Spill the dedup/memo store's cold shards to an mmap-backed temp
   /// file when the byte budget nears exhaustion, instead of stopping
   /// with StopReason::kMemory.  Only meaningful with max_memory_bytes
   /// set; results are bit-identical to an unbudgeted run.  Off keeps
-  /// today's stop-at-budget behaviour exactly.
+  /// the stop-at-budget behaviour exactly.
   bool spill = false;
+  /// Worker count: 0 = hardware concurrency, 1 = serial.  Clamped to
+  /// max_worker_threads() (scheduler.hpp) so oversubscription is
+  /// impossible.  Results never depend on it.
+  std::size_t num_threads = 1;
+  /// Work-stealing knobs (grain / max_split_depth / seed).
+  StealOptions steal;
+  /// Partial-order reduction.  Engines running with kSourceWakeup must
+  /// be handed an IndependenceRelation (search/independence.hpp).
+  ReductionMode reduction = ReductionMode::kOff;
+
+ protected:
+  /// For explorers whose default budget differs from "unlimited, no
+  /// reduction".
+  SearchOptions(std::size_t default_max_states,
+                ReductionMode default_reduction)
+      : max_states(default_max_states), reduction(default_reduction) {}
 };
+
+/// The distinct-state budget the state-keyed explorers (deadlock,
+/// schedule space, exact) default to.
+inline constexpr std::size_t kDefaultMaxStates = 4'000'000;
 
 /// Per-worker scheduler counters (SearchStats::workers, one entry per
 /// worker thread of the work-stealing scheduler).
@@ -146,11 +146,10 @@ struct SearchStats {
   std::uint64_t deadlocked_prefixes = 0;  ///< stuck states reached
   /// Enabled events skipped because they were in the state's sleep set
   /// (their Mazurkiewicz trace was covered by an earlier sibling).  Zero
-  /// unless SearchOptions::reduction enables sleep sets.
+  /// unless reduction == kSourceWakeup.
   std::uint64_t sleep_pruned = 0;
-  /// Enabled events skipped because the chosen persistent set (or, under
-  /// kSourceWakeup, the chosen source set) did not contain them.  Zero
-  /// unless reduction selects subsets of the enabled events.
+  /// Enabled events skipped because the chosen source set did not
+  /// contain them.  Zero unless reduction == kSourceWakeup.
   std::uint64_t persistent_skipped = 0;
   /// Statically dependent pairs excused by dynamic (state-aware)
   /// independence — inside the source-set closure and the wakeup-frame

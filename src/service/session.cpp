@@ -34,23 +34,26 @@ std::uint64_t verdict_approx_bytes(const CachedVerdict& cached) {
   return bytes;
 }
 
+/// Folds every search::SearchOptions field into `h`.
+std::uint64_t digest_budget(std::uint64_t h, const search::SearchOptions& o) {
+  h = hash_mix(0x01, h, o.max_states);
+  h = hash_mix(0x02, h, o.max_schedules);
+  h = hash_mix(0x03, h, double_bits(o.time_budget_seconds));
+  h = hash_mix(0x04, h, o.max_memory_bytes);
+  h = hash_mix(0x05, h, o.spill);
+  h = hash_mix(0x06, h, o.num_threads);
+  h = hash_mix(0x07, h, o.steal.grain);
+  h = hash_mix(0x08, h, o.steal.max_split_depth);
+  h = hash_mix(0x09, h, o.steal.seed);
+  return hash_mix(0x0a, h, static_cast<std::uint64_t>(o.reduction));
+}
+
 }  // namespace
 
 std::uint64_t digest_options(const ExactOptions& o) {
-  std::uint64_t h = hash_mix(kOptionsSalt, o.respect_dependences,
-                             o.causal_data_edges);
-  h = hash_mix(0x01, h, o.max_schedules);
-  h = hash_mix(0x02, h, o.class_dedup);
-  h = hash_mix(0x03, h, static_cast<std::uint64_t>(o.reduction));
-  h = hash_mix(0x04, h, o.max_states);
-  h = hash_mix(0x05, h, double_bits(o.time_budget_seconds));
-  h = hash_mix(0x06, h, o.max_memory_bytes);
-  h = hash_mix(0x07, h, o.spill);
-  h = hash_mix(0x08, h, o.num_threads);
-  h = hash_mix(0x09, h, o.steal.grain);
-  h = hash_mix(0x0a, h, o.steal.max_split_depth);
-  h = hash_mix(0x0b, h, o.steal.seed);
-  return h;
+  const std::uint64_t h =
+      hash_mix(kOptionsSalt, o.respect_dependences, o.causal_data_edges);
+  return digest_budget(hash_mix(0x0b, h, o.class_dedup), o);
 }
 
 AnalysisSession::AnalysisSession(std::shared_ptr<const Trace> trace,
@@ -90,15 +93,16 @@ CacheKey AnalysisSession::make_key(QueryKind kind, std::uint8_t semantics,
 
 ScheduleSpaceOptions AnalysisSession::space_options(
     bool build_coexist) const {
-  // The exact field mapping OrderingAnalyzer has always used for its
-  // deadlock / coexistence searches, preserved verbatim so the analyzer
-  // refactored onto this session stays test-visibly identical.
   ScheduleSpaceOptions options;
+  static_cast<search::SearchOptions&>(options) = options_;
+  // Feasibility and coexistence run unbudgeted in bytes and unreduced:
+  // both keep the session's warm completability memo eligible (see
+  // ScheduleSpaceOptions::warm_memo), and the coexistence matrix needs
+  // every schedule.
+  options.max_memory_bytes = 0;
+  options.spill = false;
+  options.reduction = search::ReductionMode::kOff;
   options.stepper.respect_dependences = options_.respect_dependences;
-  options.max_states = options_.max_states;
-  options.time_budget_seconds = options_.time_budget_seconds;
-  options.num_threads = options_.num_threads;
-  options.steal = options_.steal;
   options.build_coexist = build_coexist;
   return options;
 }
@@ -324,22 +328,15 @@ std::shared_ptr<const DeadlockReport> AnalysisSession::deadlocks() {
       make_key(QueryKind::kDeadlock, CacheKey::kNoSemantics, 0);
   return coalesced_query<DeadlockReport>(
       lock, key, /*serialize_memo=*/false, /*counts_sweep=*/true, [&] {
-        // Same field mapping OrderingAnalyzer::deadlocks() has always
-        // used.
+        // The active ReductionMode is part of the options digest, so it
+        // drives the computation too: two sessions differing only in
+        // `reduction` cache reports computed under their own modes.
         DeadlockOptions options;
+        static_cast<search::SearchOptions&>(options) = options_;
+        // Unbudgeted in bytes, as it has always run.
+        options.max_memory_bytes = 0;
+        options.spill = false;
         options.stepper.respect_dependences = options_.respect_dependences;
-        options.max_states = options_.max_states;
-        options.time_budget_seconds = options_.time_budget_seconds;
-        options.num_threads = options_.num_threads;
-        options.steal = options_.steal;
-        // The active ReductionMode is part of the options digest (salt
-        // 0x03 in digest_options), so it MUST also drive the
-        // computation: otherwise two sessions differing only in
-        // `reduction` would cache entries under distinct keys yet hold
-        // reports computed under the same (default) mode — or worse, a
-        // report whose SearchStats silently disagree with the key's
-        // claim.
-        options.reduction = options_.reduction;
         return analyze_deadlocks(*trace_, options);
       });
 }

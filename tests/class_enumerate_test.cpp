@@ -38,7 +38,7 @@ TEST(ClassEnumerate, CoversEveryClassThePlainEnumeratorFinds) {
     const Trace t = random_trace(config, rng);
 
     std::set<std::string> plain_classes;
-    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
       plain_classes.insert(class_fingerprint(t, s));
       return true;
     });
@@ -46,7 +46,7 @@ TEST(ClassEnumerate, CoversEveryClassThePlainEnumeratorFinds) {
     std::set<std::string> dedup_classes;
     std::uint64_t visits = 0;
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, {}, [&](const std::vector<EventId>& s) {
+        t, {}, [&](std::size_t, const std::vector<EventId>& s) {
           dedup_classes.insert(class_fingerprint(t, s));
           ++visits;
           return true;
@@ -66,7 +66,7 @@ TEST(ClassEnumerate, VisitsNoMoreThanThePlainEnumerator) {
     const std::uint64_t plain = count_schedules(t);
     std::uint64_t dedup = 0;
     enumerate_causal_classes(t, {},
-                             [&](const std::vector<EventId>&) {
+                             [&](std::size_t, const std::vector<EventId>&) {
                                ++dedup;
                                return true;
                              });
@@ -82,14 +82,14 @@ TEST(ClassEnumerate, SyncOnlyModeCoversSyncOnlyClasses) {
   const CausalOptions sync_only{.include_data_edges = false};
 
   std::set<std::string> plain_classes;
-  enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
+  enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
     plain_classes.insert(class_fingerprint(t, s, sync_only));
     return true;
   });
   std::set<std::string> dedup_classes;
   ClassEnumOptions options;
   options.causal = sync_only;
-  enumerate_causal_classes(t, options, [&](const std::vector<EventId>& s) {
+  enumerate_causal_classes(t, options, [&](std::size_t, const std::vector<EventId>& s) {
     dedup_classes.insert(class_fingerprint(t, s, sync_only));
     return true;
   });
@@ -105,7 +105,7 @@ TEST(ClassEnumerate, CountsDeadlockedPrefixes) {
   b.wait(p1, e);
   b.clear(p2, e);
   const ClassEnumStats stats = enumerate_causal_classes(
-      b.build(), {}, [](const std::vector<EventId>&) { return true; });
+      b.build(), {}, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_GT(stats.deadlocked_prefixes, 0u);
   EXPECT_GT(stats.schedules_visited, 0u);
 }
@@ -119,13 +119,13 @@ TEST(ClassEnumerate, BudgetsAndVisitorStop) {
   }
   const Trace t = b.build();
   ClassEnumOptions tight;
-  tight.max_prefixes = 3;
+  tight.max_states = 3;
   const ClassEnumStats truncated = enumerate_causal_classes(
-      t, tight, [](const std::vector<EventId>&) { return true; });
+      t, tight, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_TRUE(truncated.truncated);
 
   const ClassEnumStats stopped = enumerate_causal_classes(
-      t, {}, [](const std::vector<EventId>&) { return false; });
+      t, {}, [](std::size_t, const std::vector<EventId>&) { return false; });
   EXPECT_TRUE(stopped.stopped_by_visitor);
   EXPECT_EQ(stopped.schedules_visited, 1u);
 }
@@ -145,7 +145,7 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   // a single chain, so the savings show up as reduction counters rather
   // than prefix dedup hits.
   const ClassEnumStats stats = enumerate_causal_classes(
-      t, {}, [](const std::vector<EventId>&) { return true; });
+      t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_GT(stats.search.sleep_pruned + stats.search.persistent_skipped, 0u);
   EXPECT_GT(stats.distinct_prefixes, 0u);
   EXPECT_LT(stats.schedules_visited, 1680u);  // 9!/(3!)^3 plain schedules
@@ -154,7 +154,7 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   ClassEnumOptions unreduced;
   unreduced.reduction = search::ReductionMode::kOff;
   const ClassEnumStats off = enumerate_causal_classes(
-      t, unreduced, [](const std::vector<EventId>&) { return true; });
+      t, unreduced, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_GT(off.prefixes_pruned, 0u);
   EXPECT_EQ(off.search.sleep_pruned, 0u);
   EXPECT_EQ(off.search.persistent_skipped, 0u);

@@ -175,7 +175,7 @@ TEST(Deadlock, PureSemaphoreTracesNeverDeadlock) {
     const Trace t = random_semaphore_trace(config, rng);
     const DeadlockReport r = analyze_deadlocks(t);
     const EnumerateStats stats = enumerate_schedules(
-        t, {}, [](const std::vector<EventId>&) { return true; });
+        t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
     EXPECT_EQ(r.can_deadlock, stats.deadlocked_prefixes > 0) << i;
   }
 }
@@ -230,7 +230,7 @@ TEST(Coexist, SubsetOfSyncOnlyConcurrency) {
 
     // Reference CCW (sync-only causal) via schedule enumeration.
     RelationMatrix ccw(t.num_events());
-    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
       const TransitiveClosure tc =
           causal_closure(t, s, {.include_data_edges = false});
       for (EventId a = 0; a < t.num_events(); ++a) {

@@ -7,6 +7,8 @@
 // label re-runs it under ThreadSanitizer).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "feasible/deadlock.hpp"
@@ -17,6 +19,7 @@
 #include "ordering/exact.hpp"
 #include "reductions/reduction.hpp"
 #include "sat/dpll.hpp"
+#include "service/session.hpp"
 #include "util/fault.hpp"
 #include "workload/generators.hpp"
 
@@ -132,16 +135,10 @@ TEST(FaultSweep, DeadlineAtStateStopsEveryExplorer) {
     {
       fault::ScopedFaultPlan armed(plan);
       EnumerateOptions eo;
-      const EnumerateStats stats =
-          threads <= 1
-              ? enumerate_schedules(trace, eo,
-                                    [](const std::vector<EventId>&) {
-                                      return true;
-                                    })
-              : enumerate_schedules_parallel(
-                    trace, eo,
-                    [](const std::vector<EventId>&) { return true; },
-                    threads);
+      eo.num_threads = threads;
+      const EnumerateStats stats = enumerate_schedules(
+          trace, eo,
+          [](std::size_t, const std::vector<EventId>&) { return true; });
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
       EXPECT_TRUE(fault::tripped());
@@ -149,23 +146,47 @@ TEST(FaultSweep, DeadlineAtStateStopsEveryExplorer) {
     {
       fault::ScopedFaultPlan armed(plan);
       ClassEnumOptions co;
-      const ClassEnumStats stats =
-          threads <= 1
-              ? enumerate_causal_classes(trace, co,
-                                         [](const std::vector<EventId>&) {
-                                           return true;
-                                         })
-              : enumerate_causal_classes_parallel(
-                    trace, co, threads,
-                    [](std::size_t, const std::vector<EventId>&) {
-                      return true;
-                    });
+      co.num_threads = threads;
+      const ClassEnumStats stats = enumerate_causal_classes(
+          trace, co,
+          [](std::size_t, const std::vector<EventId>&) { return true; });
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
       EXPECT_TRUE(fault::tripped());
     }
   }
   EXPECT_FALSE(fault::enabled());
+}
+
+TEST(FaultSweep, CutFeasibilityLeavesTheWarmMemoSound) {
+  // Regression: a fault-stopped feasibility query memoized "not
+  // completable" for states whose children the cut had skipped, into the
+  // session's warm completability memo.  The next, unfaulted query then
+  // answered from that memo: an observed (so feasible) trace reported
+  // infeasible with truncated == false — and the session cached it.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    SemTraceConfig config;
+    config.num_processes = 3;
+    config.num_semaphores = 2;
+    config.num_events = 14;
+    const auto trace =
+        std::make_shared<const Trace>(random_semaphore_trace(config, rng));
+    for (const std::uint64_t threshold : {2u, 5u, 9u, 17u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threshold " +
+                   std::to_string(threshold));
+      service::AnalysisSession session(trace);
+      {
+        fault::ScopedFaultPlan armed(
+            {.kind = fault::FaultKind::kDeadlineAtState,
+             .threshold = threshold});
+        ASSERT_TRUE(session.feasibility()->truncated);
+      }
+      const auto again = session.feasibility();
+      EXPECT_FALSE(again->truncated);
+      EXPECT_TRUE(again->feasible_nonempty);
+    }
+  }
 }
 
 // --------------------------------------------------- store-fail tripping
@@ -208,17 +229,10 @@ TEST(FaultSweep, StoreFailureStopsStoreBackedExplorers) {
     {
       fault::ScopedFaultPlan armed(plan);
       ClassEnumOptions co;
-      const ClassEnumStats stats =
-          threads <= 1
-              ? enumerate_causal_classes(trace, co,
-                                         [](const std::vector<EventId>&) {
-                                           return true;
-                                         })
-              : enumerate_causal_classes_parallel(
-                    trace, co, threads,
-                    [](std::size_t, const std::vector<EventId>&) {
-                      return true;
-                    });
+      co.num_threads = threads;
+      const ClassEnumStats stats = enumerate_causal_classes(
+          trace, co,
+          [](std::size_t, const std::vector<EventId>&) { return true; });
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.search.stop_reason, search::StopReason::kMemory);
       EXPECT_TRUE(fault::tripped());
@@ -233,11 +247,11 @@ TEST(FaultSweep, StoreFaultIsInertForStorelessEnumeration) {
   const Trace trace = sweep_trace();
   EnumerateOptions eo;
   const EnumerateStats baseline = enumerate_schedules(
-      trace, eo, [](const std::vector<EventId>&) { return true; });
+      trace, eo, [](std::size_t, const std::vector<EventId>&) { return true; });
   fault::ScopedFaultPlan armed({.kind = fault::FaultKind::kStoreFailAt,
                                 .threshold = 1});
   const EnumerateStats faulted = enumerate_schedules(
-      trace, eo, [](const std::vector<EventId>&) { return true; });
+      trace, eo, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_FALSE(faulted.truncated);
   EXPECT_FALSE(fault::tripped());
   EXPECT_EQ(faulted.schedules, baseline.schedules);

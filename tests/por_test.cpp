@@ -1,8 +1,8 @@
 // Partial-order reduction equivalence suite.
 //
-// The reduction (search/independence.hpp: sleep sets + persistent sets,
-// and — under kSourceWakeup — source sets, wakeup frames and dynamic
-// independence; engine plumbing in search/engine.hpp) promises:
+// The reduction (search/independence.hpp: sleep sets, source sets, wakeup
+// frames and dynamic independence; engine plumbing in
+// search/engine.hpp) promises:
 //   * class enumeration delivers the SAME set of complete causal classes
 //     with reduction on as off (only the per-class schedule multiplicity
 //     shrinks),
@@ -28,6 +28,7 @@
 #include "ordering/causal.hpp"
 #include "ordering/class_enumerate.hpp"
 #include "ordering/exact.hpp"
+#include "search/independence.hpp"
 #include "search/search.hpp"
 #include "trace/builder.hpp"
 #include "util/rng.hpp"
@@ -62,7 +63,7 @@ std::set<ClassKey> enumerated_classes(const Trace& trace,
   options.reduction = reduction;
   std::set<ClassKey> out;
   enumerate_causal_classes(trace, options,
-                           [&](const std::vector<EventId>& s) {
+                           [&](std::size_t, const std::vector<EventId>& s) {
                              out.insert(class_key(trace, s, options.causal));
                              return true;
                            });
@@ -119,9 +120,6 @@ TEST(Por, ClassSetsMatchUnreduced) {
       SCOPED_TRACE(label + " seed " + std::to_string(seed));
       const std::set<ClassKey> full =
           enumerated_classes(trace, ReductionMode::kOff);
-      EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSleep), full);
-      EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSleepPersistent),
-                full);
       EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSourceWakeup),
                 full);
     }
@@ -136,15 +134,15 @@ TEST(Por, RepresentativeEnumerationPreservesClassesAndFeasibility) {
       EnumerateOptions full;
       std::set<ClassKey> full_classes;
       const EnumerateStats full_stats = enumerate_schedules(
-          trace, full, [&](const std::vector<EventId>& s) {
+          trace, full, [&](std::size_t, const std::vector<EventId>& s) {
             full_classes.insert(class_key(trace, s, causal));
             return true;
           });
       EnumerateOptions reduced;
-      reduced.representatives_only = true;
+      reduced.reduction = ReductionMode::kSourceWakeup;
       std::set<ClassKey> reduced_classes;
       const EnumerateStats reduced_stats = enumerate_schedules(
-          trace, reduced, [&](const std::vector<EventId>& s) {
+          trace, reduced, [&](std::size_t, const std::vector<EventId>& s) {
             reduced_classes.insert(class_key(trace, s, causal));
             return true;
           });
@@ -178,7 +176,7 @@ TEST(Por, DeadlockVerdictAndStuckCountMatchUnreduced) {
       const DeadlockReport full = analyze_deadlocks(trace, off);
       const DeadlockReport reduced = analyze_deadlocks(trace, {});
       EXPECT_EQ(reduced.can_deadlock, full.can_deadlock);
-      // Sleep + persistent sets preserve every transition-less state.
+      // Sleep + source sets preserve every transition-less state.
       EXPECT_EQ(reduced.stuck_states, full.stuck_states);
       EXPECT_LE(reduced.states_visited, full.states_visited);
       if (reduced.can_deadlock) {
@@ -226,7 +224,7 @@ TEST(Por, ScheduleSpaceRepresentativesKeepFeasibilityExact) {
     for (const auto& [label, trace] : test_traces(seed)) {
       SCOPED_TRACE(label + " seed " + std::to_string(seed));
       ScheduleSpaceOptions reduced;
-      reduced.representatives_only = true;
+      reduced.reduction = ReductionMode::kSourceWakeup;
       const CanPrecedeResult r = compute_can_precede(trace, reduced);
       const CanPrecedeResult full = compute_can_precede(trace, {});
       EXPECT_EQ(r.feasible_nonempty, full.feasible_nonempty);
@@ -371,7 +369,7 @@ TEST(Por, SourceWakeupClassSetsMatchOnExcusalFamilies) {
       on.reduction = ReductionMode::kSourceWakeup;
       std::set<ClassKey> reduced;
       const ClassEnumStats stats = enumerate_causal_classes(
-          trace, on, [&](const std::vector<EventId>& s) {
+          trace, on, [&](std::size_t, const std::vector<EventId>& s) {
             reduced.insert(class_key(trace, s, on.causal));
             return true;
           });
@@ -380,6 +378,51 @@ TEST(Por, SourceWakeupClassSetsMatchOnExcusalFamilies) {
     }
   }
   EXPECT_GT(excused, 0u) << "no family reached a dynamic excusal";
+}
+
+TEST(Por, ScalarSourceClosurePreservesClassesPastSixtyFourProcesses) {
+  // The source-set closure runs word-parallel over process masks up to
+  // 64 processes and falls back to a per-process scan beyond.  A serial
+  // chain of fork/join rounds reaches 71 processes while keeping at most
+  // two active at once: round i forks child c_i, which races the root.
+  // Every 20th round races the child's V against the root's V: the
+  // root's next P takes the first pushed token (FIFO), so the causal
+  // order has the edge V_child -> P exactly when the child's V came
+  // first — two classes per such round.  The other rounds are
+  // independent computes (one class).
+  TraceBuilder b;
+  const ObjectId s = b.semaphore("s");
+  for (std::size_t round = 0; round < 70; ++round) {
+    const ProcId child = b.fork(b.root());
+    const bool race = round % 20 == 0;
+    if (race) {
+      b.sem_v(child, s);
+      b.sem_v(b.root(), s);
+      b.sem_p(b.root(), s);
+    } else {
+      b.compute(child);
+      b.compute(b.root());
+    }
+    b.join(b.root(), child);
+    if (race) b.sem_p(b.root(), s);  // drain: every round starts empty
+  }
+  const Trace trace = b.build();
+  ASSERT_GT(trace.num_processes(), 64u);
+  ASSERT_FALSE(search::IndependenceRelation(trace).has_proc_masks());
+
+  const std::set<ClassKey> full =
+      enumerated_classes(trace, ReductionMode::kOff);
+  EXPECT_EQ(full.size(), 16u);  // 2^4 racing rounds
+  const std::set<ClassKey> reduced_classes =
+      enumerated_classes(trace, ReductionMode::kSourceWakeup);
+  EXPECT_TRUE(reduced_classes == full)
+      << reduced_classes.size() << " of " << full.size() << " classes";
+
+  ClassEnumOptions reduced;
+  const ClassEnumStats stats = enumerate_causal_classes(
+      trace, reduced,
+      [](std::size_t, const std::vector<EventId>&) { return true; });
+  EXPECT_GT(stats.search.persistent_skipped, 0u);  // the closure chose
 }
 
 TEST(Por, SourceWakeupDeadlockAndExactMatchOnExcusalFamilies) {
@@ -461,9 +504,9 @@ TEST(Por, WideForkReductionFactor) {
   ClassEnumOptions off;
   off.reduction = ReductionMode::kOff;
   const ClassEnumStats full = enumerate_causal_classes(
-      t, off, [](const std::vector<EventId>&) { return true; });
+      t, off, [](std::size_t, const std::vector<EventId>&) { return true; });
   const ClassEnumStats reduced = enumerate_causal_classes(
-      t, {}, [](const std::vector<EventId>&) { return true; });
+      t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_EQ(reduced.schedules_visited, 1u);  // a single causal class
   EXPECT_GE(full.distinct_prefixes,
             5 * reduced.search.states_visited);

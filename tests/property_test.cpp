@@ -108,7 +108,7 @@ TEST(Feasible, ReorderedExecutionsHaveFewerOrEqualFeasibleSchedules) {
     const std::uint64_t base_count = count_schedules(t);
     const OrderingRelations base = compute_exact(t, Semantics::kCausal);
     std::size_t checked = 0;
-    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
       std::vector<EventId> mapping;
       const Trace u = reorder_trace(t, s, &mapping);
       EXPECT_LE(count_schedules(u), base_count);

@@ -25,6 +25,7 @@
 #include "search/search.hpp"
 #include "trace/builder.hpp"
 #include "util/rng.hpp"
+#include "workload/generators.hpp"
 
 namespace evord {
 namespace {
@@ -220,15 +221,17 @@ TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
       options.stepper.respect_dependences = respect_deps;
 
       const EnumerateStats serial = enumerate_schedules(
-          t, options, [](const std::vector<EventId>&) { return true; });
-      std::atomic<std::uint64_t> parallel_visits{0};
-      const EnumerateStats parallel = enumerate_schedules_parallel(
           t, options,
-          [&parallel_visits](const std::vector<EventId>&) {
+          [](std::size_t, const std::vector<EventId>&) { return true; });
+      std::atomic<std::uint64_t> parallel_visits{0};
+      EnumerateOptions parallel_options = options;
+      parallel_options.num_threads = 4;
+      const EnumerateStats parallel = enumerate_schedules(
+          t, parallel_options,
+          [&parallel_visits](std::size_t, const std::vector<EventId>&) {
             parallel_visits.fetch_add(1, std::memory_order_relaxed);
             return true;
-          },
-          4);
+          });
       const BruteResult brute = brute_force(t, options.stepper);
 
       EXPECT_EQ(serial.schedules, brute.schedules) << "seed " << seed;
@@ -296,14 +299,13 @@ TEST(SearchBudget, ParallelMaxSchedulesIsStrictAndGlobal) {
         std::uint64_t{0}}) {
     EnumerateOptions options;
     options.max_schedules = budget;
+    options.num_threads = 4;
     std::atomic<std::uint64_t> visits{0};
-    const EnumerateStats stats = enumerate_schedules_parallel(
-        t, options,
-        [&visits](const std::vector<EventId>&) {
+    const EnumerateStats stats = enumerate_schedules(
+        t, options, [&visits](std::size_t, const std::vector<EventId>&) {
           visits.fetch_add(1, std::memory_order_relaxed);
           return true;
-        },
-        4);
+        });
     const std::uint64_t expect =
         budget == 0 ? kTotal : std::min(budget, kTotal);
     EXPECT_EQ(visits.load(), expect) << "budget " << budget;
@@ -378,7 +380,8 @@ TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
   const Trace t = small_random_trace(71, 10);
   EnumerateOptions options;
   const EnumerateStats serial = enumerate_schedules(
-      t, options, [](const std::vector<EventId>&) { return true; });
+      t, options,
+      [](std::size_t, const std::vector<EventId>&) { return true; });
 
   EnumerateOptions budgeted = options;
   budgeted.max_schedules = serial.schedules / 2 + 1;
@@ -387,14 +390,13 @@ TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
   for (const std::size_t threads : kStressThreads) {
     for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
       options.steal = stress_steal(run, threads);
+      options.num_threads = threads;
       std::atomic<std::uint64_t> visits{0};
-      const EnumerateStats parallel = enumerate_schedules_parallel(
-          t, options,
-          [&visits](const std::vector<EventId>&) {
+      const EnumerateStats parallel = enumerate_schedules(
+          t, options, [&visits](std::size_t, const std::vector<EventId>&) {
             visits.fetch_add(1, std::memory_order_relaxed);
             return true;
-          },
-          threads);
+          });
       EXPECT_EQ(parallel.schedules, serial.schedules)
           << "run " << run << " threads " << threads;
       EXPECT_EQ(visits.load(), serial.schedules);
@@ -404,14 +406,13 @@ TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
       // Strict budget: the stop point is exactly the budget, at every
       // thread count and steal order.
       budgeted.steal = options.steal;
+      budgeted.num_threads = threads;
       std::atomic<std::uint64_t> capped{0};
-      const EnumerateStats stopped = enumerate_schedules_parallel(
-          t, budgeted,
-          [&capped](const std::vector<EventId>&) {
+      const EnumerateStats stopped = enumerate_schedules(
+          t, budgeted, [&capped](std::size_t, const std::vector<EventId>&) {
             capped.fetch_add(1, std::memory_order_relaxed);
             return true;
-          },
-          threads);
+          });
       EXPECT_EQ(capped.load(), budgeted.max_schedules) << "run " << run;
       EXPECT_EQ(stopped.schedules, budgeted.max_schedules);
       EXPECT_TRUE(stopped.truncated);
@@ -473,14 +474,16 @@ TEST(StealStress, ClassEnumerationCountsBitIdentical) {
   const Trace t = small_random_trace(73, 10);
   ClassEnumOptions options;
   const ClassEnumStats serial = enumerate_causal_classes(
-      t, options, [](const std::vector<EventId>&) { return true; });
+      t, options,
+      [](std::size_t, const std::vector<EventId>&) { return true; });
 
   int run = 0;
   for (const std::size_t threads : kStressThreads) {
     for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
       options.steal = stress_steal(run, threads);
-      const ClassEnumStats parallel = enumerate_causal_classes_parallel(
-          t, options, threads,
+      options.num_threads = threads;
+      const ClassEnumStats parallel = enumerate_causal_classes(
+          t, options,
           [](std::size_t, const std::vector<EventId>&) { return true; });
       EXPECT_EQ(parallel.schedules_visited, serial.schedules_visited)
           << "run " << run << " threads " << threads;
@@ -702,12 +705,77 @@ TEST(SearchBudgets, MemoizedSearchPollsDeadlineOnMemoHits) {
   EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
 }
 
+TEST(SearchBudgets, ParallelStateCapNeverMemoizesUnprovenFalse) {
+  // Regression: a worker whose children were cut by the shared
+  // max_states budget used to memoize "not completable" for the parent,
+  // while a worker that had finished the same state first stored
+  // "completable" — a CheckError ("memoized value mismatch") in about a
+  // third of these runs.  A cut `false` is unproven and must never reach
+  // the shared memo; the truncated matrices stay under-approximations.
+  int truncated_runs = 0;
+  for (int run = 0; run < 400; ++run) {
+    Rng rng(1 + run % 16);
+    SemTraceConfig config;
+    config.num_processes = 6;
+    config.num_semaphores = 2;
+    config.num_events = 30;
+    const Trace trace = random_semaphore_trace(config, rng);
+    ScheduleSpaceOptions options;
+    options.num_threads = 4;
+    options.max_states = 3 + (run * 37) % 25;
+    CanPrecedeResult r;
+    ASSERT_NO_THROW(r = compute_can_precede(trace, options)) << "run " << run;
+    truncated_runs += r.truncated ? 1 : 0;
+    if (run % 16 == 0) {
+      ScheduleSpaceOptions unbudgeted;
+      unbudgeted.max_states = 0;
+      const CanPrecedeResult full = compute_can_precede(trace, unbudgeted);
+      for (EventId b = 0; b < trace.num_events(); ++b) {
+        EXPECT_TRUE(r.can_precede[b].is_subset_of(full.can_precede[b]))
+            << "run " << run << " event " << b;
+      }
+    }
+  }
+  EXPECT_EQ(truncated_runs, 400);
+}
+
+TEST(SearchOptions, ExplorerDefaultBudgetsArePinned) {
+  // Every explorer inherits search::SearchOptions; only max_states and
+  // reduction differ by explorer, and a default that flips when fields
+  // move between structs changes results silently.
+  using search::ReductionMode;
+  struct Row {
+    const char* explorer;
+    search::SearchOptions options;
+    std::size_t max_states;
+    ReductionMode reduction;
+  };
+  const Row rows[] = {
+      {"Exact", ExactOptions{}, 4'000'000, ReductionMode::kSourceWakeup},
+      {"Deadlock", DeadlockOptions{}, 4'000'000,
+       ReductionMode::kSourceWakeup},
+      {"ScheduleSpace", ScheduleSpaceOptions{}, 4'000'000,
+       ReductionMode::kOff},
+      {"ClassEnum", ClassEnumOptions{}, 0, ReductionMode::kSourceWakeup},
+      {"Enumerate", EnumerateOptions{}, 0, ReductionMode::kOff},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.explorer);
+    EXPECT_EQ(row.options.max_states, row.max_states);
+    EXPECT_EQ(row.options.reduction, row.reduction);
+    EXPECT_EQ(row.options.num_threads, 1u);
+    EXPECT_EQ(row.options.max_schedules, 0u);
+    EXPECT_EQ(row.options.time_budget_seconds, 0.0);
+    EXPECT_EQ(row.options.max_memory_bytes, 0u);
+    EXPECT_FALSE(row.options.spill);
+  }
+}
+
 TEST(SearchStats, ReductionModeNamesAreExhaustive) {
   using search::ReductionMode;
   EXPECT_STREQ(search::to_string(ReductionMode::kOff), "off");
-  EXPECT_STREQ(search::to_string(ReductionMode::kSleep), "sleep");
-  EXPECT_STREQ(search::to_string(ReductionMode::kSleepPersistent),
-               "sleep+persistent");
+  EXPECT_STREQ(search::to_string(ReductionMode::kSourceWakeup),
+               "source+wakeup");
   EXPECT_STREQ(search::to_string(static_cast<ReductionMode>(0xff)),
                "unknown");
 }

@@ -2,8 +2,7 @@
 // encoding, incremental maintenance vs. from-scratch encoding, registry
 // semantics (quotiented keys, exact mode, bucket growth) against
 // reference containers, the spill tier's bit-identity contract, the
-// 64x64 transpose kernel, the PerStateBitset row arena, and the masked
-// persistent-set fast path.
+// 64x64 transpose kernel and the PerStateBitset row arena.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -17,7 +16,6 @@
 #include "feasible/stepper.hpp"
 #include "helpers.hpp"
 #include "search/fingerprint_set.hpp"
-#include "search/independence.hpp"
 #include "search/state_registry.hpp"
 #include "trace/builder.hpp"
 #include "util/rng.hpp"
@@ -331,36 +329,6 @@ TEST(PerStateBitset, RowOperationsMatchDynamicBitset) {
     EXPECT_EQ(arena.row(2).count(), bits);
     arena.row(0).to_bitset(got);
     EXPECT_EQ(got, a) << "set_all corrupted a neighboring row";
-  }
-}
-
-// ----------------------------------------------------------------------
-// Masked persistent-set closure == scalar closure.
-
-TEST(PersistentSets, MaskedFastPathMatchesScalar) {
-  Rng rng(606);
-  for (int iter = 0; iter < 25; ++iter) {
-    RandomTraceConfig config;
-    config.num_processes = 2 + rng.below(4);
-    config.num_semaphores = 1 + rng.below(2);
-    config.num_event_vars = rng.below(2);
-    config.num_events = 8 + rng.below(10);
-    const Trace trace = random_trace(config, rng);
-    const search::IndependenceRelation indep(trace);
-    ASSERT_TRUE(indep.has_proc_masks());
-    search::PersistentSetSelector masked(&indep);
-    search::PersistentSetSelector scalar(&indep, /*force_scalar=*/true);
-
-    TraceStepper stepper(trace, {});
-    std::vector<EventId> enabled, from_masked, from_scalar;
-    for (int step = 0; step < 60; ++step) {
-      stepper.enabled_events(enabled);
-      if (enabled.empty()) break;
-      masked.select(stepper, enabled, from_masked);
-      scalar.select(stepper, enabled, from_scalar);
-      ASSERT_EQ(from_masked, from_scalar) << "step " << step;
-      stepper.apply(enabled[rng.below(enabled.size())]);
-    }
   }
 }
 
