@@ -113,9 +113,7 @@ BENCHMARK(BM_Coexist_ReductionDecidesSat)
 // space and the registry stores exact single-word packed keys).  Verdicts
 // and distinct-state counts must agree; bytes/state must drop at least 4x
 // against the legacy walker and at least 2x against the pre-packed
-// 8-byte-fingerprint nominal cost.  A third, byte-budgeted run forces the
-// spill tier to engage and must reproduce the unbudgeted result
-// bit-identically.
+// 8-byte-fingerprint nominal cost.
 std::vector<JsonRecord> run_deadlock_memory_sweep() {
   const ReductionExecution e =
       execute_reduction(reduce_3sat_semaphores(tiny_unsat()));
@@ -154,26 +152,6 @@ std::vector<JsonRecord> run_deadlock_memory_sweep() {
               "packed visited set regressed below 2x vs the 8-byte "
               "fingerprint baseline: " << engine_bytes << " bytes/state");
 
-  // Spill tier: rerun with half the measured resident footprint as the
-  // byte budget.  Without spilling that budget stops the search with
-  // StopReason::kMemory; with it the sweep must run to completion and
-  // agree with the unbudgeted run bit for bit.
-  DeadlockOptions spill_options = packed_options;
-  spill_options.max_memory_bytes = report.search.memo_bytes / 2;
-  spill_options.spill = true;
-  Timer spill_timer;
-  const DeadlockReport spilled = analyze_deadlocks(e.trace, spill_options);
-  const double spill_ms =
-      static_cast<double>(spill_timer.micros()) / 1000.0;
-  EVORD_CHECK(!spilled.truncated, "spill-tier sweep hit its budget");
-  EVORD_CHECK(spilled.search.spill_events > 0,
-              "budgeted sweep never engaged the spill tier");
-  EVORD_CHECK(spilled.can_deadlock == report.can_deadlock &&
-                  spilled.witness_prefix == report.witness_prefix &&
-                  spilled.stuck_states == report.stuck_states &&
-                  spilled.states_visited == report.states_visited,
-              "spill-tier deadlock sweep diverged from the in-memory run");
-
   const auto row = [&](const char* variant, std::uint64_t states,
                        std::uint64_t bytes, double wall_ms) {
     return JsonRecord{}
@@ -189,11 +167,7 @@ std::vector<JsonRecord> run_deadlock_memory_sweep() {
   };
   return {row("legacy_keyvec", legacy.states, legacy.table_bytes, legacy_ms),
           row("packed", report.states_visited, report.search.memo_bytes,
-              engine_ms),
-          row("packed_spill", spilled.states_visited,
-              spilled.search.memo_bytes, spill_ms)
-              .add("spilled_bytes", spilled.search.spilled_bytes)
-              .add("spill_events", spilled.search.spill_events)};
+              engine_ms)};
 }
 
 // Packed-layer wall-time sweep (rows appended to BENCH_search.json): a

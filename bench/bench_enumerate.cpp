@@ -193,9 +193,7 @@ BENCHMARK(BM_ExploreProgram_Philosophers)
 // distinct-state sets are identical; the engine sweep additionally builds
 // the can-precede matrix, which makes its states/sec figure conservative.
 // Bytes/state must drop at least 4x against the legacy walker and at
-// least 2x against the pre-packed 9-byte-fingerprint nominal cost, and a
-// byte-budgeted rerun must spill to disk yet reproduce the unbudgeted
-// result bit-identically.
+// least 2x against the pre-packed 9-byte-fingerprint nominal cost.
 std::vector<evord::bench::JsonRecord> run_space_memory_sweep() {
   using evord::bench::JsonRecord;
   const ReductionExecution e = execute_reduction(
@@ -233,25 +231,6 @@ std::vector<evord::bench::JsonRecord> run_space_memory_sweep() {
               "packed memo regressed below 2x vs the 9-byte fingerprint "
               "baseline: " << engine_bytes << " bytes/state");
 
-  // Spill tier: half the measured resident footprint as the byte budget
-  // forces cold memo shards onto disk mid-sweep; the matrix and every
-  // count must still match the in-memory run exactly.
-  ScheduleSpaceOptions spill_options;
-  spill_options.max_memory_bytes = result.search.memo_bytes / 2;
-  spill_options.spill = true;
-  Timer spill_timer;
-  const CanPrecedeResult spilled = compute_can_precede(e.trace, spill_options);
-  const double spill_ms =
-      static_cast<double>(spill_timer.micros()) / 1000.0;
-  EVORD_CHECK(!spilled.truncated, "spill-tier sweep hit its budget");
-  EVORD_CHECK(spilled.search.spill_events > 0,
-              "budgeted sweep never engaged the spill tier");
-  EVORD_CHECK(spilled.feasible_nonempty == result.feasible_nonempty &&
-                  spilled.states_visited == result.states_visited &&
-                  spilled.can_precede == result.can_precede,
-              "spill-tier can-precede sweep diverged from the in-memory "
-              "run");
-
   const auto row = [&](const char* variant, std::uint64_t states,
                        std::uint64_t bytes, double wall_ms) {
     return JsonRecord{}
@@ -267,11 +246,7 @@ std::vector<evord::bench::JsonRecord> run_space_memory_sweep() {
   };
   return {row("legacy_keyvec", legacy.states, legacy.table_bytes, legacy_ms),
           row("packed", result.states_visited, result.search.memo_bytes,
-              engine_ms),
-          row("packed_spill", spilled.states_visited,
-              spilled.search.memo_bytes, spill_ms)
-              .add("spilled_bytes", spilled.search.spilled_bytes)
-              .add("spill_events", spilled.search.spill_events)};
+              engine_ms)};
 }
 
 // Work-stealing thread sweep of the plain enumerator (rows appended to

@@ -97,7 +97,7 @@ JsonRecord run_family(const std::string& workload, const Trace& trace) {
       .add("wall_ms_off", off.wall_ms)
       .add("wall_ms_source", src.wall_ms)
       .add("sleep_pruned", src.stats.search.sleep_pruned)
-      .add("persistent_skipped", src.stats.search.persistent_skipped)
+      .add("source_skipped", src.stats.search.source_skipped)
       .add("dyn_excused", src.stats.search.dyn_excused)
       .add("schedules_per_class", spc)
       .add("reduction_factor_source", factor);

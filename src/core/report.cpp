@@ -80,9 +80,9 @@ std::string summarize_relations(const Trace& trace,
      << " dedup hits=" << relations.search.dedup_hits
      << " memo bytes=" << relations.search.memo_bytes << '\n';
   if (relations.search.sleep_pruned != 0 ||
-      relations.search.persistent_skipped != 0) {
+      relations.search.source_skipped != 0) {
     os << "reduction: sleep pruned=" << relations.search.sleep_pruned
-       << " persistent skipped=" << relations.search.persistent_skipped;
+       << " source skipped=" << relations.search.source_skipped;
     if (relations.search.dyn_excused != 0) {
       os << " dyn excused=" << relations.search.dyn_excused;
     }

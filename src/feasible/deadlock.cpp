@@ -104,18 +104,6 @@ search::SearchOptions engine_options(const DeadlockOptions& options) {
   return so;
 }
 
-/// The stuck-state set always keys raw 64-bit state fingerprints (they
-/// already went through the visited set's collision check), so it skips
-/// verification; it spills alongside the visited set.
-search::PackedStateRegistry::Config stuck_config(
-    const search::SearchOptions& so, std::size_t num_shards) {
-  search::PackedStateRegistry::Config cfg;
-  cfg.num_shards = num_shards;
-  cfg.verify_collisions = false;
-  cfg.spill = so.spill;
-  return cfg;
-}
-
 DeadlockReport run_serial(const Trace& trace, const DeadlockOptions& options,
                           const search::IndependenceRelation* indep) {
   const search::SearchOptions so = engine_options(options);
@@ -131,7 +119,9 @@ DeadlockReport run_serial(const Trace& trace, const DeadlockOptions& options,
   const bool reduced = so.reduction != search::ReductionMode::kOff;
   std::optional<search::ShardedFingerprintSet> stuck;
   if (reduced) {
-    stuck.emplace(stuck_config(so, 1));
+    // Raw state fingerprints, already collision-checked by the visited
+    // set: no payload verification.
+    stuck.emplace(1, /*verify_collisions=*/false);
     stuck->set_accountant(&ctx.memory);
   }
   WitnessCandidate witness;
@@ -145,10 +135,6 @@ DeadlockReport run_serial(const Trace& trace, const DeadlockOptions& options,
   report.can_deadlock = witness.found;
   report.witness_prefix = std::move(witness.path);
   report.search.memo_bytes = visited.bytes();
-  report.search.spilled_bytes =
-      visited.spilled_bytes() + (reduced ? stuck->spilled_bytes() : 0);
-  report.search.spill_events =
-      visited.spill_events() + (reduced ? stuck->spill_events() : 0);
   report.search.shard_sizes = visited.shard_sizes();
   if (reduced) report.search.deadlocked_prefixes = stuck->size();
   report.stuck_states = report.search.deadlocked_prefixes;
@@ -179,7 +165,8 @@ DeadlockReport run_parallel(const Trace& trace, const DeadlockOptions& options,
   // the visited set's collision check; under reduction the raw
   // fingerprint is the same stepper hash, just not sleep-folded), so
   // this set skips payload verification.
-  search::ShardedFingerprintSet stuck(stuck_config(so, 4 * threads));
+  search::ShardedFingerprintSet stuck(4 * threads,
+                                      /*verify_collisions=*/false);
   stuck.set_accountant(&ctx.memory);
 
   // Count the root state once, as the serial search would at its first
@@ -245,9 +232,6 @@ DeadlockReport run_parallel(const Trace& trace, const DeadlockOptions& options,
   }
   report.search.depth_states[0] += 1;
   report.search.memo_bytes = visited.bytes();
-  report.search.spilled_bytes =
-      visited.spilled_bytes() + stuck.spilled_bytes();
-  report.search.spill_events = visited.spill_events() + stuck.spill_events();
   report.search.shard_sizes = visited.shard_sizes();
   report.stuck_states = stuck.size();
   report.states_visited = static_cast<std::size_t>(visited.size());

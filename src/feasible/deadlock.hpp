@@ -23,7 +23,7 @@ namespace evord {
 
 /// Budget, workers and reduction come from search::SearchOptions; this
 /// explorer honours max_states, time_budget_seconds, max_memory_bytes,
-/// spill, num_threads, steal and reduction.  It decides reachability of
+/// num_threads, steal and reduction.  It decides reachability of
 /// stuck states, not of complete schedules, so max_schedules is ignored.
 ///
 /// The parallel search returns bit-identical reports (verdict, witness,

@@ -35,7 +35,7 @@ namespace evord {
 /// Budget, workers and reduction come from search::SearchOptions; this
 /// explorer honours max_schedules, time_budget_seconds,
 /// max_memory_bytes, num_threads, steal and reduction.  It keeps no
-/// dedup store, so max_states and spill have nothing to act on.
+/// dedup store, so max_states has nothing to act on.
 ///
 /// `reduction` is OFF by default because it changes this engine's
 /// contract: with kSourceWakeup only representative schedules (at least

@@ -93,7 +93,7 @@ CanPrecedeResult run_search(const Trace& trace,
   // Warm-store reuse (ScheduleSpaceOptions::warm_memo contract): a
   // caller-owned memo may only replace the private one when its entries
   // mean exactly the same thing in every run — serial, unreduced,
-  // unbudgeted, unspilled — and when a non-empty store cannot
+  // unbudgeted — and when a non-empty store cannot
   // short-circuit matrix marks (verdict-only sweep, or the store is
   // still empty and this run is the one that fills it).  The warm store
   // is never attached to this run's accountant: it outlives the run and
@@ -103,7 +103,7 @@ CanPrecedeResult run_search(const Trace& trace,
   search::FingerprintBoolMap* const warm = options.warm_memo;
   const bool use_warm = warm != nullptr && threads <= 1 &&
                         so.reduction == search::ReductionMode::kOff &&
-                        so.max_memory_bytes == 0 && !so.spill &&
+                        so.max_memory_bytes == 0 &&
                         (verdict_only || warm->size() == 0);
 
   if (roots.empty()) {
@@ -125,8 +125,6 @@ CanPrecedeResult run_search(const Trace& trace,
     result.feasible_nonempty = engine.explore(0);
     result.search = engine.stats();
     result.search.memo_bytes = memo->bytes();
-    result.search.spilled_bytes = memo->spilled_bytes();
-    result.search.spill_events = memo->spill_events();
     result.search.shard_sizes = memo->shard_sizes();
     // With a warm store, memo->size() counts entries from earlier runs
     // too; report only the states THIS run added, so a run through a
@@ -180,8 +178,6 @@ CanPrecedeResult run_search(const Trace& trace,
   result.search = engine.stats();
   result.search.merge(worker_stats);
   result.search.memo_bytes = memo.bytes();
-  result.search.spilled_bytes = memo.spilled_bytes();
-  result.search.spill_events = memo.spill_events();
   result.search.shard_sizes = memo.shard_sizes();
   result.states_visited = static_cast<std::size_t>(memo.size());
   result.truncated = result.search.truncated;
@@ -264,8 +260,6 @@ PairQueryResult can_precede_pair(const Trace& trace, EventId first,
   result.possible = engine.explore(0);
   result.search = engine.stats();
   result.search.memo_bytes = memo.bytes();
-  result.search.spilled_bytes = memo.spilled_bytes();
-  result.search.spill_events = memo.spill_events();
   result.search.shard_sizes = memo.shard_sizes();
   result.states_visited = static_cast<std::size_t>(memo.size());
   result.truncated = result.search.truncated;

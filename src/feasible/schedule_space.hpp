@@ -38,8 +38,8 @@ namespace evord {
 
 /// Budget, workers and reduction come from search::SearchOptions; this
 /// explorer honours max_states, time_budget_seconds, max_memory_bytes,
-/// spill, num_threads, steal and reduction (can_precede_pair runs
-/// serial and unreduced, see there).  It has no complete-schedule
+/// num_threads, steal and reduction (can_precede_pair runs serial and
+/// unreduced, see there).  It has no complete-schedule
 /// budget: max_schedules is ignored.
 ///
 /// With num_threads > 1 workers run warming tasks on the work-stealing
@@ -67,7 +67,7 @@ struct ScheduleSpaceOptions : search::SearchOptions {
   /// a repeated feasibility query answers from the root memo hit without
   /// expanding a single state).  Create it with make_feasibility_memo()
   /// from the SAME options.  The engine engages it only when reuse is
-  /// provably sound: serial, unreduced, no byte budget / spill, and
+  /// provably sound: serial, unreduced, no byte budget, and
   /// either a verdict-only sweep or a still-empty store — matrix marks
   /// are emitted per *expanded* child, so a warm (non-empty) store would
   /// short-circuit them and leave matrix bits unset.  Otherwise a fresh

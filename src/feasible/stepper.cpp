@@ -2,16 +2,8 @@
 
 #include "util/check.hpp"
 #include "util/dynamic_bitset.hpp"
-#include "util/hash.hpp"
 
 namespace evord {
-
-namespace {
-// Independent Zobrist families for the three encode_key() components.
-constexpr std::uint64_t kPositionSalt = 0xa0761d6478bd642full;
-constexpr std::uint64_t kPostedSalt = 0xe7037ed1a0b428dbull;
-constexpr std::uint64_t kBinaryCountSalt = 0x8ebc6af09c88c6e3ull;
-}  // namespace
 
 TraceStepper::TraceStepper(const Trace& trace, StepperOptions options)
     : trace_(&trace),
@@ -35,20 +27,6 @@ TraceStepper::TraceStepper(const Trace& trace, StepperOptions options)
   }
   layout_ = search::PackedStateLayout(trace);
   layout_.encode(positions_, posted_, counts_, binary_, packed_);
-  // One Zobrist term per component of the current value; apply/undo swap
-  // terms in and out by XOR, so equal states always hash equal.
-  state_hash_ = DynamicBitset::kHashSeed;
-  for (ProcId p = 0; p < trace.num_processes(); ++p) {
-    state_hash_ ^= hash_mix(kPositionSalt, p, 0);
-  }
-  for (std::size_t v = 0; v < trace.event_vars().size(); ++v) {
-    state_hash_ ^= hash_mix(kPostedSalt, v, posted_.test(v) ? 1 : 0);
-  }
-  for (std::size_t s = 0; s < counts_.size(); ++s) {
-    if (binary_[s]) {
-      state_hash_ ^= hash_mix(kBinaryCountSalt, s, counts_[s] & 1);
-    }
-  }
 }
 
 EventId TraceStepper::next_of(ProcId p) const {
@@ -112,9 +90,6 @@ TraceStepper::Undo TraceStepper::apply(EventId id) {
       --counts_[e.object];
       ++p_executed_[e.object];
       if (binary_[e.object]) {
-        state_hash_ ^= hash_mix(kBinaryCountSalt, e.object, u.old_count & 1) ^
-                       hash_mix(kBinaryCountSalt, e.object,
-                                counts_[e.object] & 1);
         // A semaphore op changes the count by one: the parity flips.
         search::PackedStateLayout::toggle_bit(packed_.data(),
                                               layout_.binary_offset(e.object));
@@ -125,9 +100,6 @@ TraceStepper::Undo TraceStepper::apply(EventId id) {
       if (!(binary_[e.object] && counts_[e.object] == 1)) {
         ++counts_[e.object];
         if (binary_[e.object]) {
-          state_hash_ ^=
-              hash_mix(kBinaryCountSalt, e.object, u.old_count & 1) ^
-              hash_mix(kBinaryCountSalt, e.object, counts_[e.object] & 1);
           search::PackedStateLayout::toggle_bit(
               packed_.data(), layout_.binary_offset(e.object));
         }
@@ -137,8 +109,6 @@ TraceStepper::Undo TraceStepper::apply(EventId id) {
       u.old_posted = posted_.test(e.object);
       posted_.set(e.object);
       if (!u.old_posted) {
-        state_hash_ ^= hash_mix(kPostedSalt, e.object, 0) ^
-                       hash_mix(kPostedSalt, e.object, 1);
         search::PackedStateLayout::toggle_bit(packed_.data(),
                                               layout_.posted_offset(e.object));
       }
@@ -147,8 +117,6 @@ TraceStepper::Undo TraceStepper::apply(EventId id) {
       u.old_posted = posted_.test(e.object);
       posted_.reset(e.object);
       if (u.old_posted) {
-        state_hash_ ^= hash_mix(kPostedSalt, e.object, 1) ^
-                       hash_mix(kPostedSalt, e.object, 0);
         search::PackedStateLayout::toggle_bit(packed_.data(),
                                               layout_.posted_offset(e.object));
       }
@@ -156,9 +124,6 @@ TraceStepper::Undo TraceStepper::apply(EventId id) {
     default:
       break;
   }
-  state_hash_ ^= hash_mix(kPositionSalt, e.process, positions_[e.process]) ^
-                 hash_mix(kPositionSalt, e.process,
-                          positions_[e.process] + 1);
   ++positions_[e.process];
   layout_.set_position(packed_.data(), e.process, positions_[e.process]);
   done_.set(id);
@@ -173,9 +138,6 @@ void TraceStepper::undo(const Undo& u) {
     case EventKind::kSemV:
       if (e.kind == EventKind::kSemP) --p_executed_[e.object];
       if (binary_[e.object] && counts_[e.object] != u.old_count) {
-        state_hash_ ^=
-            hash_mix(kBinaryCountSalt, e.object, counts_[e.object] & 1) ^
-            hash_mix(kBinaryCountSalt, e.object, u.old_count & 1);
         search::PackedStateLayout::toggle_bit(packed_.data(),
                                               layout_.binary_offset(e.object));
       }
@@ -184,9 +146,6 @@ void TraceStepper::undo(const Undo& u) {
     case EventKind::kPost:
     case EventKind::kClear:
       if (posted_.test(e.object) != u.old_posted) {
-        state_hash_ ^=
-            hash_mix(kPostedSalt, e.object, posted_.test(e.object) ? 1 : 0) ^
-            hash_mix(kPostedSalt, e.object, u.old_posted ? 1 : 0);
         search::PackedStateLayout::toggle_bit(packed_.data(),
                                               layout_.posted_offset(e.object));
       }
@@ -195,9 +154,6 @@ void TraceStepper::undo(const Undo& u) {
     default:
       break;
   }
-  state_hash_ ^= hash_mix(kPositionSalt, e.process, positions_[e.process]) ^
-                 hash_mix(kPositionSalt, e.process,
-                          positions_[e.process] - 1);
   --positions_[e.process];
   layout_.set_position(packed_.data(), e.process, positions_[e.process]);
   done_.reset(u.event);

@@ -18,6 +18,7 @@
 #include "search/state_registry.hpp"
 #include "trace/trace.hpp"
 #include "util/dynamic_bitset.hpp"
+#include "util/hash.hpp"
 
 namespace evord {
 
@@ -76,7 +77,8 @@ class TraceStepper {
 
   /// The bit-packed state layout (search/state_registry.hpp): positions
   /// at ceil(log2(len+1)) bits, event-variable and binary-parity bits
-  /// inline.  Maintained incrementally, O(1) per apply/undo.
+  /// inline.  The packed words are the only state encoding the stepper
+  /// maintains, O(1) per apply/undo.
   const search::PackedStateLayout& layout() const { return layout_; }
   /// All packed words of the current state.
   const std::vector<std::uint64_t>& packed_words() const { return packed_; }
@@ -84,13 +86,13 @@ class TraceStepper {
   /// key when layout().single_word().
   std::uint64_t packed_word() const { return packed_[0]; }
 
-  /// Incrementally maintained 64-bit Zobrist hash of exactly the
-  /// encode_key() state: equal keys always yield equal hashes, regardless
-  /// of the schedule that reached the state.  O(1) to read and O(1) per
-  /// apply/undo to maintain, so dedup engines fingerprint states without
-  /// materializing keys (debug builds still materialize them for the
-  /// collision cross-check; see search/fingerprint_set.hpp).
-  std::uint64_t state_hash() const { return state_hash_; }
+  /// 64-bit hash of packed_words(), computed when read: a pure function
+  /// of the state, so equal states hash equal whatever schedule reached
+  /// them.  On single-word layouts it is a bijection of the word.  Dedup
+  /// engines fingerprint states with it when a tracker or a sleep set
+  /// folds in (debug builds cross-check collisions against encode_key();
+  /// see search/fingerprint_set.hpp).
+  std::uint64_t state_hash() const { return splitmix_words(packed_); }
 
   int sem_count(ObjectId sem) const { return counts_[sem]; }
   bool posted(ObjectId ev) const { return posted_.test(ev); }
@@ -116,7 +118,6 @@ class TraceStepper {
   DynamicBitset posted_;
   DynamicBitset done_;
   std::size_t executed_count_ = 0;
-  std::uint64_t state_hash_ = 0;
   search::PackedStateLayout layout_;
   std::vector<std::uint64_t> packed_;  ///< bit-packed state, incremental
 

@@ -375,8 +375,6 @@ ClassEnumStats enumerate_causal_classes(
   out.stopped_by_visitor = stats.stopped_by_visitor;
   out.search = std::move(stats);
   out.search.memo_bytes = prefix_seen.bytes();
-  out.search.spilled_bytes = prefix_seen.spilled_bytes();
-  out.search.spill_events = prefix_seen.spill_events();
   out.search.shard_sizes = prefix_seen.shard_sizes();
   return out;
 }

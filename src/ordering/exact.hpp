@@ -20,13 +20,12 @@ namespace evord {
 /// Budget, workers and reduction come from search::SearchOptions.
 /// Interleaving semantics runs the memoized state-space sweep
 /// (ScheduleSpaceOptions) and honours max_states, time_budget_seconds,
-/// max_memory_bytes, spill, num_threads and steal — never `reduction`,
-/// whose matrices need the unreduced sweep.  Causal and interval
-/// semantics enumerate schedules (ClassEnumOptions with class_dedup,
+/// max_memory_bytes, num_threads and steal — never `reduction`, whose
+/// matrices need the unreduced sweep.  Causal and interval semantics
+/// enumerate schedules (ClassEnumOptions with class_dedup,
 /// EnumerateOptions without) and honour max_schedules,
 /// time_budget_seconds, max_memory_bytes, num_threads and steal; the
-/// class_dedup path also honours spill and `reduction` and ignores
-/// max_states.
+/// class_dedup path also honours `reduction` and ignores max_states.
 ///
 /// Every budget is strict and global across workers (one shared search
 /// context, so a budget of N caps the combined total at N).  The

@@ -422,10 +422,8 @@ BoundedVerdict AnytimeQuery::can_deadlock() {
       const QueryBudget& rung = options_.ladder[i];
       DeadlockOptions dopts;
       static_cast<search::SearchOptions&>(dopts) = rung_options(rung);
-      // The rung keeps the deadlock search's own reduction default and
-      // stops at its byte budget instead of spilling.
+      // The rung keeps the deadlock search's own reduction default.
       dopts.reduction = DeadlockOptions().reduction;
-      dopts.spill = false;
       dopts.stepper.respect_dependences = options_.exact.respect_dependences;
       report = analyze_deadlocks(trace_, dopts);
       p.rungs_tried = i + 1;

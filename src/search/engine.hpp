@@ -519,7 +519,7 @@ class EnumerationSearch {
       std::vector<EventId>& selected = enabled_stack_[depth];
       source_selector_.select(stepper_, full_enabled_, selected,
                               &stats_.dyn_excused);
-      stats_.persistent_skipped += full_enabled_.size() - selected.size();
+      stats_.source_skipped += full_enabled_.size() - selected.size();
       drop_sleeping(sleep_stack_[depth], selected, stats_.sleep_pruned);
       // Fully slept: not stuck — the state has enabled events, they are
       // just all covered by earlier exploration.
@@ -798,7 +798,7 @@ class MemoizedSearch {
     full_enabled_.swap(selected);
     source_selector_.select(stepper_, full_enabled_, selected,
                             &stats_.dyn_excused);
-    stats_.persistent_skipped += full_enabled_.size() - selected.size();
+    stats_.source_skipped += full_enabled_.size() - selected.size();
     drop_sleeping(sleep_stack_[depth], selected, stats_.sleep_pruned);
     selected.erase(
         std::remove_if(selected.begin(), selected.end(),

@@ -15,9 +15,7 @@
 // when constructed unsynchronized).  Keys are quotiented and bit-packed
 // (see PackedStateRegistry), so a retained state costs a fraction of
 // the historical 8/9 bytes; with exact packed keys (Config::exact_keys)
-// the stores dedup collision-free.  With Config::spill and a byte
-// budget attached, cold shards spill to an mmap-backed temp file
-// instead of stopping the search with StopReason::kMemory.
+// the stores dedup collision-free.
 //
 // Collision safety net: with `verify_collisions` on (the default in
 // !NDEBUG builds) the full word payload of each state key is retained
@@ -51,15 +49,13 @@ using ShardedFingerprintSet = PackedStateRegistry;
 /// the dedup key (`pure_state_key`) — the store then dedups
 /// collision-free on key_bits, storing each state in a fraction of 8
 /// bytes.  Collision verification is dropped when keys are exact (no
-/// collisions exist) or when spilling (payload retention would defeat
-/// the byte budget).
+/// collisions exist).
 inline PackedStateRegistry::Config make_store_config(
     const Trace& trace, const SearchOptions& options, std::size_t num_shards,
     bool synchronized = true, bool pure_state_key = true) {
   PackedStateRegistry::Config cfg;
   cfg.num_shards = num_shards;
   cfg.synchronized = synchronized;
-  cfg.spill = options.spill;
   if (pure_state_key && options.reduction == ReductionMode::kOff) {
     const PackedStateLayout layout(trace);
     if (layout.single_word() && layout.key_bits() > 0) {
@@ -67,7 +63,7 @@ inline PackedStateRegistry::Config make_store_config(
       cfg.key_bits = layout.key_bits();
     }
   }
-  if (cfg.exact_keys || cfg.spill) cfg.verify_collisions = false;
+  if (cfg.exact_keys) cfg.verify_collisions = false;
   return cfg;
 }
 
@@ -88,9 +84,8 @@ class FingerprintBoolMap {
       std::size_t num_shards = 16, bool synchronized = true,
       bool verify_collisions = PackedStateRegistry::kVerifyByDefault)
       : core_(PackedStateRegistry::Config{num_shards, verify_collisions, 64,
-                                          false, synchronized, 1, false}) {}
-  /// Full-config constructor (exact keys, spill tier); value_bits is
-  /// forced to 1.
+                                          false, synchronized, 1}) {}
+  /// Full-config constructor (exact keys); value_bits is forced to 1.
   explicit FingerprintBoolMap(PackedStateRegistry::Config config)
       : core_((config.value_bits = 1, config)) {}
 
@@ -126,12 +121,9 @@ class FingerprintBoolMap {
   /// Total memoized states across all shards (snapshot under
   /// concurrency).
   std::uint64_t size() const { return core_.size(); }
-  /// Actual resident heap bytes (matches the accountant's charges).
-  std::uint64_t bytes() const noexcept { return core_.bytes(); }
-  std::uint64_t spilled_bytes() const noexcept {
-    return core_.spilled_bytes();
-  }
-  std::uint64_t spill_events() const noexcept { return core_.spill_events(); }
+  /// Heap bytes of the stored keys, debug payloads excluded (see
+  /// PackedStateRegistry::bytes()).
+  std::uint64_t bytes() const { return core_.bytes(); }
 
   /// Per-shard element counts (load-factor diagnostics).  Snapshot under
   /// concurrency.

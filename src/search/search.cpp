@@ -46,11 +46,9 @@ void SearchStats::merge(const SearchStats& other) {
   terminals += other.terminals;
   deadlocked_prefixes += other.deadlocked_prefixes;
   sleep_pruned += other.sleep_pruned;
-  persistent_skipped += other.persistent_skipped;
+  source_skipped += other.source_skipped;
   dyn_excused += other.dyn_excused;
   memo_bytes += other.memo_bytes;
-  spilled_bytes += other.spilled_bytes;
-  spill_events += other.spill_events;
   truncated = truncated || other.truncated;
   stopped_by_visitor = stopped_by_visitor || other.stopped_by_visitor;
   if (stop_reason == StopReason::kNone) stop_reason = other.stop_reason;

@@ -96,12 +96,6 @@ struct SearchOptions {
   /// the same contract as max_states.  Engines poll per expanded state,
   /// so overshoot is bounded by one state's charge per worker.
   std::uint64_t max_memory_bytes = 0;
-  /// Spill the dedup/memo store's cold shards to an mmap-backed temp
-  /// file when the byte budget nears exhaustion, instead of stopping
-  /// with StopReason::kMemory.  Only meaningful with max_memory_bytes
-  /// set; results are bit-identical to an unbudgeted run.  Off keeps
-  /// the stop-at-budget behaviour exactly.
-  bool spill = false;
   /// Worker count: 0 = hardware concurrency, 1 = serial.  Clamped to
   /// max_worker_threads() (scheduler.hpp) so oversubscription is
   /// impossible.  Results never depend on it.
@@ -150,23 +144,17 @@ struct SearchStats {
   std::uint64_t sleep_pruned = 0;
   /// Enabled events skipped because the chosen source set did not
   /// contain them.  Zero unless reduction == kSourceWakeup.
-  std::uint64_t persistent_skipped = 0;
+  std::uint64_t source_skipped = 0;
   /// Statically dependent pairs excused by dynamic (state-aware)
   /// independence — inside the source-set closure and the wakeup-frame
   /// sleep-inheritance masks.  Zero unless reduction == kSourceWakeup.
   std::uint64_t dyn_excused = 0;
-  /// Bytes held by the dedup/memo store at the end of the search (the
-  /// 8-byte-per-state fingerprint representation; debug payload retention
-  /// is excluded — it exists only to cross-check collisions).  In
-  /// parallel mode this is set once from the shared stores, never summed
-  /// per worker (workers report 0), so shared-set insertions are not
-  /// double-counted.
+  /// Heap bytes held by the dedup/memo store at the end of the search
+  /// (packed keys; debug payload retention is excluded — it exists only
+  /// to cross-check collisions).  In parallel mode this is set once from
+  /// the shared stores, never summed per worker (workers report 0), so
+  /// shared-set insertions are not double-counted.
   std::uint64_t memo_bytes = 0;
-  /// Bytes written to the spill tier (0 unless SearchOptions::spill) and
-  /// the number of spill sweeps that ran.  Like memo_bytes, set once at
-  /// top level from the shared stores.
-  std::uint64_t spilled_bytes = 0;
-  std::uint64_t spill_events = 0;
   bool truncated = false;          ///< a budget stopped the search
   bool stopped_by_visitor = false;
   StopReason stop_reason = StopReason::kNone;

@@ -1,13 +1,7 @@
 #include "search/state_registry.hpp"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <utility>
 
 #include "util/fault.hpp"
@@ -121,29 +115,9 @@ std::size_t ConstBitRow::count() const noexcept {
   return n;
 }
 
-std::uint64_t ConstBitRow::hash_words(std::uint64_t seed) const noexcept {
-  for (std::size_t w = 0; w < word_count(); ++w) {
-    seed ^= words_[w];
-    seed *= 1099511628211ull;  // FNV prime
-  }
-  return seed;
-}
-
-bool ConstBitRow::intersects(const ConstBitRow& o) const noexcept {
-  const std::size_t n = std::min(word_count(), o.word_count());
-  for (std::size_t w = 0; w < n; ++w) {
-    if ((words_[w] & o.words_[w]) != 0) return true;
-  }
-  return false;
-}
-
 void ConstBitRow::to_bitset(DynamicBitset& out) const {
   out.resize(bits_);
   for (std::size_t w = 0; w < word_count(); ++w) out.word(w) = words_[w];
-}
-
-void ConstBitRow::append_words(std::vector<std::uint64_t>& out) const {
-  out.insert(out.end(), words_, words_ + word_count());
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +127,6 @@ void ConstBitRow::append_words(std::vector<std::uint64_t>& out) const {
 namespace {
 
 constexpr std::uint64_t kTargetFill = 64;  ///< avg entries/bucket before grow
-constexpr std::uint64_t kSpillFloorBytes = 4096;  ///< don't spill near-empty
 
 std::uint64_t mask_bits(std::uint32_t bits) noexcept {
   return bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
@@ -203,8 +176,7 @@ void raw_append(std::vector<std::uint64_t>& words, std::uint32_t count,
 PackedStateRegistry::PackedStateRegistry(Config config)
     : verify_(config.verify_collisions),
       exact_keys_(config.exact_keys),
-      synchronized_(config.synchronized),
-      spill_(config.spill) {
+      synchronized_(config.synchronized) {
   key_bits_ = std::clamp<std::uint32_t>(config.key_bits, 1, 64);
   value_bits_ = config.value_bits;
   EVORD_CHECK(value_bits_ <= 1, "registry supports at most one value bit");
@@ -217,24 +189,19 @@ PackedStateRegistry::PackedStateRegistry(Config config)
   shard_bits_ = sb;
   max_bucket_bits_ = key_bits_ - shard_bits_;
   // Entries must fit one 64-bit read: rem_bits + value_bits <= 64.
-  init_bucket_bits_ = 0;
-  while (key_bits_ - shard_bits_ - init_bucket_bits_ + value_bits_ > 64) {
-    ++init_bucket_bits_;
+  std::uint32_t init_bucket_bits = 0;
+  while (key_bits_ - shard_bits_ - init_bucket_bits + value_bits_ > 64) {
+    ++init_bucket_bits;
   }
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
     Shard& s = *shards_.back();
-    s.bucket_bits = init_bucket_bits_;
-    s.buckets.resize(std::size_t{1} << init_bucket_bits_);
+    s.bucket_bits = init_bucket_bits;
+    s.buckets.resize(std::size_t{1} << init_bucket_bits);
     s.resident_bytes = shard_heap_bytes(s);
     charged_.fetch_add(s.resident_bytes, std::memory_order_relaxed);
   }
-}
-
-PackedStateRegistry::~PackedStateRegistry() {
-  for (const auto& [addr, len] : spill_maps_) munmap(addr, len);
-  if (spill_fd_ >= 0) close(spill_fd_);
 }
 
 void PackedStateRegistry::set_accountant(MemoryAccountant* accountant) noexcept {
@@ -316,7 +283,7 @@ void PackedStateRegistry::append_entry(Shard& s, Bucket& b,
 void PackedStateRegistry::maybe_grow(Shard& s) {
   if (s.bucket_bits >= max_bucket_bits_) return;
   const std::uint64_t buckets = std::uint64_t{1} << s.bucket_bits;
-  if (s.resident_count + 1 <= kTargetFill * buckets) return;
+  if (s.count + 1 <= kTargetFill * buckets) return;
   if (accountant_ != nullptr && accountant_->limit() != 0) {
     // A rehash transiently ~doubles this shard's footprint.  Near the
     // budget we skip it (scans lengthen, results are unaffected) so the
@@ -349,8 +316,7 @@ void PackedStateRegistry::maybe_grow(Shard& s) {
 }
 
 void PackedStateRegistry::check_payload(
-    Shard& s, std::uint64_t key, bool /*first_insert*/,
-    const std::vector<std::uint64_t>* payload) {
+    Shard& s, std::uint64_t key, const std::vector<std::uint64_t>* payload) {
   if (!verify_ || payload == nullptr) return;
   const auto [it, inserted] = s.payloads.try_emplace(key, *payload);
   if (inserted) {
@@ -365,22 +331,6 @@ void PackedStateRegistry::check_payload(
   }
 }
 
-bool PackedStateRegistry::find_in_runs(const Shard& s, std::uint64_t mixed,
-                                       bool* value) const noexcept {
-  for (const SpillRun& r : s.runs) {
-    const std::uint64_t* end = r.keys + r.count;
-    const std::uint64_t* it = std::lower_bound(r.keys, end, mixed);
-    if (it != end && *it == mixed) {
-      if (value != nullptr && r.values != nullptr) {
-        const std::uint64_t idx = static_cast<std::uint64_t>(it - r.keys);
-        *value = ((r.values[idx >> 6] >> (idx & 63u)) & 1u) != 0;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
 bool PackedStateRegistry::insert(std::uint64_t key,
                                  const std::vector<std::uint64_t>* payload) {
   if (fault::enabled() && fault::on_store_insert() && accountant_ != nullptr) {
@@ -392,28 +342,21 @@ bool PackedStateRegistry::insert(std::uint64_t key,
                "key wider than the registry's key_bits");
   const std::uint64_t mixed = mix(key);
   Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
+  std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
+  if (synchronized_) lock.lock();
   bool inserted = false;
-  {
-    std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-    if (synchronized_) lock.lock();
-    if (!find_in_runs(s, mixed, nullptr)) {
-      const std::uint32_t w = entry_width(s);
-      const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-      const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-      if (find_in_bucket(s.buckets[bi], rem, w, value_bits_) < 0) {
-        maybe_grow(s);
-        const std::uint64_t bi2 =
-            (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-        const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
-        append_entry(s, s.buckets[bi2], rem2 << value_bits_);
-        ++s.count;
-        ++s.resident_count;
-        inserted = true;
-      }
-    }
-    check_payload(s, key, inserted, payload);
+  const std::uint32_t w = entry_width(s);
+  const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
+  const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
+  if (find_in_bucket(s.buckets[bi], rem, w, value_bits_) < 0) {
+    maybe_grow(s);
+    const std::uint64_t bi2 = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
+    const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
+    append_entry(s, s.buckets[bi2], rem2 << value_bits_);
+    ++s.count;
+    inserted = true;
   }
-  if (spill_) maybe_spill();
+  check_payload(s, key, payload);
   return inserted;
 }
 
@@ -425,40 +368,28 @@ bool PackedStateRegistry::store(std::uint64_t key, bool value,
   }
   const std::uint64_t mixed = mix(key);
   Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
+  std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
+  if (synchronized_) lock.lock();
   bool inserted = false;
-  {
-    std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-    if (synchronized_) lock.lock();
-    bool spilled_value = false;
-    if (find_in_runs(s, mixed, &spilled_value)) {
-      EVORD_CHECK(spilled_value == value,
-                  "memoized value mismatch for fingerprint " << key);
-    } else {
-      const std::uint32_t w = entry_width(s);
-      const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-      const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-      const std::int64_t at =
-          find_in_bucket(s.buckets[bi], rem, w, value_bits_);
-      if (at >= 0) {
-        const std::uint64_t e =
-            read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
-        EVORD_CHECK((e & 1u) == static_cast<std::uint64_t>(value),
-                    "memoized value mismatch for fingerprint " << key);
-      } else {
-        maybe_grow(s);
-        const std::uint64_t bi2 =
-            (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-        const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
-        append_entry(s, s.buckets[bi2],
-                     (rem2 << 1) | static_cast<std::uint64_t>(value));
-        ++s.count;
-        ++s.resident_count;
-        inserted = true;
-      }
-    }
-    check_payload(s, key, inserted, payload);
+  const std::uint32_t w = entry_width(s);
+  const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
+  const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
+  const std::int64_t at = find_in_bucket(s.buckets[bi], rem, w, value_bits_);
+  if (at >= 0) {
+    const std::uint64_t e =
+        read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
+    EVORD_CHECK((e & 1u) == static_cast<std::uint64_t>(value),
+                "memoized value mismatch for fingerprint " << key);
+  } else {
+    maybe_grow(s);
+    const std::uint64_t bi2 = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
+    const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
+    append_entry(s, s.buckets[bi2],
+                 (rem2 << 1) | static_cast<std::uint64_t>(value));
+    ++s.count;
+    inserted = true;
   }
-  if (spill_) maybe_spill();
+  check_payload(s, key, payload);
   return inserted;
 }
 
@@ -469,12 +400,6 @@ bool PackedStateRegistry::lookup(std::uint64_t key, bool* value,
   Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
   std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
   if (synchronized_) lock.lock();
-  bool spilled_value = false;
-  if (find_in_runs(s, mixed, &spilled_value)) {
-    *value = spilled_value;
-    check_payload(s, key, false, payload);
-    return true;
-  }
   const std::uint32_t w = entry_width(s);
   const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
   const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
@@ -483,7 +408,7 @@ bool PackedStateRegistry::lookup(std::uint64_t key, bool* value,
   const std::uint64_t e =
       read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
   *value = (e & 1u) != 0;
-  check_payload(s, key, false, payload);
+  check_payload(s, key, payload);
   return true;
 }
 
@@ -497,6 +422,16 @@ std::uint64_t PackedStateRegistry::size() const {
   return total;
 }
 
+std::uint64_t PackedStateRegistry::bytes() const {
+  std::uint64_t payload = 0;
+  for (const auto& shard : shards_) {
+    std::unique_lock<std::mutex> lock(shard->mu, std::defer_lock);
+    if (synchronized_) lock.lock();
+    payload += shard->payload_bytes;
+  }
+  return charged_.load(std::memory_order_relaxed) - payload;
+}
+
 std::vector<std::uint64_t> PackedStateRegistry::shard_sizes() const {
   std::vector<std::uint64_t> sizes;
   sizes.reserve(shards_.size());
@@ -506,106 +441,6 @@ std::vector<std::uint64_t> PackedStateRegistry::shard_sizes() const {
     sizes.push_back(shard->count);
   }
   return sizes;
-}
-
-// ----- spill tier ----------------------------------------------------------
-
-const std::uint64_t* PackedStateRegistry::spill_append(
-    const std::vector<std::uint64_t>& words) {
-  if (spill_fd_ < 0) {
-    const char* dir = std::getenv("TMPDIR");
-    if (dir == nullptr || *dir == '\0') dir = "/tmp";
-    std::string path = std::string(dir) + "/evord-spill-XXXXXX";
-    std::vector<char> buf(path.begin(), path.end());
-    buf.push_back('\0');
-    spill_fd_ = mkstemp(buf.data());
-    EVORD_CHECK(spill_fd_ >= 0, "spill tier: cannot create temp file");
-    unlink(buf.data());  // anonymous: the file dies with the store
-  }
-  const std::uint64_t off = spill_file_bytes_;
-  const std::size_t nbytes = words.size() * 8;
-  const char* p = reinterpret_cast<const char*>(words.data());
-  std::size_t left = nbytes;
-  std::uint64_t o = off;
-  while (left > 0) {
-    const ssize_t k = pwrite(spill_fd_, p, left, static_cast<off_t>(o));
-    EVORD_CHECK(k > 0, "spill tier: write failed");
-    p += k;
-    o += static_cast<std::uint64_t>(k);
-    left -= static_cast<std::size_t>(k);
-  }
-  // Keep every run page-aligned so it can be mapped independently.
-  spill_file_bytes_ = (off + nbytes + 4095) & ~std::uint64_t{4095};
-  void* m = mmap(nullptr, nbytes, PROT_READ, MAP_SHARED, spill_fd_,
-                 static_cast<off_t>(off));
-  EVORD_CHECK(m != MAP_FAILED, "spill tier: mmap failed");
-  spill_maps_.emplace_back(m, nbytes);
-  return static_cast<const std::uint64_t*>(m);
-}
-
-void PackedStateRegistry::maybe_spill() {
-  if (accountant_ == nullptr) return;
-  const std::uint64_t limit = accountant_->limit();
-  if (limit == 0) return;
-  const std::uint64_t watermark = limit - limit / 10;  // ~90%
-  if (accountant_->bytes() < watermark) return;
-  if (charged_.load(std::memory_order_relaxed) < kSpillFloorBytes) {
-    // This store holds almost nothing resident; spilling it cannot
-    // relieve the budget (another consumer owns the bytes).
-    return;
-  }
-  std::lock_guard<std::mutex> spill_lock(spill_mu_);
-  if (accountant_->bytes() < watermark) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-    if (synchronized_) lock.lock();
-    if (s.resident_count == 0) continue;
-    const std::uint32_t w = entry_width(s);
-    // Reconstruct the full mixed keys (the mix is invertible, so these
-    // are exact) and freeze them as one sorted run.
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> entries;
-    entries.reserve(s.resident_count);
-    for (std::size_t bi = 0; bi < s.buckets.size(); ++bi) {
-      const Bucket& b = s.buckets[bi];
-      for (std::uint32_t j = 0; j < b.count; ++j) {
-        const std::uint64_t e = read_entry(b, j, w);
-        const std::uint64_t rem = e >> value_bits_;
-        const std::uint64_t mixed = (rem << (shard_bits_ + s.bucket_bits)) |
-                                    (static_cast<std::uint64_t>(bi)
-                                     << shard_bits_) |
-                                    i;
-        entries.emplace_back(mixed,
-                             static_cast<std::uint8_t>(e & mask_bits(value_bits_)));
-      }
-    }
-    std::sort(entries.begin(), entries.end());
-    std::vector<std::uint64_t> keys;
-    keys.reserve(entries.size());
-    for (const auto& [mixed, v] : entries) keys.push_back(mixed);
-    SpillRun run;
-    run.count = keys.size();
-    run.keys = spill_append(keys);
-    std::uint64_t written = keys.size() * 8;
-    if (value_bits_ != 0) {
-      std::vector<std::uint64_t> values((entries.size() + 63) / 64, 0);
-      for (std::size_t j = 0; j < entries.size(); ++j) {
-        if (entries[j].second != 0) values[j >> 6] |= std::uint64_t{1} << (j & 63u);
-      }
-      run.values = spill_append(values);
-      written += values.size() * 8;
-    }
-    s.runs.push_back(run);
-    spilled_bytes_.fetch_add(written, std::memory_order_relaxed);
-    // Restart the shard empty; the spilled entries answer membership
-    // from the mapped run.
-    s.buckets.assign(std::size_t{1} << init_bucket_bits_, Bucket{});
-    s.buckets.shrink_to_fit();
-    s.bucket_bits = init_bucket_bits_;
-    s.resident_count = 0;
-    recount_shard_bytes(s);
-  }
-  spill_events_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace evord::search

@@ -6,12 +6,13 @@
 //     per-process positions at ceil(log2(len+1)) bits each, one bit per
 //     event variable and one parity bit per binary semaphore, packed
 //     little-endian into 64-bit words.  TraceStepper maintains the
-//     packed words incrementally (O(1) per apply/undo); when the whole
-//     state fits one word (single_word()), that word IS an exact,
-//     collision-free state key and the engines dedup on it directly
-//     instead of on a 64-bit hash.  to_legacy_key() expands the packed
-//     words into the historical TraceStepper::encode_key() layout, so
-//     the two encodings can be cross-checked bit for bit.
+//     packed words incrementally (O(1) per apply/undo) and derives its
+//     64-bit state hash from them; when the whole state fits one word
+//     (single_word()), that word IS an exact, collision-free state key
+//     and the engines dedup on it directly instead of on the hash.
+//     to_legacy_key() expands the packed words into the historical
+//     TraceStepper::encode_key() layout, so the two encodings can be
+//     cross-checked bit for bit.
 //
 //   * PerStateBitset / BitRow — a row arena for per-state side data
 //     (closure matrices, done-before rows).  All rows share one
@@ -33,20 +34,10 @@
 //     moves into the bucket index) when average fill passes a
 //     threshold, so lookups stay short scans of packed words.
 //
-//     Tiered spill: with spill enabled and a MemoryAccountant attached,
-//     reaching ~90% of the byte budget freezes every shard's resident
-//     entries into a sorted run of full-width keys in an unlinked
-//     mmap-backed temp file, releases the RAM charges, and restarts the
-//     shards empty; membership checks consult the mapped runs (binary
-//     search) before the resident buckets.  Results are bit-identical
-//     to an unbudgeted run — spilling changes where entries live, never
-//     what is or is not a duplicate.  With spill off (the default) the
-//     store behaves exactly as before: the accountant trips and the
-//     search stops with StopReason::kMemory.
-//
-// Memory accounting is real: bytes() reports the store's actual heap
-// footprint (bucket arrays + packed words + retained debug payloads),
-// and the attached accountant is charged/released the same deltas.
+// Memory accounting is real: the attached accountant is charged the
+// store's actual heap footprint (bucket arrays + packed words + retained
+// debug payloads) as it grows; bytes() reports the same footprint
+// without the debug payloads, so Debug and Release builds agree.
 #pragma once
 
 #include <atomic>
@@ -199,12 +190,8 @@ class ConstBitRow {
     return (words_[i >> 6] >> (i & 63u)) & 1u;
   }
   std::size_t count() const noexcept;
-  std::uint64_t hash_words(std::uint64_t seed) const noexcept;
-  bool intersects(const ConstBitRow& o) const noexcept;
   /// Copies the row into `out` (resized to size()).
   void to_bitset(DynamicBitset& out) const;
-  /// Appends the row's words to `out`.
-  void append_words(std::vector<std::uint64_t>& out) const;
 
  private:
   const std::uint64_t* words_;
@@ -244,9 +231,6 @@ class BitRow {
   }
   std::size_t count() const noexcept {
     return ConstBitRow(words_, bits_).count();
-  }
-  std::uint64_t hash_words(std::uint64_t seed) const noexcept {
-    return ConstBitRow(words_, bits_).hash_words(seed);
   }
   void to_bitset(DynamicBitset& out) const {
     ConstBitRow(words_, bits_).to_bitset(out);
@@ -362,9 +346,6 @@ class PackedStateRegistry {
     bool synchronized = true;
     /// 0 = membership set; 1 = one value bit per key (bool map).
     std::uint32_t value_bits = 0;
-    /// Spill resident shards to an mmap-backed temp file when the
-    /// attached accountant passes ~90% of its byte budget.
-    bool spill = false;
   };
 
   explicit PackedStateRegistry(Config config);
@@ -373,8 +354,7 @@ class PackedStateRegistry {
   explicit PackedStateRegistry(std::size_t num_shards = 16,
                                bool verify_collisions = kVerifyByDefault)
       : PackedStateRegistry(Config{num_shards, verify_collisions, 64, false,
-                                   true, 0, false}) {}
-  ~PackedStateRegistry();
+                                   true, 0}) {}
 
   PackedStateRegistry(const PackedStateRegistry&) = delete;
   PackedStateRegistry& operator=(const PackedStateRegistry&) = delete;
@@ -383,7 +363,6 @@ class PackedStateRegistry {
   bool exact_keys() const noexcept { return exact_keys_; }
   std::uint32_t key_bits() const noexcept { return key_bits_; }
   std::size_t num_shards() const noexcept { return shards_.size(); }
-  bool spill_enabled() const noexcept { return spill_; }
 
   /// Attaches the accountant; the store's current resident bytes are
   /// charged immediately and future growth is charged/released as it
@@ -409,21 +388,14 @@ class PackedStateRegistry {
   bool lookup(std::uint64_t key, bool* value,
               const std::vector<std::uint64_t>* payload = nullptr);
 
-  /// Total distinct keys (resident + spilled).  Thread-safe snapshot.
+  /// Total distinct keys.  Thread-safe snapshot.
   std::uint64_t size() const;
 
-  /// Actual resident heap bytes (bucket arrays, packed entry words,
-  /// retained debug payloads).  Matches what the accountant was charged.
-  std::uint64_t bytes() const noexcept {
-    return charged_.load(std::memory_order_relaxed);
-  }
-  /// Bytes written to the spill tier so far / spill sweeps performed.
-  std::uint64_t spilled_bytes() const noexcept {
-    return spilled_bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t spill_events() const noexcept {
-    return spill_events_.load(std::memory_order_relaxed);
-  }
+  /// Actual heap bytes of the stored keys (bucket arrays, packed entry
+  /// words).  Retained debug payloads are charged to the accountant but
+  /// left out here, so this is the footprint a Release build reports.
+  /// Thread-safe snapshot.
+  std::uint64_t bytes() const;
 
   /// Per-shard distinct-key counts (load-factor diagnostics).  Snapshot
   /// under concurrency.
@@ -434,20 +406,13 @@ class PackedStateRegistry {
     std::vector<std::uint64_t> words;  ///< entries bit-packed LE
     std::uint32_t count = 0;
   };
-  struct SpillRun {
-    const std::uint64_t* keys = nullptr;  ///< sorted mixed keys (mmap)
-    std::uint64_t count = 0;
-    const std::uint64_t* values = nullptr;  ///< value bits (maps only)
-  };
   struct Shard {
     mutable std::mutex mu;
     std::vector<Bucket> buckets;
     std::uint32_t bucket_bits = 0;
-    std::uint64_t count = 0;           ///< distinct keys, resident + spilled
-    std::uint64_t resident_count = 0;  ///< keys currently in the buckets
+    std::uint64_t count = 0;           ///< distinct keys
     std::uint64_t resident_bytes = 0;  ///< tracked bucket heap bytes
     std::uint64_t payload_bytes = 0;   ///< retained debug payload bytes
-    std::vector<SpillRun> runs;
     /// Populated only in collision-verification mode.
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> payloads;
   };
@@ -469,14 +434,7 @@ class PackedStateRegistry {
   void maybe_grow(Shard& s);
   std::uint64_t shard_heap_bytes(const Shard& s) const noexcept;
   void recount_shard_bytes(Shard& s) noexcept;
-  void charge_delta(Shard& s, std::uint64_t new_bytes) noexcept;
-
-  /// True (with the result) iff `mixed` is present in a spilled run.
-  bool find_in_runs(const Shard& s, std::uint64_t mixed,
-                    bool* value) const noexcept;
-  void maybe_spill();
-  void spill_shard(Shard& s);
-  void check_payload(Shard& s, std::uint64_t key, bool first_insert,
+  void check_payload(Shard& s, std::uint64_t key,
                      const std::vector<std::uint64_t>* payload);
 
   std::uint64_t mix(std::uint64_t key) const noexcept;
@@ -485,24 +443,12 @@ class PackedStateRegistry {
   std::uint32_t shard_bits_ = 0;
   std::uint32_t key_bits_ = 64;
   std::uint32_t value_bits_ = 0;
-  std::uint32_t init_bucket_bits_ = 0;
   std::uint32_t max_bucket_bits_ = 0;
   bool verify_ = false;
   bool exact_keys_ = false;
   bool synchronized_ = true;
-  bool spill_ = false;
   MemoryAccountant* accountant_ = nullptr;
   std::atomic<std::uint64_t> charged_{0};
-  std::atomic<std::uint64_t> spilled_bytes_{0};
-  std::atomic<std::uint64_t> spill_events_{0};
-
-  // Spill tier: one unlinked temp file per store, mapped read-only a
-  // run at a time (mappings stay valid for the store's lifetime).
-  std::mutex spill_mu_;
-  int spill_fd_ = -1;
-  std::uint64_t spill_file_bytes_ = 0;
-  std::vector<std::pair<void*, std::size_t>> spill_maps_;
-  const std::uint64_t* spill_append(const std::vector<std::uint64_t>& words);
 };
 
 /// RAII attachment of a store to a memory accountant: charges the

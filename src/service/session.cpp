@@ -40,7 +40,6 @@ std::uint64_t digest_budget(std::uint64_t h, const search::SearchOptions& o) {
   h = hash_mix(0x02, h, o.max_schedules);
   h = hash_mix(0x03, h, double_bits(o.time_budget_seconds));
   h = hash_mix(0x04, h, o.max_memory_bytes);
-  h = hash_mix(0x05, h, o.spill);
   h = hash_mix(0x06, h, o.num_threads);
   h = hash_mix(0x07, h, o.steal.grain);
   h = hash_mix(0x08, h, o.steal.max_split_depth);
@@ -100,7 +99,6 @@ ScheduleSpaceOptions AnalysisSession::space_options(
   // ScheduleSpaceOptions::warm_memo), and the coexistence matrix needs
   // every schedule.
   options.max_memory_bytes = 0;
-  options.spill = false;
   options.reduction = search::ReductionMode::kOff;
   options.stepper.respect_dependences = options_.respect_dependences;
   options.build_coexist = build_coexist;
@@ -335,7 +333,6 @@ std::shared_ptr<const DeadlockReport> AnalysisSession::deadlocks() {
         static_cast<search::SearchOptions&>(options) = options_;
         // Unbudgeted in bytes, as it has always run.
         options.max_memory_bytes = 0;
-        options.spill = false;
         options.stepper.respect_dependences = options_.respect_dependences;
         return analyze_deadlocks(*trace_, options);
       });

@@ -1,12 +1,14 @@
 // Shared 64-bit hashing primitives for the state-space search core.
 //
-// Three building blocks, each used by several engines:
+// Four building blocks:
 //   * splitmix64      — finalizer mix; turns any 64-bit value into a
 //                       well-distributed one (shard selection, seeding);
-//   * hash_mix        — salted two-operand mix for Zobrist-style
-//                       incremental hashes: each state component
-//                       contributes one well-mixed word, XOR-combined so
-//                       apply/undo update a running hash in O(1);
+//   * hash_mix        — salted two-operand mix: chains components into a
+//                       running hash (sleep-set folds, option digests) or
+//                       gives one XOR-combinable term per component (the
+//                       causal tracker's incremental hashes);
+//   * splitmix_words  — splitmix64 chain over a word sequence, the hash
+//                       of a packed search state (TraceStepper);
 //   * fingerprint_words — chained FNV-1a over a word sequence, the
 //                       fingerprint of a materialized state key.
 #pragma once
@@ -33,6 +35,16 @@ inline std::uint64_t hash_mix(std::uint64_t salt, std::uint64_t a,
                               std::uint64_t b) noexcept {
   return splitmix64(salt ^ (a * 0x9e3779b97f4a7c15ull) ^
                     (b * 0xc2b2ae3d27d4eb4full));
+}
+
+/// splitmix64 chain over a word sequence: the hash of a packed search
+/// state (TraceStepper::state_hash).  Each step is a bijection of the
+/// incoming word, so on a single word the hash is injective.
+inline std::uint64_t splitmix_words(
+    const std::vector<std::uint64_t>& words) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (std::uint64_t w : words) h = splitmix64(h ^ w);
+  return h;
 }
 
 /// Chained FNV-1a over a word sequence; seed with

@@ -146,7 +146,7 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   // than prefix dedup hits.
   const ClassEnumStats stats = enumerate_causal_classes(
       t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
-  EXPECT_GT(stats.search.sleep_pruned + stats.search.persistent_skipped, 0u);
+  EXPECT_GT(stats.search.sleep_pruned + stats.search.source_skipped, 0u);
   EXPECT_GT(stats.distinct_prefixes, 0u);
   EXPECT_LT(stats.schedules_visited, 1680u);  // 9!/(3!)^3 plain schedules
 
@@ -157,7 +157,7 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
       t, unreduced, [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_GT(off.prefixes_pruned, 0u);
   EXPECT_EQ(off.search.sleep_pruned, 0u);
-  EXPECT_EQ(off.search.persistent_skipped, 0u);
+  EXPECT_EQ(off.search.source_skipped, 0u);
   EXPECT_GE(off.schedules_visited, stats.schedules_visited);
 }
 

@@ -767,7 +767,6 @@ TEST(SearchOptions, ExplorerDefaultBudgetsArePinned) {
     EXPECT_EQ(row.options.max_schedules, 0u);
     EXPECT_EQ(row.options.time_budget_seconds, 0.0);
     EXPECT_EQ(row.options.max_memory_bytes, 0u);
-    EXPECT_FALSE(row.options.spill);
   }
 }
 

@@ -561,7 +561,6 @@ TEST(ServiceEquivalence, MemoryBudgetedAnswersMatchFresh) {
   // later callers.
   ExactOptions starved;
   starved.max_memory_bytes = 64;  // the packed memo outgrows this
-  starved.spill = false;
   {
     AnalysisSession session(std::make_shared<const Trace>(trace), starved);
     const auto first = session.relations(Semantics::kInterleaving);

@@ -1,7 +1,7 @@
 // Packed state layer tests: layout round-trips against the legacy key
-// encoding, incremental maintenance vs. from-scratch encoding, registry
-// semantics (quotiented keys, exact mode, bucket growth) against
-// reference containers, the spill tier's bit-identity contract, the
+// encoding, incremental maintenance vs. from-scratch encoding, the state
+// hash as a function of the packed words, registry semantics (quotiented
+// keys, exact mode, bucket growth) against reference containers, the
 // 64x64 transpose kernel and the PerStateBitset row arena.
 #include <algorithm>
 #include <cstdint>
@@ -11,13 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include "feasible/deadlock.hpp"
-#include "feasible/schedule_space.hpp"
 #include "feasible/stepper.hpp"
 #include "helpers.hpp"
 #include "search/fingerprint_set.hpp"
 #include "search/state_registry.hpp"
 #include "trace/builder.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace evord {
@@ -26,12 +25,12 @@ namespace {
 using search::PackedStateLayout;
 using search::PackedStateRegistry;
 using testing::RandomTraceConfig;
-using testing::random_fork_join_trace;
 using testing::random_trace;
 
 // ----------------------------------------------------------------------
 // Layout round-trip: incremental packed words == from-scratch encoding,
-// and to_legacy_key() == encode_key(), under random walks with undo.
+// to_legacy_key() == encode_key(), and state_hash() == the hash of the
+// from-scratch words, under random walks with undo.
 
 std::vector<std::uint64_t> reference_packed(const Trace& trace,
                                             const TraceStepper& stepper) {
@@ -57,19 +56,25 @@ std::vector<std::uint64_t> reference_packed(const Trace& trace,
 
 TEST(PackedLayout, RoundTripsAgainstLegacyKeyUnderRandomWalks) {
   Rng rng(20260809);
-  for (int iter = 0; iter < 40; ++iter) {
+  // The last iterations use wide traces, whose layouts span two or more
+  // words.
+  for (int iter = 0; iter < 48; ++iter) {
+    const bool wide = iter >= 40;
     RandomTraceConfig config;
-    config.num_processes = 2 + rng.below(4);
+    config.num_processes = wide ? 40 + rng.below(8) : 2 + rng.below(4);
     config.num_semaphores = rng.below(3);
     config.num_event_vars = rng.below(3);
-    config.num_events = 8 + rng.below(12);
+    config.num_events = wide ? 160 + rng.below(40) : 8 + rng.below(12);
     const Trace trace = random_trace(config, rng);
     TraceStepper stepper(trace, {});
     const PackedStateLayout& layout = stepper.layout();
+    if (wide) {
+      ASSERT_FALSE(layout.single_word());
+    }
 
-    // Hash agreement: equal legacy keys must yield equal Zobrist hashes
-    // and (single-word layouts) equal packed words, across the walk.
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> hash_to_key;
+    // Distinct states of the walk never share a hash.
+    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
+        hash_to_words;
     std::vector<TraceStepper::Undo> undos;
     std::vector<EventId> enabled;
     std::vector<std::uint64_t> key, ref_key;
@@ -88,12 +93,21 @@ TEST(PackedLayout, RoundTripsAgainstLegacyKeyUnderRandomWalks) {
       for (ObjectId v = 0; v < trace.event_vars().size(); ++v) {
         ASSERT_EQ(layout.posted(ref.data(), v), stepper.posted(v));
       }
-      const auto [it, fresh] =
-          hash_to_key.try_emplace(stepper.state_hash(), key);
-      if (!fresh) ASSERT_EQ(it->second, key) << "hash collision in walk";
+      // The hash is a function of the packed words alone.
+      const std::uint64_t hash = stepper.state_hash();
+      ASSERT_EQ(hash, splitmix_words(ref));
+      const auto [it, fresh] = hash_to_words.try_emplace(hash, ref);
+      if (!fresh) {
+        ASSERT_EQ(it->second, ref) << "hash collision in walk";
+      }
       if (layout.single_word()) {
-        // The packed word is injective: it IS the state.
+        // The packed word is injective: it IS the state.  The hash is a
+        // bijection of it, so beyond the walk's states no one-bit
+        // neighbour of the word, reached or not, shares its hash either.
         ASSERT_EQ(ref.size(), 1u);
+        for (std::uint32_t b = 0; b < 64; ++b) {
+          ASSERT_NE(splitmix_words({ref[0] ^ (std::uint64_t{1} << b)}), hash);
+        }
       }
 
       stepper.enabled_events(enabled);
@@ -195,72 +209,6 @@ TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
     }
   }
   EXPECT_EQ(memo.size(), ref.size());
-}
-
-// ----------------------------------------------------------------------
-// Spill tier: bit-identical results, budget semantics preserved.
-
-TEST(SpillTier, DeadlockSweepExceedsBudgetBitIdentically) {
-  Rng rng(99);
-  // Large enough that the visited store clears 16 KiB even under the
-  // source-set-reduced default deadlock search.
-  const Trace trace = random_fork_join_trace(7, 10, rng);
-
-  DeadlockOptions unbudgeted;
-  unbudgeted.num_threads = 1;
-  const DeadlockReport full = analyze_deadlocks(trace, unbudgeted);
-  ASSERT_FALSE(full.truncated);
-  ASSERT_GT(full.search.memo_bytes, 16u * 1024);
-
-  // A budget well under the in-RAM working set: without spill the search
-  // must stop with StopReason::kMemory...
-  DeadlockOptions budgeted = unbudgeted;
-  budgeted.max_memory_bytes = full.search.memo_bytes / 3;
-  const DeadlockReport stopped = analyze_deadlocks(trace, budgeted);
-  EXPECT_TRUE(stopped.truncated);
-  EXPECT_EQ(stopped.search.stop_reason, search::StopReason::kMemory);
-
-  // ...and with spill the same budget completes, spills, and reproduces
-  // the unbudgeted run bit for bit.
-  DeadlockOptions spilling = budgeted;
-  spilling.spill = true;
-  const DeadlockReport spilled = analyze_deadlocks(trace, spilling);
-  EXPECT_FALSE(spilled.truncated);
-  EXPECT_GT(spilled.search.spill_events, 0u);
-  EXPECT_GT(spilled.search.spilled_bytes, 0u);
-  EXPECT_EQ(spilled.can_deadlock, full.can_deadlock);
-  EXPECT_EQ(spilled.witness_prefix, full.witness_prefix);
-  EXPECT_EQ(spilled.states_visited, full.states_visited);
-  EXPECT_EQ(spilled.stuck_states, full.stuck_states);
-}
-
-TEST(SpillTier, CanPrecedeMemoSpillsBitIdentically) {
-  Rng rng(42);
-  RandomTraceConfig config;
-  config.num_processes = 6;
-  config.num_semaphores = 2;
-  config.num_events = 60;
-  config.sync_probability = 0.3;
-  const Trace trace = random_trace(config, rng);
-
-  ScheduleSpaceOptions unbudgeted;
-  unbudgeted.num_threads = 1;
-  const CanPrecedeResult full = compute_can_precede(trace, unbudgeted);
-  ASSERT_FALSE(full.truncated);
-  ASSERT_GT(full.search.memo_bytes, 10u * 1024);
-
-  ScheduleSpaceOptions spilling = unbudgeted;
-  spilling.max_memory_bytes = full.search.memo_bytes / 2;
-  spilling.spill = true;
-  const CanPrecedeResult spilled = compute_can_precede(trace, spilling);
-  EXPECT_FALSE(spilled.truncated);
-  EXPECT_GT(spilled.search.spill_events, 0u);
-  EXPECT_EQ(spilled.states_visited, full.states_visited);
-  EXPECT_EQ(spilled.feasible_nonempty, full.feasible_nonempty);
-  ASSERT_EQ(spilled.can_precede.size(), full.can_precede.size());
-  for (std::size_t a = 0; a < full.can_precede.size(); ++a) {
-    EXPECT_EQ(spilled.can_precede[a], full.can_precede[a]) << "row " << a;
-  }
 }
 
 // ----------------------------------------------------------------------
