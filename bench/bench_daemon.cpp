@@ -17,7 +17,7 @@
 //      call — the front end adds transport, not recomputation (the
 //      in-process warm path is a ~6ns cache hit, so the multiplier is
 //      headroom for syscall jitter on a loaded CI box; measured ratios
-//      run 9-25x).
+//      run 6-15x on a 4-core x86-64 VM).
 //
 //   3. Deadline degradation.  Anytime queries under a starvation ladder
 //      (1 state / 1 schedule / 1 SAT conflict): every rung truncates,
@@ -241,7 +241,7 @@ JsonRecord run_warm_overhead() {
                            : 0.0;
   // The front end adds transport, not recomputation: amortized warm
   // per-query cost through the socket within 40x of the in-process
-  // cache hit (measured 9-25x on a loaded single-CPU box; a cold
+  // cache hit (measured 6-15x on a 4-core x86-64 VM; a cold
   // recomputation would be orders of magnitude beyond the bar).
   EVORD_CHECK(ratio <= 40.0, "warm: socket overhead ratio " +
                                  std::to_string(ratio) + " exceeds 40x");

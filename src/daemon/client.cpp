@@ -21,15 +21,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-void set_socket_timeout(int fd, int millis) {
-  if (millis <= 0) return;
-  timeval tv;
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = (millis % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 }  // namespace
 
 const char* to_string(RequestStatus status) {
@@ -111,7 +102,7 @@ bool DaemonClient::connect_and_hello() {
   } else {
     return false;
   }
-  set_socket_timeout(fd, options_.timeout_ms);
+  set_io_timeouts(fd, options_.timeout_ms);
   fd_ = fd;
   WireWriter w;
   w.string(options_.tenant);

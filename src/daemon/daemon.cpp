@@ -22,28 +22,40 @@ namespace evord::daemon {
 
 namespace {
 
-void set_io_timeouts(int fd, int millis) {
-  if (millis <= 0) return;
-  timeval tv;
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = (millis % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  // The send side needs the same bound: a peer that floods requests but
-  // never reads replies would otherwise park the reader thread in
-  // send_all() forever with in_flight_ > 0, wedging stop()'s drain.  A
-  // timed-out send fails write_frame, which drops the connection like
-  // any other dead peer.
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
 }  // namespace
 
+class Daemon::ExecutorSlot {
+ public:
+  /// Waits under mu_ until a slot is free and takes it.
+  explicit ExecutorSlot(Daemon& daemon) : daemon_(daemon) {
+    std::unique_lock<std::mutex> lock(daemon_.mu_);
+    daemon_.slot_cv_.wait(lock, [this] { return daemon_.free_slots_ > 0; });
+    --daemon_.free_slots_;
+  }
+  ~ExecutorSlot() {
+    {
+      std::lock_guard<std::mutex> lock(daemon_.mu_);
+      ++daemon_.free_slots_;
+    }
+    daemon_.slot_cv_.notify_one();
+  }
+  ExecutorSlot(const ExecutorSlot&) = delete;
+  ExecutorSlot& operator=(const ExecutorSlot&) = delete;
+
+ private:
+  Daemon& daemon_;
+};
+
 Daemon::Daemon(DaemonOptions options)
-    : options_(std::move(options)), pool_(options_.executor_threads) {}
+    : options_(std::move(options)),
+      free_slots_(options_.executor_threads != 0
+                      ? options_.executor_threads
+                      : std::max<std::size_t>(
+                            1, std::thread::hardware_concurrency())) {}
 
 Daemon::~Daemon() { stop(); }
 
@@ -153,32 +165,22 @@ void Daemon::stop() {
   draining_.store(true, std::memory_order_release);
   request_stop();
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Phase 2 — drain: every admitted request finishes and its reply is
-  // flushed before we touch any connection.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  }
-  pool_.shutdown();
-  // Phase 3 — sever and join.  shutdown(2) wakes readers blocked in
-  // recv; the threads observe EOF, close their own fds and exit.  Also
-  // reap the handles of connections that finished after the accept
-  // loop's last sweep.
   std::vector<std::thread> to_join;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    to_join.swap(conn_threads_);
-    for (std::thread& t : finished_threads_) to_join.push_back(std::move(t));
-    finished_threads_.clear();
+    std::unique_lock<std::mutex> lock(mu_);
+    // Phase 2 — drain: every admitted request finishes and its reply is
+    // flushed before we touch any connection.
+    drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
+    // Phase 3 — sever.  shutdown(2) wakes readers blocked in recv; each
+    // observes EOF, leaves the table, closes its own fd and parks its
+    // handle with those the accept loop has not reaped yet.
+    for (const auto& [fd, unused] : connections_) ::shutdown(fd, SHUT_RDWR);
+    drained_cv_.wait(lock, [this] { return connections_.empty(); });
+    to_join.swap(finished_threads_);
   }
   for (std::thread& t : to_join) t.join();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Every joined reader erased and closed its own fd; anything left
-    // here would be a bookkeeping bug, but never leak it regardless.
-    for (const int fd : conn_fds_) close_quietly(fd);
-    conn_fds_.clear();
     stop_requested_ = true;
   }
   stop_cv_.notify_all();
@@ -236,33 +238,28 @@ void Daemon::accept_loop() {
         continue;
       }
       set_io_timeouts(fd, options_.idle_timeout_ms);
-      bool at_capacity = false;
       {
+        // The new thread's exit erases its entry under mu_, so it cannot
+        // run ahead of this insert.
         std::lock_guard<std::mutex> lock(mu_);
-        if (live_connections_ >= options_.max_connections) {
-          at_capacity = true;
-          ++stats_.connections_dropped;
-          ++stats_.sheds;
-        } else {
+        if (connections_.size() < options_.max_connections) {
           ++stats_.connections_accepted;
-          ++live_connections_;
+          connections_.emplace(
+              fd, std::thread([this, fd] { serve_connection(fd); }));
+          continue;
         }
+        ++stats_.connections_dropped;
+        ++stats_.sheds;
       }
-      if (at_capacity) {
-        // Explicit shed, then close: the client sees kOverloaded, not a
-        // mysterious reset.
-        if (write_frame(fd, make_error(FrameType::kOverloaded, 0,
-                                       ErrorCode::kNone,
-                                       "connection limit reached"))) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.replies_sent;
-        }
-        close_quietly(fd);
-        continue;
+      // At capacity: explicit shed, then close — the client sees
+      // kOverloaded, not a mysterious reset.
+      if (write_frame(fd, make_error(FrameType::kOverloaded, 0,
+                                     ErrorCode::kNone,
+                                     "connection limit reached"))) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.replies_sent;
       }
-      std::lock_guard<std::mutex> lock(mu_);
-      conn_fds_.push_back(fd);
-      conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+      close_quietly(fd);
     }
   }
   close_quietly(uds_fd_);
@@ -376,7 +373,6 @@ void Daemon::note_bounce(Connection& conn, const Frame& frame, bool shed) {
 
 void Daemon::serve_connection(int fd) {
   Connection conn;
-  conn.fd = fd;
   for (;;) {
     Frame frame;
     ReadResult rr;
@@ -433,23 +429,19 @@ void Daemon::serve_connection(int fd) {
   // long-running daemon churns through connections, and parking every
   // dead fd and thread handle until shutdown leaks one of each per
   // connection — after ~ulimit fds, accept() starts failing.  Erase +
-  // close run under mu_, the same lock stop()'s sever/close holds, so
-  // neither side can touch an fd the other just closed.  The thread
+  // close run under mu_, the same lock stop()'s sever holds, so neither
+  // side can touch an fd the other just closed, and a number accept()
+  // hands out again is never still in the table.  The thread
   // handle moves to finished_threads_ (a thread cannot join itself);
   // the accept loop reaps it on its next wakeup, stop() reaps the rest.
-  std::lock_guard<std::mutex> lock(mu_);
-  conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
-                  conn_fds_.end());
-  close_quietly(fd);
-  --live_connections_;
-  const auto me = std::this_thread::get_id();
-  for (auto it = conn_threads_.begin(); it != conn_threads_.end(); ++it) {
-    if (it->get_id() == me) {
-      finished_threads_.push_back(std::move(*it));
-      conn_threads_.erase(it);
-      break;
-    }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = connections_.find(fd);
+    finished_threads_.push_back(std::move(it->second));
+    connections_.erase(it);
+    close_quietly(fd);
   }
+  drained_cv_.notify_all();
 }
 
 void Daemon::reap_finished_threads() {
@@ -485,48 +477,43 @@ Frame Daemon::handle_frame(Connection& conn, const Frame& frame) {
                         ErrorCode::kBadRequest,
                         "hello must be the first frame");
     }
+    // Execute right here on the connection's thread once a slot is free;
+    // the slot is returned when this scope ends, before the reply is
+    // written.
+    const ExecutorSlot slot(*this);
+    Frame reply;
     switch (type) {
       case FrameType::kRegisterTrace:
-      case FrameType::kPairQuery:
-      case FrameType::kBatchQuery:
-      case FrameType::kDeadlockQuery:
-      case FrameType::kRaceQuery:
-      case FrameType::kAnytimeQuery: {
-        // Execute on the bounded pool; the reader thread waits, so one
-        // connection has at most one request in the executor while the
-        // POOL bounds cross-connection compute concurrency.
-        auto future = pool_.submit([this, &conn, &frame, type] {
-          switch (type) {
-            case FrameType::kRegisterTrace:
-              return handle_register(conn, frame);
-            case FrameType::kPairQuery:
-              return run_pair_query(conn, frame);
-            case FrameType::kBatchQuery:
-              return run_batch_query(conn, frame);
-            case FrameType::kDeadlockQuery:
-              return run_deadlock_query(conn, frame);
-            case FrameType::kRaceQuery:
-              return run_race_query(conn, frame);
-            default:
-              return run_anytime_query(conn, frame);
-          }
-        });
-        Frame reply = future.get();
-        // Only kOk-style replies count as "served" — a kError (unknown
-        // trace, bad payload, ...) out of the pool is not a served
-        // request, per the DaemonStats contract.
-        if (reply.type < static_cast<std::uint8_t>(FrameType::kError)) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.requests_served;
-        }
-        return reply;
-      }
-      default:
+        reply = handle_register(conn, frame);
         break;
+      case FrameType::kPairQuery:
+        reply = run_pair_query(conn, frame);
+        break;
+      case FrameType::kBatchQuery:
+        reply = run_batch_query(conn, frame);
+        break;
+      case FrameType::kDeadlockQuery:
+        reply = run_deadlock_query(conn, frame);
+        break;
+      case FrameType::kRaceQuery:
+        reply = run_race_query(conn, frame);
+        break;
+      case FrameType::kAnytimeQuery:
+        reply = run_anytime_query(conn, frame);
+        break;
+      default:
+        return make_error(FrameType::kError, frame.request_id,
+                          ErrorCode::kBadRequest,
+                          "unknown request type " + std::to_string(frame.type));
     }
-    return make_error(FrameType::kError, frame.request_id,
-                      ErrorCode::kBadRequest,
-                      "unknown request type " + std::to_string(frame.type));
+    // Only kOk-style replies count as "served" — a kError (unknown
+    // trace, bad payload, ...) is not a served request, per the
+    // DaemonStats contract.
+    if (reply.type < static_cast<std::uint8_t>(FrameType::kError)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.requests_served;
+    }
+    return reply;
   } catch (const ProtocolError& e) {
     // Payload-level garbage: the frame boundary held, so the connection
     // keeps serving after an explicit error reply.
@@ -540,16 +527,8 @@ Frame Daemon::handle_frame(Connection& conn, const Frame& frame) {
     return make_error(FrameType::kError, frame.request_id,
                       ErrorCode::kParseError, e.what());
   } catch (const std::exception& e) {
-    // A draining pool rejects submits with runtime_error; everything
-    // else is a genuine internal failure.  Either way the client gets a
-    // well-formed reply, never a wedged connection.
-    if (draining_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.shutting_down_replies;
-      return make_error(FrameType::kShuttingDown, frame.request_id,
-                        ErrorCode::kNone, "daemon is draining");
-    }
-    std::lock_guard<std::mutex> lock(mu_);
+    // A genuine internal failure: the client still gets a well-formed
+    // reply, never a wedged connection.
     return make_error(FrameType::kError, frame.request_id,
                       ErrorCode::kInternal, e.what());
   }

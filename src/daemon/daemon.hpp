@@ -5,8 +5,9 @@
 //
 //   * transport: Unix-domain socket (socket_path) and/or loopback TCP
 //     (tcp_port), length-prefixed versioned frames (protocol.hpp), one
-//     reader thread per connection, request execution on the shared
-//     bounded ThreadPool (util/thread_pool.hpp);
+//     thread per connection that reads each request, executes it and
+//     writes its reply; executor_threads slots bound how many requests
+//     execute at once across all connections;
 //   * tenancy: the first frame on every connection is kHello naming a
 //     tenant; each tenant gets its OWN TraceRegistry and ResultCache
 //     whose byte budget is an equal share of cache_budget_bytes,
@@ -52,7 +53,6 @@
 #include "resilience/anytime.hpp"
 #include "service/registry.hpp"
 #include "trace/trace_io.hpp"
-#include "util/thread_pool.hpp"
 
 namespace evord::daemon {
 
@@ -62,7 +62,9 @@ struct DaemonOptions {
   std::string socket_path;
   /// Loopback TCP port; 0 disables, otherwise binds 127.0.0.1:port.
   std::uint16_t tcp_port = 0;
-  /// Workers on the shared request executor (0 = hardware concurrency).
+  /// Admitted requests that may execute at once, daemon-wide (0 =
+  /// hardware concurrency).  The rest wait on their connection's thread
+  /// for a free slot, still counted in flight.
   std::size_t executor_threads = 2;
   std::size_t max_connections = 64;
   /// Overload watermarks: admitted-but-unfinished request count and
@@ -139,11 +141,6 @@ class Daemon {
   /// Idempotent; called by the destructor.
   void stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  const DaemonOptions& options() const { return options_; }
-  /// The bound TCP port (after start(); useful with tcp_port = 0 ...
-  /// which is not supported — fixed ports only — so simply echoes it).
-  std::uint16_t tcp_port() const { return options_.tcp_port; }
   DaemonStats stats() const;
 
  private:
@@ -158,7 +155,6 @@ class Daemon {
   };
 
   struct Connection {
-    int fd = -1;
     std::shared_ptr<Tenant> tenant;
     std::string tenant_name;
   };
@@ -185,6 +181,8 @@ class Daemon {
   /// session (SessionStats::shed / ::rejected); no-op when the request
   /// carries no fingerprint or the session was never built.
   void note_bounce(Connection& conn, const Frame& frame, bool shed);
+  /// RAII hold on one of the executor_threads slots.
+  class ExecutorSlot;
   /// Joins connection threads that finished since the last sweep.
   void reap_finished_threads();
   void breaker_account(Connection& conn, std::uint64_t fingerprint,
@@ -195,21 +193,23 @@ class Daemon {
   int make_tcp_listener();
 
   DaemonOptions options_;
-  ThreadPool pool_;
 
   mutable std::mutex mu_;
+  /// Signalled when in_flight_ drops or a connection leaves the table.
   std::condition_variable drained_cv_;
   std::condition_variable stop_cv_;
+  std::condition_variable slot_cv_;
   DaemonStats stats_;
   std::unordered_map<std::string, std::shared_ptr<Tenant>> tenants_;
-  /// Reader threads of LIVE connections.  A finishing reader moves its
-  /// own handle to finished_threads_ (and closes + erases its fd), so a
-  /// churning daemon never accumulates dead fds or thread handles; the
-  /// accept loop reaps finished handles each wakeup, stop() the rest.
-  std::vector<std::thread> conn_threads_;
+  /// LIVE connections: socket fd -> its thread.  A finishing thread
+  /// erases its own entry, closes its fd and parks its handle in
+  /// finished_threads_, so a churning daemon never accumulates dead fds
+  /// or thread handles; the accept loop reaps finished handles each
+  /// wakeup, stop() the rest.
+  std::unordered_map<int, std::thread> connections_;
   std::vector<std::thread> finished_threads_;
-  std::vector<int> conn_fds_;        ///< open connection sockets
-  std::size_t live_connections_ = 0;
+  /// Free executor slots (starts at executor_threads).
+  std::size_t free_slots_ = 0;
   /// Admitted-but-not-yet-replied requests and their payload bytes (the
   /// overload watermarks; also what drain waits on).
   std::size_t in_flight_ = 0;

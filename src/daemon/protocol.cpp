@@ -6,6 +6,7 @@
 #include <thread>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "util/fault.hpp"
@@ -226,6 +227,15 @@ bool write_frame(int fd, const Frame& frame) {
     return send_all(fd, bytes.data() + partial, bytes.size() - partial);
   }
   return send_all(fd, bytes.data(), bytes.size());
+}
+
+void set_io_timeouts(int fd, int millis) {
+  if (millis <= 0) return;
+  timeval tv;
+  tv.tv_sec = millis / 1000;
+  tv.tv_usec = (millis % 1000) * 1000;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 Frame make_frame(FrameType type, std::uint64_t request_id,

@@ -147,6 +147,13 @@ ReadResult read_frame(int fd, Frame& frame,
 /// (fault::on_frame_send) can sever or stall the send mid-frame.
 bool write_frame(int fd, const Frame& frame);
 
+/// Bounds both directions of `fd` to `millis` (SO_RCVTIMEO and
+/// SO_SNDTIMEO; no-op when millis <= 0).  The send bound matters as
+/// much as the receive one: a peer that stops reading would otherwise
+/// park write_frame in send forever.  A timed-out send fails
+/// write_frame, so the caller drops the peer like any dead one.
+void set_io_timeouts(int fd, int millis);
+
 /// Builds a reply frame echoing `request_id`.
 Frame make_frame(FrameType type, std::uint64_t request_id,
                  std::vector<std::uint8_t> payload);

@@ -90,7 +90,8 @@ TEST(Anytime, DeadlineLadderVerdictsAreSound) {
   // un-deadlined exact answer (the daemon's degradation contract).
   const Trace trace = theorem1_trace();
   OrderingAnalyzer exact(trace);
-  AnytimeQuery deadlined(trace, {.ladder = deadline_ladder(0.05)});
+  AnytimeQuery deadlined(trace,
+                         {.ladder = deadline_ladder(0.05), .exact = {}});
   for (EventId a = 0; a < trace.num_events(); a += 3) {
     for (EventId b = 0; b < trace.num_events(); b += 3) {
       if (a == b) continue;

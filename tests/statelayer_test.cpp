@@ -205,7 +205,9 @@ TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
       bool got = false;
       const auto it = ref.find(key);
       ASSERT_EQ(memo.lookup(key, &got), it != ref.end());
-      if (it != ref.end()) ASSERT_EQ(got, it->second);
+      if (it != ref.end()) {
+        ASSERT_EQ(got, it->second);
+      }
     }
   }
   EXPECT_EQ(memo.size(), ref.size());

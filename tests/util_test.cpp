@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "util/check.hpp"
@@ -15,7 +12,6 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace evord {
@@ -472,153 +468,6 @@ TEST(Deadline, TinyBudgetExpires) {
   volatile double sink = 0;
   for (int i = 0; i < 10000; ++i) sink = sink + i;
   EXPECT_TRUE(d.expired());
-}
-
-// ---------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2u);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(8,
-                        [](std::size_t i) {
-                          if (i == 3) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, SingleFailureRethrowsOriginalMessage) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(8, [](std::size_t i) {
-      if (i == 3) throw std::runtime_error("lonely failure");
-    });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "lonely failure");
-  }
-}
-
-TEST(ThreadPool, MultipleFailuresReportSuppressedCount) {
-  ThreadPool pool(4);
-  try {
-    pool.parallel_for(4, [](std::size_t i) {
-      throw std::runtime_error("task " + std::to_string(i) + " boom");
-    });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(" boom"), std::string::npos) << what;
-    EXPECT_NE(what.find("(+3 suppressed task exceptions)"), std::string::npos)
-        << what;
-  }
-}
-
-TEST(ThreadPool, TwoFailuresUseSingularSuffix) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(6, [](std::size_t i) {
-      if (i == 1 || i == 4) throw std::runtime_error("dup");
-    });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("dup (+1 suppressed task exception)"),
-              std::string::npos)
-        << what;
-  }
-}
-
-TEST(ThreadPool, ManyTasksComplete) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&total] { ++total; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(total.load(), 500);
-}
-
-TEST(ThreadPool, SuppressedExceptionCountSurfacesOnThePool) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.suppressed_exceptions(), 0u);
-  try {
-    pool.parallel_for(4, [](std::size_t) { throw std::runtime_error("x"); });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error&) {
-  }
-  // 4 tasks failed; one exception propagated, three were eclipsed.
-  EXPECT_EQ(pool.suppressed_exceptions(), 3u);
-  try {
-    pool.parallel_for(2, [](std::size_t) { throw std::runtime_error("y"); });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error&) {
-  }
-  EXPECT_EQ(pool.suppressed_exceptions(), 4u);  // cumulative, one place
-}
-
-// Regression: shutdown during in-flight work drains cleanly — every
-// already-submitted task runs and its future is satisfied — and a
-// submit AFTER shutdown fails with a clear error instead of enqueueing
-// work that never runs (or aborting).
-TEST(ThreadPool, ShutdownDrainsInFlightWork) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ++done;
-    }));
-  }
-  pool.shutdown();  // must wait for all 64, not abandon the queue
-  EXPECT_TRUE(pool.stopped());
-  EXPECT_EQ(done.load(), 64);
-  for (auto& f : futures) f.get();  // all satisfied, none broken
-  pool.shutdown();                  // idempotent
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrowsClearError) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  try {
-    pool.submit([] { return 1; });
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("after shutdown"),
-              std::string::npos)
-        << e.what();
-  }
-  // parallel_for goes through submit, so it fails the same way.
-  EXPECT_THROW(pool.parallel_for(3, [](std::size_t) {}),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, ConcurrentShutdownIsSafe) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    (void)pool.submit([&done] { ++done; });
-  }
-  std::thread a([&pool] { pool.shutdown(); });
-  std::thread b([&pool] { pool.shutdown(); });
-  a.join();
-  b.join();
-  EXPECT_EQ(done.load(), 16);
 }
 
 // -------------------------------------------------------------- logging
