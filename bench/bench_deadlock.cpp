@@ -218,34 +218,6 @@ std::vector<JsonRecord> run_deadlock_walltime_sweep() {
               engine_ms)};
 }
 
-// Work-stealing thread sweep of the deadlock engine (rows appended to
-// BENCH_search.json): the Theorem-1 UNSAT reduction trace analysed at
-// 1/2/4/8 requested workers.  Every parallel verdict and witness is
-// checked against the serial run before its wall time lands in a row,
-// so the numbers can never describe a wrong answer.
-std::vector<JsonRecord> run_deadlock_thread_sweep() {
-  const ReductionExecution e =
-      execute_reduction(reduce_3sat_semaphores(tiny_unsat()));
-  DeadlockReport serial;
-  return run_thread_sweep(
-      "deadlock", "theorem1_unsat", [&](std::size_t threads) {
-        DeadlockOptions options;
-        options.num_threads = threads;
-        DeadlockReport r = analyze_deadlocks(e.trace, options);
-        if (threads == 1) {
-          serial = r;
-        } else {
-          EVORD_CHECK(r.can_deadlock == serial.can_deadlock &&
-                          r.witness_prefix == serial.witness_prefix &&
-                          r.stuck_states == serial.stuck_states &&
-                          r.states_visited == serial.states_visited,
-                      threads << "-thread deadlock result differs from "
-                                 "serial");
-        }
-        return std::move(r.search);
-      });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,9 +227,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::vector<JsonRecord> rows = run_deadlock_memory_sweep();
   for (JsonRecord& row : run_deadlock_walltime_sweep()) {
-    rows.push_back(std::move(row));
-  }
-  for (JsonRecord& row : run_deadlock_thread_sweep()) {
     rows.push_back(std::move(row));
   }
   if (!append_json_records("BENCH_search.json", rows)) {

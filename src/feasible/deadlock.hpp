@@ -8,8 +8,10 @@
 // ("Although these processes can deadlock").  This module decides
 // whether any feasible schedule prefix gets stuck, with a witness.
 //
-// Implemented as a memoized search over the same state space as Engine A
-// (exponential in the worst case, like everything interesting here).
+// Implemented as a depth-first search over the same state space as
+// Engine A that visits each distinct state once, pruning revisits
+// through a visited-state set (exponential in the worst case, like
+// everything interesting here).
 #pragma once
 
 #include <cstdint>
@@ -21,16 +23,13 @@
 
 namespace evord {
 
-/// Budget, workers and reduction come from search::SearchOptions; this
-/// explorer honours max_states, time_budget_seconds, max_memory_bytes,
-/// num_threads, steal and reduction.  It decides reachability of
-/// stuck states, not of complete schedules, so max_schedules is ignored.
-///
-/// The parallel search returns bit-identical reports (verdict, witness,
-/// counts) under any split/steal pattern; see docs/SEARCH.md.  Its tasks
-/// deliberately re-explore states their regions share (witness
-/// determinism), so a steal.max_split_depth of 0 is replaced by a small
-/// default cap rather than unlimited splitting.
+/// Budget and reduction come from search::SearchOptions; this explorer
+/// honours max_states, time_budget_seconds, max_memory_bytes and
+/// reduction.  It decides reachability of stuck states, not of complete
+/// schedules, so max_schedules is ignored.  It always runs serially on
+/// the calling thread, so num_threads and steal are ignored too: the
+/// shortest-witness rule would make workers re-explore the states their
+/// regions share instead of splitting them (docs/SEARCH.md §4).
 ///
 /// `reduction` is ON by default (kSourceWakeup — source sets + wakeup
 /// frames + stepper-state dynamic independence): the reduction preserves

@@ -19,8 +19,7 @@ struct EnumHooks {
   bool on_terminal(const std::vector<EventId>& schedule) {
     return (*visit)(slot, schedule);
   }
-  void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/,
-                const std::vector<std::uint32_t>& /*dewey*/) {}
+  void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/) {}
 };
 
 using EnumSearch =
@@ -47,8 +46,7 @@ EnumerateStats enumerate_schedules(const Trace& trace,
   const std::size_t threads = search::resolve_num_threads(so.num_threads);
   std::vector<search::SearchTask> roots;
   if (threads > 1) {
-    roots = search::root_tasks(trace, options.stepper, indep.get(),
-                               /*tracker_sensitive=*/true);
+    roots = search::root_tasks(trace, options.stepper, indep.get());
   }
   search::SearchStats stats;
   if (roots.empty()) {
@@ -65,7 +63,7 @@ EnumerateStats enumerate_schedules(const Trace& trace,
                             EnumHooks{&visit, worker.worker_id()},
                             indep.get());
           engine.seed(task.seed);
-          engine.attach_worker(&worker, &task);
+          engine.attach_worker(&worker);
           if (indep != nullptr) engine.set_initial_sleep(task.sleep);
           return engine.run();
         });

@@ -1,7 +1,6 @@
 #include "feasible/schedule_space.hpp"
 
 #include <memory>
-#include <mutex>
 
 #include "search/engine.hpp"
 
@@ -9,11 +8,7 @@ namespace evord {
 
 namespace {
 
-/// Matrix-building hooks for the memoized sweep.  The matrices are
-/// per-instance (per worker in parallel mode) and OR-merged afterwards:
-/// every mark is deterministic — a function of the state and the
-/// completability predicate — so whichever worker expands a state
-/// produces the same bits.
+/// Matrix-building hooks for the memoized sweep.
 struct CanPrecedeHooks {
   static constexpr bool kFirstHit = false;
 
@@ -52,25 +47,6 @@ struct CanPrecedeHooks {
   }
 };
 
-using SpaceSearch = search::MemoizedSearch<CanPrecedeHooks>;
-
-void init_matrices(const Trace& trace, const ScheduleSpaceOptions& options,
-                   bool build_matrix, CanPrecedeResult& result) {
-  if (build_matrix) {
-    result.can_precede.assign(trace.num_events(),
-                              DynamicBitset(trace.num_events()));
-  }
-  if (options.build_coexist) {
-    result.can_coexist.assign(trace.num_events(),
-                              DynamicBitset(trace.num_events()));
-  }
-}
-
-void or_merge(std::vector<DynamicBitset>& into,
-              const std::vector<DynamicBitset>& from) {
-  for (std::size_t i = 0; i < into.size(); ++i) into[i] |= from[i];
-}
-
 CanPrecedeResult run_search(const Trace& trace,
                             const ScheduleSpaceOptions& options,
                             bool build_matrix) {
@@ -79,20 +55,21 @@ CanPrecedeResult run_search(const Trace& trace,
   if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
-  const std::size_t threads = search::resolve_num_threads(so.num_threads);
-  std::vector<search::SearchTask> roots;
-  if (threads > 1) {
-    roots = search::root_tasks(trace, options.stepper, indep.get(),
-                               /*tracker_sensitive=*/false);
-  }
 
   CanPrecedeResult result;
-  init_matrices(trace, options, build_matrix, result);
+  if (build_matrix) {
+    result.can_precede.assign(trace.num_events(),
+                              DynamicBitset(trace.num_events()));
+  }
+  if (options.build_coexist) {
+    result.can_coexist.assign(trace.num_events(),
+                              DynamicBitset(trace.num_events()));
+  }
   search::SharedContext ctx(so);
 
   // Warm-store reuse (ScheduleSpaceOptions::warm_memo contract): a
   // caller-owned memo may only replace the private one when its entries
-  // mean exactly the same thing in every run — serial, unreduced,
+  // mean exactly the same thing in every run — unreduced,
   // unbudgeted — and when a non-empty store cannot
   // short-circuit matrix marks (verdict-only sweep, or the store is
   // still empty and this run is the one that fills it).  The warm store
@@ -101,85 +78,33 @@ CanPrecedeResult run_search(const Trace& trace,
   // the gate forces to "unlimited" anyway).
   const bool verdict_only = !build_matrix && !options.build_coexist;
   search::FingerprintBoolMap* const warm = options.warm_memo;
-  const bool use_warm = warm != nullptr && threads <= 1 &&
+  const bool use_warm = warm != nullptr &&
                         so.reduction == search::ReductionMode::kOff &&
                         so.max_memory_bytes == 0 &&
                         (verdict_only || warm->size() == 0);
 
-  if (roots.empty()) {
-    std::unique_ptr<search::FingerprintBoolMap> own;
-    search::FingerprintBoolMap* memo = warm;
-    const std::uint64_t preexisting = use_warm ? warm->size() : 0;
-    if (!use_warm) {
-      own = std::make_unique<search::FingerprintBoolMap>(
-          search::make_store_config(trace, so, 1, /*synchronized=*/false));
-      own->set_accountant(&ctx.memory);
-      memo = own.get();
-    }
-    SpaceSearch engine(
-        trace, options.stepper, so, &ctx, memo,
-        CanPrecedeHooks{build_matrix ? &result.can_precede : nullptr,
-                        options.build_coexist ? &result.can_coexist
-                                              : nullptr},
-        indep.get());
-    result.feasible_nonempty = engine.explore(0);
-    result.search = engine.stats();
-    result.search.memo_bytes = memo->bytes();
-    result.search.shard_sizes = memo->shard_sizes();
-    // With a warm store, memo->size() counts entries from earlier runs
-    // too; report only the states THIS run added, so a run through a
-    // still-empty warm store is byte-identical to a private-memo run.
-    result.states_visited =
-        static_cast<std::size_t>(memo->size() - preexisting);
-    result.truncated = result.search.truncated;
-    return result;
+  std::unique_ptr<search::FingerprintBoolMap> own;
+  search::FingerprintBoolMap* memo = warm;
+  const std::uint64_t preexisting = use_warm ? warm->size() : 0;
+  if (!use_warm) {
+    own = std::make_unique<search::FingerprintBoolMap>(
+        search::make_store_config(trace, so, 1));
+    own->set_accountant(&ctx.memory);
+    memo = own.get();
   }
-
-  // Work-stealing warm-up: tasks warm the shared memo (building
-  // per-worker matrices), then the main thread finishes from the root —
-  // its children all hit the memo, so root-level marks and the
-  // feasibility verdict are computed deterministically.  Matrix slots
-  // are per worker, not per task: tasks on the same worker run
-  // sequentially, so the slot is never written concurrently.
-  search::FingerprintBoolMap memo(
-      search::make_store_config(trace, so, 4 * threads));
-  memo.set_accountant(&ctx.memory);
-  std::vector<CanPrecedeResult> locals(threads);
-  for (CanPrecedeResult& local : locals) {
-    init_matrices(trace, options, build_matrix, local);
-  }
-  const search::SearchStats worker_stats = search::run_work_stealing(
-      std::move(roots), threads, so.steal.seed, ctx,
-      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-        CanPrecedeResult& local = locals[worker.worker_id()];
-        SpaceSearch engine(
-            trace, options.stepper, so, &ctx, &memo,
-            CanPrecedeHooks{build_matrix ? &local.can_precede : nullptr,
-                            options.build_coexist ? &local.can_coexist
-                                                  : nullptr},
-            indep.get());
-        engine.seed(task.seed);
-        engine.attach_worker(&worker, &task);
-        if (indep != nullptr) engine.set_initial_sleep(task.sleep);
-        engine.explore(0);
-        return engine.take_stats();
-      });
-  for (const CanPrecedeResult& local : locals) {
-    if (build_matrix) or_merge(result.can_precede, local.can_precede);
-    if (options.build_coexist) or_merge(result.can_coexist, local.can_coexist);
-  }
-
-  SpaceSearch engine(
-      trace, options.stepper, so, &ctx, &memo,
+  search::MemoizedSearch<CanPrecedeHooks> engine(
+      trace, options.stepper, so, &ctx, memo,
       CanPrecedeHooks{build_matrix ? &result.can_precede : nullptr,
                       options.build_coexist ? &result.can_coexist : nullptr},
       indep.get());
   result.feasible_nonempty = engine.explore(0);
   result.search = engine.stats();
-  result.search.merge(worker_stats);
-  result.search.memo_bytes = memo.bytes();
-  result.search.shard_sizes = memo.shard_sizes();
-  result.states_visited = static_cast<std::size_t>(memo.size());
+  result.search.memo_bytes = memo->bytes();
+  result.search.shard_sizes = memo->shard_sizes();
+  // With a warm store, memo->size() counts entries from earlier runs
+  // too; report only the states THIS run added, so a run through a
+  // still-empty warm store is byte-identical to a private-memo run.
+  result.states_visited = static_cast<std::size_t>(memo->size() - preexisting);
   result.truncated = result.search.truncated;
   return result;
 }
@@ -217,7 +142,7 @@ CanPrecedeResult compute_feasibility(const Trace& trace,
 std::unique_ptr<search::FingerprintBoolMap> make_feasibility_memo(
     const Trace& trace, const ScheduleSpaceOptions& options) {
   return std::make_unique<search::FingerprintBoolMap>(
-      search::make_store_config(trace, options, 1, /*synchronized=*/false));
+      search::make_store_config(trace, options, 1));
 }
 
 namespace {
@@ -251,8 +176,7 @@ PairQueryResult can_precede_pair(const Trace& trace, EventId first,
   search::SearchOptions so = options;
   so.reduction = search::ReductionMode::kOff;
   search::SharedContext ctx(so);
-  search::FingerprintBoolMap memo(
-      search::make_store_config(trace, so, 1, /*synchronized=*/false));
+  search::FingerprintBoolMap memo(search::make_store_config(trace, so, 1));
   memo.set_accountant(&ctx.memory);
   search::MemoizedSearch<PairHooks> engine(trace, options.stepper, so, &ctx,
                                            &memo, PairHooks{first, second});

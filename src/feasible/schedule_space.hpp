@@ -36,15 +36,15 @@ class FingerprintBoolMap;
 
 namespace evord {
 
-/// Budget, workers and reduction come from search::SearchOptions; this
-/// explorer honours max_states, time_budget_seconds, max_memory_bytes,
-/// num_threads, steal and reduction (can_precede_pair runs serial and
-/// unreduced, see there).  It has no complete-schedule
-/// budget: max_schedules is ignored.
+/// Budget and reduction come from search::SearchOptions; this explorer
+/// honours max_states, time_budget_seconds, max_memory_bytes and
+/// reduction (can_precede_pair runs unreduced, see there).  It has no
+/// complete-schedule budget: max_schedules is ignored.  It always runs
+/// serially on the calling thread, so num_threads and steal are ignored
+/// too: memoizing workers would duplicate each other's walks instead of
+/// splitting them (docs/SEARCH.md §4).
 ///
-/// With num_threads > 1 workers run warming tasks on the work-stealing
-/// scheduler and share one memo table; results are identical to the
-/// serial sweep (see docs/SEARCH.md).  `reduction` is OFF by default
+/// `reduction` is OFF by default
 /// because it changes the contract: the feasibility verdict stays exact
 /// (sleep + source sets preserve terminal reachability), but can_precede
 /// / can_coexist become under-approximations — marks come only from
@@ -67,8 +67,8 @@ struct ScheduleSpaceOptions : search::SearchOptions {
   /// a repeated feasibility query answers from the root memo hit without
   /// expanding a single state).  Create it with make_feasibility_memo()
   /// from the SAME options.  The engine engages it only when reuse is
-  /// provably sound: serial, unreduced, no byte budget, and
-  /// either a verdict-only sweep or a still-empty store — matrix marks
+  /// provably sound: unreduced, no byte budget, and either a
+  /// verdict-only sweep or a still-empty store — matrix marks
   /// are emitted per *expanded* child, so a warm (non-empty) store would
   /// short-circuit them and leave matrix bits unset.  Otherwise a fresh
   /// private memo is used and this pointer is untouched.  Never shared
@@ -123,8 +123,8 @@ std::unique_ptr<search::FingerprintBoolMap> make_feasibility_memo(
 /// `first` strictly before `second`?  (Interleaving could-have-happened-
 /// before for one pair.)  Prunes every branch that executes `second`
 /// while `first` is pending and stops at the first witness, so it is
-/// usually far cheaper than the full matrix sweep.  Runs serial and
-/// unreduced whatever num_threads and reduction say.
+/// usually far cheaper than the full matrix sweep.  Runs unreduced
+/// whatever `reduction` says.
 struct PairQueryResult {
   bool possible = false;
   bool truncated = false;  ///< budget hit; `possible == false` is then unproven

@@ -271,8 +271,7 @@ struct ClassHooks {
   bool on_terminal(const std::vector<EventId>& schedule) {
     return (*visit)(slot, schedule);
   }
-  void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/,
-                const std::vector<std::uint32_t>& /*dewey*/) {}
+  void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/) {}
 };
 
 using ClassSearch =
@@ -330,7 +329,7 @@ ClassEnumStats enumerate_causal_classes(
   // fingerprints fold the causal tracker's state into the hash, so the
   // store never uses exact packed keys.
   search::ShardedFingerprintSet prefix_seen(search::make_store_config(
-      trace, so, 16, /*synchronized=*/true, /*pure_state_key=*/false));
+      trace, so, 16, /*pure_state_key=*/false));
   prefix_seen.set_accountant(&ctx.memory);
   std::unique_ptr<search::IndependenceRelation> indep;
   if (so.reduction != search::ReductionMode::kOff) {
@@ -339,8 +338,7 @@ ClassEnumStats enumerate_causal_classes(
   const std::size_t threads = search::resolve_num_threads(so.num_threads);
   std::vector<search::SearchTask> roots;
   if (threads > 1) {
-    roots = search::root_tasks(trace, options.stepper, indep.get(),
-                               /*tracker_sensitive=*/true);
+    roots = search::root_tasks(trace, options.stepper, indep.get());
   }
   search::SearchStats stats;
   if (roots.empty()) {
@@ -361,7 +359,7 @@ ClassEnumStats enumerate_causal_classes(
                              ClassHooks{&visit, worker.worker_id()},
                              indep.get());
           engine.seed(task.seed);
-          engine.attach_worker(&worker, &task);
+          engine.attach_worker(&worker);
           if (indep != nullptr) engine.set_initial_sleep(task.sleep);
           return engine.run();
         }));

@@ -19,26 +19,25 @@ namespace evord {
 
 /// Budget, workers and reduction come from search::SearchOptions.
 /// Interleaving semantics runs the memoized state-space sweep
-/// (ScheduleSpaceOptions) and honours max_states, time_budget_seconds,
-/// max_memory_bytes, num_threads and steal — never `reduction`, whose
-/// matrices need the unreduced sweep.  Causal and interval semantics
-/// enumerate schedules (ClassEnumOptions with class_dedup,
-/// EnumerateOptions without) and honour max_schedules,
-/// time_budget_seconds, max_memory_bytes, num_threads and steal; the
-/// class_dedup path also honours `reduction` and ignores max_states.
+/// (ScheduleSpaceOptions) serially on the calling thread and honours
+/// max_states, time_budget_seconds and max_memory_bytes — never
+/// num_threads or steal, and never `reduction`, whose matrices need the
+/// unreduced sweep.  Causal and interval semantics enumerate schedules
+/// (ClassEnumOptions with class_dedup, EnumerateOptions without) and
+/// honour max_schedules, time_budget_seconds, max_memory_bytes,
+/// num_threads and steal; the class_dedup path also honours `reduction`
+/// and ignores max_states.
 ///
 /// Every budget is strict and global across workers (one shared search
 /// context, so a budget of N caps the combined total at N).  The
-/// parallel search runs on the work-stealing scheduler: workers
-/// accumulate into private per-slot state merged associatively at the
-/// end, and deduplicate classes AND class prefixes against shared
+/// parallel causal/interval search runs on the work-stealing scheduler:
+/// workers accumulate into private per-slot state merged associatively
+/// at the end, and deduplicate classes AND class prefixes against shared
 /// sharded fingerprint sets, so every distinct prefix state is expanded
 /// exactly once across all workers.  Relation matrices, causal_classes,
 /// feasible_empty and — absent budgets — schedules_seen are identical to
 /// the serial engine's (tested), regardless of thread count, steal order
-/// or subtree splits.  Interleaving semantics runs warming tasks on the
-/// same scheduler and its parallel results are bit-identical to serial
-/// (docs/SEARCH.md).
+/// or subtree splits.
 ///
 /// `reduction` defaults to kSourceWakeup: it preserves the set of
 /// complete causal classes (pruned schedules are commuting permutations

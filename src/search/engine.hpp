@@ -13,7 +13,7 @@
 //   * MemoizedSearch<Hooks> — computes "is a complete schedule reachable
 //     from this state" per state, memoized in a FingerprintBoolMap.
 //     Used by the can-precede/coexistence sweep and the pairwise
-//     ordering query.
+//     ordering query.  Always serial on the calling thread.
 //
 // Contracts (see docs/SEARCH.md for the full write-up):
 //
@@ -36,12 +36,9 @@
 //   stepper-state dynamic excusals; false whenever schedules or causal
 //   classes are surfaced), `bool on_terminal(const std::vector<EventId>&)`
 //   (false stops the whole search), `void on_stuck(const
-//   std::vector<EventId>& path, std::uint64_t fp, const
-//   std::vector<std::uint32_t>& dewey)` — `dewey` is the stuck state's
-//   canonical DFS key (sibling index per depth, absolute from the
-//   explorer's seed point): lexicographic order on (length, dewey) is
-//   exactly the serial discovery order, which is what the deadlock
-//   witness merge keys on.
+//   std::vector<EventId>& path, std::uint64_t fp)` — called in DFS
+//   discovery order, which the serial deadlock search relies on to keep
+//   the first shortest stuck prefix as its witness.
 //
 //   Memoized hooks: `kFirstHit` (stop at the first completable child),
 //   `bool child_allowed(EventId, const TraceStepper&)`,
@@ -72,16 +69,16 @@
 // reduction-blind.  Soundness per explorer is a front-end decision; see
 // docs/SEARCH.md §POR.
 //
-// Work stealing: in parallel mode each engine instance runs one
-// SearchTask on a scheduler worker (search/scheduler.hpp).  After
-// seeding, attach_worker() hands the engine its WorkerHandle; the DFS
-// then polls steal demand once per expanded state and answers it by
-// donating the deepest unexplored siblings of its current path as new
-// tasks (adaptive subtree splitting).  EnumerationSearch removes the
-// donated siblings from its own walk (the visit sets partition);
-// MemoizedSearch keeps them (a donated warming task and the donor may
-// race on the same states — the memo is idempotent, and the donor's own
-// completable verdicts must still OR over every child).
+// Work stealing: EnumerationSearch alone runs in parallel mode, one
+// engine instance per SearchTask on a scheduler worker
+// (search/scheduler.hpp).  After seeding, attach_worker() hands the
+// engine its WorkerHandle; the DFS then polls steal demand once per
+// expanded state and answers it by donating the deepest unexplored
+// siblings of its current path as new tasks (adaptive subtree
+// splitting), removing them from its own walk so the visit sets
+// partition.  A MemoizedSearch donor could not drop a donated child (its
+// verdict must OR over every child), so its workers would duplicate work
+// instead of splitting it; it has no parallel mode.
 //
 // Budget semantics (shared, via SharedContext):
 //   max_states    — claim-then-check: state #max_states is still claimed
@@ -107,16 +104,15 @@
 // fault or max_states) makes a state's children report "not
 // completable" without having been searched.  A MemoizedSearch that has
 // seen a cut therefore never memoizes a `false` verdict — the store
-// outlives the run (warm session memos) and is shared by every worker,
-// so an unproven `false` would poison later lookups.  `true` verdicts
-// are always proven (a complete schedule was reached) and are kept.
+// outlives the run (warm session memos), so an unproven `false` would
+// poison later lookups.  `true` verdicts are always proven (a complete
+// schedule was reached) and are kept.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include "feasible/stepper.hpp"
@@ -180,28 +176,6 @@ class SharedSetDedup {
   ShardedFingerprintSet* set_;
 };
 
-/// Per-task full exploration with global distinct-state accounting:
-/// each task prunes only against its own private set (so every task
-/// expands its whole region deterministically, exactly as a serial
-/// search of that region would), while the shared set decides which
-/// task's visit counts as the first claim.
-class PrivateSetDedup {
- public:
-  static constexpr bool kEnabled = true;
-  explicit PrivateSetDedup(ShardedFingerprintSet* shared) : shared_(shared) {}
-  bool verify_collisions() const { return shared_->verify_collisions(); }
-  bool exact_keys() const { return shared_->exact_keys(); }
-  ClaimResult claim(std::uint64_t fp,
-                    const std::vector<std::uint64_t>* payload) {
-    if (!private_.insert(fp).second) return {false, false};
-    return {true, shared_->insert(fp, payload)};
-  }
-
- private:
-  std::unordered_set<std::uint64_t> private_;
-  ShardedFingerprintSet* shared_;
-};
-
 /// State shared by every engine instance of one logical search (one
 /// instance per scheduler task in parallel mode; the serial case uses a
 /// single context the same way).
@@ -234,24 +208,22 @@ struct SharedContext {
   }
 };
 
-/// Builds the initial work-stealing tasks: one per first-level enabled
-/// event, with dewey key {i}.  Empty when the initial state is already
-/// terminal or stuck (callers fall back to serial).  Under reduction
-/// (`indep` non-null) the first level is reduced exactly as the serial
-/// engine would reduce it — tasks cover the source subset only, and each
-/// carries the sleep set its subtree root inherits from its earlier
-/// siblings — so the parallel walk covers the same reduced tree.
-/// `tracker_sensitive` must match the engine the tasks will run on,
-/// mirroring the engines' own DynamicIndependence construction: false
-/// for MemoizedSearch and for NullTracker engines whose hooks are
-/// kStateOnly; true otherwise.
-inline std::vector<SearchTask> root_tasks(
-    const Trace& trace, const StepperOptions& stepper_options,
-    const IndependenceRelation* indep, bool tracker_sensitive) {
+/// Builds the initial work-stealing tasks for an EnumerationSearch: one
+/// per first-level enabled event.  Empty when the initial state is
+/// already terminal or stuck (callers fall back to serial).  Under
+/// reduction (`indep` non-null) the first level is reduced exactly as
+/// the serial engine would reduce it — tasks cover the source subset
+/// only, and each carries the sleep set its subtree root inherits from
+/// its earlier siblings — so the parallel walk covers the same reduced
+/// tree.  Both parallel explorers surface schedules, so the dynamic
+/// independence is tracker-sensitive, as in their engines.
+inline std::vector<SearchTask> root_tasks(const Trace& trace,
+                                          const StepperOptions& stepper_options,
+                                          const IndependenceRelation* indep) {
   TraceStepper stepper(trace, stepper_options);
   std::vector<EventId> first;
   stepper.enabled_events(first);
-  const DynamicIndependence dyn(indep, tracker_sensitive);
+  const DynamicIndependence dyn(indep, /*tracker_sensitive=*/true);
   // The root's wakeup frame (empty sleep set), for the dynamic child
   // sleeps — exactly what the serial engine computes at depth 0.
   const std::vector<EventId> no_sleep;
@@ -266,7 +238,6 @@ inline std::vector<SearchTask> root_tasks(
   std::vector<SearchTask> tasks(first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     tasks[i].seed.push_back(first[i]);
-    tasks[i].dewey.push_back(static_cast<std::uint32_t>(i));
     if (indep != nullptr) {
       child_sleep(*indep, no_sleep, first, i, masks, tasks[i].sleep);
     }
@@ -328,11 +299,8 @@ class EnumerationSearch {
   }
 
   /// Enables adaptive subtree splitting for this scheduler task.  Must
-  /// be called after seed(task->seed).
-  void attach_worker(WorkerHandle* worker, const SearchTask* task) {
-    worker_ = worker;
-    task_ = task;
-  }
+  /// be called after seed(task.seed).
+  void attach_worker(WorkerHandle* worker) { worker_ = worker; }
 
   /// Installs the sleep set of the engine's start state (the subtree
   /// root a task replays to; see SearchTask::sleep).  Reduction only;
@@ -392,16 +360,6 @@ class EnumerationSearch {
     return true;
   }
 
-  /// The stuck state's canonical DFS key: the task's dewey prefix plus
-  /// the sibling index chosen at each depth of this walk.
-  const std::vector<std::uint32_t>& stuck_key(std::size_t depth) {
-    dewey_scratch_.clear();
-    if (task_ != nullptr) dewey_scratch_ = task_->dewey;
-    dewey_scratch_.insert(dewey_scratch_.end(), sibling_index_.begin(),
-                          sibling_index_.begin() + depth);
-    return dewey_scratch_;
-  }
-
   /// Answers steal demand by donating the deepest unexplored siblings of
   /// the current path that satisfy the grain/depth cutoffs, as one task
   /// each.  The donated siblings are removed from this walk: the
@@ -425,10 +383,6 @@ class EnumerationSearch {
                          path_.begin() +
                              static_cast<std::ptrdiff_t>(seed_len + d));
         task.seed.push_back(siblings[j]);
-        task.dewey = task_->dewey;
-        task.dewey.insert(task.dewey.end(), sibling_index_.begin(),
-                          sibling_index_.begin() + d);
-        task.dewey.push_back(static_cast<std::uint32_t>(j));
         if (reduce_) {
           // The stolen subtree starts from exactly the sleep set the
           // serial walk would carry into sibling j — the ancestor state's
@@ -513,7 +467,7 @@ class EnumerationSearch {
         // Stuck states report their RAW state fingerprint: the same
         // deadlocked frontier reached under different sleep contexts is
         // one stuck state, not several.
-        hooks_.on_stuck(path_, fp, stuck_key(depth));
+        hooks_.on_stuck(path_, fp);
         return true;
       }
       std::vector<EventId>& selected = enabled_stack_[depth];
@@ -537,7 +491,7 @@ class EnumerationSearch {
         if constexpr (!Dedup::kEnabled) {
           fp = tracker_.fingerprint(stepper_.state_hash());
         }
-        hooks_.on_stuck(path_, fp, stuck_key(depth));
+        hooks_.on_stuck(path_, fp);
         return true;
       }
     }
@@ -574,7 +528,6 @@ class EnumerationSearch {
   std::vector<EventId> path_;
   std::vector<std::vector<EventId>> enabled_stack_;
   std::vector<std::uint32_t> sibling_index_;
-  std::vector<std::uint32_t> dewey_scratch_;
   std::vector<std::uint64_t> key_scratch_;
   const IndependenceRelation* indep_;
   DynamicIndependence dyn_;
@@ -589,7 +542,6 @@ class EnumerationSearch {
   std::vector<EventId> initial_sleep_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;
-  const SearchTask* task_ = nullptr;
   std::size_t num_events_;
   std::uint32_t budget_poll_ = 0;
 };
@@ -615,8 +567,7 @@ class MemoizedSearch {
         // untracked (unconditional) excusals apply.
         dyn_(indep, /*tracker_sensitive=*/false),
         source_selector_(indep, &dyn_),
-        reduce_(options.reduction != ReductionMode::kOff),
-        num_events_(trace.num_events()) {
+        reduce_(options.reduction != ReductionMode::kOff) {
     EVORD_CHECK(!reduce_ || indep_ != nullptr,
                 "reduction requires an IndependenceRelation");
     // Exact-key mode: memoize directly on the injective packed word
@@ -624,28 +575,8 @@ class MemoizedSearch {
     exact_ = memo_->exact_keys() && !reduce_;
     EVORD_CHECK(!exact_ || stepper_.layout().single_word(),
                 "exact-key memo requires a single-word packed layout");
-    enabled_stack_.reserve(num_events_ + 4);
-    stats_.depth_states.assign(num_events_ + 1, 0);
-  }
-
-  void seed(const std::vector<EventId>& prefix) {
-    for (EventId e : prefix) {
-      EVORD_CHECK(stepper_.enabled(e), "seed prefix is not schedulable");
-      stepper_.apply(e);
-    }
-  }
-
-  /// Enables splitting (see try_split below).  Must be called after
-  /// seed(); memoized tasks carry their whole seed (no user prefix).
-  void attach_worker(WorkerHandle* worker, const SearchTask* task) {
-    worker_ = worker;
-    task_ = task;
-  }
-
-  /// Installs the sleep set of the engine's start state (see
-  /// SearchTask::sleep).  Reduction only; call before explore(0).
-  void set_initial_sleep(std::vector<EventId> sleep) {
-    sleep_stack_.assign(1, std::move(sleep));
+    enabled_stack_.reserve(trace.num_events() + 4);
+    stats_.depth_states.assign(trace.num_events() + 1, 0);
   }
 
   /// True iff the current state can be extended to a complete schedule.
@@ -696,27 +627,14 @@ class MemoizedSearch {
       return false;  // unsound once truncated; flagged
     }
 
-    const bool tracked = worker_ != nullptr && suspend_ == 0;
-    if (depth >= enabled_stack_.size()) {
-      enabled_stack_.resize(depth + 1);
-      sibling_index_.resize(depth + 1, 0);
-      donated_upto_.resize(depth + 1, 0);
-    }
+    if (depth >= enabled_stack_.size()) enabled_stack_.resize(depth + 1);
     stepper_.enabled_events(enabled_stack_[depth]);
     if (reduce_ && !enabled_stack_[depth].empty()) reduce_enabled(depth);
-    if (tracked) {
-      donated_upto_[depth] = 0;
-      if (worker_->split_wanted()) try_split(depth);
-    }
     bool completable = false;
     // Iterate by index: recursion reuses deeper enabled_stack_ slots.
     for (std::size_t i = 0; i < enabled_stack_[depth].size(); ++i) {
       const EventId e = enabled_stack_[depth][i];
       if (!hooks_.child_allowed(e, stepper_)) continue;
-      if (tracked) {
-        sibling_index_[depth] = static_cast<std::uint32_t>(i);
-        path_.push_back(e);
-      }
       if (reduce_) {
         if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
         child_sleep(*indep_, sleep_stack_[depth], enabled_stack_[depth], i,
@@ -725,7 +643,6 @@ class MemoizedSearch {
       const TraceStepper::Undo u = stepper_.apply(e);
       const bool child_ok = explore(depth + 1);
       stepper_.undo(u);
-      if (tracked) path_.pop_back();
       if (child_ok) {
         completable = true;
         hooks_.on_child_completable(e, stepper_.done_bits());
@@ -735,7 +652,7 @@ class MemoizedSearch {
     if (completable) hooks_.on_completable_state(*this, depth);
     // Once a budget cut has stopped some child early, `false` is
     // unproven: return it (the run is flagged truncated) but never let
-    // it into the shared, possibly warm, store.
+    // it into the possibly warm store.
     if (!completable && stats_.truncated) return false;
     if (memo_->store(fp, completable, payload(depth))) {
       ++stats_.states_visited;
@@ -747,17 +664,15 @@ class MemoizedSearch {
 
   /// Can `first` then immediately `second` run from the current state and
   /// still complete?  Used by coexistence marking; re-enters explore() at
-  /// `depth` (pass an unused stack index, e.g. current depth + 2).
+  /// `depth` (pass an unused stack index, e.g. current depth + 2).  Under
+  /// reduction the walk starts from an empty sleep set — the query is
+  /// about THIS specific continuation, not about schedules covered
+  /// elsewhere.
   bool pair_completable(EventId first, EventId second, std::size_t depth) {
-    // The re-entrant walk is off the main DFS path: suspend path/sibling
-    // tracking (and thus splitting) until it returns.  Under reduction
-    // it starts from an empty sleep set — the query is about THIS
-    // specific continuation, not about schedules covered elsewhere.
     if (reduce_) {
       if (depth >= sleep_stack_.size()) sleep_stack_.resize(depth + 1);
       sleep_stack_[depth].clear();
     }
-    ++suspend_;
     const TraceStepper::Undo u1 = stepper_.apply(first);
     bool ok = false;
     if (stepper_.enabled(second)) {
@@ -766,7 +681,6 @@ class MemoizedSearch {
       stepper_.undo(u2);
     }
     stepper_.undo(u1);
-    --suspend_;
     return ok;
   }
 
@@ -775,7 +689,6 @@ class MemoizedSearch {
   }
   const TraceStepper& stepper() const { return stepper_; }
   const SearchStats& stats() const { return stats_; }
-  SearchStats take_stats() { return stats_; }
 
  private:
   void set_reason(StopReason reason) {
@@ -808,52 +721,10 @@ class MemoizedSearch {
         selected.end());
     // Wakeup frame for this depth, computed once over the FINAL sibling
     // list (sibling indices below refer to it): consumed by the child
-    // sleep sets in explore() and by try_split donation.
+    // sleep sets in explore().
     if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
     compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
                          mask_stack_[depth], &stats_.dyn_excused);
-  }
-
-  /// Answers steal demand by donating the deepest eligible unexplored
-  /// siblings of the main walk as warming tasks.  Unlike the
-  /// enumeration engine, the donor KEEPS the donated children in its own
-  /// loop: the memoized verdict of each state must OR over all children,
-  /// so dropping any would store wrong memo values.  The donor's later
-  /// visit of a donated subtree hits whatever the thief already
-  /// memoized, so the duplicated walk collapses to memo lookups.
-  /// donated_upto_ stops re-donating the same siblings on every poll.
-  void try_split(std::size_t cur_depth) {
-    for (std::size_t d = cur_depth + 1; d-- > 0;) {
-      std::vector<EventId>& siblings = enabled_stack_[d];
-      const std::size_t from =
-          std::max<std::size_t>(d == cur_depth ? 0 : sibling_index_[d] + 1,
-                                donated_upto_[d]);
-      if (from >= siblings.size()) continue;
-      const std::size_t donated_depth = task_->seed.size() + d + 1;
-      if (options_.steal.max_split_depth != 0 &&
-          donated_depth > options_.steal.max_split_depth) {
-        continue;
-      }
-      if (num_events_ - donated_depth < options_.steal.grain) continue;
-      for (std::size_t j = from; j < siblings.size(); ++j) {
-        SearchTask task;
-        task.seed = task_->seed;
-        task.seed.insert(task.seed.end(), path_.begin(),
-                         path_.begin() + static_cast<std::ptrdiff_t>(d));
-        task.seed.push_back(siblings[j]);
-        task.dewey = task_->dewey;
-        task.dewey.insert(task.dewey.end(), sibling_index_.begin(),
-                          sibling_index_.begin() + d);
-        task.dewey.push_back(static_cast<std::uint32_t>(j));
-        if (reduce_) {
-          child_sleep(*indep_, sleep_stack_[d], enabled_stack_[d], j,
-                      mask_stack_[d], task.sleep);
-        }
-        worker_->spawn(std::move(task));
-      }
-      donated_upto_[d] = siblings.size();
-      return;
-    }
   }
 
   SearchOptions options_;
@@ -862,10 +733,7 @@ class MemoizedSearch {
   TraceStepper stepper_;
   Hooks hooks_;
   SearchStats stats_;
-  std::vector<EventId> path_;
   std::vector<std::vector<EventId>> enabled_stack_;
-  std::vector<std::uint32_t> sibling_index_;
-  std::vector<std::size_t> donated_upto_;
   std::vector<std::uint64_t> key_scratch_;
   const IndependenceRelation* indep_;
   DynamicIndependence dyn_;
@@ -876,10 +744,6 @@ class MemoizedSearch {
   /// Per-depth wakeup frame (see compute_wakeup_masks); reduction only.
   std::vector<std::vector<std::uint64_t>> mask_stack_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
-  WorkerHandle* worker_ = nullptr;
-  const SearchTask* task_ = nullptr;
-  std::size_t num_events_;
-  int suspend_ = 0;
   std::uint32_t budget_poll_ = 0;
 };
 

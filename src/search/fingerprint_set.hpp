@@ -4,18 +4,18 @@
 // through one of the two containers here, both thin fronts over the
 // packed state layer (search/state_registry.hpp):
 //   * ShardedFingerprintSet — membership only.  Used to dedup causal
-//     classes, causal-class prefixes and deadlock-search states.
+//     classes, causal-class prefixes and deadlock-search states.  Sharded
+//     with one mutex per shard, so the parallel enumeration workers share
+//     one store with minimal contention.
 //   * FingerprintBoolMap    — key -> bool memo.  Used by the memoized
 //     completability search (can-precede / coexistence), where each
-//     state memoizes "is a complete schedule reachable from here".
+//     state memoizes "is a complete schedule reachable from here".  That
+//     search is always serial, so the map never locks.
 //
-// Both are sharded with one mutex per shard, so the root-split parallel
-// engine's workers share one store with minimal contention; the same
-// types serve the serial engines (the map can skip locking entirely
-// when constructed unsynchronized).  Keys are quotiented and bit-packed
-// (see PackedStateRegistry), so a retained state costs a fraction of
-// the historical 8/9 bytes; with exact packed keys (Config::exact_keys)
-// the stores dedup collision-free.
+// Keys are quotiented and bit-packed (see PackedStateRegistry), so a
+// retained state costs a fraction of the historical 8/9 bytes; with
+// exact packed keys (Config::exact_keys) the stores dedup
+// collision-free.
 //
 // Collision safety net: with `verify_collisions` on (the default in
 // !NDEBUG builds) the full word payload of each state key is retained
@@ -52,10 +52,9 @@ using ShardedFingerprintSet = PackedStateRegistry;
 /// collisions exist).
 inline PackedStateRegistry::Config make_store_config(
     const Trace& trace, const SearchOptions& options, std::size_t num_shards,
-    bool synchronized = true, bool pure_state_key = true) {
+    bool pure_state_key = true) {
   PackedStateRegistry::Config cfg;
   cfg.num_shards = num_shards;
-  cfg.synchronized = synchronized;
   if (pure_state_key && options.reduction == ReductionMode::kOff) {
     const PackedStateLayout layout(trace);
     if (layout.single_word() && layout.key_bits() > 0) {
@@ -67,27 +66,26 @@ inline PackedStateRegistry::Config make_store_config(
   return cfg;
 }
 
-/// Sharded key -> bool memo table.  Duplicate stores of the same value
-/// are permitted (concurrent workers may race to memoize the same
-/// state; the memoized predicate is deterministic, so every store
-/// agrees); a re-store with a different value throws CheckError.
+/// Sharded key -> bool memo table for single-threaded use (no locking).
+/// The memoized predicate is deterministic, so a duplicate store of the
+/// same value is a no-op and a re-store with a different value throws
+/// CheckError.
 class FingerprintBoolMap {
  public:
   /// Legacy nominal release-build bytes per memoized state, kept as the
   /// bench baseline for the bytes/state comparison rows.
   static constexpr std::uint64_t kBytesPerEntry = 9;
 
-  /// `num_shards` is rounded up to a power of two (minimum 1).  With
-  /// `synchronized` false, per-shard locking is skipped entirely — valid
-  /// only for single-threaded use.
+  /// `num_shards` is rounded up to a power of two (minimum 1).
   explicit FingerprintBoolMap(
-      std::size_t num_shards = 16, bool synchronized = true,
+      std::size_t num_shards = 16,
       bool verify_collisions = PackedStateRegistry::kVerifyByDefault)
       : core_(PackedStateRegistry::Config{num_shards, verify_collisions, 64,
-                                          false, synchronized, 1}) {}
-  /// Full-config constructor (exact keys); value_bits is forced to 1.
+                                          false, false, 1}) {}
+  /// Full-config constructor (exact keys); value_bits is forced to 1 and
+  /// locking off.
   explicit FingerprintBoolMap(PackedStateRegistry::Config config)
-      : core_((config.value_bits = 1, config)) {}
+      : core_((config.value_bits = 1, config.synchronized = false, config)) {}
 
   FingerprintBoolMap(const FingerprintBoolMap&) = delete;
   FingerprintBoolMap& operator=(const FingerprintBoolMap&) = delete;
@@ -96,8 +94,8 @@ class FingerprintBoolMap {
   bool exact_keys() const noexcept { return core_.exact_keys(); }
   std::size_t num_shards() const noexcept { return core_.num_shards(); }
 
-  /// Attaches the accountant the store's footprint is charged to.
-  /// Call before any concurrent use; nullptr detaches.
+  /// Attaches the accountant the store's footprint is charged to;
+  /// nullptr detaches.
   void set_accountant(MemoryAccountant* accountant) noexcept {
     core_.set_accountant(accountant);
   }
@@ -118,15 +116,13 @@ class FingerprintBoolMap {
     return core_.store(key, value, payload);
   }
 
-  /// Total memoized states across all shards (snapshot under
-  /// concurrency).
+  /// Total memoized states across all shards.
   std::uint64_t size() const { return core_.size(); }
   /// Heap bytes of the stored keys, debug payloads excluded (see
   /// PackedStateRegistry::bytes()).
   std::uint64_t bytes() const { return core_.bytes(); }
 
-  /// Per-shard element counts (load-factor diagnostics).  Snapshot under
-  /// concurrency.
+  /// Per-shard element counts (load-factor diagnostics).
   std::vector<std::uint64_t> shard_sizes() const {
     return core_.shard_sizes();
   }

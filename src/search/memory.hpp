@@ -3,7 +3,7 @@
 // Every byte-bounded search shares one MemoryAccountant through its
 // SharedContext: the fingerprint/memo stores charge it per retained
 // entry (and per retained collision-check payload in verify builds),
-// the scheduler charges donated task descriptors (seed / dewey / sleep
+// the scheduler charges donated task descriptors (seed / sleep
 // buffers), and explorer front-ends charge witness buffers.  Engines
 // poll exceeded() once per expanded state and stop with
 // StopReason::kMemory — the same strict global contract as max_states:

@@ -20,7 +20,6 @@ namespace {
 /// Heap footprint of a task descriptor (charged while it sits queued).
 std::uint64_t task_bytes(const SearchTask& task) {
   return sizeof(SearchTask) + task.seed.size() * sizeof(EventId) +
-         task.dewey.size() * sizeof(std::uint32_t) +
          task.sleep.size() * sizeof(EventId);
 }
 

@@ -3,20 +3,20 @@
 // The scheduler replaces the one-level root split of PR 2: instead of
 // statically assigning one first-level subtree per pool slot (which
 // leaves cores idle on skewed trees), every worker owns a Chase–Lev
-// deque of SearchTasks.  A task is a schedule prefix plus its canonical
-// position in the serial DFS order (the "dewey" key: the sibling index
-// chosen at each depth).  Workers pop their own deque LIFO; when it is
-// empty they steal FIFO from a seeded-random victim.  A hungry worker
-// raises a demand flag that running engines poll; an engine answering
-// the demand donates the *deepest* unexplored siblings of its current
-// DFS path as new tasks (adaptive subtree splitting), subject to the
-// StealOptions grain/depth cutoffs so the task grain stays coarse.
+// deque of SearchTasks.  A task is a schedule prefix to explore.
+// Workers pop their own deque LIFO; when it is empty they steal FIFO
+// from a seeded-random victim.  A hungry worker raises a demand flag
+// that running engines poll; an engine answering the demand donates the
+// *deepest* unexplored siblings of its current DFS path as new tasks
+// (adaptive subtree splitting), subject to the StealOptions grain/depth
+// cutoffs so the task grain stays coarse.
 //
-// Determinism: lexicographic order on dewey keys equals serial DFS
-// order, so any partition of the tree into tasks — however the splits
-// and steals land — covers exactly the serial state space, and
-// order-sensitive results (the deadlock witness) are merged by dewey
-// key, not completion order.  See docs/SEARCH.md §"Parallel execution".
+// Determinism: the tasks partition the schedule tree, so any split and
+// steal pattern covers exactly the serial state space.  The two
+// explorers that run here (schedule and causal-class enumeration)
+// report counts and sets of schedules or classes, none of which depends
+// on the order in which tasks complete.  See docs/SEARCH.md §"Parallel
+// execution".
 //
 // Termination is lock-free: an atomic outstanding-task counter is
 // incremented before each spawn and decremented after the task runs;
@@ -36,14 +36,9 @@ namespace evord::search {
 struct SharedContext;
 class WorkStealingScheduler;
 
-/// One unit of search work: a schedule prefix to explore, plus its
-/// canonical id.  `dewey[d]` is the sibling index (position within the
-/// enabled-event list) chosen at depth d to reach `seed[d]`, counted
-/// from the explorer's own seed point; lexicographic order on dewey
-/// keys is exactly the serial DFS visit order of the subtree roots.
+/// One unit of search work: a schedule prefix to explore.
 struct SearchTask {
   std::vector<EventId> seed;
-  std::vector<std::uint32_t> dewey;
   /// Partial-order reduction only: the sleep set of the subtree root
   /// this task replays to (sorted event ids).  Donors compute it at
   /// donation time — sleep sets are inherited along DFS edges, so a

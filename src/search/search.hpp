@@ -53,8 +53,9 @@ enum class ReductionMode : std::uint8_t {
 
 const char* to_string(ReductionMode mode);
 
-/// Work-stealing scheduler tuning.  None of these affect results — the
-/// deterministic merges key on canonical task ids, so any split pattern
+/// Work-stealing scheduler tuning, read only by the explorers that run
+/// workers (see SearchOptions::num_threads).  None of these affect
+/// results — the tasks partition the schedule tree, so any split pattern
 /// and any victim order produce bit-identical output (the stress test in
 /// tests/search_test.cpp perturbs `seed` to prove it).
 struct StealOptions {
@@ -98,9 +99,13 @@ struct SearchOptions {
   std::uint64_t max_memory_bytes = 0;
   /// Worker count: 0 = hardware concurrency, 1 = serial.  Clamped to
   /// max_worker_threads() (scheduler.hpp) so oversubscription is
-  /// impossible.  Results never depend on it.
+  /// impossible.  Results never depend on it.  Only the two enumeration
+  /// explorers (schedules and causal classes, and the causal/interval
+  /// compute_exact built on them) run workers; the state-keyed explorers
+  /// (the memoized sweep and deadlock search) always run serially.
   std::size_t num_threads = 1;
-  /// Work-stealing knobs (grain / max_split_depth / seed).
+  /// Work-stealing knobs (grain / max_split_depth / seed); read only
+  /// where num_threads is.
   StealOptions steal;
   /// Partial-order reduction.  Engines running with kSourceWakeup must
   /// be handed an IndependenceRelation (search/independence.hpp).

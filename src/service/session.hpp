@@ -37,9 +37,10 @@
 //     oracle leaves unknown falling back to the exact sweep.
 //
 // Sessions are internally locked (one coarse mutex for bookkeeping);
-// the exponential engines themselves parallelize internally via
-// ExactOptions::num_threads and run OUTSIDE the session mutex (see the
-// coalescing bullet), so concurrent distinct queries overlap.  References
+// the exponential engines run OUTSIDE the session mutex (see the
+// coalescing bullet), so concurrent distinct queries overlap, and the
+// enumeration-based ones also parallelize internally via
+// ExactOptions::num_threads.  References
 // returned by the baseline accessors stay valid for the session's
 // lifetime (write-once members); shared_ptr results stay valid for as
 // long as the caller holds them, even across cache eviction.

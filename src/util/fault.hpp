@@ -15,8 +15,8 @@
 //     protocol's idle path without changing any result.
 //   * kStealPoison    — every steal attempt by the targeted worker
 //     fails (the worker can run only tasks pushed to its own deque).
-//     Results must still be bit-identical: the dewey-key merges do not
-//     depend on which worker ran which task.
+//     Results must still be bit-identical: the parallel explorers'
+//     results do not depend on which worker ran which task.
 //
 // The threshold may be given explicitly or derived from `seed`, and all
 // counters are process-global atomics, so a given plan replays the same

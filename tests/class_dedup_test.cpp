@@ -96,19 +96,17 @@ TEST(ShardedFingerprintSet, ConcurrentInsertsCountEachValueOnce) {
 }
 
 TEST(FingerprintBoolMap, StoreThenLookup) {
-  for (const bool synchronized : {false, true}) {
-    FingerprintBoolMap memo(4, synchronized, /*verify_collisions=*/false);
-    EXPECT_TRUE(memo.store(10, true));
-    EXPECT_TRUE(memo.store(11, false));
-    EXPECT_FALSE(memo.store(10, true));  // duplicate store: not new
-    bool value = false;
-    ASSERT_TRUE(memo.lookup(10, &value));
-    EXPECT_TRUE(value);
-    ASSERT_TRUE(memo.lookup(11, &value));
-    EXPECT_FALSE(value);
-    EXPECT_FALSE(memo.lookup(12, &value));  // never memoized
-    EXPECT_EQ(memo.size(), 2u);
-  }
+  FingerprintBoolMap memo(4, /*verify_collisions=*/false);
+  EXPECT_TRUE(memo.store(10, true));
+  EXPECT_TRUE(memo.store(11, false));
+  EXPECT_FALSE(memo.store(10, true));  // duplicate store: not new
+  bool value = false;
+  ASSERT_TRUE(memo.lookup(10, &value));
+  EXPECT_TRUE(value);
+  ASSERT_TRUE(memo.lookup(11, &value));
+  EXPECT_FALSE(value);
+  EXPECT_FALSE(memo.lookup(12, &value));  // never memoized
+  EXPECT_EQ(memo.size(), 2u);
 }
 
 TEST(FingerprintBoolMap, ShardCountRoundsUpToPowerOfTwo) {
@@ -117,8 +115,7 @@ TEST(FingerprintBoolMap, ShardCountRoundsUpToPowerOfTwo) {
 }
 
 TEST(FingerprintBoolMap, VerifyThrowsOnRealCollision) {
-  FingerprintBoolMap memo(4, /*synchronized=*/false,
-                          /*verify_collisions=*/true);
+  FingerprintBoolMap memo(4, /*verify_collisions=*/true);
   const std::vector<std::uint64_t> payload{1, 2, 3};
   const std::vector<std::uint64_t> other{4, 5, 6};
   EXPECT_TRUE(memo.store(99, true, &payload));
@@ -131,41 +128,11 @@ TEST(FingerprintBoolMap, VerifyThrowsOnRealCollision) {
 }
 
 TEST(FingerprintBoolMap, RestoreMustAgreeOnValue) {
-  FingerprintBoolMap memo(1, /*synchronized=*/false,
-                          /*verify_collisions=*/false);
+  FingerprintBoolMap memo(1, /*verify_collisions=*/false);
   EXPECT_TRUE(memo.store(5, true));
   // The memoized predicate is deterministic; a disagreeing re-store
   // means the caller computed two different verdicts for one state.
   EXPECT_THROW(memo.store(5, false), CheckError);
-}
-
-// Racing workers memoizing the same deterministic verdicts must agree
-// and lose nothing (runs under TSan via the `tsan` ctest label).
-TEST(FingerprintBoolMap, ConcurrentStoresAgree) {
-  FingerprintBoolMap memo(8, /*synchronized=*/true,
-                          /*verify_collisions=*/false);
-  constexpr std::uint64_t kValues = 2000;
-  constexpr int kThreads = 4;
-  std::vector<std::uint64_t> wins(kThreads, 0);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&memo, &wins, t] {
-      for (std::uint64_t v = 0; v < kValues; ++v) {
-        const std::uint64_t fp = v * 0x9e3779b97f4a7c15ull;
-        if (memo.store(fp, (v & 1) != 0)) ++wins[t];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(memo.size(), kValues);
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : wins) total += w;
-  EXPECT_EQ(total, kValues);
-  for (std::uint64_t v = 0; v < kValues; ++v) {
-    bool value = false;
-    ASSERT_TRUE(memo.lookup(v * 0x9e3779b97f4a7c15ull, &value));
-    EXPECT_EQ(value, (v & 1) != 0);
-  }
 }
 
 }  // namespace

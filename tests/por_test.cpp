@@ -463,7 +463,6 @@ TEST(Por, WakeupDonationStressBitIdenticalAtEightWorkers) {
     for (const auto& [label, trace] : excusal_traces(seed)) {
       const OrderingRelations serial =
           compute_exact(trace, Semantics::kCausal, {});
-      const DeadlockReport serial_deadlock = analyze_deadlocks(trace, {});
       for (const std::uint64_t steal_seed : {1ull, 99ull, 31337ull}) {
         std::ostringstream os;
         os << label << " seed " << seed << " steal " << steal_seed;
@@ -479,18 +478,6 @@ TEST(Por, WakeupDonationStressBitIdenticalAtEightWorkers) {
         for (const RelationKind kind : kAllRelationKinds) {
           EXPECT_EQ(parallel[kind], serial[kind]) << to_string(kind);
         }
-        DeadlockOptions dl;
-        dl.num_threads = 8;
-        dl.steal.seed = steal_seed;
-        dl.steal.grain = 1;
-        const DeadlockReport parallel_deadlock =
-            analyze_deadlocks(trace, dl);
-        EXPECT_EQ(parallel_deadlock.can_deadlock,
-                  serial_deadlock.can_deadlock);
-        EXPECT_EQ(parallel_deadlock.witness_prefix,
-                  serial_deadlock.witness_prefix);
-        EXPECT_EQ(parallel_deadlock.stuck_states,
-                  serial_deadlock.stuck_states);
       }
     }
   }

@@ -145,7 +145,8 @@ Trace deadlockable_trace() {
 }
 
 // ----------------------------------------------------------------------
-// Schedule-space engine: serial == parallel == brute force.
+// Schedule-space engine: serial == brute force, and num_threads > 1
+// still runs serially.
 
 TEST(SearchEquivalence, CoexistMatricesMatchBruteAndParallel) {
   for (const bool respect_deps : {true, false}) {
@@ -166,9 +167,9 @@ TEST(SearchEquivalence, CoexistMatricesMatchBruteAndParallel) {
       EXPECT_EQ(serial.can_precede, brute.can_precede) << "seed " << seed;
       EXPECT_EQ(serial.can_coexist, brute.can_coexist) << "seed " << seed;
 
-      // Parallel results are bit-identical to serial, including the
-      // distinct-state count (every mark and memo verdict is a
-      // deterministic function of the state; docs/SEARCH.md).
+      // The memoized sweep ignores num_threads: no scheduler workers,
+      // and results bit-identical to serial.
+      EXPECT_TRUE(parallel.search.workers.empty());
       EXPECT_EQ(parallel.feasible_nonempty, serial.feasible_nonempty);
       EXPECT_EQ(parallel.can_precede, serial.can_precede) << "seed " << seed;
       EXPECT_EQ(parallel.can_coexist, serial.can_coexist) << "seed " << seed;
@@ -178,7 +179,8 @@ TEST(SearchEquivalence, CoexistMatricesMatchBruteAndParallel) {
 }
 
 // ----------------------------------------------------------------------
-// Deadlock engine: serial == parallel == brute force.
+// Deadlock engine: serial == brute force, and num_threads > 1 still runs
+// serially.
 
 TEST(SearchEquivalence, DeadlockVerdictsMatchBruteAndParallel) {
   std::size_t deadlocks_seen = 0;
@@ -198,8 +200,10 @@ TEST(SearchEquivalence, DeadlockVerdictsMatchBruteAndParallel) {
       EXPECT_EQ(serial.can_deadlock, brute.can_deadlock) << "seed " << seed;
       if (serial.can_deadlock) ++deadlocks_seen;
 
-      // Bit-identical parallel report: verdict, witness, distinct stuck
-      // states and distinct states visited (docs/SEARCH.md).
+      // Deadlock search ignores num_threads: no scheduler workers, and a
+      // bit-identical report (verdict, witness, distinct stuck states
+      // and distinct states visited).
+      EXPECT_TRUE(parallel.search.workers.empty());
       EXPECT_EQ(parallel.can_deadlock, serial.can_deadlock);
       EXPECT_EQ(parallel.witness_prefix, serial.witness_prefix)
           << "seed " << seed;
@@ -355,10 +359,10 @@ TEST(StateHash, PathIndependentAndExactUnderUndo) {
 
 // ----------------------------------------------------------------------
 // Steal-order stress (runs under the `tsan` and `scaling-smoke` ctest
-// labels): every explorer is run repeatedly at 2/4/8 workers with
-// perturbed seeded victim selection and maximally aggressive subtree
-// splitting (steal grain 0-1 instead of the default 4, so nearly every
-// DFS level is eligible for donation).  Results, witnesses and
+// labels): every explorer that runs workers is run repeatedly at 2/4/8
+// workers with perturbed seeded victim selection and maximally
+// aggressive subtree splitting (steal grain 0-1 instead of the default
+// 4, so nearly every DFS level is eligible for donation).  Results and
 // strict-budget stop points must be bit-identical to serial on every
 // run — the scheduler may only change WHO explores a subtree, never
 // what is found.
@@ -422,54 +426,6 @@ TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
   }
 }
 
-TEST(StealStress, DeadlockWitnessBitIdentical) {
-  for (const std::uint64_t seed : {25u, 23u}) {
-    const Trace t =
-        seed == 25u ? deadlockable_trace() : small_random_trace(seed, 11);
-    DeadlockOptions options;
-    options.num_threads = 1;
-    const DeadlockReport serial = analyze_deadlocks(t, options);
-
-    int run = 0;
-    for (const std::size_t threads : kStressThreads) {
-      for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
-        options.num_threads = threads;
-        options.steal = stress_steal(run, threads);
-        const DeadlockReport parallel = analyze_deadlocks(t, options);
-        EXPECT_EQ(parallel.can_deadlock, serial.can_deadlock)
-            << "run " << run << " threads " << threads;
-        EXPECT_EQ(parallel.witness_prefix, serial.witness_prefix)
-            << "run " << run << " threads " << threads;
-        EXPECT_EQ(parallel.stuck_states, serial.stuck_states);
-        EXPECT_EQ(parallel.states_visited, serial.states_visited);
-      }
-    }
-  }
-}
-
-TEST(StealStress, ScheduleSpaceMatricesBitIdentical) {
-  const Trace t = small_random_trace(72, 10);
-  ScheduleSpaceOptions options;
-  options.build_coexist = true;
-  options.num_threads = 1;
-  const CanPrecedeResult serial = compute_can_precede(t, options);
-
-  int run = 0;
-  for (const std::size_t threads : kStressThreads) {
-    for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
-      options.num_threads = threads;
-      options.steal = stress_steal(run, threads);
-      const CanPrecedeResult parallel = compute_can_precede(t, options);
-      EXPECT_EQ(parallel.feasible_nonempty, serial.feasible_nonempty);
-      EXPECT_EQ(parallel.can_precede, serial.can_precede)
-          << "run " << run << " threads " << threads;
-      EXPECT_EQ(parallel.can_coexist, serial.can_coexist)
-          << "run " << run << " threads " << threads;
-      EXPECT_EQ(parallel.states_visited, serial.states_visited);
-    }
-  }
-}
-
 TEST(StealStress, ClassEnumerationCountsBitIdentical) {
   const Trace t = small_random_trace(73, 10);
   ClassEnumOptions options;
@@ -508,6 +464,10 @@ TEST(StealStress, ExactRelationsBitIdentical) {
         options.steal = stress_steal(run, threads);
         const OrderingRelations parallel =
             compute_exact(t, semantics, options);
+        // Only the enumeration-based semantics run workers; the
+        // interleaving sweep stays serial.
+        EXPECT_EQ(parallel.search.workers.empty(),
+                  semantics == Semantics::kInterleaving);
         EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
         EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen)
             << "run " << run << " threads " << threads << " semantics "
@@ -528,10 +488,12 @@ TEST(StealStress, ExactRelationsBitIdentical) {
 
 TEST(StealStress, SchedulerCountersAndHistogramsSurfaced) {
   const Trace t = small_random_trace(75, 10);
-  DeadlockOptions options;
+  ClassEnumOptions options;
   options.num_threads = 4;
   options.steal.grain = 1;
-  const DeadlockReport r = analyze_deadlocks(t, options);
+  const ClassEnumStats r = enumerate_causal_classes(
+      t, options,
+      [](std::size_t, const std::vector<EventId>&) { return true; });
 
   // One WorkerStats per resolved worker; every executed task was either
   // an initial root task or spawned by a split.
@@ -654,8 +616,7 @@ TEST(MemoryAccountant, StoreChargesMatchReportedMemoBytes) {
 
 TEST(MemoryAccountant, BoolMapChargesPerStoredState) {
   search::MemoryAccountant acc(0);
-  search::FingerprintBoolMap memo(2, /*synchronized=*/true,
-                                  /*verify_collisions=*/false);
+  search::FingerprintBoolMap memo(2, /*verify_collisions=*/false);
   memo.set_accountant(&acc);
   for (std::uint64_t i = 1; i <= 100; ++i) {
     memo.store(i * 0x9e3779b97f4a7c15ull, (i & 1) != 0);

@@ -306,16 +306,25 @@ TEST(AnalysisSession, RepeatedQueriesArePureCacheHits) {
 }
 
 TEST(AnalysisSession, FeasibilityAfterCoexistenceHitsWarmMemo) {
-  AnalysisSession session(std::make_shared<const Trace>(quickstart_trace()));
-  session.coexistence();  // fills the session's warm completability memo
-  const SessionStats after_sweep = session.stats();
-  EXPECT_GT(after_sweep.states_explored, 0u);
-  // The verdict-only feasibility sweep answers from the warm memo's
-  // root hit: a computation, but (nearly) zero NEW states.
-  EXPECT_TRUE(session.feasible());
-  const SessionStats after_feasible = session.stats();
-  EXPECT_EQ(after_feasible.computations, after_sweep.computations + 1);
-  EXPECT_LE(after_feasible.states_explored - after_sweep.states_explored, 1u);
+  // The memoized sweep is serial whatever num_threads says, so a
+  // multi-worker session keeps its warm memo too.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExactOptions options;
+    options.num_threads = threads;
+    AnalysisSession session(std::make_shared<const Trace>(quickstart_trace()),
+                            options);
+    session.coexistence();  // fills the session's warm completability memo
+    const SessionStats after_sweep = session.stats();
+    EXPECT_GT(after_sweep.states_explored, 0u);
+    // The verdict-only feasibility sweep answers from the warm memo's
+    // root hit: a computation, but (nearly) zero NEW states.
+    EXPECT_TRUE(session.feasible());
+    const SessionStats after_feasible = session.stats();
+    EXPECT_EQ(after_feasible.computations, after_sweep.computations + 1);
+    EXPECT_LE(after_feasible.states_explored - after_sweep.states_explored,
+              1u);
+  }
 }
 
 TEST(AnalysisSession, IdenticalTracesShareEverything) {

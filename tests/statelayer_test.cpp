@@ -193,7 +193,7 @@ TEST(PackedRegistry, ExactReducedWidthKeysNeverCollide) {
 
 TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
   Rng rng(55);
-  search::FingerprintBoolMap memo(/*num_shards=*/2, /*synchronized=*/false,
+  search::FingerprintBoolMap memo(/*num_shards=*/2,
                                   /*verify_collisions=*/false);
   std::unordered_map<std::uint64_t, bool> ref;
   for (int i = 0; i < 5000; ++i) {
