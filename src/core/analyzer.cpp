@@ -89,23 +89,18 @@ const RaceReport& OrderingAnalyzer::races(RaceDetector detector) {
   return *slot;
 }
 
-AnytimeQuery& OrderingAnalyzer::anytime(
-    const std::vector<QueryBudget>& ladder) {
-  return session_->anytime(ladder);
-}
-
 BoundedVerdict OrderingAnalyzer::anytime_must_have_happened_before(
     EventId a, EventId b, Semantics semantics) {
-  return anytime().must_have_happened_before(a, b, semantics);
+  return session_->anytime_must_have_happened_before(a, b, semantics);
 }
 
 BoundedVerdict OrderingAnalyzer::anytime_could_have_been_concurrent(
     EventId a, EventId b) {
-  return anytime().could_have_been_concurrent(a, b);
+  return session_->anytime_could_have_been_concurrent(a, b);
 }
 
 BoundedVerdict OrderingAnalyzer::anytime_can_deadlock() {
-  return anytime().can_deadlock();
+  return session_->anytime_can_deadlock();
 }
 
 const search::SearchStats& OrderingAnalyzer::search_stats(

@@ -15,7 +15,8 @@
 // (and therefore every cached result) can be shared service-wide by
 // constructing the analyzer over a TraceRegistry session.  The
 // polynomial baselines (vector clocks, HMW, EGP) are exposed alongside
-// for comparison.
+// for comparison, and the budgeted anytime verdicts forward to the
+// session's climb under its default ladder.
 #pragma once
 
 #include <array>
@@ -102,13 +103,8 @@ class OrderingAnalyzer {
   /// The budgeted variants (src/resilience/anytime.hpp): instead of an
   /// exact answer that may take exponential resources, each returns a
   /// BoundedVerdict {proven | refuted | unknown} obtained within the
-  /// escalating budget ladder, degrading to sound one-sided bounds with
-  /// full provenance when every rung truncates.  The underlying
-  /// AnytimeQuery is built lazily from `ladder` (default ladder when
-  /// empty) and reused across calls — including when the same non-empty
-  /// ladder is passed again; only a genuinely DIFFERENT ladder rebuilds
-  /// it (and discards its cached ladder runs).
-  AnytimeQuery& anytime(const std::vector<QueryBudget>& ladder = {});
+  /// session's default budget ladder, degrading to sound one-sided
+  /// bounds with full provenance when every rung truncates.
   BoundedVerdict anytime_must_have_happened_before(
       EventId a, EventId b, Semantics semantics = Semantics::kCausal);
   BoundedVerdict anytime_could_have_been_concurrent(EventId a, EventId b);

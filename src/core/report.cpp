@@ -114,7 +114,7 @@ std::string summarize_relations(const Trace& trace,
   if (relations.truncated) {
     os << "WARNING: search truncated by budget; could-relations are "
           "under-approximate, must-relations over-approximate "
-          "(AnytimeQuery degrades such runs to sound bounded verdicts)\n";
+          "(anytime queries degrade such runs to sound bounded verdicts)\n";
   }
   for (RelationKind k : kAllRelationKinds) {
     os << strprintf("  %-3s : %6zu pairs\n", to_string(k),

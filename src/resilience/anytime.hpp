@@ -3,10 +3,10 @@
 // Theorems 1-4 say the exact ordering relations cannot be computed in
 // polynomial time (assuming P != NP), so any exact query can exhaust a
 // realistic resource budget.  This module makes that failure mode a
-// first-class result instead of an error: AnytimeQuery runs a query
-// through an escalating ladder of budgets (states / schedules / bytes /
-// seconds) and, when even the largest rung is exhausted, degrades to a
-// sound one-sided answer built from
+// first-class result instead of an error: a query climbs an escalating
+// ladder of budgets (states / schedules / bytes / seconds) and, when
+// even the largest rung is exhausted, degrades to a sound one-sided
+// answer built from
 //
 //   * the truncated exact run's partial matrices — a budget-stopped
 //     search visits a SUBSET of the feasible causal classes, so its
@@ -25,22 +25,26 @@
 //
 // Every verdict carries full provenance: which engine answered, which
 // budget tripped, and the resources spent getting there.
+//
+// The climb itself is a policy of service::AnalysisSession (the
+// `anytime_*` methods), so its runs, bounds and SAT oracle are the
+// session's one warm state per trace.  This header holds the verdict
+// and ladder types, and AnytimeQuery, the standalone form: a private
+// session over a copy of one trace, plus a fixed ladder.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "approx/combined.hpp"
-#include "approx/vector_clock.hpp"
-#include "feasible/deadlock.hpp"
 #include "ordering/exact.hpp"
-#include "ordering/sat_oracle.hpp"
-#include "race/race_detector.hpp"
 #include "trace/trace.hpp"
+
+namespace evord::service {
+class AnalysisSession;
+}  // namespace evord::service
 
 namespace evord {
 
@@ -67,8 +71,6 @@ struct QueryBudget {
   /// engines truncate and the oracle is consulted.  0 = the oracle's
   /// own default budget, NOT unlimited.
   std::uint64_t max_conflicts = 0;
-
-  friend bool operator==(const QueryBudget&, const QueryBudget&) = default;
 };
 
 /// Order-sensitive 64-bit digest of a budget ladder; the service layer
@@ -134,14 +136,6 @@ struct AnytimeOptions {
   /// mode...).  The per-rung budgets override max_states, max_schedules,
   /// max_memory_bytes and time_budget_seconds.
   ExactOptions exact;
-  /// Portfolio mode: when every explicit rung truncated and the
-  /// polynomial bounds fail to decide an ordering pair, consult the
-  /// SAT-backed oracle (ordering/sat_oracle.hpp) before answering
-  /// kUnknown.  Its verdicts are definitive (engine "sat-oracle"),
-  /// witness schedules are replay-validated, and a conflict-budget
-  /// exhaustion still degrades to kUnknown — never unsound.  Applies to
-  /// the three ordering queries; race/deadlock queries are unaffected.
-  bool use_sat_oracle = true;
 
   /// Three rungs escalating states/schedules/bytes by ~16x each, no
   /// time budgets (deterministic across machines).
@@ -160,15 +154,17 @@ struct AnytimeOptions {
 /// sound BoundedVerdict instead of a timeout error.
 std::vector<QueryBudget> deadline_ladder(double deadline_seconds);
 
-/// Runs ordering / race / deadlock queries under the budget ladder.
-/// Exact results are cached per semantics (like OrderingAnalyzer), so
-/// querying many pairs costs one ladder climb.  The referenced trace
-/// must outlive the query object.
+/// Runs ordering / race / deadlock queries under one fixed budget
+/// ladder, over a private AnalysisSession on a copy of `trace`: each
+/// method forwards to the session's climb, so repeated queries share its
+/// runs, bounds and oracle.  When every explicit rung truncated and the
+/// bounds leave an ordering pair open, the climb consults the session's
+/// SAT oracle (ordering/sat_oracle.hpp) before answering kUnknown; its
+/// verdicts are definitive (engine "sat-oracle") and a conflict-budget
+/// exhaustion still degrades to kUnknown.
 class AnytimeQuery {
  public:
   explicit AnytimeQuery(const Trace& trace, AnytimeOptions options = {});
-
-  const AnytimeOptions& options() const { return options_; }
 
   // ----- ordering queries (Table 1) ------------------------------------
   BoundedVerdict must_have_happened_before(
@@ -186,55 +182,9 @@ class AnytimeQuery {
   /// truncated search still proves; refutation needs exhaustion.
   BoundedVerdict can_deadlock();
 
-  // ----- warm-state introspection ---------------------------------------
-  /// Number of budget-ladder climbs this object has performed (one per
-  /// distinct cached computation: exact relations per semantics, the
-  /// race sweep, the deadlock sweep).  A caller that keeps reusing one
-  /// AnytimeQuery sees this stay flat across repeated queries — the
-  /// regression signal for the historic rebuild-on-equal-ladder bug in
-  /// OrderingAnalyzer::anytime().
-  std::size_t ladder_climbs() const { return climbs_; }
-  /// True iff the exact ladder run for `semantics` is already cached.
-  bool has_cached_run(Semantics semantics) const {
-    return exact_[static_cast<std::size_t>(semantics)].has_value();
-  }
-
  private:
-  struct LadderRun {
-    OrderingRelations relations;
-    QueryProvenance provenance;
-  };
-
-  /// Climbs the ladder for `semantics` (cached): stops at the first
-  /// un-truncated rung, else keeps the final (largest) truncated run.
-  const LadderRun& exact_run(Semantics semantics);
-  ExactOptions rung_options(const QueryBudget& rung) const;
-  /// Budgets of the rung that produced a cached result (the last rung
-  /// that provenance records as attempted) — used for witness searches.
-  ExactOptions witness_options(const QueryProvenance& provenance) const;
-  /// True iff the polynomial causal bounds (combined / vector clocks)
-  /// are comparable with the configured exact causal order.
-  bool causal_bounds_apply(Semantics semantics) const;
-  const CombinedResult& combined();
-  const VectorClockResult& observed();
-  /// Lazily-built SAT oracle shared by all semantics (one solver build).
-  SatOracle& oracle();
-  /// Portfolio escape hatch: asks the oracle to settle a pair the
-  /// truncated run + polynomial bounds left unknown.  On success fills
-  /// `v` (state, engine "sat-oracle", witness) and returns true.
-  bool oracle_decides(RelationKind kind, EventId a, EventId b,
-                      Semantics semantics, BoundedVerdict& v);
-
-  const Trace& trace_;
-  AnytimeOptions options_;
-  std::array<std::optional<LadderRun>, 3> exact_;
-  std::optional<std::pair<DeadlockReport, QueryProvenance>> deadlock_;
-  std::optional<std::pair<RaceReport, QueryProvenance>> races_;
-  std::optional<RaceReport> guaranteed_races_;
-  std::optional<CombinedResult> combined_;
-  std::optional<VectorClockResult> observed_;
-  std::unique_ptr<SatOracle> oracle_;
-  std::size_t climbs_ = 0;
+  std::shared_ptr<service::AnalysisSession> session_;
+  std::vector<QueryBudget> ladder_;
 };
 
 }  // namespace evord

@@ -69,16 +69,6 @@ void ResultCache::evict_one_locked() {
   ++stats_.evictions;
 }
 
-void ResultCache::erase(const CacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return;
-  accountant_.release(it->second->bytes);
-  lru_.erase(it->second);
-  index_.erase(it);
-  ++stats_.evictions;
-}
-
 void ResultCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   while (!lru_.empty()) evict_one_locked();

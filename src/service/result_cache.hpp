@@ -121,8 +121,6 @@ class ResultCache {
     return stored;
   }
 
-  /// Drops one entry if present (anytime-verdict upgrades).
-  void erase(const CacheKey& key);
   /// Drops everything (ops / test hook).
   void clear();
 

@@ -17,11 +17,15 @@
 //     sweep answers from the root memo hit;
 //   * N pair queries coalesce into at most one relations sweep per
 //     distinct semantics (query_batch) instead of N;
-//   * anytime verdicts are cached WITH the digest of the ladder that
-//     produced them: a definitive verdict (proven/refuted) is final and
-//     served to every caller, an `unknown` is recomputed — and replaced
-//     in the cache — when a caller presents a different (e.g.
-//     bigger-budget) ladder;
+//   * anytime verdicts climb a budget ladder over this same warm state:
+//     each rung is a coalesced computation, a complete rung is published
+//     as the relations (or deadlock / exact-race) result, and the
+//     largest run per semantics stays as evidence that any later ladder
+//     reads before it climbs.  Verdicts are cached WITH the digest of
+//     the ladder that produced them: a definitive verdict (proven /
+//     refuted) is final and served to every caller, an `unknown` is
+//     recomputed — and replaced in the cache — when a caller presents a
+//     different (e.g. bigger-budget) ladder;
 //   * truncated results are never cached: they are budget- and
 //     fault-dependent noise, so caching them would let one starved run
 //     poison every later caller;
@@ -30,11 +34,11 @@
 //     asking the same question while the first computes WAITS on the
 //     in-flight entry and shares the result instead of launching a
 //     duplicate sweep (its states_explored contribution is zero);
-//   * a warm incremental SAT oracle (ordering/sat_oracle.hpp) is kept
-//     per session: query_batch can route pair batches through solver
-//     assumptions on the one shared instance (BatchRouting::kOracleFirst),
-//     reusing learned clauses across the whole batch, with any pair the
-//     oracle leaves unknown falling back to the exact sweep.
+//   * one warm incremental SAT oracle (ordering/sat_oracle.hpp) is kept
+//     per session, shared by query_batch (BatchRouting::kOracleFirst
+//     routes pair batches through solver assumptions, any pair the
+//     oracle leaves unknown falling back to the exact sweep) and the
+//     anytime portfolio rung; each call sets its own conflict budget.
 //
 // Sessions are internally locked (one coarse mutex for bookkeeping);
 // the exponential engines run OUTSIDE the session mutex (see the
@@ -46,6 +50,7 @@
 // long as the caller holds them, even across cache eviction.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -171,9 +176,10 @@ class AnalysisSession {
 
   /// The session's warm SAT-backed ordering oracle, built lazily on
   /// first use (one CNF encode + one incremental solver per session,
-  /// shared by all three semantics).  Concurrent use of the returned
-  /// reference must be externally synchronized; query_batch serializes
-  /// its own oracle access internally.
+  /// shared by all three semantics, query_batch and the anytime
+  /// portfolio rung).  Concurrent use of the returned reference must be
+  /// externally synchronized; the session serializes its own oracle
+  /// access internally.
   SatOracle& sat_oracle();
 
   /// F(P) != empty-set with provenance (verdict-only sweep; shares the
@@ -205,15 +211,22 @@ class AnalysisSession {
   const CombinedResult& combined();
 
   // ----- resource-governed anytime queries ------------------------------
-  /// The session's AnytimeQuery, built lazily (default ladder when
-  /// `ladder` is empty) and REUSED when the requested ladder equals the
-  /// current one — rebuilding on an equal ladder was the historic bug
-  /// that threw away every cached ladder run.
-  AnytimeQuery& anytime(const std::vector<QueryBudget>& ladder = {});
+  /// Budgeted verdicts (resilience/anytime.hpp) under `ladder` (the
+  /// default ladder when empty).  A ladder climbs each semantics (and
+  /// the race and deadlock searches) at most once per session: later
+  /// pairs read its stored run.  A different ladder first reads the
+  /// largest stored run, the polynomial bounds and an already-built
+  /// oracle, and climbs only when those leave the verdict unknown.
+  /// Climbs run outside the session mutex.
   BoundedVerdict anytime_must_have_happened_before(
       EventId a, EventId b, Semantics semantics = Semantics::kCausal,
       const std::vector<QueryBudget>& ladder = {});
+  BoundedVerdict anytime_could_have_happened_before(
+      EventId a, EventId b, Semantics semantics = Semantics::kCausal,
+      const std::vector<QueryBudget>& ladder = {});
   BoundedVerdict anytime_could_have_been_concurrent(
+      EventId a, EventId b, const std::vector<QueryBudget>& ladder = {});
+  BoundedVerdict anytime_race_between(
       EventId a, EventId b, const std::vector<QueryBudget>& ladder = {});
   BoundedVerdict anytime_can_deadlock(
       const std::vector<QueryBudget>& ladder = {});
@@ -223,8 +236,9 @@ class AnalysisSession {
   /// anytime queries.  The circuit breaker calls this with `false` after
   /// repeated conflict-budget exhaustions on one trace; the flag is part
   /// of the cached-verdict digest, so an `unknown` computed WITH the
-  /// oracle is recomputed (oracle-free) after a trip rather than served
-  /// stale.  Counts a breaker trip on every enabled -> disabled edge.
+  /// oracle is recomputed (oracle-free, from the stored runs) after a
+  /// trip rather than served stale.  Counts a breaker trip on every
+  /// enabled -> disabled edge.
   void set_use_sat_oracle(bool enabled);
   bool use_sat_oracle() const;
   /// Overload / quota / degradation accounting (see SessionStats).
@@ -241,6 +255,26 @@ class AnalysisSession {
     std::condition_variable cv;
     bool done = false;
     std::shared_ptr<const void> result;
+  };
+
+  /// What an anytime verdict asks (also salts its verdict-cache key).
+  enum class Ask : std::uint8_t { kMHB, kCCW, kDeadlock, kCHB, kRace };
+  /// How a verdict may use the SAT oracle for a pair its run and the
+  /// bounds leave open: not at all, only once built, or building it.
+  enum class OracleUse : std::uint8_t { kNone, kIfBuilt, kBuild };
+  struct Ladder {
+    const std::vector<QueryBudget>& rungs;
+    std::uint64_t digest;
+    bool use_oracle;
+  };
+  /// The largest ladder run so far of one search (relations per
+  /// semantics, exact races, deadlock), kept whatever the cache evicts,
+  /// and the digests of the ladders that climbed it (none climbs twice).
+  template <class T>
+  struct LadderRun {
+    std::shared_ptr<const T> result;
+    QueryProvenance provenance;
+    std::vector<std::uint64_t> climbed;
   };
 
   CacheKey make_key(QueryKind kind, std::uint8_t semantics,
@@ -262,12 +296,14 @@ class AnalysisSession {
   /// .truncated and .approx_bytes() (all four engine result types do).
   /// `counts_states` = false for results DERIVED from another cached
   /// result (they embed the source's SearchStats, which the source's
-  /// computation already charged to states_explored).
+  /// computation already charged to states_explored).  `publish`, when
+  /// set, is the key the result is looked up and cached under, and `key`
+  /// only names the computation in flight (anytime rungs).
   template <class T, class Compute>
   std::shared_ptr<const T> coalesced_query(
       std::unique_lock<std::mutex>& lock, const CacheKey& key,
       bool serialize_memo, bool counts_sweep, Compute&& compute,
-      bool counts_states = true);
+      bool counts_states = true, const CacheKey* publish = nullptr);
 
   std::shared_ptr<const OrderingRelations> relations_coalesced(
       std::unique_lock<std::mutex>& lock, Semantics semantics);
@@ -275,10 +311,43 @@ class AnalysisSession {
       std::unique_lock<std::mutex>& lock);
   std::shared_ptr<const CanPrecedeResult> coexistence_coalesced(
       std::unique_lock<std::mutex>& lock);
-  AnytimeQuery& anytime_locked(const std::vector<QueryBudget>& ladder);
-  BoundedVerdict anytime_verdict_locked(
-      std::uint8_t which, EventId a, EventId b, Semantics semantics,
-      const std::vector<QueryBudget>& ladder);
+  CacheKey race_key(RaceDetector detector) const;
+  std::shared_ptr<const RaceReport> races_coalesced(
+      std::unique_lock<std::mutex>& lock, RaceDetector detector);
+  DeadlockOptions deadlock_options(const search::SearchOptions& budget) const;
+  /// Write-once observed clocks over the exact causal order's edge set
+  /// (data edges iff causal_data_edges); vector_clocks() is sync-only.
+  const VectorClockResult& observed();
+
+  // ----- the anytime climb policy -----
+  ExactOptions rung_options(const QueryBudget& rung) const;
+  ExactOptions witness_options(const QueryProvenance& provenance,
+                               const std::vector<QueryBudget>& ladder) const;
+  BoundedVerdict anytime_verdict(Ask ask, EventId a, EventId b,
+                                 Semantics semantics,
+                                 const std::vector<QueryBudget>& ladder);
+  /// `decide(run, provenance, OracleUse)` reads `slot`'s stored run when
+  /// `ladder` climbed it (or it is complete); else `decide` reads it with
+  /// a built oracle first, and `ladder` climbs (one coalesced `rung` call
+  /// per rung) only if that leaves the verdict unknown.  Without mu_.
+  template <class T, class Decide, class Rung>
+  BoundedVerdict climb(LadderRun<T>& slot, const Ladder& ladder,
+                       const CacheKey& publish, Decide&& decide,
+                       Rung&& rung);
+  BoundedVerdict relation_verdict(RelationKind kind, EventId a, EventId b,
+                                  Semantics semantics,
+                                  const OrderingRelations& run,
+                                  const QueryProvenance& provenance,
+                                  const std::vector<QueryBudget>& ladder,
+                                  OracleUse oracle);
+  BoundedVerdict race_verdict(EventId a, EventId b, const RaceReport& run,
+                              const QueryProvenance& provenance,
+                              const std::vector<QueryBudget>& ladder);
+  /// Portfolio rung: fills `v` when the oracle settles the pair; sets
+  /// `v.provenance.oracle_exhausted` when it burned `conflicts` instead.
+  void consult_oracle(RelationKind kind, EventId a, EventId b,
+                      Semantics semantics, std::uint64_t conflicts,
+                      OracleUse use, BoundedVerdict& v);
 
   std::shared_ptr<const Trace> trace_;
   ExactOptions options_;
@@ -298,15 +367,19 @@ class AnalysisSession {
   /// Warm completability memo shared by feasibility/coexistence sweeps
   /// (ScheduleSpaceOptions::warm_memo contract).  Guarded by memo_mu_.
   std::unique_ptr<search::FingerprintBoolMap> warm_memo_;
-  /// Guards lazy construction and batch use of the session oracle;
+  /// Guards lazy construction and every use of the session oracle;
   /// never held together with mu_.
   std::mutex oracle_mu_;
   std::unique_ptr<SatOracle> oracle_;
   std::optional<VectorClockResult> vc_;
+  std::optional<VectorClockResult> observed_;
   std::optional<HmwResult> hmw_;
   std::optional<EgpResult> egp_;
   std::optional<CombinedResult> combined_;
-  std::optional<AnytimeQuery> anytime_;
+  /// Anytime evidence (guarded by mu_).
+  std::array<LadderRun<OrderingRelations>, 3> relation_runs_;
+  LadderRun<RaceReport> race_run_;
+  LadderRun<DeadlockReport> deadlock_run_;
   /// SAT-oracle portfolio switch for anytime queries (guarded by mu_);
   /// flipped to false by a circuit-breaker trip.
   bool use_sat_oracle_ = true;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <latch>
@@ -555,6 +556,57 @@ TEST(Daemon, CircuitBreakerTripsAfterRepeatedOracleExhaustion) {
                                           0, 19);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(harness.daemon().stats().breaker_trips, 1u);
+}
+
+TEST(Daemon, WarmHitIsAnsweredDuringAnotherClientsClimb) {
+  // Two clients of one tenant, two executor slots.  One client's anytime
+  // deadlock query climbs a 300 ms time-boxed rung on a trace whose
+  // search far outlasts it; the other client's cached race query on the
+  // same trace must get its reply first instead of waiting behind it.
+  DaemonOptions options;
+  options.executor_threads = 2;
+  options.anytime_ladder = {QueryBudget{.time_budget_seconds = 0.3}};
+  DaemonHarness harness(options);
+  // Eight processes taking one mutex five times each: deadlock-free,
+  // with millions of reachable states.
+  TraceBuilder b;
+  const ObjectId mutex = b.semaphore("m", /*initial=*/1);
+  for (int p = 0; p < 8; ++p) {
+    const ProcId proc = p == 0 ? b.root() : b.add_process();
+    for (int i = 0; i < 5; ++i) {
+      b.sem_p(proc, mutex);
+      b.sem_v(proc, mutex);
+    }
+  }
+  const std::string text = write_trace(b.build());
+  DaemonClient climber(harness.client_options());
+  DaemonClient reader(harness.client_options());
+  const auto registered = climber.register_trace(text);
+  ASSERT_TRUE(registered.ok()) << registered.message;
+  const auto detector = static_cast<std::uint8_t>(RaceDetector::kGuaranteed);
+  ASSERT_TRUE(reader.race_query(registered.fingerprint, detector).ok());
+
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point climb_replied;
+  double climb_ms = 0.0;
+  std::thread climb([&] {
+    const Clock::time_point sent = Clock::now();
+    const auto verdict = climber.anytime_query(registered.fingerprint,
+                                               /*which=*/2, 1, 0, 0);
+    climb_replied = Clock::now();
+    climb_ms =
+        std::chrono::duration<double, std::milli>(climb_replied - sent)
+            .count();
+    EXPECT_TRUE(verdict.ok()) << verdict.message;
+    EXPECT_EQ(verdict.state, 0u);  // truncated, no witness: unknown
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto hit = reader.race_query(registered.fingerprint, detector);
+  const Clock::time_point hit_replied = Clock::now();
+  climb.join();
+  ASSERT_TRUE(hit.ok()) << hit.message;
+  EXPECT_GE(climb_ms, 200.0);
+  EXPECT_LT(hit_replied, climb_replied);
 }
 
 // ------------------------------------------------------------------ drain

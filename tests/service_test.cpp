@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -97,6 +98,17 @@ void expect_same_races(const RaceReport& a, const RaceReport& b) {
     EXPECT_EQ(a.races[i].b, b.races[i].b);
     EXPECT_EQ(a.races[i].hidden_in_observed, b.races[i].hidden_in_observed);
   }
+}
+
+/// Every ordered pair of distinct events of `trace`.
+std::vector<std::pair<EventId, EventId>> ordered_pairs(const Trace& trace) {
+  std::vector<std::pair<EventId, EventId>> pairs;
+  for (EventId a = 0; a < trace.num_events(); ++a) {
+    for (EventId b = 0; b < trace.num_events(); ++b) {
+      if (a != b) pairs.emplace_back(a, b);
+    }
+  }
+  return pairs;
 }
 
 // ------------------------------------------------------------ fingerprint
@@ -647,28 +659,29 @@ TEST(ServiceEviction, HitAfterEvictionRecomputesCorrectly) {
 // --------------------------------------------------------------- anytime
 
 TEST(ServiceAnytime, EqualLadderReusesWarmQuery) {
-  // Regression for the historic OrderingAnalyzer::anytime() bug: any
-  // non-empty ladder rebuilt the AnytimeQuery even when it was EQUAL to
-  // the current one, discarding every cached ladder run.
+  // After one climb, an equal ladder and then a different one each
+  // answer a new pair from the stored run: no state is expanded again.
   const std::vector<QueryBudget> ladder{{.max_states = 1'000'000,
                                          .max_schedules = 1'000'000}};
   const std::vector<QueryBudget> equal_copy = ladder;
-  OrderingAnalyzer analyzer(quickstart_trace());
-  EXPECT_EQ(analyzer.anytime(ladder).ladder_climbs(), 0u);
-  analyzer.anytime(ladder).must_have_happened_before(0, 3);
-  EXPECT_EQ(analyzer.anytime(ladder).ladder_climbs(), 1u);
-  ASSERT_TRUE(
-      analyzer.anytime(ladder).has_cached_run(Semantics::kCausal));
-  // Passing an EQUAL ladder keeps the object and its cached runs.
-  EXPECT_TRUE(
-      analyzer.anytime(equal_copy).has_cached_run(Semantics::kCausal));
-  EXPECT_EQ(analyzer.anytime(equal_copy).ladder_climbs(), 1u);
-  analyzer.anytime(equal_copy).must_have_happened_before(0, 1);
-  EXPECT_EQ(analyzer.anytime(ladder).ladder_climbs(), 1u);  // still warm
-  // A genuinely different ladder rebuilds (cached runs discarded).
   const std::vector<QueryBudget> other{{.max_states = 7}};
-  EXPECT_FALSE(analyzer.anytime(other).has_cached_run(Semantics::kCausal));
-  EXPECT_EQ(analyzer.anytime(other).ladder_climbs(), 0u);
+  AnalysisSession session(std::make_shared<const Trace>(quickstart_trace()));
+  EXPECT_TRUE(session.anytime_must_have_happened_before(
+                         0, 3, Semantics::kCausal, ladder)
+                  .provenance.exact_complete);
+  const SessionStats climbed = session.stats();
+  EXPECT_GT(climbed.states_explored, 0u);
+  const BoundedVerdict equal = session.anytime_must_have_happened_before(
+      0, 1, Semantics::kCausal, equal_copy);
+  EXPECT_TRUE(equal.proven());
+  EXPECT_EQ(equal.provenance.engine, "exact");
+  const BoundedVerdict different = session.anytime_must_have_happened_before(
+      2, 3, Semantics::kCausal, other);
+  EXPECT_TRUE(different.proven());
+  EXPECT_EQ(different.provenance.engine, "exact");
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.states_explored, climbed.states_explored);
+  EXPECT_EQ(after.sweeps, climbed.sweeps);
 }
 
 TEST(ServiceAnytime, VerdictsCachedAndUnknownUpgradeable) {
@@ -743,18 +756,43 @@ TEST(AnalysisSession, TruncatedRaceReportIsNeverCached) {
 }
 
 TEST(AnalysisSession, SatOracleSwitchCountsTripsAndRebuilds) {
-  AnalysisSession session(std::make_shared<const Trace>(quickstart_trace()));
+  const Trace trace = wedgeable_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace));
   EXPECT_TRUE(session.use_sat_oracle());
-  EXPECT_TRUE(session.anytime().options().use_sat_oracle);
+  // A truncated climb leaves interleaving pairs to the oracle.
+  const std::vector<QueryBudget> starved{{.max_states = 1}};
+  const std::vector<std::pair<EventId, EventId>> pairs =
+      ordered_pairs(trace);
+  std::size_t next = 0;
+  while (next < pairs.size() &&
+         session
+                 .anytime_must_have_happened_before(
+                     pairs[next].first, pairs[next].second,
+                     Semantics::kInterleaving, starved)
+                 .provenance.engine != "sat-oracle") {
+    ++next;
+  }
+  ASSERT_LT(++next, pairs.size()) << "no pair reached the oracle";
   session.set_use_sat_oracle(false);  // the circuit breaker's edge
   EXPECT_FALSE(session.use_sat_oracle());
   EXPECT_EQ(session.stats().breaker_trips, 1u);
-  EXPECT_FALSE(session.anytime().options().use_sat_oracle);
+  // After the trip a new pair consults no oracle and re-climbs nothing.
+  const SessionStats tripped = session.stats();
+  EXPECT_GT(tripped.states_explored, 0u);  // the climb is the session's
+  const std::uint64_t oracle_queries =
+      session.sat_oracle().stats().queries;
+  EXPECT_GT(oracle_queries, 0u);  // and so is the oracle it consulted
+  const BoundedVerdict after = session.anytime_must_have_happened_before(
+      pairs[next].first, pairs[next].second, Semantics::kInterleaving,
+      starved);
+  EXPECT_NE(after.provenance.engine, "sat-oracle");
+  EXPECT_EQ(session.sat_oracle().stats().queries, oracle_queries);
+  EXPECT_EQ(session.stats().states_explored, tripped.states_explored);
+  EXPECT_EQ(session.stats().sweeps, tripped.sweeps);
   session.set_use_sat_oracle(false);  // idempotent: no second trip
   EXPECT_EQ(session.stats().breaker_trips, 1u);
   session.set_use_sat_oracle(true);
   EXPECT_EQ(session.stats().breaker_trips, 1u);
-  EXPECT_TRUE(session.anytime().options().use_sat_oracle);
   // The daemon-facing robustness counters surface in the same stats.
   session.note_shed();
   session.note_rejected();
@@ -768,18 +806,194 @@ TEST(AnalysisSession, SatOracleSwitchCountsTripsAndRebuilds) {
 TEST(ServiceAnytime, VerdictsMatchFreshAnytimeQuery) {
   const Trace trace = quickstart_trace();
   AnalysisSession session(std::make_shared<const Trace>(trace));
-  AnytimeQuery fresh(trace);
-  for (EventId a = 0; a < trace.num_events(); ++a) {
-    for (EventId b = 0; b < trace.num_events(); ++b) {
-      if (a == b) continue;
-      EXPECT_EQ(session.anytime_must_have_happened_before(a, b).state,
-                fresh.must_have_happened_before(a, b).state);
-      EXPECT_EQ(session.anytime_could_have_been_concurrent(a, b).state,
-                fresh.could_have_been_concurrent(a, b).state);
-    }
+  const OrderingRelations exact =
+      compute_exact(trace, Semantics::kCausal, {});
+  const auto expected = [](bool holds) {
+    return holds ? VerdictState::kProven : VerdictState::kRefuted;
+  };
+  for (const auto& [a, b] : ordered_pairs(trace)) {
+    EXPECT_EQ(session.anytime_must_have_happened_before(a, b).state,
+              expected(exact.holds(RelationKind::kMHB, a, b)));
+    EXPECT_EQ(session.anytime_could_have_been_concurrent(a, b).state,
+              expected(exact.holds(RelationKind::kCCW, a, b)));
   }
   EXPECT_EQ(session.anytime_can_deadlock().state,
-            fresh.can_deadlock().state);
+            expected(analyze_deadlocks(trace, {}).can_deadlock));
+}
+
+TEST(ServiceAnytime, AnalyzerAndSessionLaddersRunConcurrently) {
+  // An OrderingAnalyzer over a registry session asks anytime questions
+  // under the default ladder while another thread asks the same session
+  // under two other ladders, alternating per pair.  Every verdict is
+  // definitive here and must match compute_exact.
+  Rng rng(29);
+  testing::RandomTraceConfig config;
+  config.num_events = 10;
+  const Trace trace = testing::random_trace(config, rng);
+  const OrderingRelations exact =
+      compute_exact(trace, Semantics::kCausal, {});
+  ASSERT_FALSE(exact.truncated);
+  TraceRegistry registry;
+  const auto session = registry.session(trace);
+  OrderingAnalyzer analyzer(session);
+  const std::vector<std::vector<QueryBudget>> ladders{
+      {{.max_states = 1'000'000, .max_schedules = 1'000'000}},
+      {{.max_states = 2'000'000, .max_schedules = 2'000'000}}};
+  const auto expect_exact = [&](const BoundedVerdict& v, RelationKind kind,
+                                EventId a, EventId b) {
+    ASSERT_FALSE(v.unknown()) << v.summary();
+    EXPECT_EQ(v.proven(), exact.holds(kind, a, b))
+        << to_string(kind) << " (" << a << ", " << b << ")";
+  };
+  const auto pairs = ordered_pairs(trace);
+  std::thread analyzer_thread([&] {
+    for (const auto& [a, b] : pairs) {
+      expect_exact(analyzer.anytime_must_have_happened_before(a, b),
+                   RelationKind::kMHB, a, b);
+      expect_exact(analyzer.anytime_could_have_been_concurrent(a, b),
+                   RelationKind::kCCW, a, b);
+    }
+  });
+  for (std::size_t i = pairs.size(); i-- > 0;) {
+    const auto& [a, b] = pairs[i];
+    const auto& ladder = ladders[i % ladders.size()];
+    expect_exact(session->anytime_must_have_happened_before(
+                     a, b, Semantics::kCausal, ladder),
+                 RelationKind::kMHB, a, b);
+    expect_exact(session->anytime_could_have_been_concurrent(a, b, ladder),
+                 RelationKind::kCCW, a, b);
+  }
+  analyzer_thread.join();
+}
+
+TEST(ServiceAnytime, LadderChangeReadsStoredRunBeforeClimbing) {
+  // One climb under `first` leaves a truncated interleaving run and a
+  // built oracle, which is complete under interleaving semantics.  A
+  // different ladder, then `first` again, then `first` after a breaker
+  // trip answer new pairs without expanding a state.
+  const Trace trace = wedgeable_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  const OrderingRelations exact =
+      compute_exact(trace, Semantics::kInterleaving, {});
+  const std::vector<QueryBudget> first{{.max_states = 1}};
+  const std::vector<QueryBudget> second{{.max_states = 2}};
+  const auto pairs = ordered_pairs(trace);
+  std::size_t next = 0;
+  const auto ask = [&](const std::vector<QueryBudget>& ladder) {
+    const auto [a, b] = pairs.at(next++);
+    const BoundedVerdict v = session.anytime_must_have_happened_before(
+        a, b, Semantics::kInterleaving, ladder);
+    if (!v.unknown()) {
+      EXPECT_EQ(v.proven(), exact.holds(RelationKind::kMHB, a, b))
+          << "(" << a << ", " << b << ") " << v.summary();
+    }
+    return v;
+  };
+  while (ask(first).provenance.engine != "sat-oracle") {
+    ASSERT_LT(next, pairs.size()) << "no pair reached the oracle";
+  }
+  const SessionStats climbed = session.stats();
+  EXPECT_GT(climbed.states_explored, 0u);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(ask(second).unknown());
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(ask(first).unknown());
+  EXPECT_EQ(session.stats().states_explored, climbed.states_explored);
+  EXPECT_EQ(session.stats().sweeps, climbed.sweeps);
+  session.set_use_sat_oracle(false);
+  for (int i = 0; i < 3; ++i) ask(first);
+  EXPECT_EQ(session.stats().states_explored, climbed.states_explored);
+  EXPECT_EQ(session.stats().sweeps, climbed.sweeps);
+}
+
+TEST(ServiceAnytime, CompleteRungServesRelationsAndTheReverse) {
+  const Trace trace = wedgeable_trace();
+  for (const Semantics s : kAllSemantics) {
+    SCOPED_TRACE("semantics " + std::to_string(static_cast<int>(s)));
+    // A complete rung is published as the relations result.
+    AnalysisSession session(std::make_shared<const Trace>(trace));
+    ASSERT_TRUE(session.anytime_must_have_happened_before(0, 3, s)
+                    .provenance.exact_complete);
+    const SessionStats climbed = session.stats();
+    const auto relations = session.relations(s);
+    EXPECT_EQ(session.stats().sweeps, climbed.sweeps);
+    EXPECT_EQ(session.stats().states_explored, climbed.states_explored);
+    expect_same_relations(*relations, compute_exact(trace, s, {}));
+    // Cached relations answer an anytime query without a climb.
+    AnalysisSession reversed(std::make_shared<const Trace>(trace));
+    reversed.relations(s);
+    const SessionStats warm = reversed.stats();
+    const BoundedVerdict v = reversed.anytime_must_have_happened_before(0, 3, s);
+    EXPECT_EQ(v.provenance.engine, "exact");
+    EXPECT_EQ(reversed.stats().sweeps, warm.sweeps);
+    EXPECT_EQ(reversed.stats().states_explored, warm.states_explored);
+  }
+}
+
+TEST(ServiceOracle, BatchAndAnytimeShareOneEncode) {
+  // The oracle behind query_batch and the anytime portfolio rung is one
+  // instance per session: one CNF encode, whichever runs first.
+  const Trace trace = wedgeable_trace();
+  const auto pairs = ordered_pairs(trace);
+  std::vector<PairQuery> batch;
+  for (const auto& [a, b] : pairs) {
+    batch.push_back({RelationKind::kMHB, a, b, Semantics::kInterleaving});
+  }
+  const std::vector<QueryBudget> starved{{.max_states = 1}};
+  for (const bool batch_first : {true, false}) {
+    SCOPED_TRACE(batch_first ? "batch first" : "anytime first");
+    AnalysisSession session(std::make_shared<const Trace>(trace));
+    if (batch_first) session.query_batch(batch, BatchRouting::kOracleFirst);
+    std::uint64_t by_oracle = 0;
+    for (const auto& [a, b] : pairs) {
+      if (session
+              .anytime_must_have_happened_before(
+                  a, b, Semantics::kInterleaving, starved)
+              .provenance.engine == "sat-oracle") {
+        ++by_oracle;
+        break;
+      }
+    }
+    ASSERT_EQ(by_oracle, 1u);
+    if (!batch_first) session.query_batch(batch, BatchRouting::kOracleFirst);
+    const SatOracleStats oracle = session.sat_oracle().stats();
+    EXPECT_EQ(oracle.solver_builds, 1u);
+    EXPECT_EQ(oracle.queries, session.stats().oracle_pairs + by_oracle);
+  }
+}
+
+TEST(AnalysisSession, AnytimeDeadlockRungTakesSessionReduction) {
+  Rng rng(7);
+  testing::RandomTraceConfig config;
+  config.num_events = 12;
+  const Trace trace = testing::random_trace(config, rng);
+  ExactOptions unreduced;
+  unreduced.reduction = search::ReductionMode::kOff;
+  // The trace is one where the reduction matters.
+  DeadlockOptions off;
+  off.reduction = search::ReductionMode::kOff;
+  ASSERT_NE(analyze_deadlocks(trace, {}).search.states_visited,
+            analyze_deadlocks(trace, off).search.states_visited);
+  AnalysisSession session(std::make_shared<const Trace>(trace), unreduced);
+  const BoundedVerdict v = session.anytime_can_deadlock();
+  ASSERT_TRUE(v.provenance.exact_complete);
+  EXPECT_EQ(v.provenance.states_visited,
+            session.deadlocks()->search.states_visited);
+}
+
+TEST(AnalysisSession, DeadlocksHonourTheMemoryBudget) {
+  Rng rng(3);
+  testing::RandomTraceConfig config;
+  config.num_events = 18;
+  ExactOptions starved;
+  starved.max_memory_bytes = 64;
+  AnalysisSession session(
+      std::make_shared<const Trace>(testing::random_trace(config, rng)),
+      starved);
+  const auto first = session.deadlocks();
+  ASSERT_TRUE(first->truncated);
+  EXPECT_EQ(first->search.stop_reason, search::StopReason::kMemory);
+  const SessionStats warm = session.stats();
+  EXPECT_TRUE(session.deadlocks()->truncated);
+  EXPECT_EQ(session.stats().computations, warm.computations + 1);
 }
 
 }  // namespace
