@@ -7,9 +7,11 @@
 // bystander, so it exhibits every flavor of ordering: guaranteed
 // (must-have), schedule-dependent (could-have) and genuinely concurrent.
 #include <cstdio>
+#include <memory>
 
-#include "core/analyzer.hpp"
 #include "core/report.hpp"
+#include "ordering/witness.hpp"
+#include "service/session.hpp"
 #include "trace/builder.hpp"
 
 int main() {
@@ -29,29 +31,34 @@ int main() {
   const EventId consume =
       b.compute(consumer, "consume", /*reads=*/{buffer}, /*writes=*/{});
   const EventId idle = b.compute(bystander, "idle");
-  const Trace trace = b.build();
 
   // ----- analyze -------------------------------------------------------
-  OrderingAnalyzer analyzer(trace);
+  // The session computes each relation sweep once and caches it (causal
+  // semantics unless a query says otherwise).
+  service::AnalysisSession session(std::make_shared<const Trace>(b.build()));
+  const Trace& trace = session.trace();
+  const auto relations = session.relations(Semantics::kCausal);
 
-  std::printf("%s\n", analyzer.report().c_str());
+  std::printf("%s%s\n", format_event_table(trace).c_str(),
+              summarize_relations(trace, *relations).c_str());
 
+  const auto answer = [&](RelationKind kind, EventId x, EventId y) {
+    return session.pair_query({kind, x, y, Semantics::kCausal}) ? "yes"
+                                                                 : "no";
+  };
   std::printf("produce MHB consume : %s\n",
-              analyzer.must_have_happened_before(produce, consume) ? "yes"
-                                                                   : "no");
+              answer(RelationKind::kMHB, produce, consume));
   std::printf("consume CHB produce : %s\n",
-              analyzer.could_have_happened_before(consume, produce) ? "yes"
-                                                                    : "no");
+              answer(RelationKind::kCHB, consume, produce));
   std::printf("idle CCW produce    : %s\n",
-              analyzer.could_have_been_concurrent(idle, produce) ? "yes"
-                                                                 : "no");
+              answer(RelationKind::kCCW, idle, produce));
   std::printf("idle MCW produce    : %s\n",
-              analyzer.must_have_been_concurrent(idle, produce) ? "yes"
-                                                                : "no");
+              answer(RelationKind::kMCW, idle, produce));
 
   // A witness schedule showing the bystander running before everything.
-  if (auto witness = analyzer.witness_happened_before(
-          idle, produce, Semantics::kInterleaving)) {
+  if (auto witness = witness_could_happen_before(
+          trace, idle, produce, Semantics::kInterleaving,
+          session.options())) {
     std::printf("\nwitness schedule with 'idle' first:");
     for (EventId e : *witness) std::printf(" e%u", e);
     std::printf("\n");
@@ -59,8 +66,7 @@ int main() {
 
   // The must-have-happened-before relation as a Graphviz graph.
   std::printf("\n%s\n",
-              relation_dot(trace,
-                           analyzer.relations()[RelationKind::kMHB],
+              relation_dot(trace, (*relations)[RelationKind::kMHB],
                            "must_have_happened_before")
                   .c_str());
   return 0;

@@ -16,10 +16,11 @@
 // given program execution is an intractable problem" — which is why the
 // exhaustive detector carries a budget.
 #include <cstdio>
+#include <memory>
 
-#include "core/analyzer.hpp"
 #include "core/report.hpp"
 #include "ordering/witness.hpp"
+#include "service/session.hpp"
 #include "trace/builder.hpp"
 
 int main() {
@@ -36,16 +37,15 @@ int main() {
   b.sem_p(worker, s);
   const EventId w1 = b.compute(worker, "x := 2", {}, {x});
   b.sem_v(helper, s, "stray token");
-  const Trace trace = b.build();
+  service::AnalysisSession session(std::make_shared<const Trace>(b.build()));
+  const Trace& trace = session.trace();
 
   std::printf("%s\n", format_event_table(trace).c_str());
 
-  OrderingAnalyzer analyzer(trace);
   for (RaceDetector detector : {RaceDetector::kObserved,
                                 RaceDetector::kGuaranteed,
                                 RaceDetector::kExact}) {
-    const RaceReport report = analyzer.races(detector);
-    std::printf("%s", report.summary(trace).c_str());
+    std::printf("%s", session.races(detector)->summary(trace).c_str());
   }
 
   // Materialize the feasible execution that exposes the race.

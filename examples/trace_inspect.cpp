@@ -14,10 +14,11 @@
 // is runnable out of the box.
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
-#include "core/analyzer.hpp"
 #include "core/report.hpp"
+#include "service/session.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -101,11 +102,15 @@ int main(int argc, char** argv) {
     std::printf("(no file given; analyzing the built-in demo trace)\n\n");
   }
 
-  OrderingAnalyzer analyzer(std::move(trace));
-  std::printf("%s\n", analyzer.report(semantics).c_str());
+  service::AnalysisSession session(
+      std::make_shared<const Trace>(std::move(trace)));
+  const Trace& analyzed = session.trace();
+  const auto relations = session.relations(semantics);
+  const OrderingRelations& rel = *relations;
+  std::printf("%s%s\n", format_event_table(analyzed).c_str(),
+              summarize_relations(analyzed, rel).c_str());
 
   if (grid) {
-    const OrderingRelations& rel = analyzer.relations(semantics);
     for (RelationKind k : kAllRelationKinds) {
       std::printf("%s\n",
                   format_relation_grid(rel[k], to_string(k)).c_str());
@@ -114,13 +119,11 @@ int main(int argc, char** argv) {
   if (races) {
     for (RaceDetector d : {RaceDetector::kObserved, RaceDetector::kGuaranteed,
                            RaceDetector::kExact}) {
-      std::printf("%s", analyzer.races(d).summary(analyzer.trace()).c_str());
+      std::printf("%s", session.races(d)->summary(analyzed).c_str());
     }
   }
   if (json) {
-    std::printf("%s",
-                relations_json(analyzer.trace(), analyzer.relations(semantics))
-                    .c_str());
+    std::printf("%s", relations_json(analyzed, rel).c_str());
   }
   if (!csv_relation.empty()) {
     const RelationKind kind = [&]() {
@@ -131,30 +134,28 @@ int main(int argc, char** argv) {
                            "MOW/COW)\n", csv_relation.c_str());
       std::exit(2);
     }();
-    std::printf("%s", relation_csv(analyzer.relations(semantics)[kind])
-                          .c_str());
+    std::printf("%s", relation_csv(rel[kind]).c_str());
   }
   if (deadlocks) {
-    const DeadlockReport& report = analyzer.deadlocks();
+    // Hold the pointer: a truncated report is not cached, so nothing
+    // else keeps it alive.
+    const auto report = session.deadlocks();
     std::printf("can deadlock: %s (%llu stuck state(s), %zu states "
                 "visited)%s\n",
-                report.can_deadlock ? "YES" : "no",
-                static_cast<unsigned long long>(report.stuck_states),
-                report.states_visited,
-                report.truncated ? " [truncated]" : "");
-    if (report.can_deadlock) {
+                report->can_deadlock ? "YES" : "no",
+                static_cast<unsigned long long>(report->stuck_states),
+                report->states_visited,
+                report->truncated ? " [truncated]" : "");
+    if (report->can_deadlock) {
       std::printf("wedging prefix:");
-      for (EventId e : report.witness_prefix) std::printf(" e%u", e);
+      for (EventId e : report->witness_prefix) std::printf(" e%u", e);
       std::printf("\n");
     }
   }
   if (dot) {
-    std::printf("\n%s\n", trace_dot(analyzer.trace()).c_str());
+    std::printf("\n%s\n", trace_dot(analyzed).c_str());
     std::printf("%s\n",
-                relation_dot(analyzer.trace(),
-                             analyzer.relations(semantics)[RelationKind::kMHB],
-                             "MHB")
-                    .c_str());
+                relation_dot(analyzed, rel[RelationKind::kMHB], "MHB").c_str());
   }
   return 0;
 }

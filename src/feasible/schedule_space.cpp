@@ -1,7 +1,5 @@
 #include "feasible/schedule_space.hpp"
 
-#include <memory>
-
 #include "search/engine.hpp"
 
 namespace evord {
@@ -47,15 +45,50 @@ struct CanPrecedeHooks {
   }
 };
 
+/// Early-exit pruning for can_precede_pair: explore only prefixes in
+/// which `second` never runs while `first` is pending; succeed at the
+/// first complete schedule reached.
+struct PairHooks {
+  static constexpr bool kFirstHit = true;
+
+  EventId first;
+  EventId second;
+
+  bool child_allowed(EventId e, const TraceStepper& stepper) const {
+    return !(e == second && !stepper.executed(first));  // prune
+  }
+  void on_child_completable(EventId /*e*/,
+                            const DynamicBitset& /*done_before*/) {}
+  template <class Search>
+  void on_completable_state(Search& /*search*/, std::size_t /*depth*/) {}
+};
+
+/// One serial memoized sweep from the initial state over a private memo.
+/// Returns the root verdict and fills `stats` / `states_visited`.
+template <class Hooks>
+bool sweep(const Trace& trace, const ScheduleSpaceOptions& options,
+           Hooks hooks, search::SearchStats& stats,
+           std::size_t& states_visited) {
+  // Never reduced (see ScheduleSpaceOptions), so the store always gets
+  // the exact packed keys an unreduced walk may use.
+  search::SearchOptions so = options;
+  so.reduction = search::ReductionMode::kOff;
+  search::SharedContext ctx(so);
+  search::FingerprintBoolMap memo(search::make_store_config(trace, so, 1));
+  memo.set_accountant(&ctx.memory);
+  search::MemoizedSearch<Hooks> engine(trace, options.stepper, so, &ctx,
+                                       &memo, std::move(hooks));
+  const bool completable = engine.explore(0);
+  stats = engine.stats();
+  stats.memo_bytes = memo.bytes();
+  stats.shard_sizes = memo.shard_sizes();
+  states_visited = static_cast<std::size_t>(memo.size());
+  return completable;
+}
+
 CanPrecedeResult run_search(const Trace& trace,
                             const ScheduleSpaceOptions& options,
                             bool build_matrix) {
-  const search::SearchOptions& so = options;
-  std::unique_ptr<search::IndependenceRelation> indep;
-  if (so.reduction != search::ReductionMode::kOff) {
-    indep = std::make_unique<search::IndependenceRelation>(trace);
-  }
-
   CanPrecedeResult result;
   if (build_matrix) {
     result.can_precede.assign(trace.num_events(),
@@ -65,46 +98,11 @@ CanPrecedeResult run_search(const Trace& trace,
     result.can_coexist.assign(trace.num_events(),
                               DynamicBitset(trace.num_events()));
   }
-  search::SharedContext ctx(so);
-
-  // Warm-store reuse (ScheduleSpaceOptions::warm_memo contract): a
-  // caller-owned memo may only replace the private one when its entries
-  // mean exactly the same thing in every run — unreduced,
-  // unbudgeted — and when a non-empty store cannot
-  // short-circuit matrix marks (verdict-only sweep, or the store is
-  // still empty and this run is the one that fills it).  The warm store
-  // is never attached to this run's accountant: it outlives the run and
-  // its bytes belong to its owner, not to this search's budget (which
-  // the gate forces to "unlimited" anyway).
-  const bool verdict_only = !build_matrix && !options.build_coexist;
-  search::FingerprintBoolMap* const warm = options.warm_memo;
-  const bool use_warm = warm != nullptr &&
-                        so.reduction == search::ReductionMode::kOff &&
-                        so.max_memory_bytes == 0 &&
-                        (verdict_only || warm->size() == 0);
-
-  std::unique_ptr<search::FingerprintBoolMap> own;
-  search::FingerprintBoolMap* memo = warm;
-  const std::uint64_t preexisting = use_warm ? warm->size() : 0;
-  if (!use_warm) {
-    own = std::make_unique<search::FingerprintBoolMap>(
-        search::make_store_config(trace, so, 1));
-    own->set_accountant(&ctx.memory);
-    memo = own.get();
-  }
-  search::MemoizedSearch<CanPrecedeHooks> engine(
-      trace, options.stepper, so, &ctx, memo,
+  result.feasible_nonempty = sweep(
+      trace, options,
       CanPrecedeHooks{build_matrix ? &result.can_precede : nullptr,
                       options.build_coexist ? &result.can_coexist : nullptr},
-      indep.get());
-  result.feasible_nonempty = engine.explore(0);
-  result.search = engine.stats();
-  result.search.memo_bytes = memo->bytes();
-  result.search.shard_sizes = memo->shard_sizes();
-  // With a warm store, memo->size() counts entries from earlier runs
-  // too; report only the states THIS run added, so a run through a
-  // still-empty warm store is byte-identical to a private-memo run.
-  result.states_visited = static_cast<std::size_t>(memo->size() - preexisting);
+      result.search, result.states_visited);
   result.truncated = result.search.truncated;
   return result;
 }
@@ -139,53 +137,12 @@ CanPrecedeResult compute_feasibility(const Trace& trace,
   return run_search(trace, options, /*build_matrix=*/false);
 }
 
-std::unique_ptr<search::FingerprintBoolMap> make_feasibility_memo(
-    const Trace& trace, const ScheduleSpaceOptions& options) {
-  return std::make_unique<search::FingerprintBoolMap>(
-      search::make_store_config(trace, options, 1));
-}
-
-namespace {
-
-/// Early-exit pruning for can_precede_pair: explore only prefixes in
-/// which `second` never runs while `first` is pending; succeed at the
-/// first complete schedule reached.
-struct PairHooks {
-  static constexpr bool kFirstHit = true;
-
-  EventId first;
-  EventId second;
-
-  bool child_allowed(EventId e, const TraceStepper& stepper) const {
-    return !(e == second && !stepper.executed(first));  // prune
-  }
-  void on_child_completable(EventId /*e*/,
-                            const DynamicBitset& /*done_before*/) {}
-  template <class Search>
-  void on_completable_state(Search& /*search*/, std::size_t /*depth*/) {}
-};
-
-}  // namespace
-
 PairQueryResult can_precede_pair(const Trace& trace, EventId first,
                                  EventId second,
                                  const ScheduleSpaceOptions& options) {
-  // Never reduced (`reduction` is deliberately ignored): the query's
-  // verdict is an exact "does such a schedule exist", and the pruning
-  // hooks already restrict the walk.
-  search::SearchOptions so = options;
-  so.reduction = search::ReductionMode::kOff;
-  search::SharedContext ctx(so);
-  search::FingerprintBoolMap memo(search::make_store_config(trace, so, 1));
-  memo.set_accountant(&ctx.memory);
-  search::MemoizedSearch<PairHooks> engine(trace, options.stepper, so, &ctx,
-                                           &memo, PairHooks{first, second});
   PairQueryResult result;
-  result.possible = engine.explore(0);
-  result.search = engine.stats();
-  result.search.memo_bytes = memo.bytes();
-  result.search.shard_sizes = memo.shard_sizes();
-  result.states_visited = static_cast<std::size_t>(memo.size());
+  result.possible = sweep(trace, options, PairHooks{first, second},
+                          result.search, result.states_visited);
   result.truncated = result.search.truncated;
   return result;
 }

@@ -18,11 +18,11 @@
 // The state space itself is exponential in the worst case (that is
 // Theorem 1); max_states and the time budget bound the work, and results
 // are flagged `truncated` when the bound was hit (can_precede is then an
-// under-approximation).
+// under-approximation).  Every sweep runs unreduced and owns its memo:
+// the memo lives exactly as long as the run.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "feasible/stepper.hpp"
@@ -30,26 +30,17 @@
 #include "trace/trace.hpp"
 #include "util/dynamic_bitset.hpp"
 
-namespace evord::search {
-class FingerprintBoolMap;
-}  // namespace evord::search
-
 namespace evord {
 
-/// Budget and reduction come from search::SearchOptions; this explorer
-/// honours max_states, time_budget_seconds, max_memory_bytes and
-/// reduction (can_precede_pair runs unreduced, see there).  It has no
+/// The budget comes from search::SearchOptions; this explorer honours
+/// max_states, time_budget_seconds and max_memory_bytes.  It has no
 /// complete-schedule budget: max_schedules is ignored.  It always runs
 /// serially on the calling thread, so num_threads and steal are ignored
 /// too: memoizing workers would duplicate each other's walks instead of
-/// splitting them (docs/SEARCH.md §4).
-///
-/// `reduction` is OFF by default
-/// because it changes the contract: the feasibility verdict stays exact
-/// (sleep + source sets preserve terminal reachability), but can_precede
-/// / can_coexist become under-approximations — marks come only from
-/// states and children the reduced walk expands.  kSourceWakeup applies
-/// the stepper-state (untracked) dynamic-independence excusals.
+/// splitting them (docs/SEARCH.md §4).  It never reduces, so
+/// `reduction` is ignored as well: a reduced walk marks only the
+/// children it expands, so can_precede / can_coexist would become
+/// under-approximations.
 struct ScheduleSpaceOptions : search::SearchOptions {
   ScheduleSpaceOptions()
       : SearchOptions(search::kDefaultMaxStates, search::ReductionMode::kOff) {}
@@ -62,19 +53,6 @@ struct ScheduleSpaceOptions : search::SearchOptions {
   /// conflicting accesses, a simultaneous-access race.  Adds O(p^2)
   /// memo lookups per state.
   bool build_coexist = false;
-  /// Caller-owned completability memo that survives across sweeps on the
-  /// same trace (service layer: AnalysisSession keeps one per trace, so
-  /// a repeated feasibility query answers from the root memo hit without
-  /// expanding a single state).  Create it with make_feasibility_memo()
-  /// from the SAME options.  The engine engages it only when reuse is
-  /// provably sound: unreduced, no byte budget, and either a
-  /// verdict-only sweep or a still-empty store — matrix marks
-  /// are emitted per *expanded* child, so a warm (non-empty) store would
-  /// short-circuit them and leave matrix bits unset.  Otherwise a fresh
-  /// private memo is used and this pointer is untouched.  Never shared
-  /// with can_precede_pair (its pruned walk memoizes a different
-  /// predicate).  nullptr (the default) = always private.
-  search::FingerprintBoolMap* warm_memo = nullptr;
 };
 
 struct CanPrecedeResult {
@@ -112,19 +90,11 @@ bool has_feasible_schedule(const Trace& trace,
 CanPrecedeResult compute_feasibility(const Trace& trace,
                                      const ScheduleSpaceOptions& options = {});
 
-/// A completability memo configured exactly as the sweep engine would
-/// configure its private store for `options` — pass it back in via
-/// ScheduleSpaceOptions::warm_memo to reuse it across sweeps on one
-/// trace (see the warm_memo contract above).
-std::unique_ptr<search::FingerprintBoolMap> make_feasibility_memo(
-    const Trace& trace, const ScheduleSpaceOptions& options = {});
-
 /// Targeted single-pair query: does some valid complete schedule run
 /// `first` strictly before `second`?  (Interleaving could-have-happened-
 /// before for one pair.)  Prunes every branch that executes `second`
 /// while `first` is pending and stops at the first witness, so it is
-/// usually far cheaper than the full matrix sweep.  Runs unreduced
-/// whatever `reduction` says.
+/// usually far cheaper than the full matrix sweep.
 struct PairQueryResult {
   bool possible = false;
   bool truncated = false;  ///< budget hit; `possible == false` is then unproven

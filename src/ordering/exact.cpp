@@ -43,9 +43,8 @@ OrderingRelations compute_interleaving(const Trace& trace,
   OrderingRelations r = make_empty_result(trace, Semantics::kInterleaving);
 
   ScheduleSpaceOptions sso;
+  // The sweep ignores `reduction`: the matrices need every schedule.
   static_cast<search::SearchOptions&>(sso) = options;
-  // The interleaving matrices need every schedule: never reduced.
-  sso.reduction = search::ReductionMode::kOff;
   sso.stepper.respect_dependences = options.respect_dependences;
   const CanPrecedeResult cp = compute_can_precede(trace, sso);
 
@@ -337,26 +336,6 @@ OrderingRelations compute_exact(const Trace& trace, Semantics semantics,
       return compute_causal_or_interval(trace, semantics, options);
   }
   EVORD_CHECK(false, "unknown semantics");
-}
-
-bool must_have_happened_before(const Trace& trace, EventId a, EventId b,
-                               Semantics semantics,
-                               const ExactOptions& options) {
-  return compute_exact(trace, semantics, options)
-      .holds(RelationKind::kMHB, a, b);
-}
-
-bool could_have_happened_before(const Trace& trace, EventId a, EventId b,
-                                Semantics semantics,
-                                const ExactOptions& options) {
-  return compute_exact(trace, semantics, options)
-      .holds(RelationKind::kCHB, a, b);
-}
-
-bool could_have_been_concurrent(const Trace& trace, EventId a, EventId b,
-                                const ExactOptions& options) {
-  return compute_exact(trace, Semantics::kCausal, options)
-      .holds(RelationKind::kCCW, a, b);
 }
 
 }  // namespace evord

@@ -71,15 +71,4 @@ struct ExactOptions : search::SearchOptions {
 OrderingRelations compute_exact(const Trace& trace, Semantics semantics,
                                 const ExactOptions& options = {});
 
-/// Convenience single-pair queries (full computation under the hood; use
-/// compute_exact once when querying many pairs).
-bool must_have_happened_before(const Trace& trace, EventId a, EventId b,
-                               Semantics semantics = Semantics::kCausal,
-                               const ExactOptions& options = {});
-bool could_have_happened_before(const Trace& trace, EventId a, EventId b,
-                                Semantics semantics = Semantics::kCausal,
-                                const ExactOptions& options = {});
-bool could_have_been_concurrent(const Trace& trace, EventId a, EventId b,
-                                const ExactOptions& options = {});
-
 }  // namespace evord

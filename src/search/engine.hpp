@@ -13,7 +13,8 @@
 //   * MemoizedSearch<Hooks> — computes "is a complete schedule reachable
 //     from this state" per state, memoized in a FingerprintBoolMap.
 //     Used by the can-precede/coexistence sweep and the pairwise
-//     ordering query.  Always serial on the calling thread.
+//     ordering query.  Always serial on the calling thread and never
+//     reduced: every enabled child the hooks allow is expanded.
 //
 // Contracts (see docs/SEARCH.md for the full write-up):
 //
@@ -49,16 +50,17 @@
 //   memoized; may re-enter the search via pair_completable()).
 //
 // Partial-order reduction (SearchOptions::reduction == kSourceWakeup):
-// both engines thread a sleep set through the DFS — inherited along
-// edges, extended across explored siblings — and expand only a source
-// subset of the enabled events at each state (search/independence.hpp:
-// necessary enabling closures and dynamic, state-aware independence).
+// EnumerationSearch alone threads a sleep set through the DFS —
+// inherited along edges, extended across explored siblings — and expands
+// only a source subset of the enabled events at each state
+// (search/independence.hpp: necessary enabling closures and dynamic,
+// state-aware independence).
 // Sleep inheritance uses per-depth wakeup frames (compute_wakeup_masks)
 // — one independence mask per sleeping/selected event, evaluated at the
 // expanded state — so excused pairs (surplus-token V/V, already-posted
 // Post ops) propagate into child sleep sets instead of being re-split.
 // The frames are a pure function of (stepper state, sleep set), so
-// dedup/memo claims still key on exactly the (state, sleep set) pair:
+// dedup claims still key on exactly the (state, sleep set) pair:
 // the reduced subtree below a node is a deterministic function of that
 // pair, which keeps pruning sound and the parallel walk bit-identical
 // to serial.  Donated tasks carry their subtree root's sleep set in
@@ -103,10 +105,11 @@
 // Budget cuts and the memo: a cut (requested stop, deadline, memory,
 // fault or max_states) makes a state's children report "not
 // completable" without having been searched.  A MemoizedSearch that has
-// seen a cut therefore never memoizes a `false` verdict — the store
-// outlives the run (warm session memos), so an unproven `false` would
-// poison later lookups.  `true` verdicts are always proven (a complete
-// schedule was reached) and are kept.
+// seen a cut therefore never memoizes a `false` verdict, so every entry
+// in its store is a proven fact: a truncated run counts only states it
+// decided, and no lookup can read an unproven `false` as an answer.
+// `true` verdicts are always proven (a complete schedule was reached)
+// and are kept.
 #pragma once
 
 #include <algorithm>
@@ -555,24 +558,15 @@ class MemoizedSearch {
  public:
   MemoizedSearch(const Trace& trace, const StepperOptions& stepper_options,
                  const SearchOptions& options, SharedContext* ctx,
-                 FingerprintBoolMap* memo, Hooks hooks,
-                 const IndependenceRelation* indep = nullptr)
+                 FingerprintBoolMap* memo, Hooks hooks)
       : options_(options),
         ctx_(ctx),
         memo_(memo),
         stepper_(trace, stepper_options),
-        hooks_(std::move(hooks)),
-        indep_(indep),
-        // Memoized completability depends only on stepper state, so the
-        // untracked (unconditional) excusals apply.
-        dyn_(indep, /*tracker_sensitive=*/false),
-        source_selector_(indep, &dyn_),
-        reduce_(options.reduction != ReductionMode::kOff) {
-    EVORD_CHECK(!reduce_ || indep_ != nullptr,
-                "reduction requires an IndependenceRelation");
+        hooks_(std::move(hooks)) {
     // Exact-key mode: memoize directly on the injective packed word
-    // (front-end contract: reduction off, layout fits one word).
-    exact_ = memo_->exact_keys() && !reduce_;
+    // (front-end contract: the layout fits one word).
+    exact_ = memo_->exact_keys();
     EVORD_CHECK(!exact_ || stepper_.layout().single_word(),
                 "exact-key memo requires a single-word packed layout");
     enabled_stack_.reserve(trace.num_events() + 4);
@@ -603,16 +597,10 @@ class MemoizedSearch {
       ctx_->request_stop(StopReason::kMemory);
       return false;  // unsound once truncated; flagged
     }
-    // Under reduction the memo keys the (state, sleep set) pair: the
-    // reduced completability verdict below a node is a deterministic
-    // function of exactly that pair.  New slots start empty (Z = ∅).
-    if (reduce_ && depth >= sleep_stack_.size()) {
-      sleep_stack_.resize(depth + 1);
-    }
-    std::uint64_t fp = exact_ ? stepper_.packed_word() : stepper_.state_hash();
-    if (reduce_) fp = fold_sleep(fp, sleep_set_hash(sleep_stack_[depth]));
+    const std::uint64_t fp =
+        exact_ ? stepper_.packed_word() : stepper_.state_hash();
     bool memoized = false;
-    if (memo_->lookup(fp, &memoized, payload(depth))) {
+    if (memo_->lookup(fp, &memoized, payload())) {
       ++stats_.dedup_hits;
       return memoized;
     }
@@ -629,17 +617,11 @@ class MemoizedSearch {
 
     if (depth >= enabled_stack_.size()) enabled_stack_.resize(depth + 1);
     stepper_.enabled_events(enabled_stack_[depth]);
-    if (reduce_ && !enabled_stack_[depth].empty()) reduce_enabled(depth);
     bool completable = false;
     // Iterate by index: recursion reuses deeper enabled_stack_ slots.
     for (std::size_t i = 0; i < enabled_stack_[depth].size(); ++i) {
       const EventId e = enabled_stack_[depth][i];
       if (!hooks_.child_allowed(e, stepper_)) continue;
-      if (reduce_) {
-        if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
-        child_sleep(*indep_, sleep_stack_[depth], enabled_stack_[depth], i,
-                    mask_stack_[depth], sleep_stack_[depth + 1]);
-      }
       const TraceStepper::Undo u = stepper_.apply(e);
       const bool child_ok = explore(depth + 1);
       stepper_.undo(u);
@@ -652,9 +634,9 @@ class MemoizedSearch {
     if (completable) hooks_.on_completable_state(*this, depth);
     // Once a budget cut has stopped some child early, `false` is
     // unproven: return it (the run is flagged truncated) but never let
-    // it into the possibly warm store.
+    // it into the store.
     if (!completable && stats_.truncated) return false;
-    if (memo_->store(fp, completable, payload(depth))) {
+    if (memo_->store(fp, completable, payload())) {
       ++stats_.states_visited;
       ++stats_.depth_states[stepper_.num_executed()];
       ctx_->states.fetch_add(1, std::memory_order_relaxed);
@@ -664,15 +646,8 @@ class MemoizedSearch {
 
   /// Can `first` then immediately `second` run from the current state and
   /// still complete?  Used by coexistence marking; re-enters explore() at
-  /// `depth` (pass an unused stack index, e.g. current depth + 2).  Under
-  /// reduction the walk starts from an empty sleep set — the query is
-  /// about THIS specific continuation, not about schedules covered
-  /// elsewhere.
+  /// `depth` (pass an unused stack index, e.g. current depth + 2).
   bool pair_completable(EventId first, EventId second, std::size_t depth) {
-    if (reduce_) {
-      if (depth >= sleep_stack_.size()) sleep_stack_.resize(depth + 1);
-      sleep_stack_[depth].clear();
-    }
     const TraceStepper::Undo u1 = stepper_.apply(first);
     bool ok = false;
     if (stepper_.enabled(second)) {
@@ -695,36 +670,10 @@ class MemoizedSearch {
     if (stats_.stop_reason == StopReason::kNone) stats_.stop_reason = reason;
   }
 
-  const std::vector<std::uint64_t>* payload(std::size_t depth) {
+  const std::vector<std::uint64_t>* payload() {
     if (!memo_->verify_collisions()) return nullptr;
     stepper_.encode_key(key_scratch_);
-    if (reduce_) extend_key_with_sleep(sleep_stack_[depth], key_scratch_);
     return &key_scratch_;
-  }
-
-  /// Source-selects and sleep-filters enabled_stack_[depth] in place.
-  /// Also drops hook-disallowed children up front: sleep-set inheritance
-  /// treats every earlier listed sibling as explored, so a child the
-  /// hooks would skip must not enter later siblings' sleep.
-  void reduce_enabled(std::size_t depth) {
-    std::vector<EventId>& selected = enabled_stack_[depth];
-    full_enabled_.swap(selected);
-    source_selector_.select(stepper_, full_enabled_, selected,
-                            &stats_.dyn_excused);
-    stats_.source_skipped += full_enabled_.size() - selected.size();
-    drop_sleeping(sleep_stack_[depth], selected, stats_.sleep_pruned);
-    selected.erase(
-        std::remove_if(selected.begin(), selected.end(),
-                       [&](EventId e) {
-                         return !hooks_.child_allowed(e, stepper_);
-                       }),
-        selected.end());
-    // Wakeup frame for this depth, computed once over the FINAL sibling
-    // list (sibling indices below refer to it): consumed by the child
-    // sleep sets in explore().
-    if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
-    compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
-                         mask_stack_[depth], &stats_.dyn_excused);
   }
 
   SearchOptions options_;
@@ -735,15 +684,7 @@ class MemoizedSearch {
   SearchStats stats_;
   std::vector<std::vector<EventId>> enabled_stack_;
   std::vector<std::uint64_t> key_scratch_;
-  const IndependenceRelation* indep_;
-  DynamicIndependence dyn_;
-  SourceSetSelector source_selector_;
-  bool reduce_;
   bool exact_ = false;  ///< memoize on the packed word, not a hash
-  std::vector<std::vector<EventId>> sleep_stack_;  ///< sleep set per depth
-  /// Per-depth wakeup frame (see compute_wakeup_masks); reduction only.
-  std::vector<std::vector<std::uint64_t>> mask_stack_;
-  std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   std::uint32_t budget_poll_ = 0;
 };
 

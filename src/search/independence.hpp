@@ -51,10 +51,10 @@
 //     stay true along every P-avoiding run are used inside the closure
 //     (count can only grow while all P-holders are in W; posted cannot
 //     flip while all Clear-holders are in W).  Engines whose results
-//     are functions of stepper states alone (deadlock, the memoized
-//     sweep) get the unconditional variants: they only need stepper-
-//     state commutation, which V/V, Post/Post, Post/Wait and
-//     Clear/Clear satisfy from any state where both are enabled.
+//     are functions of stepper states alone (deadlock search) get the
+//     unconditional variants: they only need stepper-state
+//     commutation, which V/V, Post/Post, Post/Wait and Clear/Clear
+//     satisfy from any state where both are enabled.
 // Soundness: a schedule avoiding P never executes an event of a W
 // process (its next event is in P, blocked behind the enabling set, or
 // gated by program order), and by the closure no event of a non-W
@@ -165,7 +165,7 @@ class IndependenceRelation {
 /// `tracker_sensitive` distinguishes engines whose results depend on the
 /// causal tracker's state (class enumeration: token queues, establisher
 /// edges) from engines that only need stepper-state commutation
-/// (deadlock, the memoized completability sweep):
+/// (deadlock search):
 ///
 ///   pair            tracker-sensitive condition      untracked condition
 ///   V/V   (same s)  count(s) >= remaining P ops      always

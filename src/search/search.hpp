@@ -108,7 +108,8 @@ struct SearchOptions {
   /// where num_threads is.
   StealOptions steal;
   /// Partial-order reduction.  Engines running with kSourceWakeup must
-  /// be handed an IndependenceRelation (search/independence.hpp).
+  /// be handed an IndependenceRelation (search/independence.hpp).  The
+  /// memoized sweep never reduces and ignores it.
   ReductionMode reduction = ReductionMode::kOff;
 
  protected:

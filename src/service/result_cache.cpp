@@ -6,10 +6,6 @@ const char* to_string(QueryKind kind) {
   switch (kind) {
     case QueryKind::kRelations:
       return "relations";
-    case QueryKind::kFeasible:
-      return "feasible";
-    case QueryKind::kCoexist:
-      return "coexist";
     case QueryKind::kDeadlock:
       return "deadlock";
     case QueryKind::kRaces:

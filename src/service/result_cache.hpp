@@ -8,14 +8,13 @@
 //     trace fingerprint × query kind × semantics × options digest
 //
 // to an immutable, shared, type-erased result (OrderingRelations,
-// CanPrecedeResult, DeadlockReport, RaceReport, cached anytime
-// verdicts...).  Every entry charges its approximate resident bytes to
+// DeadlockReport, RaceReport, cached anytime verdicts).  Every entry charges its approximate resident bytes to
 // a per-cache MemoryAccountant (search/memory.hpp) and the cache evicts
 // least-recently-used entries until it is back under budget, so it
 // degrades instead of growing unboundedly — exactly the admission
 // contract the search core itself follows.  Evicted results stay alive
-// for whoever still holds their shared_ptr (sessions pin what they
-// hand out); a later query for an evicted key simply recomputes.
+// for whoever still holds their shared_ptr; a later query for an
+// evicted key simply recomputes.
 //
 // Type safety is by key construction, not by RTTI: a QueryKind is
 // written by exactly one value type (AnalysisSession is the only
@@ -37,16 +36,12 @@ namespace evord::service {
 
 /// What a cache entry answers.  The value type per kind:
 ///   kRelations      -> OrderingRelations       (exact Table-1 matrices)
-///   kFeasible       -> CanPrecedeResult        (verdict-only, no matrices)
-///   kCoexist        -> CanPrecedeResult        (with can_coexist built)
 ///   kDeadlock       -> DeadlockReport
 ///   kRaces          -> RaceReport              (detector folded into digest)
 ///   kAnytimeVerdict -> CachedVerdict (session.hpp; pair + ladder folded
 ///                      into digest, upgradeable in place)
 enum class QueryKind : std::uint8_t {
   kRelations = 0,
-  kFeasible = 1,
-  kCoexist = 2,
   kDeadlock = 3,
   kRaces = 4,
   kAnytimeVerdict = 5,

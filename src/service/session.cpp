@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ordering/witness.hpp"
-#include "search/fingerprint_set.hpp"
 #include "trace/axioms.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -138,29 +137,6 @@ CacheKey AnalysisSession::make_key(QueryKind kind, std::uint8_t semantics,
   return key;
 }
 
-ScheduleSpaceOptions AnalysisSession::space_options(
-    bool build_coexist) const {
-  ScheduleSpaceOptions options;
-  static_cast<search::SearchOptions&>(options) = options_;
-  // Feasibility and coexistence run unbudgeted in bytes and unreduced:
-  // both keep the session's warm completability memo eligible (see
-  // ScheduleSpaceOptions::warm_memo), and the coexistence matrix needs
-  // every schedule.
-  options.max_memory_bytes = 0;
-  options.reduction = search::ReductionMode::kOff;
-  options.stepper.respect_dependences = options_.respect_dependences;
-  options.build_coexist = build_coexist;
-  return options;
-}
-
-search::FingerprintBoolMap* AnalysisSession::warm_memo_locked(
-    const ScheduleSpaceOptions& options) {
-  if (warm_memo_ == nullptr) {
-    warm_memo_ = make_feasibility_memo(*trace_, options);
-  }
-  return warm_memo_.get();
-}
-
 SatOracle& AnalysisSession::oracle_locked() {
   if (oracle_ == nullptr) {
     SatOracleOptions options;
@@ -171,9 +147,9 @@ SatOracle& AnalysisSession::oracle_locked() {
   return *oracle_;
 }
 
-SatOracle& AnalysisSession::sat_oracle() {
+SatOracleStats AnalysisSession::oracle_stats() const {
   std::lock_guard<std::mutex> lock(oracle_mu_);
-  return oracle_locked();
+  return oracle_ == nullptr ? SatOracleStats{} : oracle_->stats();
 }
 
 // ----- the coalesced compute-once path --------------------------------
@@ -181,8 +157,8 @@ SatOracle& AnalysisSession::sat_oracle() {
 template <class T, class Compute>
 std::shared_ptr<const T> AnalysisSession::coalesced_query(
     std::unique_lock<std::mutex>& lock, const CacheKey& key,
-    bool serialize_memo, bool counts_sweep, Compute&& compute,
-    bool counts_states, const CacheKey* publish) {
+    bool counts_sweep, Compute&& compute, bool counts_states,
+    const CacheKey* publish) {
   const CacheKey& cache_key = publish != nullptr ? *publish : key;
   for (;;) {
     if (auto hit = cache_->get<T>(cache_key)) {
@@ -207,10 +183,7 @@ std::shared_ptr<const T> AnalysisSession::coalesced_query(
   lock.unlock();
   std::shared_ptr<const T> stored;
   try {
-    std::unique_lock<std::mutex> memo_lock(memo_mu_, std::defer_lock);
-    if (serialize_memo) memo_lock.lock();
     T result = compute();
-    if (memo_lock.owns_lock()) memo_lock.unlock();
     lock.lock();
     ++stats_.computations;
     if (counts_sweep) ++stats_.sweeps;
@@ -244,7 +217,7 @@ std::shared_ptr<const OrderingRelations> AnalysisSession::relations_coalesced(
   const CacheKey key = make_key(QueryKind::kRelations,
                                 static_cast<std::uint8_t>(semantics), 0);
   return coalesced_query<OrderingRelations>(
-      lock, key, /*serialize_memo=*/false, /*counts_sweep=*/true,
+      lock, key, /*counts_sweep=*/true,
       [&] { return compute_exact(*trace_, semantics, options_); });
 }
 
@@ -315,58 +288,6 @@ std::vector<bool> AnalysisSession::query_batch(
   return answers;
 }
 
-// ----- feasibility / coexistence --------------------------------------
-
-std::shared_ptr<const CanPrecedeResult> AnalysisSession::feasibility_coalesced(
-    std::unique_lock<std::mutex>& lock) {
-  const CacheKey key =
-      make_key(QueryKind::kFeasible, CacheKey::kNoSemantics, 0);
-  return coalesced_query<CanPrecedeResult>(
-      lock, key, /*serialize_memo=*/true, /*counts_sweep=*/true, [&] {
-        ScheduleSpaceOptions options = space_options(/*build_coexist=*/false);
-        options.warm_memo = warm_memo_locked(options);
-        return compute_feasibility(*trace_, options);
-      });
-}
-
-std::shared_ptr<const CanPrecedeResult> AnalysisSession::feasibility() {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.queries;
-  return feasibility_coalesced(lock);
-}
-
-bool AnalysisSession::feasible() {
-  return feasibility()->feasible_nonempty;
-}
-
-std::shared_ptr<const CanPrecedeResult> AnalysisSession::coexistence_coalesced(
-    std::unique_lock<std::mutex>& lock) {
-  const CacheKey key =
-      make_key(QueryKind::kCoexist, CacheKey::kNoSemantics, 0);
-  return coalesced_query<CanPrecedeResult>(
-      lock, key, /*serialize_memo=*/true, /*counts_sweep=*/true, [&] {
-        ScheduleSpaceOptions options = space_options(/*build_coexist=*/true);
-        // The warm memo only engages while still empty (matrix sweeps
-        // must mark every expanded child); if this sweep is the one that
-        // fills it, later feasibility queries answer from the root memo
-        // hit.
-        options.warm_memo = warm_memo_locked(options);
-        return compute_can_precede(*trace_, options);
-      });
-}
-
-std::shared_ptr<const CanPrecedeResult> AnalysisSession::coexistence() {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.queries;
-  return coexistence_coalesced(lock);
-}
-
-bool AnalysisSession::could_have_coexisted(EventId a, EventId b) {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.queries;
-  return coexistence_coalesced(lock)->can_coexist[a].test(b);
-}
-
 // ----- deadlocks ------------------------------------------------------
 
 std::shared_ptr<const DeadlockReport> AnalysisSession::deadlocks() {
@@ -375,7 +296,7 @@ std::shared_ptr<const DeadlockReport> AnalysisSession::deadlocks() {
   const CacheKey key =
       make_key(QueryKind::kDeadlock, CacheKey::kNoSemantics, 0);
   return coalesced_query<DeadlockReport>(
-      lock, key, /*serialize_memo=*/false, /*counts_sweep=*/true, [&] {
+      lock, key, /*counts_sweep=*/true, [&] {
         return analyze_deadlocks(*trace_, deadlock_options(options_));
       });
 }
@@ -422,7 +343,7 @@ std::shared_ptr<const RaceReport> AnalysisSession::races_coalesced(
     // makes a truncated — never cached — report, so the next caller
     // re-derives from a possibly-by-then-complete sweep.
     return coalesced_query<RaceReport>(
-        lock, key, /*serialize_memo=*/false, /*counts_sweep=*/false,
+        lock, key, /*counts_sweep=*/false,
         [&] {
           // Runs with mu_ RELEASED (coalesced_query's contract), so the
           // nested relations lookup takes it afresh — itself coalesced,
@@ -436,8 +357,7 @@ std::shared_ptr<const RaceReport> AnalysisSession::races_coalesced(
           rel_key.options_digest = digest_options(race_options);
           std::unique_lock<std::mutex> inner(mu_);
           auto rel = coalesced_query<OrderingRelations>(
-              inner, rel_key, /*serialize_memo=*/false,
-              /*counts_sweep=*/true, [&] {
+              inner, rel_key, /*counts_sweep=*/true, [&] {
                 return compute_exact(*trace_, Semantics::kCausal,
                                      race_options);
               });
@@ -447,29 +367,11 @@ std::shared_ptr<const RaceReport> AnalysisSession::races_coalesced(
         /*counts_states=*/false);
   }
   return coalesced_query<RaceReport>(
-      lock, key, /*serialize_memo=*/false, /*counts_sweep=*/false,
+      lock, key, /*counts_sweep=*/false,
       [&] { return detect_races(*trace_, detector, options_); });
 }
 
-// ----- polynomial baselines -------------------------------------------
-
-const VectorClockResult& AnalysisSession::vector_clocks() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!vc_.has_value()) vc_ = compute_vector_clocks(*trace_);
-  return *vc_;
-}
-
-const HmwResult& AnalysisSession::hmw() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!hmw_.has_value()) hmw_ = compute_hmw(*trace_);
-  return *hmw_;
-}
-
-const EgpResult& AnalysisSession::egp() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!egp_.has_value()) egp_ = compute_egp(*trace_);
-  return *egp_;
-}
+// ----- polynomial bounds ----------------------------------------------
 
 const CombinedResult& AnalysisSession::combined() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -549,7 +451,7 @@ BoundedVerdict AnalysisSession::climb(LadderRun<T>& slot,
         publish.kind, publish.semantics,
         hash_mix(kRungSalt, ladder_digest({budget}), publish.options_digest));
     run = coalesced_query<T>(
-        lock, in_flight, /*serialize_memo=*/false, /*counts_sweep=*/true,
+        lock, in_flight, /*counts_sweep=*/true,
         [&] { return rung(rung_options(budget)); }, /*counts_states=*/true,
         &publish);
     ++p.rungs_tried;

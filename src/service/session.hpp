@@ -1,20 +1,17 @@
-// AnalysisSession: the warm, per-trace analysis server the ROADMAP's
-// analysis-as-a-service item calls for.
+// AnalysisSession: the warm, per-trace analysis server and the library's
+// front door.
 //
 // A session binds one registered trace (shared, immutable) to one exact
-// configuration and serves every query kind the library offers —
-// relations, pair queries, feasibility, coexistence, deadlock, races,
-// polynomial baselines, anytime verdicts — through a ResultCache keyed
-// on the trace's content fingerprint.  What makes it a service core
-// rather than a per-call API:
+// configuration and serves relations, pair queries, deadlock, races and
+// anytime verdicts through a ResultCache keyed on the trace's content
+// fingerprint.  The polynomial baselines, coexistence and witnesses are
+// free functions (approx/, feasible/schedule_space.hpp,
+// ordering/witness.hpp) that take the session's trace() and options().
+// What makes it a service core rather than a per-call API:
 //
 //   * results are computed once and shared: a repeated query is a pure
 //     cache hit (zero new states explored — SessionStats::states_explored
 //     stays flat, the acceptance signal the tests pin);
-//   * warm search state survives across queries: the session keeps a
-//     completability memo (make_feasibility_memo) that feasibility and
-//     coexistence sweeps share, so a feasibility query after a coexist
-//     sweep answers from the root memo hit;
 //   * N pair queries coalesce into at most one relations sweep per
 //     distinct semantics (query_batch) instead of N;
 //   * anytime verdicts climb a budget ladder over this same warm state:
@@ -44,10 +41,9 @@
 // the exponential engines run OUTSIDE the session mutex (see the
 // coalescing bullet), so concurrent distinct queries overlap, and the
 // enumeration-based ones also parallelize internally via
-// ExactOptions::num_threads.  References
-// returned by the baseline accessors stay valid for the session's
-// lifetime (write-once members); shared_ptr results stay valid for as
-// long as the caller holds them, even across cache eviction.
+// ExactOptions::num_threads.  shared_ptr results stay valid for as long
+// as the caller holds them, even across cache eviction: a caller that
+// needs a stable result holds the returned pointer.
 #pragma once
 
 #include <array>
@@ -60,11 +56,8 @@
 #include <vector>
 
 #include "approx/combined.hpp"
-#include "approx/egp.hpp"
-#include "approx/hmw.hpp"
 #include "approx/vector_clock.hpp"
 #include "feasible/deadlock.hpp"
-#include "feasible/schedule_space.hpp"
 #include "ordering/exact.hpp"
 #include "ordering/sat_oracle.hpp"
 #include "race/race_detector.hpp"
@@ -154,10 +147,8 @@ class AnalysisSession {
   AnalysisSession& operator=(const AnalysisSession&) = delete;
 
   const Trace& trace() const { return *trace_; }
-  const std::shared_ptr<const Trace>& trace_ptr() const { return trace_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
   const ExactOptions& options() const { return options_; }
-  std::uint64_t options_digest() const { return options_digest_; }
   const std::shared_ptr<ResultCache>& cache() const { return cache_; }
   SessionStats stats() const;
 
@@ -174,41 +165,24 @@ class AnalysisSession {
   std::vector<bool> query_batch(const std::vector<PairQuery>& queries,
                                 BatchRouting routing = BatchRouting::kExactSweep);
 
-  /// The session's warm SAT-backed ordering oracle, built lazily on
-  /// first use (one CNF encode + one incremental solver per session,
-  /// shared by all three semantics, query_batch and the anytime
-  /// portfolio rung).  Concurrent use of the returned reference must be
-  /// externally synchronized; the session serializes its own oracle
-  /// access internally.
-  SatOracle& sat_oracle();
-
-  /// F(P) != empty-set with provenance (verdict-only sweep; shares the
-  /// session's warm completability memo with coexistence()).
-  std::shared_ptr<const CanPrecedeResult> feasibility();
-  bool feasible();
-
-  /// The coexistence sweep (can_coexist built) and its pair reading.
-  std::shared_ptr<const CanPrecedeResult> coexistence();
-  bool could_have_coexisted(EventId a, EventId b);
+  /// A snapshot of the session's SAT oracle counters (all zeros before
+  /// the oracle is built).  The oracle itself is lazily built on first
+  /// use (one CNF encode + one incremental solver per session, shared by
+  /// all three semantics, query_batch and the anytime portfolio rung)
+  /// and only ever touched under the session's oracle lock, which this
+  /// read takes too.
+  SatOracleStats oracle_stats() const;
 
   std::shared_ptr<const DeadlockReport> deadlocks();
 
-  /// Cached per detector (the historic OrderingAnalyzer::races()
-  /// recomputed the analysis every call).  kExact additionally SHARES
-  /// its sweep with relations(): the race-semantics relations are
-  /// obtained through the relations cache (one exponential sweep, hit
-  /// when the session's own options already use race semantics) and the
-  /// report is derived from their CCW matrix by pure bit reads; a
-  /// truncated sweep yields a truncated — and therefore never-cached —
-  /// report.
+  /// Cached per detector.  kExact additionally SHARES its sweep with
+  /// relations(): the race-semantics relations are obtained through the
+  /// relations cache (one exponential sweep, hit when the session's own
+  /// options already use race semantics) and the report is derived from
+  /// their CCW matrix by pure bit reads; a truncated sweep yields a
+  /// truncated — and therefore never-cached — report.
   std::shared_ptr<const RaceReport> races(
       RaceDetector detector = RaceDetector::kExact);
-
-  // ----- polynomial baselines (session-local, write-once) ---------------
-  const VectorClockResult& vector_clocks();
-  const HmwResult& hmw();
-  const EgpResult& egp();
-  const CombinedResult& combined();
 
   // ----- resource-governed anytime queries ------------------------------
   /// Budgeted verdicts (resilience/anytime.hpp) under `ladder` (the
@@ -279,21 +253,15 @@ class AnalysisSession {
 
   CacheKey make_key(QueryKind kind, std::uint8_t semantics,
                     std::uint64_t extra) const;
-  ScheduleSpaceOptions space_options(bool build_coexist) const;
-  /// Requires memo_mu_ (NOT mu_): the warm completability memo is read
-  /// and filled by sweeps running outside the session mutex.
-  search::FingerprintBoolMap* warm_memo_locked(
-      const ScheduleSpaceOptions& options);
   /// Requires oracle_mu_: lazily builds the session oracle.
   SatOracle& oracle_locked();
 
   /// The coalesced compute-once path: cache lookup, wait-and-share when
   /// an identical computation is in flight, else claim the key, RELEASE
-  /// mu_ (via `lock`), run `compute` unlocked — serialized on memo_mu_
-  /// when it touches the shared warm memo — then relock, account stats,
+  /// mu_ (via `lock`), run `compute` unlocked, then relock, account stats,
   /// cache (unless truncated) and wake the waiters.  `counts_sweep`
   /// feeds SessionStats::sweeps.  T must expose .search.states_visited,
-  /// .truncated and .approx_bytes() (all four engine result types do).
+  /// .truncated and .approx_bytes() (all three engine result types do).
   /// `counts_states` = false for results DERIVED from another cached
   /// result (they embed the source's SearchStats, which the source's
   /// computation already charged to states_explored).  `publish`, when
@@ -302,21 +270,20 @@ class AnalysisSession {
   template <class T, class Compute>
   std::shared_ptr<const T> coalesced_query(
       std::unique_lock<std::mutex>& lock, const CacheKey& key,
-      bool serialize_memo, bool counts_sweep, Compute&& compute,
+      bool counts_sweep, Compute&& compute,
       bool counts_states = true, const CacheKey* publish = nullptr);
 
   std::shared_ptr<const OrderingRelations> relations_coalesced(
       std::unique_lock<std::mutex>& lock, Semantics semantics);
-  std::shared_ptr<const CanPrecedeResult> feasibility_coalesced(
-      std::unique_lock<std::mutex>& lock);
-  std::shared_ptr<const CanPrecedeResult> coexistence_coalesced(
-      std::unique_lock<std::mutex>& lock);
   CacheKey race_key(RaceDetector detector) const;
   std::shared_ptr<const RaceReport> races_coalesced(
       std::unique_lock<std::mutex>& lock, RaceDetector detector);
   DeadlockOptions deadlock_options(const search::SearchOptions& budget) const;
-  /// Write-once observed clocks over the exact causal order's edge set
-  /// (data edges iff causal_data_edges); vector_clocks() is sync-only.
+  /// Write-once polynomial bounds for the anytime verdicts: the combined
+  /// fixpoint (a sound subset of exact causal MHB) and the observed
+  /// clocks over the exact causal order's edge set (data edges iff
+  /// causal_data_edges).
+  const CombinedResult& combined();
   const VectorClockResult& observed();
 
   // ----- the anytime climb policy -----
@@ -360,21 +327,11 @@ class AnalysisSession {
   /// Computations currently running outside mu_, keyed like the cache.
   std::unordered_map<CacheKey, std::shared_ptr<InFlight>, CacheKeyHash>
       in_flight_;
-  /// Serializes the sweeps that share warm_memo_ (the memo is not
-  /// thread-safe); ordering: memo_mu_ may be held while taking mu_,
-  /// never the reverse.
-  std::mutex memo_mu_;
-  /// Warm completability memo shared by feasibility/coexistence sweeps
-  /// (ScheduleSpaceOptions::warm_memo contract).  Guarded by memo_mu_.
-  std::unique_ptr<search::FingerprintBoolMap> warm_memo_;
   /// Guards lazy construction and every use of the session oracle;
   /// never held together with mu_.
-  std::mutex oracle_mu_;
+  mutable std::mutex oracle_mu_;
   std::unique_ptr<SatOracle> oracle_;
-  std::optional<VectorClockResult> vc_;
   std::optional<VectorClockResult> observed_;
-  std::optional<HmwResult> hmw_;
-  std::optional<EgpResult> egp_;
   std::optional<CombinedResult> combined_;
   /// Anytime evidence (guarded by mu_).
   std::array<LadderRun<OrderingRelations>, 3> relation_runs_;

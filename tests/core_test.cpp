@@ -1,14 +1,17 @@
+// The front door: AnalysisSession plus the free functions that take its
+// trace() and options(), and the text reports.  This TU includes the
+// umbrella header, so every build compiles it.
 #include <gtest/gtest.h>
 
-#include "core/analyzer.hpp"
-#include "core/report.hpp"
+#include <memory>
+
+#include "evord.hpp"
 #include "helpers.hpp"
-#include "trace/builder.hpp"
-#include "trace/trace_io.hpp"
-#include "util/check.hpp"
 
 namespace evord {
 namespace {
+
+using service::AnalysisSession;
 
 Trace quickstart_trace() {
   TraceBuilder b;
@@ -22,98 +25,111 @@ Trace quickstart_trace() {
   return b.build();
 }
 
-TEST(Analyzer, RejectsInvalidTraces) {
+AnalysisSession make_session(Trace trace, ExactOptions options = {}) {
+  return AnalysisSession(std::make_shared<const Trace>(std::move(trace)),
+                         options);
+}
+
+/// The causal relations report: the event table, then the summary.
+std::string report(AnalysisSession& session) {
+  return format_event_table(session.trace()) +
+         summarize_relations(session.trace(), *session.relations());
+}
+
+TEST(SessionFrontDoor, RejectsInvalidTraces) {
   TraceBuilder b;
   const ObjectId s = b.semaphore("s");
   b.sem_p(b.root(), s);
-  EXPECT_THROW(OrderingAnalyzer a(b.build_unchecked()), CheckError);
+  EXPECT_THROW(make_session(b.build_unchecked()), CheckError);
 }
 
-TEST(Analyzer, PairQueriesMatchExactSolver) {
-  OrderingAnalyzer a(quickstart_trace());
-  EXPECT_TRUE(a.must_have_happened_before(0, 3));
-  EXPECT_TRUE(a.could_have_happened_before(0, 3));
-  EXPECT_FALSE(a.could_have_happened_before(3, 0));
-  EXPECT_FALSE(a.could_have_been_concurrent(0, 3));
-  EXPECT_TRUE(a.must_have_been_ordered(0, 3));
-  EXPECT_TRUE(a.could_have_been_ordered(0, 3));
-  EXPECT_FALSE(a.must_have_been_concurrent(0, 3));
+TEST(SessionFrontDoor, PairQueriesMatchExactSolver) {
+  AnalysisSession a = make_session(quickstart_trace());
+  const auto holds = [&](RelationKind kind, EventId x, EventId y) {
+    return a.pair_query({kind, x, y, Semantics::kCausal});
+  };
+  EXPECT_TRUE(holds(RelationKind::kMHB, 0, 3));
+  EXPECT_TRUE(holds(RelationKind::kCHB, 0, 3));
+  EXPECT_FALSE(holds(RelationKind::kCHB, 3, 0));
+  EXPECT_FALSE(holds(RelationKind::kCCW, 0, 3));
+  EXPECT_TRUE(holds(RelationKind::kMOW, 0, 3));
+  EXPECT_TRUE(holds(RelationKind::kCOW, 0, 3));
+  EXPECT_FALSE(holds(RelationKind::kMCW, 0, 3));
 }
 
-TEST(Analyzer, CachesPerSemantics) {
-  OrderingAnalyzer a(quickstart_trace());
-  const OrderingRelations& r1 = a.relations(Semantics::kCausal);
-  const OrderingRelations& r2 = a.relations(Semantics::kCausal);
-  EXPECT_EQ(&r1, &r2);  // same object: cached
-  const OrderingRelations& r3 = a.relations(Semantics::kInterleaving);
-  EXPECT_EQ(r3.semantics, Semantics::kInterleaving);
+TEST(SessionFrontDoor, CachesPerSemantics) {
+  AnalysisSession a = make_session(quickstart_trace());
+  const auto r1 = a.relations(Semantics::kCausal);
+  const auto r2 = a.relations(Semantics::kCausal);
+  EXPECT_EQ(r1.get(), r2.get());  // same object: cached
+  const auto r3 = a.relations(Semantics::kInterleaving);
+  EXPECT_EQ(r3->semantics, Semantics::kInterleaving);
 }
 
-TEST(Analyzer, WitnessesRoundTrip) {
+TEST(SessionFrontDoor, WitnessesRoundTrip) {
   TraceBuilder b;
   const ProcId p1 = b.add_process();
   b.compute(b.root(), "a");
   b.compute(p1, "b");
-  OrderingAnalyzer a(b.build());
-  EXPECT_TRUE(a.witness_concurrent(0, 1).has_value());
+  AnalysisSession a = make_session(b.build());
   EXPECT_TRUE(
-      a.witness_happened_before(1, 0, Semantics::kInterleaving).has_value());
-  EXPECT_FALSE(
-      a.witness_happened_before(1, 0, Semantics::kCausal).has_value());
+      witness_could_be_concurrent(a.trace(), 0, 1, a.options()).has_value());
+  EXPECT_TRUE(witness_could_happen_before(a.trace(), 1, 0,
+                                          Semantics::kInterleaving,
+                                          a.options())
+                  .has_value());
+  EXPECT_FALSE(witness_could_happen_before(a.trace(), 1, 0,
+                                           Semantics::kCausal, a.options())
+                   .has_value());
 }
 
-TEST(Analyzer, BaselinesAccessible) {
-  OrderingAnalyzer a(quickstart_trace());
-  const VectorClockResult& vc = a.vector_clocks();
-  EXPECT_TRUE(vc.happened_before.holds(0, 3));
-  const HmwResult& hmw = a.hmw();
-  EXPECT_TRUE(hmw.safe_happened_before.holds(1, 2));
-  EXPECT_EQ(&a.hmw(), &hmw);  // cached
+TEST(SessionFrontDoor, BaselinesAccessible) {
+  const Trace t = quickstart_trace();
+  EXPECT_TRUE(compute_vector_clocks(t).happened_before.holds(0, 3));
+  EXPECT_TRUE(compute_hmw(t).safe_happened_before.holds(1, 2));
 }
 
-TEST(Analyzer, EgpOnEventTrace) {
+TEST(SessionFrontDoor, EgpOnEventTrace) {
   TraceBuilder b;
   const ObjectId e = b.event_var("e");
   const ProcId p1 = b.add_process();
   b.post(b.root(), e);
   b.wait(p1, e);
-  OrderingAnalyzer a(b.build());
-  EXPECT_TRUE(a.egp().guaranteed.holds(0, 1));
+  EXPECT_TRUE(compute_egp(b.build()).guaranteed.holds(0, 1));
 }
 
-TEST(Analyzer, CombinedAndDeadlockFacades) {
-  OrderingAnalyzer a(quickstart_trace());
-  const CombinedResult& combined = a.combined();
-  EXPECT_TRUE(combined.guaranteed.holds(0, 3));
-  EXPECT_EQ(&a.combined(), &combined);  // cached
-  const DeadlockReport& deadlocks = a.deadlocks();
-  EXPECT_FALSE(deadlocks.can_deadlock);
-  EXPECT_EQ(&a.deadlocks(), &deadlocks);
+TEST(SessionFrontDoor, CombinedAndDeadlocks) {
+  AnalysisSession a = make_session(quickstart_trace());
+  EXPECT_TRUE(compute_combined(a.trace()).guaranteed.holds(0, 3));
+  const auto deadlocks = a.deadlocks();
+  EXPECT_FALSE(deadlocks->can_deadlock);
+  EXPECT_EQ(a.deadlocks().get(), deadlocks.get());  // cached
 }
 
-TEST(Analyzer, CoexistenceFacade) {
+TEST(SessionFrontDoor, CoexistenceFromTheSweep) {
+  ScheduleSpaceOptions options;
+  options.build_coexist = true;
   TraceBuilder b;
   const ProcId p1 = b.add_process();
   b.compute(b.root(), "x");
   b.compute(p1, "y");
-  OrderingAnalyzer a(b.build());
-  EXPECT_TRUE(a.could_have_coexisted(0, 1));
-  OrderingAnalyzer chain(quickstart_trace());
-  EXPECT_FALSE(chain.could_have_coexisted(0, 3));
+  EXPECT_TRUE(compute_can_precede(b.build(), options).can_coexist[0].test(1));
+  EXPECT_FALSE(
+      compute_can_precede(quickstart_trace(), options).can_coexist[0].test(3));
 }
 
-TEST(Analyzer, RacesDelegate) {
-  OrderingAnalyzer a(quickstart_trace());
-  EXPECT_TRUE(a.races(RaceDetector::kExact).races.empty());
-  EXPECT_TRUE(a.races(RaceDetector::kObserved).races.empty());
+TEST(SessionFrontDoor, RacesDelegate) {
+  AnalysisSession a = make_session(quickstart_trace());
+  EXPECT_TRUE(a.races(RaceDetector::kExact)->races.empty());
+  EXPECT_TRUE(a.races(RaceDetector::kObserved)->races.empty());
 }
 
-TEST(Analyzer, ReportMentionsEventsAndRelations) {
-  OrderingAnalyzer a(quickstart_trace());
-  const std::string report = a.report();
-  EXPECT_NE(report.find("MHB"), std::string::npos);
-  EXPECT_NE(report.find("semantics=causal"), std::string::npos);
-  EXPECT_NE(report.find("compute"), std::string::npos);
+TEST(SessionFrontDoor, ReportMentionsEventsAndRelations) {
+  AnalysisSession a = make_session(quickstart_trace());
+  const std::string text = report(a);
+  EXPECT_NE(text.find("MHB"), std::string::npos);
+  EXPECT_NE(text.find("semantics=causal"), std::string::npos);
+  EXPECT_NE(text.find("compute"), std::string::npos);
 }
 
 // ------------------------------------------------------------------ report
@@ -136,17 +152,18 @@ TEST(Report, RelationGridShape) {
 }
 
 TEST(Report, SummaryCountsPairs) {
-  OrderingAnalyzer a(quickstart_trace());
+  AnalysisSession a = make_session(quickstart_trace());
   const std::string s =
-      summarize_relations(a.trace(), a.relations(Semantics::kCausal));
+      summarize_relations(a.trace(), *a.relations(Semantics::kCausal));
   EXPECT_NE(s.find("MHB"), std::string::npos);
   EXPECT_NE(s.find("causal classes"), std::string::npos);
 }
 
 TEST(Report, RelationDotIsWellFormedAndReduced) {
-  OrderingAnalyzer a(quickstart_trace());
+  AnalysisSession a = make_session(quickstart_trace());
   const std::string dot = relation_dot(
-      a.trace(), a.relations(Semantics::kCausal)[RelationKind::kMHB], "mhb");
+      a.trace(), (*a.relations(Semantics::kCausal))[RelationKind::kMHB],
+      "mhb");
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   // Transitive reduction of the 4-chain has exactly 3 edges.
   std::size_t arrows = 0;
@@ -170,9 +187,9 @@ TEST(Report, SummaryWarnsOnTruncation) {
   const Trace t = evord::testing::random_trace(config, rng);
   ExactOptions options;
   options.max_schedules = 1;
-  OrderingAnalyzer a(t, options);
+  AnalysisSession a = make_session(t, options);
   const std::string s =
-      summarize_relations(a.trace(), a.relations(Semantics::kCausal));
+      summarize_relations(a.trace(), *a.relations(Semantics::kCausal));
   EXPECT_NE(s.find("WARNING"), std::string::npos);
 }
 
@@ -191,10 +208,10 @@ schedule
 1 compute label="read data" r=data
 end
 )");
-  OrderingAnalyzer a(t);
-  EXPECT_TRUE(a.must_have_happened_before(0, 3));
-  EXPECT_TRUE(a.races().races.empty());
-  EXPECT_FALSE(a.report().empty());
+  AnalysisSession a = make_session(t);
+  EXPECT_TRUE(a.pair_query({RelationKind::kMHB, 0, 3, Semantics::kCausal}));
+  EXPECT_TRUE(a.races()->races.empty());
+  EXPECT_FALSE(report(a).empty());
 }
 
 TEST(EndToEnd, RoundTripPreservesRelations) {
@@ -203,11 +220,9 @@ TEST(EndToEnd, RoundTripPreservesRelations) {
   config.num_events = 8;
   const Trace t = evord::testing::random_trace(config, rng);
   const Trace u = parse_trace_string(write_trace(t));
-  OrderingAnalyzer at(t);
-  OrderingAnalyzer au(u);
   // The writer renumbers events by observed position.
-  const auto& rt = at.relations(Semantics::kCausal);
-  const auto& ru = au.relations(Semantics::kCausal);
+  const OrderingRelations rt = compute_exact(t, Semantics::kCausal);
+  const OrderingRelations ru = compute_exact(u, Semantics::kCausal);
   for (RelationKind k : kAllRelationKinds) {
     for (EventId a = 0; a < t.num_events(); ++a) {
       for (EventId b = 0; b < t.num_events(); ++b) {

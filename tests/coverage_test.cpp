@@ -110,18 +110,6 @@ TEST(Coverage, ProgramAppendAllPreservesOrder) {
   EXPECT_EQ(prog.process(p).body[1].label, "2");
 }
 
-TEST(Coverage, ExactConvenienceWrappers) {
-  TraceBuilder b;
-  const ObjectId s = b.semaphore("s");
-  const ProcId p1 = b.add_process();
-  b.sem_v(b.root(), s);
-  b.sem_p(p1, s);
-  const Trace t = b.build();
-  EXPECT_TRUE(must_have_happened_before(t, 0, 1));
-  EXPECT_TRUE(could_have_happened_before(t, 0, 1));
-  EXPECT_FALSE(could_have_been_concurrent(t, 0, 1));
-}
-
 TEST(Coverage, EventVarInitiallyPostedRoundsThroughEverything) {
   TraceBuilder b;
   const ObjectId e = b.event_var("go", /*initially_posted=*/true);

@@ -7,7 +7,6 @@
 // label re-runs it under ThreadSanitizer).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "ordering/exact.hpp"
 #include "reductions/reduction.hpp"
 #include "sat/dpll.hpp"
-#include "service/session.hpp"
 #include "util/fault.hpp"
 #include "workload/generators.hpp"
 
@@ -156,37 +154,6 @@ TEST(FaultSweep, DeadlineAtStateStopsEveryExplorer) {
     }
   }
   EXPECT_FALSE(fault::enabled());
-}
-
-TEST(FaultSweep, CutFeasibilityLeavesTheWarmMemoSound) {
-  // Regression: a fault-stopped feasibility query memoized "not
-  // completable" for states whose children the cut had skipped, into the
-  // session's warm completability memo.  The next, unfaulted query then
-  // answered from that memo: an observed (so feasible) trace reported
-  // infeasible with truncated == false — and the session cached it.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    SemTraceConfig config;
-    config.num_processes = 3;
-    config.num_semaphores = 2;
-    config.num_events = 14;
-    const auto trace =
-        std::make_shared<const Trace>(random_semaphore_trace(config, rng));
-    for (const std::uint64_t threshold : {2u, 5u, 9u, 17u}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " threshold " +
-                   std::to_string(threshold));
-      service::AnalysisSession session(trace);
-      {
-        fault::ScopedFaultPlan armed(
-            {.kind = fault::FaultKind::kDeadlineAtState,
-             .threshold = threshold});
-        ASSERT_TRUE(session.feasibility()->truncated);
-      }
-      const auto again = session.feasibility();
-      EXPECT_FALSE(again->truncated);
-      EXPECT_TRUE(again->feasible_nonempty);
-    }
-  }
 }
 
 // --------------------------------------------------- store-fail tripping

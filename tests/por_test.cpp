@@ -22,7 +22,6 @@
 
 #include "feasible/deadlock.hpp"
 #include "feasible/enumerate.hpp"
-#include "feasible/schedule_space.hpp"
 #include "feasible/stepper.hpp"
 #include "helpers.hpp"
 #include "ordering/causal.hpp"
@@ -212,30 +211,6 @@ TEST(Por, ExactMatricesMatchUnreduced) {
           EXPECT_LE(reduced.schedules_seen, full.schedules_seen);
           for (const RelationKind kind : kAllRelationKinds) {
             EXPECT_EQ(reduced[kind], full[kind]) << to_string(kind);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Por, ScheduleSpaceRepresentativesKeepFeasibilityExact) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    for (const auto& [label, trace] : test_traces(seed)) {
-      SCOPED_TRACE(label + " seed " + std::to_string(seed));
-      ScheduleSpaceOptions reduced;
-      reduced.reduction = ReductionMode::kSourceWakeup;
-      const CanPrecedeResult r = compute_can_precede(trace, reduced);
-      const CanPrecedeResult full = compute_can_precede(trace, {});
-      EXPECT_EQ(r.feasible_nonempty, full.feasible_nonempty);
-      EXPECT_LE(r.states_visited, full.states_visited);
-      // The reduced matrix must stay an under-approximation.
-      for (EventId b = 0; b < trace.num_events(); ++b) {
-        for (EventId a = 0; a < trace.num_events(); ++a) {
-          if (r.can_precede[b].test(a)) {
-            EXPECT_TRUE(full.can_precede[b].test(a))
-                << "reduced marked (" << a << ", " << b
-                << ") but the full sweep did not";
           }
         }
       }

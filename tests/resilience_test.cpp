@@ -4,9 +4,9 @@
 // StopReason::kMemory close to the byte budget), and provenance.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "feasible/deadlock.hpp"
 #include "feasible/stepper.hpp"
 #include "ordering/exact.hpp"
@@ -89,7 +89,7 @@ TEST(Anytime, DeadlineLadderVerdictsAreSound) {
   // A deadline-armed ladder may degrade but never contradicts the
   // un-deadlined exact answer (the daemon's degradation contract).
   const Trace trace = theorem1_trace();
-  OrderingAnalyzer exact(trace);
+  const OrderingRelations exact = compute_exact(trace, Semantics::kCausal);
   AnytimeQuery deadlined(trace,
                          {.ladder = deadline_ladder(0.05), .exact = {}});
   for (EventId a = 0; a < trace.num_events(); a += 3) {
@@ -97,7 +97,7 @@ TEST(Anytime, DeadlineLadderVerdictsAreSound) {
       if (a == b) continue;
       const BoundedVerdict v = deadlined.must_have_happened_before(a, b);
       if (v.unknown()) continue;
-      EXPECT_EQ(v.proven(), exact.must_have_happened_before(a, b))
+      EXPECT_EQ(v.proven(), exact.holds(RelationKind::kMHB, a, b))
           << "pair (" << a << ", " << b << "): " << v.summary();
     }
   }
@@ -375,27 +375,6 @@ TEST(Anytime, ProvenanceRecordsLadderClimb) {
   const std::string s = v.summary();
   EXPECT_NE(s.find("engine=exact"), std::string::npos);
   EXPECT_NE(s.find("rungs=3"), std::string::npos);
-}
-
-TEST(Anytime, AnalyzerSurfacesAnytimeQueries) {
-  Rng rng(2);
-  SemTraceConfig config;
-  config.num_events = 10;
-  const Trace trace = random_semaphore_trace(config, rng);
-  OrderingAnalyzer analyzer(trace);
-  for (EventId a = 0; a < 4; ++a) {
-    for (EventId b = 0; b < 4; ++b) {
-      if (a == b) continue;
-      const BoundedVerdict v =
-          analyzer.anytime_must_have_happened_before(a, b);
-      EXPECT_EQ(v.proven(), analyzer.must_have_happened_before(a, b));
-      const BoundedVerdict c =
-          analyzer.anytime_could_have_been_concurrent(a, b);
-      EXPECT_EQ(c.proven(), analyzer.could_have_been_concurrent(a, b));
-    }
-  }
-  const BoundedVerdict d = analyzer.anytime_can_deadlock();
-  EXPECT_EQ(d.proven(), analyzer.deadlocks().can_deadlock);
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/analyzer.hpp"
+#include "core/report.hpp"
 #include "feasible/deadlock.hpp"
 #include "feasible/enumerate.hpp"
 #include "feasible/schedule_space.hpp"
@@ -23,6 +25,7 @@
 #include "search/fingerprint_set.hpp"
 #include "search/memory.hpp"
 #include "search/search.hpp"
+#include "service/session.hpp"
 #include "trace/builder.hpp"
 #include "util/rng.hpp"
 #include "workload/generators.hpp"
@@ -513,13 +516,13 @@ TEST(StealStress, SchedulerCountersAndHistogramsSurfaced) {
   EXPECT_EQ(shard_total, r.search.states_visited);
   EXPECT_GE(r.search.shard_imbalance(), 1.0);
 
-  // And the analyzer's text report mentions the scheduler when the
-  // exact analysis ran parallel.
+  // And the relations report mentions the scheduler when the exact
+  // analysis ran parallel.
   ExactOptions eo;
   eo.num_threads = 4;
   eo.steal.grain = 1;
-  OrderingAnalyzer an(t, eo);
-  const std::string report = an.report(Semantics::kCausal);
+  const std::string report =
+      summarize_relations(t, compute_exact(t, Semantics::kCausal, eo));
   EXPECT_NE(report.find("scheduler: workers="), std::string::npos);
   EXPECT_NE(report.find("depth histogram:"), std::string::npos);
 }
@@ -546,10 +549,12 @@ TEST(SearchStats, SurfacedThroughResultsAnalyzerAndReport) {
   EXPECT_LE(dl.search.memo_bytes,
             2 * dl.states_visited * search::ShardedFingerprintSet::kBytesPerEntry);
 
-  OrderingAnalyzer an(t);
-  EXPECT_GT(an.search_stats(Semantics::kCausal).states_visited, 0u);
-  EXPECT_GT(an.search_stats(Semantics::kInterleaving).memo_bytes, 0u);
-  const std::string report = an.report(Semantics::kCausal);
+  service::AnalysisSession session(std::make_shared<const Trace>(t));
+  const auto causal = session.relations(Semantics::kCausal);
+  EXPECT_GT(causal->search.states_visited, 0u);
+  EXPECT_GT(session.relations(Semantics::kInterleaving)->search.memo_bytes,
+            0u);
+  const std::string report = summarize_relations(t, *causal);
   EXPECT_NE(report.find("search: states="), std::string::npos);
   EXPECT_NE(report.find("memo bytes="), std::string::npos);
 }

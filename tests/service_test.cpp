@@ -1,19 +1,20 @@
 // Analysis-as-a-service layer (src/service/): trace registry dedup,
 // cross-query result cache, warm sessions, batched pair queries, cached
 // anytime verdicts — plus the equivalence sweep pinning that every
-// answer served from the cache is bit-identical to a fresh analyzer,
-// including under memory budgets, deterministic fault injection, and
-// cache eviction (a hit after eviction recomputes correctly).
+// answer served from the cache is bit-identical to a fresh, uncached
+// computation, including under memory budgets, deterministic fault
+// injection, and cache eviction (a hit after eviction recomputes
+// correctly).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "helpers.hpp"
 #include "service/registry.hpp"
 #include "service/result_cache.hpp"
@@ -293,8 +294,6 @@ TEST(ResultCache, ShrinkingBudgetEvictsDownToIt) {
 TEST(AnalysisSession, RepeatedQueriesArePureCacheHits) {
   AnalysisSession session(std::make_shared<const Trace>(wedgeable_trace()));
   for (const Semantics s : kAllSemantics) session.relations(s);
-  session.coexistence();
-  session.feasibility();
   session.deadlocks();
   session.races(RaceDetector::kExact);
   session.races(RaceDetector::kGuaranteed);
@@ -304,8 +303,6 @@ TEST(AnalysisSession, RepeatedQueriesArePureCacheHits) {
 
   // Every repeat must be a pure hit: zero new states explored.
   for (const Semantics s : kAllSemantics) session.relations(s);
-  session.coexistence();
-  session.feasibility();
   session.deadlocks();
   session.races(RaceDetector::kExact);
   session.races(RaceDetector::kGuaranteed);
@@ -314,57 +311,36 @@ TEST(AnalysisSession, RepeatedQueriesArePureCacheHits) {
   EXPECT_EQ(again.states_explored, warm.states_explored);
   EXPECT_EQ(again.computations, warm.computations);
   EXPECT_EQ(again.sweeps, warm.sweeps);
-  EXPECT_EQ(again.cache_hits, warm.cache_hits + 9);
-}
-
-TEST(AnalysisSession, FeasibilityAfterCoexistenceHitsWarmMemo) {
-  // The memoized sweep is serial whatever num_threads says, so a
-  // multi-worker session keeps its warm memo too.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExactOptions options;
-    options.num_threads = threads;
-    AnalysisSession session(std::make_shared<const Trace>(quickstart_trace()),
-                            options);
-    session.coexistence();  // fills the session's warm completability memo
-    const SessionStats after_sweep = session.stats();
-    EXPECT_GT(after_sweep.states_explored, 0u);
-    // The verdict-only feasibility sweep answers from the warm memo's
-    // root hit: a computation, but (nearly) zero NEW states.
-    EXPECT_TRUE(session.feasible());
-    const SessionStats after_feasible = session.stats();
-    EXPECT_EQ(after_feasible.computations, after_sweep.computations + 1);
-    EXPECT_LE(after_feasible.states_explored - after_sweep.states_explored,
-              1u);
-  }
+  EXPECT_EQ(again.cache_hits, warm.cache_hits + 7);
 }
 
 TEST(AnalysisSession, IdenticalTracesShareEverything) {
   TraceRegistry registry;
-  OrderingAnalyzer first(registry.session(quickstart_trace("x")));
-  OrderingAnalyzer second(registry.session(quickstart_trace("y")));
-  EXPECT_TRUE(first.must_have_happened_before(0, 3));
-  const SessionStats warm = second.session().stats();
-  // The second analyzer's query lands on the session the first one
+  const auto first = registry.session(quickstart_trace("x"));
+  const auto second = registry.session(quickstart_trace("y"));
+  const PairQuery mhb{RelationKind::kMHB, 0, 3, Semantics::kCausal};
+  EXPECT_TRUE(first->pair_query(mhb));
+  const SessionStats warm = second->stats();
+  // The second trace's query lands on the session the first one
   // already warmed: pure hit, zero new states.
-  EXPECT_TRUE(second.must_have_happened_before(0, 3));
-  const SessionStats again = second.session().stats();
+  EXPECT_TRUE(second->pair_query(mhb));
+  const SessionStats again = second->stats();
   EXPECT_EQ(again.states_explored, warm.states_explored);
   EXPECT_EQ(again.cache_hits, warm.cache_hits + 1);
 }
 
 TEST(AnalysisSession, RacesCachedPerDetector) {
-  // The historic analyzer reran the exponential exact detection on
-  // every races() call; the session computes once per detector.
-  OrderingAnalyzer analyzer(quickstart_trace());
-  const RaceReport r1 = analyzer.races(RaceDetector::kExact);
-  const SessionStats warm = analyzer.session().stats();
-  const RaceReport r2 = analyzer.races(RaceDetector::kExact);
-  expect_same_races(r1, r2);
-  EXPECT_EQ(analyzer.session().stats().computations, warm.computations);
+  // The session computes the exponential exact detection once per
+  // detector, however often races() is called.
+  AnalysisSession session(std::make_shared<const Trace>(quickstart_trace()));
+  const auto r1 = session.races(RaceDetector::kExact);
+  const SessionStats warm = session.stats();
+  const auto r2 = session.races(RaceDetector::kExact);
+  expect_same_races(*r1, *r2);
+  EXPECT_EQ(session.stats().computations, warm.computations);
   // A different detector is its own cache slot.
-  analyzer.races(RaceDetector::kGuaranteed);
-  EXPECT_EQ(analyzer.session().stats().computations, warm.computations + 1);
+  session.races(RaceDetector::kGuaranteed);
+  EXPECT_EQ(session.stats().computations, warm.computations + 1);
 }
 
 // --------------------------------------------------------- batched pairs
@@ -386,13 +362,12 @@ TEST(AnalysisSession, QueryBatchCoalescesSweeps) {
   EXPECT_EQ(stats.sweeps, 2u);
   EXPECT_EQ(stats.batched_pairs, queries.size());
 
-  // Answers must match the one-at-a-time path on a fresh analyzer.
-  OrderingAnalyzer fresh(quickstart_trace());
+  // Answers must match a fresh exact computation, pair by pair.
   ASSERT_EQ(answers.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const PairQuery& q = queries[i];
-    EXPECT_EQ(answers[i],
-              fresh.relations(q.semantics).holds(q.relation, q.a, q.b))
+    EXPECT_EQ(answers[i], compute_exact(session.trace(), q.semantics)
+                              .holds(q.relation, q.a, q.b))
         << "query " << i;
   }
 }
@@ -436,9 +411,10 @@ TEST(ServiceCoalescing, ConcurrentIdenticalQueriesShareOneSweep) {
 }
 
 TEST(ServiceCoalescing, DistinctQueriesOverlapSafely) {
-  // Six different query kinds in flight at once: each computes exactly
-  // once (the session mutex is released during the engines' work, so
-  // they genuinely overlap), and every answer matches a fresh analyzer.
+  // Six different queries of four kinds in flight at once: each
+  // computes exactly once (the session mutex is released during the
+  // engines' work, so they genuinely overlap), and every answer matches
+  // a fresh computation.
   Rng rng(13);
   testing::RandomTraceConfig config;
   config.num_events = 10;
@@ -446,25 +422,27 @@ TEST(ServiceCoalescing, DistinctQueriesOverlapSafely) {
   AnalysisSession session(std::make_shared<const Trace>(trace));
   {
     std::vector<std::thread> threads;
-    threads.emplace_back([&] { session.relations(Semantics::kCausal); });
-    threads.emplace_back(
-        [&] { session.relations(Semantics::kInterleaving); });
-    threads.emplace_back([&] { session.feasibility(); });
-    threads.emplace_back([&] { session.coexistence(); });
+    for (const Semantics s : kAllSemantics) {
+      threads.emplace_back([&session, s] { session.relations(s); });
+    }
     threads.emplace_back([&] { session.deadlocks(); });
+    threads.emplace_back([&] { session.races(RaceDetector::kExact); });
     threads.emplace_back(
         [&] { session.races(RaceDetector::kGuaranteed); });
     for (std::thread& t : threads) t.join();
   }
-  EXPECT_EQ(session.stats().computations, 6u);
-  OrderingAnalyzer fresh(trace);
-  expect_same_relations(*session.relations(Semantics::kCausal),
-                        fresh.relations(Semantics::kCausal));
-  expect_same_relations(*session.relations(Semantics::kInterleaving),
-                        fresh.relations(Semantics::kInterleaving));
+  // Seven computations: exact races derive from their own race-semantics
+  // relations sweep (causal_data_edges is on in the session's options).
+  EXPECT_EQ(session.stats().computations, 7u);
+  for (const Semantics s : kAllSemantics) {
+    expect_same_relations(*session.relations(s), compute_exact(trace, s));
+  }
   EXPECT_EQ(session.deadlocks()->can_deadlock,
-            fresh.deadlocks().can_deadlock);
-  EXPECT_EQ(session.stats().computations, 6u);  // verification = pure hits
+            analyze_deadlocks(trace, {}).can_deadlock);
+  for (const RaceDetector d : {RaceDetector::kExact, RaceDetector::kGuaranteed}) {
+    expect_same_races(*session.races(d), detect_races(trace, d));
+  }
+  EXPECT_EQ(session.stats().computations, 7u);  // verification = pure hits
 }
 
 // ------------------------------------------------- oracle batch routing
@@ -497,13 +475,14 @@ TEST(ServiceOracle, OracleFirstBatchMatchesExactSweep) {
   // causal pairs may fall back, so at most the one causal sweep runs.
   EXPECT_LE(stats.sweeps, 1u);
   // The whole batch rode one warm incremental solver.
-  EXPECT_EQ(oracle_session.sat_oracle().stats().solver_builds, 1u);
+  EXPECT_EQ(oracle_session.oracle_stats().solver_builds, 1u);
 }
 
 // ---------------------------------------------------- equivalence sweep
 
-/// Cache-hit answers must be bit-identical to a fresh analyzer across
-/// all query kinds x semantics x randomized workloads.
+/// Cache-hit answers must be bit-identical to a fresh, uncached
+/// computation across all query kinds x semantics x randomized
+/// workloads.
 TEST(ServiceEquivalence, CacheHitsMatchFreshAnalyzerOnRandomTraces) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
@@ -516,28 +495,15 @@ TEST(ServiceEquivalence, CacheHitsMatchFreshAnalyzerOnRandomTraces) {
 
     TraceRegistry registry;
     const auto session = registry.session(trace);
-    OrderingAnalyzer fresh(trace);
 
     for (const Semantics s : kAllSemantics) {
       const auto cold = session->relations(s);
       const auto hit = session->relations(s);  // second call: cache hit
       EXPECT_EQ(cold.get(), hit.get());
-      expect_same_relations(*hit, fresh.relations(s));
+      expect_same_relations(*hit, compute_exact(trace, s));
     }
     {
-      const auto cold = session->coexistence();
-      const auto hit = session->coexistence();
-      EXPECT_EQ(cold.get(), hit.get());
-      for (EventId a = 0; a < trace.num_events(); ++a) {
-        for (EventId b = 0; b < trace.num_events(); ++b) {
-          if (a == b) continue;
-          EXPECT_EQ(hit->can_coexist[a].test(b),
-                    fresh.could_have_coexisted(a, b));
-        }
-      }
-    }
-    {
-      const DeadlockReport& expected = fresh.deadlocks();
+      const DeadlockReport expected = analyze_deadlocks(trace, {});
       session->deadlocks();                    // cold
       const auto hit = session->deadlocks();   // cache hit
       EXPECT_EQ(hit->can_deadlock, expected.can_deadlock);
@@ -549,7 +515,7 @@ TEST(ServiceEquivalence, CacheHitsMatchFreshAnalyzerOnRandomTraces) {
     for (const RaceDetector d :
          {RaceDetector::kExact, RaceDetector::kObserved,
           RaceDetector::kGuaranteed}) {
-      const RaceReport expected = fresh.races(d);
+      const RaceReport expected = detect_races(trace, d);
       session->races(d);                    // cold
       const auto hit = session->races(d);   // cache hit
       expect_same_races(*hit, expected);
@@ -571,9 +537,8 @@ TEST(ServiceEquivalence, MemoryBudgetedAnswersMatchFresh) {
     AnalysisSession session(std::make_shared<const Trace>(trace), roomy);
     const auto r = session.relations(Semantics::kCausal);
     ASSERT_FALSE(r->truncated);
-    OrderingAnalyzer fresh(trace, roomy);
     expect_same_relations(*session.relations(Semantics::kCausal),
-                          fresh.relations(Semantics::kCausal));
+                          compute_exact(trace, Semantics::kCausal, roomy));
     EXPECT_EQ(session.stats().cache_hits, 1u);
   }
 
@@ -590,9 +555,8 @@ TEST(ServiceEquivalence, MemoryBudgetedAnswersMatchFresh) {
     const auto second = session.relations(Semantics::kInterleaving);
     EXPECT_TRUE(second->truncated);
     EXPECT_EQ(session.stats().computations, warm.computations + 1);
-    OrderingAnalyzer fresh(trace, starved);
-    expect_same_relations(*second,
-                          fresh.relations(Semantics::kInterleaving));
+    expect_same_relations(
+        *second, compute_exact(trace, Semantics::kInterleaving, starved));
   }
 }
 
@@ -642,10 +606,9 @@ TEST(ServiceEviction, HitAfterEvictionRecomputesCorrectly) {
   auto cache = std::make_shared<ResultCache>(/*max_bytes=*/256);
   AnalysisSession session(std::make_shared<const Trace>(trace),
                           ExactOptions{}, cache);
-  OrderingAnalyzer fresh(trace);
   for (int round = 0; round < 2; ++round) {
     for (const Semantics s : kAllSemantics) {
-      expect_same_relations(*session.relations(s), fresh.relations(s));
+      expect_same_relations(*session.relations(s), compute_exact(trace, s));
       EXPECT_LE(cache->bytes(), cache->budget_bytes());
     }
   }
@@ -779,14 +742,13 @@ TEST(AnalysisSession, SatOracleSwitchCountsTripsAndRebuilds) {
   // After the trip a new pair consults no oracle and re-climbs nothing.
   const SessionStats tripped = session.stats();
   EXPECT_GT(tripped.states_explored, 0u);  // the climb is the session's
-  const std::uint64_t oracle_queries =
-      session.sat_oracle().stats().queries;
+  const std::uint64_t oracle_queries = session.oracle_stats().queries;
   EXPECT_GT(oracle_queries, 0u);  // and so is the oracle it consulted
   const BoundedVerdict after = session.anytime_must_have_happened_before(
       pairs[next].first, pairs[next].second, Semantics::kInterleaving,
       starved);
   EXPECT_NE(after.provenance.engine, "sat-oracle");
-  EXPECT_EQ(session.sat_oracle().stats().queries, oracle_queries);
+  EXPECT_EQ(session.oracle_stats().queries, oracle_queries);
   EXPECT_EQ(session.stats().states_explored, tripped.states_explored);
   EXPECT_EQ(session.stats().sweeps, tripped.sweeps);
   session.set_use_sat_oracle(false);  // idempotent: no second trip
@@ -822,10 +784,10 @@ TEST(ServiceAnytime, VerdictsMatchFreshAnytimeQuery) {
 }
 
 TEST(ServiceAnytime, AnalyzerAndSessionLaddersRunConcurrently) {
-  // An OrderingAnalyzer over a registry session asks anytime questions
-  // under the default ladder while another thread asks the same session
-  // under two other ladders, alternating per pair.  Every verdict is
-  // definitive here and must match compute_exact.
+  // One thread asks a registry session anytime questions under the
+  // default ladder while another thread asks the same session under two
+  // other ladders, alternating per pair.  Every verdict is definitive
+  // here and must match compute_exact.
   Rng rng(29);
   testing::RandomTraceConfig config;
   config.num_events = 10;
@@ -835,7 +797,6 @@ TEST(ServiceAnytime, AnalyzerAndSessionLaddersRunConcurrently) {
   ASSERT_FALSE(exact.truncated);
   TraceRegistry registry;
   const auto session = registry.session(trace);
-  OrderingAnalyzer analyzer(session);
   const std::vector<std::vector<QueryBudget>> ladders{
       {{.max_states = 1'000'000, .max_schedules = 1'000'000}},
       {{.max_states = 2'000'000, .max_schedules = 2'000'000}}};
@@ -846,11 +807,11 @@ TEST(ServiceAnytime, AnalyzerAndSessionLaddersRunConcurrently) {
         << to_string(kind) << " (" << a << ", " << b << ")";
   };
   const auto pairs = ordered_pairs(trace);
-  std::thread analyzer_thread([&] {
+  std::thread default_ladder([&] {
     for (const auto& [a, b] : pairs) {
-      expect_exact(analyzer.anytime_must_have_happened_before(a, b),
+      expect_exact(session->anytime_must_have_happened_before(a, b),
                    RelationKind::kMHB, a, b);
-      expect_exact(analyzer.anytime_could_have_been_concurrent(a, b),
+      expect_exact(session->anytime_could_have_been_concurrent(a, b),
                    RelationKind::kCCW, a, b);
     }
   });
@@ -863,7 +824,7 @@ TEST(ServiceAnytime, AnalyzerAndSessionLaddersRunConcurrently) {
     expect_exact(session->anytime_could_have_been_concurrent(a, b, ladder),
                  RelationKind::kCCW, a, b);
   }
-  analyzer_thread.join();
+  default_ladder.join();
 }
 
 TEST(ServiceAnytime, LadderChangeReadsStoredRunBeforeClimbing) {
@@ -954,10 +915,45 @@ TEST(ServiceOracle, BatchAndAnytimeShareOneEncode) {
     }
     ASSERT_EQ(by_oracle, 1u);
     if (!batch_first) session.query_batch(batch, BatchRouting::kOracleFirst);
-    const SatOracleStats oracle = session.sat_oracle().stats();
+    const SatOracleStats oracle = session.oracle_stats();
     EXPECT_EQ(oracle.solver_builds, 1u);
     EXPECT_EQ(oracle.queries, session.stats().oracle_pairs + by_oracle);
   }
+}
+
+TEST(ServiceOracle, StatsSnapshotIsSafeDuringAClimb) {
+  // One thread climbs a starved ladder into the oracle, pair after pair,
+  // while another polls oracle_stats().  The snapshot is read under the
+  // session's oracle lock, so ThreadSanitizer sees no race, and the
+  // counters it shows only grow.
+  const Trace trace = wedgeable_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  const SatOracleStats before = session.oracle_stats();
+  EXPECT_EQ(before.solver_builds, 0u);  // not built yet: all zeros
+  EXPECT_EQ(before.queries, 0u);
+  const std::vector<QueryBudget> starved{{.max_states = 1}};
+  std::atomic<bool> done{false};
+  std::thread climber([&] {
+    for (const auto& [a, b] : ordered_pairs(trace)) {
+      session.anytime_must_have_happened_before(
+          a, b, Semantics::kInterleaving, starved);
+      session.anytime_could_have_happened_before(
+          a, b, Semantics::kInterleaving, starved);
+    }
+    done.store(true);
+  });
+  SatOracleStats last;
+  while (!done.load()) {
+    const SatOracleStats now = session.oracle_stats();
+    EXPECT_GE(now.queries, last.queries);
+    EXPECT_LE(now.solver_builds, 1u);
+    last = now;
+  }
+  climber.join();
+  const SatOracleStats after = session.oracle_stats();
+  EXPECT_EQ(after.solver_builds, 1u);
+  EXPECT_GT(after.queries, 0u);
+  EXPECT_GE(after.queries, last.queries);
 }
 
 TEST(AnalysisSession, AnytimeDeadlockRungTakesSessionReduction) {
