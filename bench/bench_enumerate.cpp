@@ -6,7 +6,7 @@
 //   enumeration engine walks exponentially many schedules — the counters
 //   expose the gap that makes interleaving queries tractable per state
 //   but exponential overall;
-// * the parallel root-split enumerator is compared with the serial one.
+// * the multi-worker enumerator is compared with the serial one.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -15,6 +15,7 @@
 #include "reductions/figure1.hpp"
 #include "reductions/reduction.hpp"
 #include "search/fingerprint_set.hpp"
+#include "search/scheduler.hpp"
 #include "sync/scheduler.hpp"
 #include "trace/builder.hpp"
 #include "util/check.hpp"
@@ -250,28 +251,35 @@ std::vector<evord::bench::JsonRecord> run_space_memory_sweep() {
 }
 
 // Work-stealing thread sweep of the plain enumerator (rows appended to
-// BENCH_search.json): a 14-event random semaphore trace enumerated at
-// 1/2/4/8 requested workers.  Schedule counts are checked against the
-// serial engine before each row is recorded.
+// BENCH_search.json): a 16-event 3-process random semaphore trace
+// (763,476 schedules; over 100 ms serial on a 4-core VM) enumerated at
+// 1/2/4/8 requested workers.  The visitor counts per worker slot, so it
+// adds no shared counter of its own; schedule counts are checked against
+// the serial engine before each row is recorded.
 std::vector<evord::bench::JsonRecord> run_enumerate_thread_sweep() {
   Rng rng(11);
-  const Trace t = evord::bench::random_sem_trace(14, 3, 2, rng);
+  const Trace t = evord::bench::random_sem_trace(16, 3, 2, rng);
+  struct alignas(64) SlotCount {
+    std::uint64_t n = 0;
+  };
   std::uint64_t serial_count = 0;
   return evord::bench::run_thread_sweep(
-      "enumerate", "random_sem_14", [&](std::size_t threads) {
-        std::atomic<std::uint64_t> seen{0};
+      "enumerate", "random_sem_16", [&](std::size_t threads) {
+        std::vector<SlotCount> seen(search::resolve_num_threads(threads));
         EnumerateOptions options;
         options.num_threads = threads;
         const EnumerateStats stats = enumerate_schedules(
-            t, options, [&](std::size_t, const std::vector<EventId>&) {
-              seen.fetch_add(1, std::memory_order_relaxed);
+            t, options, [&](std::size_t slot, const std::vector<EventId>&) {
+              ++seen[slot].n;
               return true;
             });
+        std::uint64_t visits = 0;
+        for (const SlotCount& c : seen) visits += c.n;
         if (threads == 1) {
           serial_count = stats.schedules;
         } else {
           EVORD_CHECK(stats.schedules == serial_count &&
-                          seen.load() == serial_count,
+                          visits == serial_count,
                       threads << "-thread enumeration count differs from "
                                  "serial");
         }

@@ -59,7 +59,9 @@ ModeResult run_mode(const Trace& trace, search::ReductionMode mode) {
   options.reduction = mode;
   Timer timer;
   r.stats = enumerate_causal_classes(
-      trace, options, [&](std::size_t, const std::vector<EventId>& s) {
+      trace, options,
+      [&](std::size_t, const std::vector<EventId>& s,
+          const std::vector<DynamicBitset>&) {
         r.classes.insert(class_fingerprint(trace, s));
         return true;
       });
@@ -157,7 +159,9 @@ void BM_ClassEnum_WideFork_Unreduced(benchmark::State& state) {
   options.reduction = search::ReductionMode::kOff;
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, options, [](std::size_t, const std::vector<EventId>&) { return true; });
+        t, options,
+        [](std::size_t, const std::vector<EventId>&,
+           const std::vector<DynamicBitset>&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
 }
@@ -166,7 +170,9 @@ void BM_ClassEnum_WideFork_Reduced(benchmark::State& state) {
   const Trace t = wide_fork_trace(4, 2);
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
+        t, {},
+        [](std::size_t, const std::vector<EventId>&,
+           const std::vector<DynamicBitset>&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
 }

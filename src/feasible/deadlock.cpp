@@ -52,7 +52,10 @@ struct DeadlockHooks {
   search::ShardedFingerprintSet* stuck_set;  ///< null when unreduced
   WitnessCandidate* witness;
 
-  bool on_terminal(const std::vector<EventId>& /*schedule*/) { return true; }
+  bool on_terminal(const std::vector<EventId>& /*schedule*/,
+                   const search::NullTracker& /*tracker*/) {
+    return true;
+  }
 
   void on_stuck(const std::vector<EventId>& path, std::uint64_t fp) {
     // No payload: any colliding fingerprints already tripped the visited

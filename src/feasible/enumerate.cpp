@@ -16,7 +16,8 @@ struct EnumHooks {
   static constexpr bool kStateOnly = false;
   const ScheduleVisitor* visit;
   std::size_t slot;
-  bool on_terminal(const std::vector<EventId>& schedule) {
+  bool on_terminal(const std::vector<EventId>& schedule,
+                   const search::NullTracker& /*tracker*/) {
     return (*visit)(slot, schedule);
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/) {}
@@ -38,36 +39,19 @@ EnumerateStats enumerate_schedules(const Trace& trace,
   if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
-  // One initial task per first-level enabled event; the work-stealing
-  // scheduler splits further subtrees off adaptively, so even a single
-  // root child parallelises.  All budgets stay strict and global: the
-  // tasks share one SharedContext, so max_schedules caps the combined
-  // visit count exactly.
-  const std::size_t threads = search::resolve_num_threads(so.num_threads);
-  std::vector<search::SearchTask> roots;
-  if (threads > 1) {
-    roots = search::root_tasks(trace, options.stepper, indep.get());
-  }
-  search::SearchStats stats;
-  if (roots.empty()) {
-    // Serial: also covers empty traces and deadlocked roots.
-    EnumSearch engine(trace, options.stepper, so, &ctx, search::NullTracker{},
-                      search::NoDedup{}, EnumHooks{&visit, 0}, indep.get());
-    stats = engine.run();
-  } else {
-    stats = search::run_work_stealing(
-        std::move(roots), threads, so.steal.seed, ctx,
-        [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-          EnumSearch engine(trace, options.stepper, so, &ctx,
-                            search::NullTracker{}, search::NoDedup{},
-                            EnumHooks{&visit, worker.worker_id()},
-                            indep.get());
-          engine.seed(task.seed);
-          engine.attach_worker(&worker);
-          if (indep != nullptr) engine.set_initial_sleep(task.sleep);
-          return engine.run();
-        });
-  }
+  // The calling thread walks the tree; past search::kGrowAfterEntries
+  // DFS entries the scheduler starts helpers that feed on the subtrees
+  // it splits off.  All budgets stay strict and global: the tasks share
+  // one SharedContext, so max_schedules caps the combined visit count
+  // exactly.
+  search::SearchStats stats = search::run_work_stealing(
+      search::resolve_num_threads(so.num_threads), so.steal.seed, ctx,
+      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
+        return EnumSearch(trace, options.stepper, so, &ctx,
+                          search::NullTracker{}, search::NoDedup{},
+                          EnumHooks{&visit, worker.worker_id()}, indep.get())
+            .run(task, worker);
+      });
   EnumerateStats out;
   out.schedules = stats.terminals;
   out.deadlocked_prefixes = stats.deadlocked_prefixes;

@@ -7,10 +7,11 @@
 // the paper's theorem — so callers bound it with max_schedules and a time
 // budget, and the tests/benches use it on deliberately small traces.
 //
-// The engine runs on the unified search core (search/engine.hpp).  With
-// num_threads > 1 the schedule tree runs on the work-stealing scheduler
-// (search/scheduler.hpp): one initial task per first-level choice, with
-// further subtrees split off adaptively whenever a worker runs dry; each
+// The engine runs on the unified search core (search/engine.hpp).  The
+// calling thread walks the schedule tree; with num_threads > 1 a walk
+// that passes search::kGrowAfterEntries DFS entries starts the other
+// workers of the work-stealing scheduler (search/scheduler.hpp), which
+// take subtrees split off adaptively whenever a worker runs dry.  Each
 // task gets its own stepper, so the visitor must be thread-safe across
 // worker slots.  Budgets are strict and global: max_schedules is
 // enforced through a shared atomic counter, so the combined visit count
@@ -63,7 +64,8 @@ struct EnumerateStats {
 };
 
 /// Called with each complete schedule and the slot of the worker that
-/// found it (in [0, resolved thread count); always 0 when serial); return
+/// found it (in [0, resolved thread count); always 0 when serial or
+/// when the sweep never grew); return
 /// false to stop the search.  Calls with the same slot never overlap, so
 /// callers can keep per-slot accumulators and merge without locking; it
 /// must otherwise be thread-safe across slots.

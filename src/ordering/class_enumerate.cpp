@@ -54,8 +54,9 @@ class CausalTracker {
     }
   }
 
-  /// Ancestors (strict) of executed event e.
-  const DynamicBitset& ancestors(EventId e) const { return rows_[e]; }
+  /// Strict causal ancestors per event: rows()[b] = {a : a -> b}.  Row
+  /// b is current while b is executed (and stale after its undo).
+  const std::vector<DynamicBitset>& rows() const { return rows_; }
 
   struct Undo {
     EventId event = kNoEvent;
@@ -261,15 +262,17 @@ class CausalTracker {
   std::uint64_t establisher_hash_ = 0;
 };
 
-/// Enumeration hooks: forward complete schedules to the caller's
-/// visitor with the worker slot; deduped/stuck prefixes are counted by
-/// the engine.
+/// Enumeration hooks: forward complete schedules and their causal
+/// closure rows (every event is executed, so every row is current) to
+/// the caller's visitor with the worker slot; deduped/stuck prefixes are
+/// counted by the engine.
 struct ClassHooks {
   static constexpr bool kStateOnly = false;
-  const std::function<bool(std::size_t, const std::vector<EventId>&)>* visit;
+  const ClassVisitor* visit;
   std::size_t slot;
-  bool on_terminal(const std::vector<EventId>& schedule) {
-    return (*visit)(slot, schedule);
+  bool on_terminal(const std::vector<EventId>& schedule,
+                   const CausalTracker& tracker) {
+    return (*visit)(slot, schedule, tracker.rows());
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/) {}
 };
@@ -278,47 +281,11 @@ using ClassSearch =
     search::EnumerationSearch<CausalTracker, search::SharedSetDedup,
                               ClassHooks>;
 
-/// Claims the initial state in `prefix_seen` once, as the serial engine
-/// would at its first dfs() entry (tasks start one event in), so
-/// distinct-prefix counts match the serial run exactly.  Returns the
-/// stats of that one claimed state.
-search::SearchStats claim_root(const Trace& trace,
-                               const ClassEnumOptions& options,
-                               search::SharedContext& ctx,
-                               search::ShardedFingerprintSet& prefix_seen) {
-  const bool reduced = options.reduction != search::ReductionMode::kOff;
-  const TraceStepper root_stepper(trace, options.stepper);
-  const CausalTracker root_tracker(trace, options.causal);
-  std::vector<std::uint64_t> key;
-  const std::vector<std::uint64_t>* payload = nullptr;
-  const std::vector<EventId> root_sleep;  // the root sleeps on nothing
-  if (prefix_seen.verify_collisions()) {
-    root_stepper.encode_key(key);
-    root_tracker.extend_key(root_stepper.done_bits(), key);
-    if (reduced) search::extend_key_with_sleep(root_sleep, key);
-    payload = &key;
-  }
-  std::uint64_t root_fp = root_tracker.fingerprint(root_stepper.state_hash());
-  if (reduced) {
-    // Must match the serial engine's claim key exactly: the (state,
-    // sleep set) pair, with an empty sleep set at the root.
-    root_fp = search::fold_sleep(root_fp, search::sleep_set_hash(root_sleep));
-  }
-  prefix_seen.insert(root_fp, payload);
-  ctx.states.fetch_add(1, std::memory_order_relaxed);
-  search::SearchStats root;
-  root.states_visited = 1;
-  root.depth_states.assign(trace.num_events() + 1, 0);
-  root.depth_states[0] = 1;
-  return root;
-}
-
 }  // namespace
 
-ClassEnumStats enumerate_causal_classes(
-    const Trace& trace, const ClassEnumOptions& options,
-    const std::function<bool(std::size_t, const std::vector<EventId>&)>&
-        visit) {
+ClassEnumStats enumerate_causal_classes(const Trace& trace,
+                                        const ClassEnumOptions& options,
+                                        const ClassVisitor& visit) {
   const search::SearchOptions& so = options;
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
@@ -335,35 +302,18 @@ ClassEnumStats enumerate_causal_classes(
   if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
-  const std::size_t threads = search::resolve_num_threads(so.num_threads);
-  std::vector<search::SearchTask> roots;
-  if (threads > 1) {
-    roots = search::root_tasks(trace, options.stepper, indep.get());
-  }
-  search::SearchStats stats;
-  if (roots.empty()) {
-    // Serial: also covers empty traces and deadlocked roots.
-    ClassSearch engine(trace, options.stepper, so, &ctx,
-                       CausalTracker(trace, options.causal),
-                       search::SharedSetDedup(&prefix_seen),
-                       ClassHooks{&visit, 0}, indep.get());
-    stats = engine.run();
-  } else {
-    stats = claim_root(trace, options, ctx, prefix_seen);
-    stats.merge(search::run_work_stealing(
-        std::move(roots), threads, so.steal.seed, ctx,
-        [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-          ClassSearch engine(trace, options.stepper, so, &ctx,
-                             CausalTracker(trace, options.causal),
-                             search::SharedSetDedup(&prefix_seen),
-                             ClassHooks{&visit, worker.worker_id()},
-                             indep.get());
-          engine.seed(task.seed);
-          engine.attach_worker(&worker);
-          if (indep != nullptr) engine.set_initial_sleep(task.sleep);
-          return engine.run();
-        }));
-  }
+  // The root task claims the initial state like any other, so
+  // distinct-prefix counts match a serial walk exactly.
+  search::SearchStats stats = search::run_work_stealing(
+      search::resolve_num_threads(so.num_threads), so.steal.seed, ctx,
+      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
+        return ClassSearch(trace, options.stepper, so, &ctx,
+                           CausalTracker(trace, options.causal),
+                           search::SharedSetDedup(&prefix_seen),
+                           ClassHooks{&visit, worker.worker_id()},
+                           indep.get())
+            .run(task, worker);
+      });
   ClassEnumStats out;
   out.schedules_visited = stats.terminals;
   out.prefixes_pruned = stats.dedup_hits;

@@ -12,7 +12,9 @@
 // have exactly the same set of causal-class completions, so only one of
 // them needs exploring.  The visitor still receives complete schedules,
 // at least one per distinct complete causal class (possibly more, never
-// one per redundant schedule).
+// one per redundant schedule), each with its causal order: the strict
+// ancestor rows the tracker maintained along the walk, so callers never
+// rebuild the closure from the schedule.
 //
 // This is the evord analogue of partial-order reduction: sound for
 // class-level accumulation (any/all over causal orders), unsound for
@@ -21,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "feasible/stepper.hpp"
 #include "ordering/causal.hpp"
@@ -71,23 +74,31 @@ struct ClassEnumStats {
   search::SearchStats search;  ///< unified engine statistics
 };
 
+/// Called with the executing worker's slot, one complete schedule and
+/// its causal order as strict ancestor rows: `ancestors[b]` = {a : a ->
+/// b}, the transpose of causal_closure(trace, schedule, options.causal)
+/// (tested).  The rows are valid only during the call.  Return false to
+/// stop the search.
+using ClassVisitor =
+    std::function<bool(std::size_t slot, const std::vector<EventId>& schedule,
+                       const std::vector<DynamicBitset>& ancestors)>;
+
 /// Visits complete schedules covering every complete causal class, on
 /// options.num_threads workers (0 = hardware concurrency; clamped to
-/// search::max_worker_threads()); return false from the visitor to stop.
-/// The visitor receives the executing worker's slot index (in [0,
-/// resolved thread count); always 0 when serial) first: calls with the
-/// same slot never overlap, so callers can keep per-slot accumulators
-/// lock-free; it must otherwise be thread-safe.  Each scheduler task
-/// runs an engine with its own stepper and causal tracker, and prefix
-/// dedup runs through one sharded fingerprint set shared by all tasks: a
-/// prefix state reachable from two task regions is expanded by whichever
-/// task claims it first (its completions are identical either way), so
-/// every distinct state is expanded exactly once and — absent budgets —
-/// schedules_visited and the union of delivered causal classes match
-/// the serial engine exactly.
-ClassEnumStats enumerate_causal_classes(
-    const Trace& trace, const ClassEnumOptions& options,
-    const std::function<bool(std::size_t, const std::vector<EventId>&)>&
-        visit);
+/// search::max_worker_threads()).  The calling thread walks the tree as
+/// slot 0 and starts the other workers only once its walk passes
+/// search::kGrowAfterEntries DFS entries.  Slots lie in [0, resolved
+/// thread count): calls with the same slot never overlap, so callers can
+/// keep per-slot accumulators lock-free; the visitor must otherwise be
+/// thread-safe.  Each scheduler task runs an engine with its own stepper
+/// and causal tracker, and prefix dedup runs through one sharded
+/// fingerprint set shared by all tasks: a prefix state reachable from two
+/// task regions is expanded by whichever task claims it first (its
+/// completions are identical either way), so every distinct state is
+/// expanded exactly once and — absent budgets — schedules_visited and the
+/// union of delivered causal classes match the serial engine exactly.
+ClassEnumStats enumerate_causal_classes(const Trace& trace,
+                                        const ClassEnumOptions& options,
+                                        const ClassVisitor& visit);
 
 }  // namespace evord

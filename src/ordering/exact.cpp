@@ -1,5 +1,6 @@
 #include "ordering/exact.hpp"
 
+#include <memory>
 #include <vector>
 
 #include "feasible/enumerate.hpp"
@@ -23,6 +24,31 @@ OrderingRelations make_empty_result(const Trace& trace, Semantics semantics) {
     m = RelationMatrix(trace.num_events());
   }
   return r;
+}
+
+/// Writes the transpose of the n x n bit matrix whose row a is in(a) into
+/// the zeroed rows out(b): bit a of out(b) is bit b of in(a).  Works 64x64
+/// bits at a time.
+template <class In, class Out>
+void transpose_rows(std::size_t n, const In& in, const Out& out) {
+  const std::size_t wpr = (n + 63) / 64;
+  std::uint64_t blk[64];
+  for (std::size_t bi = 0; bi < wpr; ++bi) {
+    for (std::size_t bj = 0; bj < wpr; ++bj) {
+      bool any = false;
+      for (int k = 0; k < 64; ++k) {
+        const std::size_t a = bi * 64 + static_cast<std::size_t>(k);
+        blk[k] = a < n ? in(a).word(bj) : 0;
+        any = any || blk[k] != 0;
+      }
+      if (!any) continue;
+      search::transpose64(blk);
+      for (int k = 0; k < 64; ++k) {
+        const std::size_t b = bj * 64 + static_cast<std::size_t>(k);
+        if (b < n && blk[k] != 0) out(b).word(bi) = blk[k];
+      }
+    }
+  }
 }
 
 /// When F is empty every universally quantified relation is vacuously
@@ -58,26 +84,14 @@ OrderingRelations compute_interleaving(const Trace& trace,
 
   const std::size_t n = trace.num_events();
   // CHB(a, b) == can_precede[b] contains a: CHB is the transpose of the
-  // sweep output, computed 64x64 bits at a time.
+  // sweep output.
   RelationMatrix& chb = r[RelationKind::kCHB];
-  const std::size_t wpr = (n + 63) / 64;
-  std::uint64_t blk[64];
-  for (std::size_t bi = 0; bi < wpr; ++bi) {
-    for (std::size_t bj = 0; bj < wpr; ++bj) {
-      bool any = false;
-      for (int k = 0; k < 64; ++k) {
-        const std::size_t a = bi * 64 + static_cast<std::size_t>(k);
-        blk[k] = a < n ? cp.can_precede[a].word(bj) : 0;
-        any = any || blk[k] != 0;
-      }
-      if (!any) continue;
-      search::transpose64(blk);
-      for (int k = 0; k < 64; ++k) {
-        const std::size_t b = bj * 64 + static_cast<std::size_t>(k);
-        if (b < n && blk[k] != 0) chb.row(b).word(bi) = blk[k];
-      }
-    }
-  }
+  transpose_rows(
+      n,
+      [&](std::size_t a) -> const DynamicBitset& {
+        return cp.can_precede[a];
+      },
+      [&](std::size_t b) -> DynamicBitset& { return chb.row(b); });
   // MHB(a, b) == every schedule runs a before b == no schedule runs b
   // before a (schedules are total orders), i.e. row a is the complement
   // of can_precede[a] minus the diagonal.
@@ -112,7 +126,7 @@ class CausalAccumulator {
     any_incomp_.reset(n_, n_);
     all_incomp_.reset(n_, n_);
     any_notrev_.reset(n_, n_);
-    anc_.reset(n_, n_);
+    desc_.reset(n_, n_);
     scratch_words_.assign(any_c_.words_per_row(), 0);
     for (EventId a = 0; a < n_; ++a) {
       // all_* start full (AND identity) minus the diagonal.
@@ -127,23 +141,24 @@ class CausalAccumulator {
 
   std::uint64_t classes() const { return classes_; }
 
-  void accept(const std::vector<EventId>& schedule) {
-    const TransitiveClosure tc = causal_closure(trace_, schedule, causal_);
-    // Deduplicate on a chained 64-bit hash of the closure rows: O(1)
-    // space per class instead of an n²/8-byte string.  Debug builds keep
-    // the rows and verify hash-equal classes really are equal.
+  /// Accumulates the causal class of one schedule, given as its strict
+  /// ancestor rows (anc[b] = {a : a -> b}), unless the class was seen
+  /// before.
+  void accept(const std::vector<DynamicBitset>& anc) {
+    // Deduplicate on a chained 64-bit hash of the rows: O(1) space per
+    // class instead of an n²/8-byte string.  Debug builds keep the rows
+    // and verify hash-equal classes really are equal.
     std::uint64_t fingerprint = DynamicBitset::kHashSeed;
-    for (EventId a = 0; a < n_; ++a) {
-      fingerprint = tc.descendants(a).hash_words(fingerprint);
+    for (EventId b = 0; b < n_; ++b) {
+      fingerprint = anc[b].hash_words(fingerprint);
     }
     const std::vector<std::uint64_t>* verify_payload = nullptr;
 #ifndef NDEBUG
     std::vector<std::uint64_t> closure_words;
     if (dedup_->verify_collisions()) {
-      for (EventId a = 0; a < n_; ++a) {
-        const DynamicBitset& row = tc.descendants(a);
-        for (std::size_t w = 0; w < row.word_count(); ++w) {
-          closure_words.push_back(row.word(w));
+      for (EventId b = 0; b < n_; ++b) {
+        for (std::size_t w = 0; w < anc[b].word_count(); ++w) {
+          closure_words.push_back(anc[b].word(w));
         }
       }
       verify_payload = &closure_words;
@@ -152,41 +167,40 @@ class CausalAccumulator {
     if (!dedup_->insert(fingerprint, verify_payload)) return;
     ++classes_;
 
-    // Closure transpose, once per class: anc_[b] = { a : a -> b },
-    // computed 64x64 bits at a time.
-    anc_.reset(n_, n_);
-    const std::size_t wpr = anc_.words_per_row();
-    std::uint64_t blk[64];
-    for (std::size_t bi = 0; bi < wpr; ++bi) {
-      for (std::size_t bj = 0; bj < wpr; ++bj) {
-        bool any = false;
-        for (int k = 0; k < 64; ++k) {
-          const std::size_t a = bi * 64 + static_cast<std::size_t>(k);
-          blk[k] = a < n_ ? tc.descendants(a).word(bj) : 0;
-          any = any || blk[k] != 0;
-        }
-        if (!any) continue;
-        search::transpose64(blk);
-        for (int k = 0; k < 64; ++k) {
-          const std::size_t b = bj * 64 + static_cast<std::size_t>(k);
-          if (b < n_ && blk[k] != 0) anc_.row(b).word(bi) = blk[k];
-        }
-      }
-    }
+    // Descendant rows, once per class: desc_[a] = { b : a -> b }.
+    desc_.reset(n_, n_);
+    transpose_rows(
+        n_, [&](std::size_t b) -> const DynamicBitset& { return anc[b]; },
+        [&](std::size_t a) { return desc_.row(a); });
     // Word-parallel updates: not-reversed(a) = ~(anc(a) | {a}) and
     // incomparable(a) = ~(desc(a) | anc(a) | {a}).
     for (EventId a = 0; a < n_; ++a) {
-      const search::ConstBitRow desc = search::row_view(tc.descendants(a));
+      const search::ConstBitRow desc = desc_.row(a);
       any_c_.row(a) |= desc;
       all_c_.row(a) &= desc;
       search::BitRow scratch(scratch_words_.data(), n_);
-      scratch.assign(anc_.row(a));
+      scratch.assign(search::row_view(anc[a]));
       scratch.set(a);
       any_notrev_.row(a).or_complement(scratch);
       scratch |= desc;
       any_incomp_.row(a).or_complement(scratch);
       all_incomp_.row(a).subtract(scratch);
     }
+  }
+
+  /// The reference path (no class dedup): rebuilds the schedule's causal
+  /// order with causal_closure() and accumulates it through accept().
+  void accept_schedule(const std::vector<EventId>& schedule) {
+    const TransitiveClosure tc = causal_closure(trace_, schedule, causal_);
+    if (anc_.empty()) anc_.assign(n_, DynamicBitset(n_));
+    for (DynamicBitset& row : anc_) row.reset_all();
+    transpose_rows(
+        n_,
+        [&](std::size_t a) -> const DynamicBitset& {
+          return tc.descendants(a);
+        },
+        [&](std::size_t b) -> DynamicBitset& { return anc_[b]; });
+    accept(anc_);
   }
 
   /// Associative cross-worker merge: any_* rows OR, all_* rows AND,
@@ -257,7 +271,8 @@ class CausalAccumulator {
   search::PerStateBitset any_c_, all_c_;
   search::PerStateBitset any_incomp_, all_incomp_;
   search::PerStateBitset any_notrev_;
-  search::PerStateBitset anc_;  ///< per-class closure transpose
+  search::PerStateBitset desc_;  ///< per-class transpose of the rows
+  std::vector<DynamicBitset> anc_;  ///< accept_schedule()'s rows
   std::vector<std::uint64_t> scratch_words_;
 };
 
@@ -271,18 +286,18 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
   // One private accumulator per worker slot (lock-free accepts —
   // same-slot visits never overlap), class dedup shared through the
   // sharded set, all budgets strict and global via the explorer's
-  // shared search context.
-  std::vector<CausalAccumulator> accs;
-  const std::size_t slots = search::resolve_num_threads(options.num_threads);
-  accs.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    accs.emplace_back(trace, causal, dedup);
-  }
-  const auto accept = [&](std::size_t slot, const std::vector<EventId>& s) {
-    accs[slot].accept(s);
-    return true;
+  // shared search context.  Slot 0 (the calling thread) always has one;
+  // a helper's is built at its first schedule, so a sweep that never
+  // grew builds one accumulator, not one per requested worker.
+  std::vector<std::unique_ptr<CausalAccumulator>> accs(
+      search::resolve_num_threads(options.num_threads));
+  accs[0] = std::make_unique<CausalAccumulator>(trace, causal, dedup);
+  const auto acc = [&](std::size_t slot) -> CausalAccumulator& {
+    if (accs[slot] == nullptr) {
+      accs[slot] = std::make_unique<CausalAccumulator>(trace, causal, dedup);
+    }
+    return *accs[slot];
   };
-
   if (options.class_dedup) {
     ClassEnumOptions co;
     static_cast<search::SearchOptions&>(co) = options;
@@ -293,7 +308,13 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
     // The class-dedup set lives here but grows inside the enumeration:
     // charge it against the same byte budget as the prefix store.
     co.charge_store = &dedup;
-    const ClassEnumStats stats = enumerate_causal_classes(trace, co, accept);
+    const ClassEnumStats stats = enumerate_causal_classes(
+        trace, co,
+        [&](std::size_t slot, const std::vector<EventId>&,
+            const std::vector<DynamicBitset>& ancestors) {
+          acc(slot).accept(ancestors);
+          return true;
+        });
     r.schedules_seen = stats.schedules_visited;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated || stats.stopped_by_visitor;
@@ -305,22 +326,28 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
     eo.reduction = search::ReductionMode::kOff;
     eo.stepper.respect_dependences = options.respect_dependences;
     eo.charge_store = &dedup;
-    const EnumerateStats stats = enumerate_schedules(trace, eo, accept);
+    const EnumerateStats stats = enumerate_schedules(
+        trace, eo, [&](std::size_t slot, const std::vector<EventId>& s) {
+          acc(slot).accept_schedule(s);
+          return true;
+        });
     r.schedules_seen = stats.schedules;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated;
     r.search = stats.search;
-    // The plain enumerator keeps no store of its own; parallel runs
-    // report the shared class-dedup set's load instead.
-    if (slots > 1) r.search.shard_sizes = dedup.shard_sizes();
+    // The plain enumerator keeps no store of its own; a sweep that grew
+    // workers reports the shared class-dedup set's load instead.
+    if (!r.search.workers.empty()) r.search.shard_sizes = dedup.shard_sizes();
   }
   // The shared stores are authoritative for memo bytes: prefix-set bytes
   // arrive via stats.search (set once from the set itself), and the
   // class-dedup set is added here exactly once — never summed per
   // worker.
   r.search.memo_bytes += dedup.bytes();
-  for (std::size_t i = 1; i < accs.size(); ++i) accs[0].merge(accs[i]);
-  accs[0].finish(r, semantics);
+  for (std::size_t i = 1; i < accs.size(); ++i) {
+    if (accs[i] != nullptr) accs[0]->merge(*accs[i]);
+  }
+  accs[0]->finish(r, semantics);
   return r;
 }
 

@@ -4,9 +4,11 @@
 // Interleaving semantics uses the memoized state-space engine (one pass,
 // no per-schedule work).  Causal and interval semantics enumerate
 // complete schedules, deduplicate them into causal classes and accumulate
-// per-class facts.  Both are exponential in the worst case — Theorems 1-4
-// say they must be, assuming P != NP — so budgets apply and results carry
-// a `truncated` flag.
+// per-class facts; with class_dedup each class arrives as the causal
+// tracker's closure rows, so no causal order is rebuilt per schedule.
+// Both are exponential in the worst case — Theorems 1-4 say they must
+// be, assuming P != NP — so budgets apply and results carry a
+// `truncated` flag.
 #pragma once
 
 #include <cstdint>
@@ -26,18 +28,21 @@ namespace evord {
 /// (ClassEnumOptions with class_dedup, EnumerateOptions without) and
 /// honour max_schedules, time_budget_seconds, max_memory_bytes,
 /// num_threads and steal; the class_dedup path also honours `reduction`
-/// and ignores max_states.
+/// and ignores max_states for good (max_schedules is the causal budget),
+/// and the plain path ignores `reduction` for good (schedules_seen counts
+/// every schedule).
 ///
 /// Every budget is strict and global across workers (one shared search
 /// context, so a budget of N caps the combined total at N).  The
-/// parallel causal/interval search runs on the work-stealing scheduler:
-/// workers accumulate into private per-slot state merged associatively
-/// at the end, and deduplicate classes AND class prefixes against shared
-/// sharded fingerprint sets, so every distinct prefix state is expanded
-/// exactly once across all workers.  Relation matrices, causal_classes,
-/// feasible_empty and — absent budgets — schedules_seen are identical to
-/// the serial engine's (tested), regardless of thread count, steal order
-/// or subtree splits.
+/// causal/interval search starts on the calling thread and grows onto
+/// the work-stealing scheduler only past search::kGrowAfterEntries DFS
+/// entries: workers accumulate into private per-slot state merged
+/// associatively at the end, and deduplicate classes AND class prefixes
+/// against shared sharded fingerprint sets, so every distinct prefix
+/// state is expanded exactly once across all workers.  Relation
+/// matrices, causal_classes, feasible_empty and — absent budgets —
+/// schedules_seen are identical to the serial engine's (tested),
+/// regardless of thread count, steal order or subtree splits.
 ///
 /// `reduction` defaults to kSourceWakeup: it preserves the set of
 /// complete causal classes (pruned schedules are commuting permutations

@@ -35,8 +35,10 @@
 //   build is a function of reachable stepper states — the deadlock
 //   search — so a NullTracker engine may use the unconditional
 //   stepper-state dynamic excusals; false whenever schedules or causal
-//   classes are surfaced), `bool on_terminal(const std::vector<EventId>&)`
-//   (false stops the whole search), `void on_stuck(const
+//   classes are surfaced), `bool on_terminal(const std::vector<EventId>&
+//   schedule, const Tracker&)` (the tracker as it stands after the last
+//   event, so the causal-class hooks read the schedule's closure rows off
+//   it; false stops the whole search), `void on_stuck(const
 //   std::vector<EventId>& path, std::uint64_t fp)` — called in DFS
 //   discovery order, which the serial deadlock search relies on to keep
 //   the first shortest stuck prefix as its witness.
@@ -71,13 +73,14 @@
 // reduction-blind.  Soundness per explorer is a front-end decision; see
 // docs/SEARCH.md §POR.
 //
-// Work stealing: EnumerationSearch alone runs in parallel mode, one
-// engine instance per SearchTask on a scheduler worker
-// (search/scheduler.hpp).  After seeding, attach_worker() hands the
-// engine its WorkerHandle; the DFS then polls steal demand once per
-// expanded state and answers it by donating the deepest unexplored
-// siblings of its current path as new tasks (adaptive subtree
-// splitting), removing them from its own walk so the visit sets
+// Work stealing: EnumerationSearch alone runs on the scheduler
+// (search/scheduler.hpp), one engine instance per SearchTask: the root
+// task on the calling thread, and — once its walk has grown the sweep —
+// every donated subtree on whichever worker takes it.  run(task, worker)
+// replays the task's seed and hands the engine its WorkerHandle; the DFS
+// then polls steal demand at every entry and answers it by donating the
+// deepest unexplored siblings of its current path as new tasks (adaptive
+// subtree splitting), removing them from its own walk so the visit sets
 // partition.  A MemoizedSearch donor could not drop a donated child (its
 // verdict must OR over every child), so its workers would duplicate work
 // instead of splitting it; it has no parallel mode.
@@ -92,7 +95,9 @@
 //                   flagged.
 //   max_schedules — strict and global: a shared atomic counter ensures
 //                   the combined number of terminal visits never exceeds
-//                   the budget, serial or parallel.
+//                   the budget, serial or parallel.  An unbudgeted run
+//                   (max_schedules or max_states 0) never touches that
+//                   field's shared counter.
 //   deadline      — polled every 256 states (memo hits included); trips
 //                   request a global stop.
 //   max_memory_bytes — strict and global: the stores/scheduler/witness
@@ -191,8 +196,10 @@ struct SharedContext {
   /// Strict global max_memory_bytes gate; the stores, scheduler and
   /// witness buffers charge it, the engines poll it (search/memory.hpp).
   MemoryAccountant memory;
-  std::atomic<std::uint64_t> terminals{0};  ///< strict max_schedules gate
-  std::atomic<std::uint64_t> states{0};     ///< global distinct states
+  /// Strict max_schedules gate; counts only under that budget.
+  std::atomic<std::uint64_t> terminals{0};
+  /// Global distinct states; counts only under a max_states budget.
+  std::atomic<std::uint64_t> states{0};
   std::atomic<bool> stop{false};
   std::atomic<std::uint8_t> stop_reason{0};
 
@@ -210,43 +217,6 @@ struct SharedContext {
     return static_cast<StopReason>(stop_reason.load());
   }
 };
-
-/// Builds the initial work-stealing tasks for an EnumerationSearch: one
-/// per first-level enabled event.  Empty when the initial state is
-/// already terminal or stuck (callers fall back to serial).  Under
-/// reduction (`indep` non-null) the first level is reduced exactly as
-/// the serial engine would reduce it — tasks cover the source subset
-/// only, and each carries the sleep set its subtree root inherits from
-/// its earlier siblings — so the parallel walk covers the same reduced
-/// tree.  Both parallel explorers surface schedules, so the dynamic
-/// independence is tracker-sensitive, as in their engines.
-inline std::vector<SearchTask> root_tasks(const Trace& trace,
-                                          const StepperOptions& stepper_options,
-                                          const IndependenceRelation* indep) {
-  TraceStepper stepper(trace, stepper_options);
-  std::vector<EventId> first;
-  stepper.enabled_events(first);
-  const DynamicIndependence dyn(indep, /*tracker_sensitive=*/true);
-  // The root's wakeup frame (empty sleep set), for the dynamic child
-  // sleeps — exactly what the serial engine computes at depth 0.
-  const std::vector<EventId> no_sleep;
-  std::vector<std::uint64_t> masks;
-  if (indep != nullptr && !first.empty()) {
-    std::vector<EventId> chosen;
-    SourceSetSelector selector(indep, &dyn);
-    selector.select(stepper, first, chosen, nullptr);
-    first = std::move(chosen);
-    compute_wakeup_masks(dyn, stepper, no_sleep, first, masks, nullptr);
-  }
-  std::vector<SearchTask> tasks(first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    tasks[i].seed.push_back(first[i]);
-    if (indep != nullptr) {
-      child_sleep(*indep, no_sleep, first, i, masks, tasks[i].sleep);
-    }
-  }
-  return tasks;
-}
 
 /// DFS over the schedule tree; delivers terminals and stuck prefixes.
 template <class Tracker, class Dedup, class Hooks>
@@ -290,30 +260,26 @@ class EnumerationSearch {
     stats_.depth_states.assign(num_events_ + 1, 0);
   }
 
-  /// Fast-forwards through `prefix` before searching (task seeding).
-  /// Every event must be enabled in sequence.
-  void seed(const std::vector<EventId>& prefix) {
-    for (EventId e : prefix) {
+  /// Walks the whole tree from the initial state, on this thread alone.
+  SearchStats run() {
+    if (reduce_) sleep_stack_.assign(1, std::vector<EventId>{});
+    dfs(0);
+    return stats_;
+  }
+
+  /// Runs one scheduler task: fast-forwards through its seed prefix
+  /// (every event must be enabled in sequence), starts from the sleep set
+  /// its subtree root inherits (SearchTask::sleep), and walks the subtree
+  /// with `worker` attached for steal demand and donation.
+  SearchStats run(const SearchTask& task, WorkerHandle& worker) {
+    for (EventId e : task.seed) {
       EVORD_CHECK(stepper_.enabled(e), "seed prefix is not schedulable");
       tracker_.apply(e, stepper_.done_bits());
       stepper_.apply(e);
       path_.push_back(e);
     }
-  }
-
-  /// Enables adaptive subtree splitting for this scheduler task.  Must
-  /// be called after seed(task.seed).
-  void attach_worker(WorkerHandle* worker) { worker_ = worker; }
-
-  /// Installs the sleep set of the engine's start state (the subtree
-  /// root a task replays to; see SearchTask::sleep).  Reduction only;
-  /// must be called before run().
-  void set_initial_sleep(std::vector<EventId> sleep) {
-    initial_sleep_ = std::move(sleep);
-  }
-
-  SearchStats run() {
-    if (reduce_) sleep_stack_.assign(1, initial_sleep_);
+    worker_ = &worker;
+    if (reduce_) sleep_stack_.assign(1, task.sleep);
     dfs(0);
     return stats_;
   }
@@ -340,7 +306,9 @@ class EnumerationSearch {
   /// budget; returns false to unwind the whole search.
   bool visit_terminal() {
     const std::uint64_t count =
-        ctx_->terminals.fetch_add(1, std::memory_order_relaxed) + 1;
+        options_.max_schedules == 0
+            ? 0
+            : ctx_->terminals.fetch_add(1, std::memory_order_relaxed) + 1;
     if (options_.max_schedules != 0 && count > options_.max_schedules) {
       stats_.truncated = true;
       set_reason(StopReason::kMaxTerminals);
@@ -348,7 +316,7 @@ class EnumerationSearch {
       return false;
     }
     ++stats_.terminals;
-    if (!hooks_.on_terminal(path_)) {
+    if (!hooks_.on_terminal(path_, tracker_)) {
       stats_.stopped_by_visitor = true;
       set_reason(StopReason::kVisitor);
       ctx_->request_stop(StopReason::kVisitor);
@@ -418,20 +386,22 @@ class EnumerationSearch {
         ++stats_.dedup_hits;
         return true;
       }
-      std::uint64_t global;
       if (claim.first_claim) {
         ++stats_.states_visited;
         ++stats_.depth_states[stepper_.num_executed()];
-        global = ctx_->states.fetch_add(1, std::memory_order_relaxed) + 1;
-      } else {
-        global = ctx_->states.load(std::memory_order_relaxed);
       }
       // Claim-then-check: this state is counted but not expanded once the
       // budget is reached; siblings keep getting claimed (no unwind).
-      if (options_.max_states != 0 && global >= options_.max_states) {
-        stats_.truncated = true;
-        set_reason(StopReason::kMaxStates);
-        return true;
+      if (options_.max_states != 0) {
+        const std::uint64_t global =
+            claim.first_claim
+                ? ctx_->states.fetch_add(1, std::memory_order_relaxed) + 1
+                : ctx_->states.load(std::memory_order_relaxed);
+        if (global >= options_.max_states) {
+          stats_.truncated = true;
+          set_reason(StopReason::kMaxStates);
+          return true;
+        }
       }
     } else {
       ++stats_.states_visited;
@@ -542,7 +512,6 @@ class EnumerationSearch {
   /// selected) at that state, shared by the in-walk child-sleep
   /// computation and try_split donation.
   std::vector<std::vector<std::uint64_t>> mask_stack_;
-  std::vector<EventId> initial_sleep_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;
   std::size_t num_events_;
@@ -639,7 +608,9 @@ class MemoizedSearch {
     if (memo_->store(fp, completable, payload())) {
       ++stats_.states_visited;
       ++stats_.depth_states[stepper_.num_executed()];
-      ctx_->states.fetch_add(1, std::memory_order_relaxed);
+      if (options_.max_states != 0) {
+        ctx_->states.fetch_add(1, std::memory_order_relaxed);
+      }
     }
     return completable;
   }

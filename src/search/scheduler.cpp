@@ -144,41 +144,48 @@ class WorkStealingScheduler {
  public:
   WorkStealingScheduler(std::size_t num_workers, std::uint64_t steal_seed,
                         SharedContext& ctx, const TaskRunner& run)
-      : ctx_(&ctx), run_(&run), workers_(num_workers) {
-    for (std::size_t i = 0; i < num_workers; ++i) {
-      // splitmix-style decorrelation so nearby worker ids probe
-      // different victim sequences even with steal_seed == 0.
-      workers_[i] = std::make_unique<Worker>(
-          steal_seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    }
-  }
+      : ctx_(&ctx),
+        run_(&run),
+        num_workers_(num_workers),
+        steal_seed_(steal_seed) {}
 
-  SearchStats execute(std::vector<SearchTask> roots) {
-    outstanding_.store(static_cast<std::int64_t>(roots.size()),
-                       std::memory_order_relaxed);
-    // Round-robin initial distribution; single-threaded here, so owner
-    // pushes into foreign deques are safe.
-    for (std::size_t i = 0; i < roots.size(); ++i) {
-      ctx_->memory.charge(task_bytes(roots[i]));
-      workers_[i % workers_.size()]->deque.push(
-          new SearchTask(std::move(roots[i])));
+  SearchStats execute() {
+    // The root task runs here, as worker 0.  Nothing below is allocated
+    // unless its walk grows the sweep (grow(), from split_wanted()).
+    WorkerHandle root(this, 0, &hungry_,
+                      num_workers_ > 1 ? kGrowAfterEntries : 0);
+    outstanding_.store(1, std::memory_order_relaxed);
+    run_task(SearchTask{}, root);
+    outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+    if (!workers_.empty()) {
+      ++workers_[0]->stats.tasks_executed;
+      // Help drain what the root walk donated, then join the helpers.
+      worker_main(0);
+      for (std::thread& t : threads_) t.join();
+      total_.workers.resize(workers_.size());
+      for (std::size_t i = 0; i < workers_.size(); ++i) {
+        total_.workers[i] = workers_[i]->stats;
+      }
     }
-    std::vector<std::thread> threads;
-    threads.reserve(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      threads.emplace_back([this, i] { worker_main(i); });
-    }
-    for (std::thread& t : threads) t.join();
     if (first_error_) std::rethrow_exception(first_error_);
-    total_.workers.resize(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      total_.workers[i] = workers_[i]->stats;
-    }
     return std::move(total_);
   }
 
-  bool split_wanted() const noexcept {
-    return hungry_.load(std::memory_order_relaxed) > 0;
+  /// Starts the helpers; called once, by worker 0's handle.  Every
+  /// worker exists before the first helper starts, so thieves never see
+  /// the worker table change.
+  void grow() {
+    workers_.reserve(num_workers_);
+    for (std::size_t i = 0; i < num_workers_; ++i) {
+      // splitmix-style decorrelation so nearby worker ids probe
+      // different victim sequences even with steal_seed == 0.
+      workers_.push_back(std::make_unique<Worker>(
+          steal_seed_ ^ (0x9e3779b97f4a7c15ull * (i + 1))));
+    }
+    threads_.reserve(num_workers_ - 1);
+    for (std::size_t i = 1; i < num_workers_; ++i) {
+      threads_.emplace_back([this, i] { worker_main(i); });
+    }
   }
 
   void spawn(std::size_t worker_id, SearchTask task) {
@@ -200,7 +207,7 @@ class WorkStealingScheduler {
 
   void worker_main(std::size_t id) {
     Worker& self = *workers_[id];
-    WorkerHandle handle(this, id);
+    WorkerHandle handle(this, id, &hungry_, 0);
     bool hungry = false;
     std::chrono::steady_clock::time_point idle_since;
     const auto stop_hunger = [&] {
@@ -220,7 +227,11 @@ class WorkStealingScheduler {
         stop_hunger();
         ++self.stats.tasks_executed;
         if (stolen) ++self.stats.tasks_stolen;
-        run_task(task, handle);
+        {
+          const std::unique_ptr<SearchTask> owned(task);
+          ctx_->memory.release(task_bytes(*owned));
+          run_task(*owned, handle);
+        }
         // Decrement last: a running task may spawn, so outstanding_
         // can only hit zero once no spawner is left.
         outstanding_.fetch_sub(1, std::memory_order_acq_rel);
@@ -237,12 +248,10 @@ class WorkStealingScheduler {
     stop_hunger();
   }
 
-  void run_task(SearchTask* task, WorkerHandle& handle) {
-    std::unique_ptr<SearchTask> owned(task);
-    ctx_->memory.release(task_bytes(*owned));
+  void run_task(const SearchTask& task, WorkerHandle& handle) {
     if (abort_.load(std::memory_order_acquire)) return;  // drain only
     try {
-      const SearchStats stats = (*run_)(*owned, handle);
+      const SearchStats stats = (*run_)(task, handle);
       std::lock_guard<std::mutex> lock(merge_mu_);
       total_.merge(stats);
     } catch (...) {
@@ -280,6 +289,9 @@ class WorkStealingScheduler {
 
   SharedContext* ctx_;
   const TaskRunner* run_;
+  std::size_t num_workers_;
+  std::uint64_t steal_seed_;
+  /// Empty until the sweep grows; then one entry per worker.
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::int64_t> outstanding_{0};
   std::atomic<std::uint32_t> hungry_{0};
@@ -287,24 +299,23 @@ class WorkStealingScheduler {
   std::mutex merge_mu_;
   SearchStats total_;
   std::exception_ptr first_error_;
+  /// The helpers (workers 1..n-1), last so they are declared after every
+  /// member they use; execute() joins them.
+  std::vector<std::thread> threads_;
 };
 
-bool WorkerHandle::split_wanted() const noexcept {
-  return sched_->split_wanted();
-}
+void WorkerHandle::grow() { sched_->grow(); }
 
 void WorkerHandle::spawn(SearchTask task) {
   sched_->spawn(id_, std::move(task));
 }
 
-SearchStats run_work_stealing(std::vector<SearchTask> roots,
-                              std::size_t num_workers,
+SearchStats run_work_stealing(std::size_t num_workers,
                               std::uint64_t steal_seed, SharedContext& ctx,
                               const TaskRunner& run) {
-  if (roots.empty()) return {};
   WorkStealingScheduler scheduler(std::max<std::size_t>(num_workers, 1),
                                   steal_seed, ctx, run);
-  return scheduler.execute(std::move(roots));
+  return scheduler.execute();
 }
 
 std::size_t max_worker_threads() {

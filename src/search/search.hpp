@@ -101,7 +101,8 @@ struct SearchOptions {
   /// max_worker_threads() (scheduler.hpp) so oversubscription is
   /// impossible.  Results never depend on it.  Only the two enumeration
   /// explorers (schedules and causal classes, and the causal/interval
-  /// compute_exact built on them) run workers; the state-keyed explorers
+  /// compute_exact built on them) run workers, and a sweep starts them
+  /// only past kGrowAfterEntries DFS entries; the state-keyed explorers
   /// (the memoized sweep and deadlock search) always run serially.
   std::size_t num_threads = 1;
   /// Work-stealing knobs (grain / max_split_depth / seed); read only
@@ -169,7 +170,8 @@ struct SearchStats {
   /// seed prefix), same counting rule as states_visited.  Element-wise
   /// summed by merge().
   std::vector<std::uint64_t> depth_states;
-  /// Per-worker scheduler counters; empty for serial runs.  Index-wise
+  /// Per-worker scheduler counters; empty for serial runs and for
+  /// sweeps that never grew past search::kGrowAfterEntries.  Index-wise
   /// merged (worker i of every task batch is the same OS thread).
   std::vector<WorkerStats> workers;
   /// Final per-shard sizes of the shared fingerprint store (load-factor

@@ -2,20 +2,6 @@
 
 namespace evord::service {
 
-const char* to_string(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kRelations:
-      return "relations";
-    case QueryKind::kDeadlock:
-      return "deadlock";
-    case QueryKind::kRaces:
-      return "races";
-    case QueryKind::kAnytimeVerdict:
-      return "anytime-verdict";
-  }
-  return "?";
-}
-
 std::shared_ptr<const void> ResultCache::get_erased(const CacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);

@@ -47,8 +47,6 @@ enum class QueryKind : std::uint8_t {
   kAnytimeVerdict = 5,
 };
 
-const char* to_string(QueryKind kind);
-
 struct CacheKey {
   /// Semantics byte for entries a semantics does not apply to.
   static constexpr std::uint8_t kNoSemantics = 0xff;

@@ -4,6 +4,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "feasible/enumerate.hpp"
 #include "helpers.hpp"
@@ -46,7 +48,9 @@ TEST(ClassEnumerate, CoversEveryClassThePlainEnumeratorFinds) {
     std::set<std::string> dedup_classes;
     std::uint64_t visits = 0;
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+        t, {},
+        [&](std::size_t, const std::vector<EventId>& s,
+            const std::vector<DynamicBitset>&) {
           dedup_classes.insert(class_fingerprint(t, s));
           ++visits;
           return true;
@@ -66,7 +70,8 @@ TEST(ClassEnumerate, VisitsNoMoreThanThePlainEnumerator) {
     const std::uint64_t plain = count_schedules(t);
     std::uint64_t dedup = 0;
     enumerate_causal_classes(t, {},
-                             [&](std::size_t, const std::vector<EventId>&) {
+                             [&](std::size_t, const std::vector<EventId>&,
+                                 const std::vector<DynamicBitset>&) {
                                ++dedup;
                                return true;
                              });
@@ -89,10 +94,13 @@ TEST(ClassEnumerate, SyncOnlyModeCoversSyncOnlyClasses) {
   std::set<std::string> dedup_classes;
   ClassEnumOptions options;
   options.causal = sync_only;
-  enumerate_causal_classes(t, options, [&](std::size_t, const std::vector<EventId>& s) {
-    dedup_classes.insert(class_fingerprint(t, s, sync_only));
-    return true;
-  });
+  enumerate_causal_classes(t, options,
+                           [&](std::size_t, const std::vector<EventId>& s,
+                               const std::vector<DynamicBitset>&) {
+                             dedup_classes.insert(
+                                 class_fingerprint(t, s, sync_only));
+                             return true;
+                           });
   EXPECT_EQ(dedup_classes, plain_classes);
 }
 
@@ -105,7 +113,7 @@ TEST(ClassEnumerate, CountsDeadlockedPrefixes) {
   b.wait(p1, e);
   b.clear(p2, e);
   const ClassEnumStats stats = enumerate_causal_classes(
-      b.build(), {}, [](std::size_t, const std::vector<EventId>&) { return true; });
+      b.build(), {}, testing::accept_every_class);
   EXPECT_GT(stats.deadlocked_prefixes, 0u);
   EXPECT_GT(stats.schedules_visited, 0u);
 }
@@ -121,11 +129,13 @@ TEST(ClassEnumerate, BudgetsAndVisitorStop) {
   ClassEnumOptions tight;
   tight.max_states = 3;
   const ClassEnumStats truncated = enumerate_causal_classes(
-      t, tight, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, tight, testing::accept_every_class);
   EXPECT_TRUE(truncated.truncated);
 
   const ClassEnumStats stopped = enumerate_causal_classes(
-      t, {}, [](std::size_t, const std::vector<EventId>&) { return false; });
+      t, {},
+      [](std::size_t, const std::vector<EventId>&,
+         const std::vector<DynamicBitset>&) { return false; });
   EXPECT_TRUE(stopped.stopped_by_visitor);
   EXPECT_EQ(stopped.schedules_visited, 1u);
 }
@@ -145,7 +155,7 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   // a single chain, so the savings show up as reduction counters rather
   // than prefix dedup hits.
   const ClassEnumStats stats = enumerate_causal_classes(
-      t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, {}, testing::accept_every_class);
   EXPECT_GT(stats.search.sleep_pruned + stats.search.source_skipped, 0u);
   EXPECT_GT(stats.distinct_prefixes, 0u);
   EXPECT_LT(stats.schedules_visited, 1680u);  // 9!/(3!)^3 plain schedules
@@ -154,11 +164,61 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   ClassEnumOptions unreduced;
   unreduced.reduction = search::ReductionMode::kOff;
   const ClassEnumStats off = enumerate_causal_classes(
-      t, unreduced, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, unreduced, testing::accept_every_class);
   EXPECT_GT(off.prefixes_pruned, 0u);
   EXPECT_EQ(off.search.sleep_pruned, 0u);
   EXPECT_EQ(off.search.source_skipped, 0u);
   EXPECT_GE(off.schedules_visited, stats.schedules_visited);
+}
+
+// The visitor's ancestor rows are the schedule's causal order: for every
+// delivered schedule, rows[b] = {a : a -> b} is exactly the transpose of
+// causal_closure(), with data edges on and off — serial on small random
+// traces, and from every worker of a sweep that grows helpers.
+TEST(ClassEnumerate, AncestorRowsAreTheTransposedCausalClosure) {
+  std::vector<std::pair<Trace, std::size_t>> runs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    testing::RandomTraceConfig config;
+    config.num_events = 12;
+    config.num_event_vars = seed % 2;
+    runs.emplace_back(testing::random_trace(config, rng), 1);
+  }
+  {
+    Rng rng(5);
+    runs.emplace_back(testing::random_fork_join_trace(3, 3, rng), 1);
+  }
+  runs.emplace_back(testing::contended_trace(4, 2), 4);
+  for (const auto& [t, threads] : runs) {
+    for (const bool data_edges : {true, false}) {
+      ClassEnumOptions options;
+      options.causal.include_data_edges = data_edges;
+      options.num_threads = threads;
+      std::vector<std::uint64_t> checked(threads, 0);
+      std::vector<std::uint64_t> wrong(threads, 0);
+      const ClassEnumStats stats = enumerate_causal_classes(
+          t, options,
+          [&](std::size_t slot, const std::vector<EventId>& s,
+              const std::vector<DynamicBitset>& ancestors) {
+            const TransitiveClosure tc = causal_closure(t, s, options.causal);
+            for (EventId a = 0; a < t.num_events(); ++a) {
+              for (EventId b = 0; b < t.num_events(); ++b) {
+                if (ancestors[b].test(a) != tc.reachable(a, b)) ++wrong[slot];
+              }
+            }
+            ++checked[slot];
+            return true;
+          });
+      std::uint64_t total = 0;
+      for (std::size_t i = 0; i < threads; ++i) {
+        EXPECT_EQ(wrong[i], 0u) << "slot " << i << " data edges "
+                                << data_edges;
+        total += checked[i];
+      }
+      EXPECT_EQ(total, stats.schedules_visited);
+      if (threads > 1) testing::expect_grew(stats.search, threads);
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "reductions/reduction.hpp"
 #include "sat/dpll.hpp"
 #include "util/fault.hpp"
+#include "helpers.hpp"
 #include "workload/generators.hpp"
 
 namespace evord {
@@ -146,8 +147,7 @@ TEST(FaultSweep, DeadlineAtStateStopsEveryExplorer) {
       ClassEnumOptions co;
       co.num_threads = threads;
       const ClassEnumStats stats = enumerate_causal_classes(
-          trace, co,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
+          trace, co, testing::accept_every_class);
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
       EXPECT_TRUE(fault::tripped());
@@ -198,8 +198,7 @@ TEST(FaultSweep, StoreFailureStopsStoreBackedExplorers) {
       ClassEnumOptions co;
       co.num_threads = threads;
       const ClassEnumStats stats = enumerate_causal_classes(
-          trace, co,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
+          trace, co, testing::accept_every_class);
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.search.stop_reason, search::StopReason::kMemory);
       EXPECT_TRUE(fault::tripped());
@@ -228,7 +227,8 @@ TEST(FaultSweep, StoreFaultIsInertForStorelessEnumeration) {
 // ------------------------------------- result-preserving steal faults
 
 TEST(FaultSweep, StealPoisonPreservesExactResults) {
-  const Trace trace = sweep_trace();
+  // A sweep that grows its helpers, so there are steals to poison.
+  const Trace trace = testing::contended_trace(4, 2);
   ExactOptions eo;
   const OrderingRelations baseline =
       compute_exact(trace, Semantics::kCausal, eo);
@@ -247,6 +247,7 @@ TEST(FaultSweep, StealPoisonPreservesExactResults) {
           compute_exact(trace, Semantics::kCausal, peo);
       EXPECT_TRUE(fault::tripped());
       EXPECT_FALSE(r.truncated);
+      testing::expect_grew(r.search, threads);
       EXPECT_EQ(r.causal_classes, baseline.causal_classes);
       EXPECT_EQ(r.feasible_empty, baseline.feasible_empty);
       for (RelationKind k : kAllRelationKinds) {
@@ -257,7 +258,7 @@ TEST(FaultSweep, StealPoisonPreservesExactResults) {
 }
 
 TEST(FaultSweep, TargetedStealPoisonOnlyHitsOneWorker) {
-  const Trace trace = sweep_trace();
+  const Trace trace = testing::contended_trace(4, 2);
   ExactOptions eo;
   const OrderingRelations baseline =
       compute_exact(trace, Semantics::kCausal, eo);
@@ -266,7 +267,12 @@ TEST(FaultSweep, TargetedStealPoisonOnlyHitsOneWorker) {
   ExactOptions peo;
   peo.num_threads = 4;
   const OrderingRelations r = compute_exact(trace, Semantics::kCausal, peo);
+  EXPECT_TRUE(fault::tripped());
   EXPECT_FALSE(r.truncated);
+  testing::expect_grew(r.search, 4);
+  ASSERT_EQ(r.search.workers.size(), 4u);
+  // Worker 1's every probe round reports empty: it runs no stolen task.
+  EXPECT_EQ(r.search.workers[1].tasks_stolen, 0u);
   for (RelationKind k : kAllRelationKinds) {
     EXPECT_EQ(r[k], baseline[k]) << "relation " << to_string(k);
   }

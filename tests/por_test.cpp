@@ -62,7 +62,8 @@ std::set<ClassKey> enumerated_classes(const Trace& trace,
   options.reduction = reduction;
   std::set<ClassKey> out;
   enumerate_causal_classes(trace, options,
-                           [&](std::size_t, const std::vector<EventId>& s) {
+                           [&](std::size_t, const std::vector<EventId>& s,
+                               const std::vector<DynamicBitset>&) {
                              out.insert(class_key(trace, s, options.causal));
                              return true;
                            });
@@ -218,36 +219,6 @@ TEST(Por, ExactMatricesMatchUnreduced) {
   }
 }
 
-TEST(Por, ParallelReducedExactBitIdentical) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    for (const auto& [label, trace] : test_traces(seed)) {
-      ExactOptions serial_options;  // reduction ON by default
-      const OrderingRelations serial =
-          compute_exact(trace, Semantics::kCausal, serial_options);
-      for (const std::size_t threads : {2u, 4u, 8u}) {
-        for (const std::uint64_t steal_seed : {1ull, 7ull, 12345ull}) {
-          std::ostringstream os;
-          os << label << " seed " << seed << " threads " << threads
-             << " steal " << steal_seed;
-          SCOPED_TRACE(os.str());
-          ExactOptions options;
-          options.num_threads = threads;
-          options.steal.seed = steal_seed;
-          options.steal.grain = 1;  // provoke deep splits
-          const OrderingRelations parallel =
-              compute_exact(trace, Semantics::kCausal, options);
-          EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
-          EXPECT_EQ(parallel.causal_classes, serial.causal_classes);
-          EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen);
-          for (const RelationKind kind : kAllRelationKinds) {
-            EXPECT_EQ(parallel[kind], serial[kind]) << to_string(kind);
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(Por, ParallelReducedDeadlockBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (const auto& [label, trace] : test_traces(seed)) {
@@ -278,8 +249,9 @@ TEST(Por, ParallelReducedDeadlockBitIdentical) {
 /// Surplus-token V/V family: initial tokens plus early V's cover every
 /// remaining P partway through the run, so late V/V commutations are
 /// causally invisible (the tokens they push are never popped).  V/P
-/// placement is randomized per seed.
-Trace vv_surplus_trace(std::uint64_t seed) {
+/// placement is randomized per seed.  `mutex_rounds` critical sections
+/// per process (testing::add_mutex_rounds) lead the run when nonzero.
+Trace vv_surplus_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
   Rng rng(seed);
   TraceBuilder b;
   const ObjectId s =
@@ -287,6 +259,7 @@ Trace vv_surplus_trace(std::uint64_t seed) {
   const ProcId p1 = b.add_process();
   const ProcId p2 = b.add_process();
   const ProcId p3 = b.add_process();
+  testing::add_mutex_rounds(b, {p1, p2, p3}, mutex_rounds);
   b.sem_v(p1, s);
   if (rng.chance(0.6)) b.compute(p1, "a");
   b.sem_v(p1, s);
@@ -303,13 +276,15 @@ Trace vv_surplus_trace(std::uint64_t seed) {
 /// posted variable), Waits, and Clears from distinct processes.  The
 /// conditional Post excusals and the unconditional Clear/Clear excusal
 /// are all reachable; some interleavings wedge a Wait (deadlock path).
-Trace post_clear_trace(std::uint64_t seed) {
+/// `mutex_rounds` as for vv_surplus_trace.
+Trace post_clear_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
   Rng rng(seed);
   TraceBuilder b;
   const ObjectId e = b.event_var("e", /*initially_posted=*/seed % 2 == 0);
   const ProcId p1 = b.add_process();
   const ProcId p2 = b.add_process();
   const ProcId p3 = b.add_process();
+  testing::add_mutex_rounds(b, {p1, p2, p3}, mutex_rounds);
   b.post(b.root(), e);
   b.post(p1, e);
   if (rng.chance(0.6)) b.wait(p2, e);
@@ -321,12 +296,17 @@ Trace post_clear_trace(std::uint64_t seed) {
 }
 
 std::vector<std::pair<std::string, Trace>> excusal_traces(
-    std::uint64_t seed) {
+    std::uint64_t seed, std::size_t mutex_rounds = 0) {
   std::vector<std::pair<std::string, Trace>> traces;
-  traces.emplace_back("vv", vv_surplus_trace(seed));
-  traces.emplace_back("postclear", post_clear_trace(seed));
+  traces.emplace_back("vv", vv_surplus_trace(seed, mutex_rounds));
+  traces.emplace_back("postclear", post_clear_trace(seed, mutex_rounds));
   return traces;
 }
+
+/// Three critical sections per process ahead of the excusal families:
+/// 26,000 to 110,000 reduced DFS entries each, so multi-worker sweeps
+/// grow their helpers (search::kGrowAfterEntries) and steal.
+constexpr std::size_t kGrowingRounds = 3;
 
 TEST(Por, SourceWakeupClassSetsMatchOnExcusalFamilies) {
   // Randomized sweep pinning the dynamic excusals (surplus-token V/V,
@@ -344,7 +324,9 @@ TEST(Por, SourceWakeupClassSetsMatchOnExcusalFamilies) {
       on.reduction = ReductionMode::kSourceWakeup;
       std::set<ClassKey> reduced;
       const ClassEnumStats stats = enumerate_causal_classes(
-          trace, on, [&](std::size_t, const std::vector<EventId>& s) {
+          trace, on,
+          [&](std::size_t, const std::vector<EventId>& s,
+              const std::vector<DynamicBitset>&) {
             reduced.insert(class_key(trace, s, on.causal));
             return true;
           });
@@ -395,8 +377,7 @@ TEST(Por, ScalarSourceClosurePreservesClassesPastSixtyFourProcesses) {
 
   ClassEnumOptions reduced;
   const ClassEnumStats stats = enumerate_causal_classes(
-      trace, reduced,
-      [](std::size_t, const std::vector<EventId>&) { return true; });
+      trace, reduced, testing::accept_every_class);
   EXPECT_GT(stats.search.source_skipped, 0u);  // the closure chose
 }
 
@@ -427,15 +408,51 @@ TEST(Por, SourceWakeupDeadlockAndExactMatchOnExcusalFamilies) {
   }
 }
 
+TEST(Por, ParallelReducedExactBitIdentical) {
+  // The contended trace alone and the excusal families behind three
+  // contended rounds: reduced sweeps that grow helpers at every worker
+  // count, with deep splits (grain 1) and perturbed victim order.
+  std::vector<std::pair<std::string, Trace>> traces =
+      excusal_traces(/*seed=*/3, kGrowingRounds);
+  traces.emplace_back("contended", testing::contended_trace(4, 2));
+  for (const auto& [label, trace] : traces) {
+    ExactOptions serial_options;  // reduction ON by default
+    const OrderingRelations serial =
+        compute_exact(trace, Semantics::kCausal, serial_options);
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      for (const std::uint64_t steal_seed : {1ull, 7ull, 12345ull}) {
+        std::ostringstream os;
+        os << label << " threads " << threads << " steal " << steal_seed;
+        SCOPED_TRACE(os.str());
+        ExactOptions options;
+        options.num_threads = threads;
+        options.steal.seed = steal_seed;
+        options.steal.grain = 1;  // provoke deep splits
+        const OrderingRelations parallel =
+            compute_exact(trace, Semantics::kCausal, options);
+        EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
+        EXPECT_EQ(parallel.causal_classes, serial.causal_classes);
+        EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen);
+        EXPECT_EQ(parallel.states_visited, serial.states_visited);
+        for (const RelationKind kind : kAllRelationKinds) {
+          EXPECT_EQ(parallel[kind], serial[kind]) << to_string(kind);
+        }
+        testing::expect_grew(parallel.search, threads);
+      }
+    }
+  }
+}
+
 TEST(Por, WakeupDonationStressBitIdenticalAtEightWorkers) {
   // Wakeup-tree serialization across work stealing: grain 1 forces
   // splits at every depth, so donated SearchTask::sleep sets are derived
   // from the donor's wakeup frames throughout the walk.  Exercised at 8
   // workers (EVORD_MAX_THREADS=8 in the test environment) across
   // perturbed steal seeds on the excusal-heavy families, where the
-  // frames actually differ from the static sleep sets.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    for (const auto& [label, trace] : excusal_traces(seed)) {
+  // frames actually differ from the static sleep sets, each behind three
+  // contended rounds so the sweeps grow their helpers.
+  for (const std::uint64_t seed : {1u, 3u}) {
+    for (const auto& [label, trace] : excusal_traces(seed, kGrowingRounds)) {
       const OrderingRelations serial =
           compute_exact(trace, Semantics::kCausal, {});
       for (const std::uint64_t steal_seed : {1ull, 99ull, 31337ull}) {
@@ -453,6 +470,7 @@ TEST(Por, WakeupDonationStressBitIdenticalAtEightWorkers) {
         for (const RelationKind kind : kAllRelationKinds) {
           EXPECT_EQ(parallel[kind], serial[kind]) << to_string(kind);
         }
+        testing::expect_grew(parallel.search, 8);
       }
     }
   }
@@ -466,9 +484,9 @@ TEST(Por, WideForkReductionFactor) {
   ClassEnumOptions off;
   off.reduction = ReductionMode::kOff;
   const ClassEnumStats full = enumerate_causal_classes(
-      t, off, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, off, testing::accept_every_class);
   const ClassEnumStats reduced = enumerate_causal_classes(
-      t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, {}, testing::accept_every_class);
   EXPECT_EQ(reduced.schedules_visited, 1u);  // a single causal class
   EXPECT_GE(full.distinct_prefixes,
             5 * reduced.search.states_visited);

@@ -1,14 +1,17 @@
 // Cross-engine equivalence sweep for the unified search core
-// (src/search/): every explorer — serial, root-split parallel, and a
+// (src/search/): every explorer — serial, multi-worker, and a
 // deliberately naive brute-force reference that shares no code with the
 // engine — must agree on coexistence matrices, deadlock verdicts and
 // schedule counts over random traces, under all three semantics and with
-// dependences (F3) both enforced and ignored.  Also pins down the strict
-// global budget semantics and the stepper's incremental state hash.
+// dependences (F3) both enforced and ignored.  The multi-worker runs use
+// traces whose walks pass search::kGrowAfterEntries, and check that the
+// helpers really ran.  Also pins down the strict global budget semantics
+// and the stepper's incremental state hash.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -128,6 +131,19 @@ Trace small_random_trace(std::uint64_t seed, std::size_t num_events) {
   return evord::testing::random_trace(config, rng);
 }
 
+/// `procs` processes of `per_proc` independent computations each: every
+/// interleaving is a schedule.  At 3 x 4 that is 12!/(4!)^3 = 34,650
+/// schedules, a walk far past search::kGrowAfterEntries.
+Trace independent_trace(std::size_t procs, std::size_t per_proc) {
+  TraceBuilder b;
+  std::vector<ProcId> ps{b.root()};
+  while (ps.size() < procs) ps.push_back(b.add_process());
+  for (std::size_t i = 0; i < per_proc; ++i) {
+    for (const ProcId p : ps) b.compute(p, "", {}, {});
+  }
+  return b.build();
+}
+
 /// A trace where some interleavings wedge: p1 grants both semaphores,
 /// then p2 takes a-then-b while p3 takes b-then-a (circular wait).
 Trace deadlockable_trace() {
@@ -222,8 +238,10 @@ TEST(SearchEquivalence, DeadlockVerdictsMatchBruteAndParallel) {
 
 TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
   for (const bool respect_deps : {true, false}) {
-    for (const std::uint64_t seed : {31u, 32u, 33u}) {
-      const Trace t = small_random_trace(seed, 10);
+    for (const std::uint64_t seed : {31u, 32u}) {
+      // Seed 31 at 12 events makes over 46,000 DFS entries; seed 32 has
+      // an event variable.
+      const Trace t = small_random_trace(seed, 12);
       EnumerateOptions options;
       options.stepper.respect_dependences = respect_deps;
 
@@ -246,6 +264,8 @@ TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
       EXPECT_EQ(parallel.schedules, serial.schedules) << "seed " << seed;
       EXPECT_EQ(parallel_visits.load(), serial.schedules);
       EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
+      EXPECT_TRUE(serial.search.workers.empty());
+      evord::testing::expect_grew(parallel.search, 4);
     }
   }
 }
@@ -254,10 +274,14 @@ TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
 // Exact relations: serial == parallel under all three semantics.
 
 TEST(SearchEquivalence, ExactRelationsSerialVsParallel) {
+  // Both walks — plain (2,520 or 3,432 schedules, one per class) and
+  // class-deduplicated — pass search::kGrowAfterEntries on these traces.
+  const Trace traces[] = {evord::testing::contended_trace(4, 2),
+                          evord::testing::contended_trace(2, 7)};
   for (const bool respect_deps : {true, false}) {
     for (const bool class_dedup : {true, false}) {
-      for (const std::uint64_t seed : {41u, 42u}) {
-        const Trace t = small_random_trace(seed, 10);
+      for (std::size_t i = 0; i < std::size(traces); ++i) {
+        const Trace& t = traces[i];
         for (const Semantics semantics :
              {Semantics::kInterleaving, Semantics::kCausal,
               Semantics::kInterval}) {
@@ -273,13 +297,19 @@ TEST(SearchEquivalence, ExactRelationsSerialVsParallel) {
 
           EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
           EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen)
-              << "seed " << seed << " semantics "
-              << to_string(semantics) << " dedup " << class_dedup;
+              << "trace " << i << " semantics " << to_string(semantics)
+              << " dedup " << class_dedup;
           EXPECT_EQ(parallel.causal_classes, serial.causal_classes);
           for (const RelationKind k : kAllRelationKinds) {
             EXPECT_EQ(parallel[k], serial[k])
-                << to_string(k) << " seed " << seed << " semantics "
+                << to_string(k) << " trace " << i << " semantics "
                 << to_string(semantics);
+          }
+          // The interleaving sweep runs serially at any num_threads.
+          if (semantics == Semantics::kInterleaving) {
+            EXPECT_TRUE(parallel.search.workers.empty());
+          } else {
+            evord::testing::expect_grew(parallel.search, 4);
           }
         }
       }
@@ -291,18 +321,14 @@ TEST(SearchEquivalence, ExactRelationsSerialVsParallel) {
 // Strict global budgets (the historical per-subtree overshoot is gone).
 
 TEST(SearchBudget, ParallelMaxSchedulesIsStrictAndGlobal) {
-  // 3 processes x 3 independent computes: 9!/(3!)^3 = 1680 schedules
-  // across 3 root subtrees.
-  TraceBuilder b;
-  std::vector<ProcId> procs{b.root(), b.add_process(), b.add_process()};
-  for (int i = 0; i < 3; ++i) {
-    for (const ProcId p : procs) b.compute(p, "", {}, {});
-  }
-  const Trace t = b.build();
-  constexpr std::uint64_t kTotal = 1680;
+  // 3 processes x 4 independent computes: 12!/(4!)^3 = 34,650
+  // schedules.  Budgets from kTotal / 2 up let the walk grow helpers
+  // before the cap.
+  const Trace t = independent_trace(3, 4);
+  constexpr std::uint64_t kTotal = 34650;
 
   for (const std::uint64_t budget :
-       {std::uint64_t{1}, std::uint64_t{7}, kTotal - 1, kTotal,
+       {std::uint64_t{1}, std::uint64_t{7}, kTotal / 2, kTotal - 1, kTotal,
         std::uint64_t{0}}) {
     EnumerateOptions options;
     options.max_schedules = budget;
@@ -321,6 +347,9 @@ TEST(SearchBudget, ParallelMaxSchedulesIsStrictAndGlobal) {
     // engine stops there without learning the space was exhausted
     // (the serial enumerator has always reported it this way).
     EXPECT_EQ(stats.truncated, budget != 0 && budget <= kTotal);
+    if (budget == 0 || budget >= kTotal / 2) {
+      evord::testing::expect_grew(stats.search, 4);
+    }
   }
 }
 
@@ -365,10 +394,10 @@ TEST(StateHash, PathIndependentAndExactUnderUndo) {
 // labels): every explorer that runs workers is run repeatedly at 2/4/8
 // workers with perturbed seeded victim selection and maximally
 // aggressive subtree splitting (steal grain 0-1 instead of the default
-// 4, so nearly every DFS level is eligible for donation).  Results and
-// strict-budget stop points must be bit-identical to serial on every
-// run — the scheduler may only change WHO explores a subtree, never
-// what is found.
+// 4, so nearly every DFS level is eligible for donation), on traces
+// whose walks grow helpers.  Results and strict-budget stop points must
+// be bit-identical to serial on every run — the scheduler may only
+// change WHO explores a subtree, never what is found.
 
 /// Perturbed scheduler tuning for stress run `run`: alternating split
 /// aggressiveness and a different victim-selection seed every time.
@@ -384,7 +413,9 @@ constexpr std::size_t kStressThreads[] = {2, 4, 8};
 constexpr int kStressRunsPerThreadCount = 4;  // 12 parallel runs total
 
 TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
-  const Trace t = small_random_trace(71, 10);
+  // Half of its 34,650 schedules lie past search::kGrowAfterEntries, so
+  // the budgeted runs grow helpers too.
+  const Trace t = independent_trace(3, 4);
   EnumerateOptions options;
   const EnumerateStats serial = enumerate_schedules(
       t, options,
@@ -409,6 +440,7 @@ TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
       EXPECT_EQ(visits.load(), serial.schedules);
       EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
       EXPECT_FALSE(parallel.truncated);
+      evord::testing::expect_grew(parallel.search, threads);
 
       // Strict budget: the stop point is exactly the budget, at every
       // thread count and steal order.
@@ -425,16 +457,16 @@ TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
       EXPECT_TRUE(stopped.truncated);
       EXPECT_EQ(stopped.search.stop_reason,
                 search::StopReason::kMaxTerminals);
+      evord::testing::expect_grew(stopped.search, threads);
     }
   }
 }
 
 TEST(StealStress, ClassEnumerationCountsBitIdentical) {
-  const Trace t = small_random_trace(73, 10);
+  const Trace t = evord::testing::contended_trace(4, 2);
   ClassEnumOptions options;
   const ClassEnumStats serial = enumerate_causal_classes(
-      t, options,
-      [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, options, evord::testing::accept_every_class);
 
   int run = 0;
   for (const std::size_t threads : kStressThreads) {
@@ -442,18 +474,18 @@ TEST(StealStress, ClassEnumerationCountsBitIdentical) {
       options.steal = stress_steal(run, threads);
       options.num_threads = threads;
       const ClassEnumStats parallel = enumerate_causal_classes(
-          t, options,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
+          t, options, evord::testing::accept_every_class);
       EXPECT_EQ(parallel.schedules_visited, serial.schedules_visited)
           << "run " << run << " threads " << threads;
       EXPECT_EQ(parallel.distinct_prefixes, serial.distinct_prefixes);
       EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
+      evord::testing::expect_grew(parallel.search, threads);
     }
   }
 }
 
 TEST(StealStress, ExactRelationsBitIdentical) {
-  const Trace t = small_random_trace(74, 10);
+  const Trace t = evord::testing::contended_trace(4, 2);
   for (const Semantics semantics :
        {Semantics::kInterleaving, Semantics::kCausal, Semantics::kInterval}) {
     ExactOptions options;
@@ -469,8 +501,11 @@ TEST(StealStress, ExactRelationsBitIdentical) {
             compute_exact(t, semantics, options);
         // Only the enumeration-based semantics run workers; the
         // interleaving sweep stays serial.
-        EXPECT_EQ(parallel.search.workers.empty(),
-                  semantics == Semantics::kInterleaving);
+        if (semantics == Semantics::kInterleaving) {
+          EXPECT_TRUE(parallel.search.workers.empty());
+        } else {
+          evord::testing::expect_grew(parallel.search, threads);
+        }
         EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
         EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen)
             << "run " << run << " threads " << threads << " semantics "
@@ -490,18 +525,17 @@ TEST(StealStress, ExactRelationsBitIdentical) {
 // and shard load factors are filled in and consistent.
 
 TEST(StealStress, SchedulerCountersAndHistogramsSurfaced) {
-  const Trace t = small_random_trace(75, 10);
+  const Trace t = evord::testing::contended_trace(4, 2);
   ClassEnumOptions options;
   options.num_threads = 4;
   options.steal.grain = 1;
   const ClassEnumStats r = enumerate_causal_classes(
-      t, options,
-      [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, options, evord::testing::accept_every_class);
 
   // One WorkerStats per resolved worker; every executed task was either
-  // an initial root task or spawned by a split.
-  ASSERT_FALSE(r.search.workers.empty());
-  EXPECT_GT(r.search.tasks_executed(), 0u);
+  // the root task or spawned by a split.
+  evord::testing::expect_grew(r.search, 4);
+  EXPECT_EQ(r.search.tasks_executed(), r.search.tasks_spawned() + 1);
   EXPECT_LE(r.search.tasks_stolen(), r.search.tasks_executed());
 
   // The depth histogram counts every distinct state exactly once.
