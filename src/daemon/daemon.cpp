@@ -335,6 +335,7 @@ bool Daemon::admit(Connection& conn, const Frame& frame, Frame& reply) {
       shed = true;
     } else {
       ++in_flight_;
+      ++handling_;
       in_flight_bytes_ += frame.payload.size();
     }
   }
@@ -408,6 +409,8 @@ void Daemon::serve_connection(int fd) {
       if (admit(conn, frame, reply)) {
         admitted = true;
         reply = handle_frame(conn, frame);
+        std::lock_guard<std::mutex> lock(mu_);
+        --handling_;
       }
     } else {
       reply = handle_frame(conn, frame);
@@ -769,7 +772,7 @@ Frame Daemon::health_reply(std::uint64_t request_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     s = stats_;
-    in_flight = in_flight_;
+    in_flight = handling_;
   }
   WireWriter w;
   w.u64(s.connections_accepted);

@@ -214,6 +214,10 @@ class Daemon {
   /// overload watermarks; also what drain waits on).
   std::size_t in_flight_ = 0;
   std::uint64_t in_flight_bytes_ = 0;
+  /// Admitted requests whose handler has not returned: what kHealth
+  /// reports as in_flight.  Drops before the reply is written, so a
+  /// client holding its last reply never sees its own request counted.
+  std::size_t handling_ = 0;
   bool stop_requested_ = false;
 
   std::atomic<bool> running_{false};

@@ -59,7 +59,10 @@ enum class FrameType : std::uint8_t {
                        ///< count u32, count x (a u32, b u32, hidden u8)
   kVerdictOk = 133,    ///< state u8, degraded u8, rungs u8,
                        ///< oracle_exhausted u8, engine string
-  kHealthOk = 134,     ///< 13 x u64: the 12 DaemonStats counters + in_flight
+  kHealthOk = 134,     ///< 13 x u64: the 12 DaemonStats counters +
+                       ///< in_flight (admitted requests whose handler
+                       ///< has not returned; their replies may still
+                       ///< be unwritten)
   kError = 192,        ///< code u8, message string
   kRejected = 193,     ///< tenant quota bounced the request (code+message)
   kOverloaded = 194,   ///< load shed at a watermark (code+message)

@@ -76,19 +76,6 @@ std::optional<std::vector<EventId>> find_schedule_where(
   return found;
 }
 
-std::optional<std::vector<EventId>> find_schedule_with_order(
-    const Trace& trace, EventId first, EventId second,
-    const EnumerateOptions& options) {
-  return find_schedule_where(
-      trace, options, [&](const std::vector<EventId>& s) {
-        for (EventId e : s) {
-          if (e == first) return true;  // first came first
-          if (e == second) return false;
-        }
-        return false;
-      });
-}
-
 std::uint64_t count_schedules(const Trace& trace,
                               const EnumerateOptions& options) {
   return enumerate_schedules(

@@ -84,13 +84,6 @@ std::optional<std::vector<EventId>> find_schedule_where(
     const Trace& trace, const EnumerateOptions& options,
     const std::function<bool(const std::vector<EventId>&)>& pred);
 
-/// Convenience: a schedule in which `first` executes before `second`.
-/// This witnesses could-have-happened-before under interleaving
-/// semantics.
-std::optional<std::vector<EventId>> find_schedule_with_order(
-    const Trace& trace, EventId first, EventId second,
-    const EnumerateOptions& options = {});
-
 /// Counts complete schedules (exactly if within budget).
 std::uint64_t count_schedules(const Trace& trace,
                               const EnumerateOptions& options = {});

@@ -3,13 +3,15 @@
 // The states of a trace under partial replay form a DAG (every step
 // executes one more event), so a memoized DFS visits each distinct state
 // once even though the number of schedules through it is exponential.
-// This engine answers interleaving-semantics questions:
+// One sweep answers the interleaving-semantics questions:
 //
 //   * is F(P) non-empty (does any valid complete schedule exist)?
 //   * for every ordered pair (a, b): does some valid complete schedule
 //     run a before b?  ("can-precede", the could-have-happened-before
 //     relation under interleaving semantics; its complement transposed is
 //     must-have-happened-before).
+//   * optionally, which pairs can run back-to-back from a completable
+//     state (the coexistence matrix).
 //
 // The sweep marks can_precede[b] |= done(s) at every completable state s
 // from which b can execute into a completable successor — a bit-parallel
@@ -18,11 +20,11 @@
 // The state space itself is exponential in the worst case (that is
 // Theorem 1); max_states and the time budget bound the work, and results
 // are flagged `truncated` when the bound was hit (can_precede is then an
-// under-approximation).  Every sweep runs unreduced and owns its memo:
-// the memo lives exactly as long as the run.
+// under-approximation).  Every sweep runs serially, unreduced, and owns
+// its memo: the memo lives exactly as long as the run.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "feasible/stepper.hpp"
@@ -69,41 +71,10 @@ struct CanPrecedeResult {
   std::vector<DynamicBitset> can_coexist;
   /// Unified engine statistics (dedup hits, memo bytes, stop reason...).
   search::SearchStats search;
-
-  /// Approximate resident bytes of the whole result (matrices plus
-  /// search-stats vectors); the unit the service result cache charges
-  /// per cached CanPrecedeResult.
-  std::uint64_t approx_bytes() const;
 };
 
 /// Full can-precede sweep (see file comment).
 CanPrecedeResult compute_can_precede(const Trace& trace,
                                      const ScheduleSpaceOptions& options = {});
-
-/// Just the F(P) != empty-set check (same search, no matrix marking).
-bool has_feasible_schedule(const Trace& trace,
-                           const ScheduleSpaceOptions& options = {});
-
-/// The F(P) != empty-set check with full provenance (truncation flag,
-/// SearchStats) — the cacheable form of has_feasible_schedule().  The
-/// matrices of the returned result stay empty.
-CanPrecedeResult compute_feasibility(const Trace& trace,
-                                     const ScheduleSpaceOptions& options = {});
-
-/// Targeted single-pair query: does some valid complete schedule run
-/// `first` strictly before `second`?  (Interleaving could-have-happened-
-/// before for one pair.)  Prunes every branch that executes `second`
-/// while `first` is pending and stops at the first witness, so it is
-/// usually far cheaper than the full matrix sweep.
-struct PairQueryResult {
-  bool possible = false;
-  bool truncated = false;  ///< budget hit; `possible == false` is then unproven
-  std::size_t states_visited = 0;
-  search::SearchStats search;  ///< unified engine statistics
-};
-
-PairQueryResult can_precede_pair(const Trace& trace, EventId first,
-                                 EventId second,
-                                 const ScheduleSpaceOptions& options = {});
 
 }  // namespace evord

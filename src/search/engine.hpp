@@ -1,20 +1,14 @@
-// Generic memoized/deduped DFS engines over TraceStepper.
+// The generic DFS engine over TraceStepper.
 //
-// Two engine shapes cover every trace-level explorer in the repo:
-//
-//   * EnumerationSearch<Tracker, Dedup, Hooks> — walks the schedule tree,
-//     delivering terminal (complete) schedules and stuck prefixes to the
-//     hooks.  A pluggable per-event Tracker rides along the DFS (the
-//     causal-class tracker maintains closure rows / token queues); a
-//     pluggable Dedup policy prunes revisited states by 64-bit
-//     fingerprint.  Used by schedule enumeration, causal-class
-//     enumeration and deadlock search.
-//
-//   * MemoizedSearch<Hooks> — computes "is a complete schedule reachable
-//     from this state" per state, memoized in a FingerprintBoolMap.
-//     Used by the can-precede/coexistence sweep and the pairwise
-//     ordering query.  Always serial on the calling thread and never
-//     reduced: every enabled child the hooks allow is expanded.
+// EnumerationSearch<Tracker, Dedup, Hooks> walks the schedule tree,
+// delivering terminal (complete) schedules and stuck prefixes to the
+// hooks.  A pluggable per-event Tracker rides along the DFS (the
+// causal-class tracker maintains closure rows / token queues); a
+// pluggable Dedup policy prunes revisited states by 64-bit fingerprint.
+// Schedule enumeration, causal-class enumeration and deadlock search all
+// run on it.  The one other explorer, the memoized can-precede sweep, is
+// a private serial walk of its own (feasible/schedule_space.cpp) that
+// shares only SharedContext and the stores.
 //
 // Contracts (see docs/SEARCH.md for the full write-up):
 //
@@ -43,20 +37,11 @@
 //   discovery order, which the serial deadlock search relies on to keep
 //   the first shortest stuck prefix as its witness.
 //
-//   Memoized hooks: `kFirstHit` (stop at the first completable child),
-//   `bool child_allowed(EventId, const TraceStepper&)`,
-//   `void on_child_completable(EventId, const DynamicBitset&
-//   done_before)` (called after undo, so the bitset is the state the
-//   child was applied from), and `void on_completable_state(Search&,
-//   std::size_t depth)` (called once per completable state, before it is
-//   memoized; may re-enter the search via pair_completable()).
-//
 // Partial-order reduction (SearchOptions::reduction == kSourceWakeup):
-// EnumerationSearch alone threads a sleep set through the DFS —
-// inherited along edges, extended across explored siblings — and expands
-// only a source subset of the enabled events at each state
-// (search/independence.hpp: necessary enabling closures and dynamic,
-// state-aware independence).
+// the engine threads a sleep set through the DFS — inherited along
+// edges, extended across explored siblings — and expands only a source
+// subset of the enabled events at each state (search/independence.hpp:
+// necessary enabling closures and dynamic, state-aware independence).
 // Sleep inheritance uses per-depth wakeup frames (compute_wakeup_masks)
 // — one independence mask per sleeping/selected event, evaluated at the
 // expanded state — so excused pairs (surplus-token V/V, already-posted
@@ -73,48 +58,34 @@
 // reduction-blind.  Soundness per explorer is a front-end decision; see
 // docs/SEARCH.md §POR.
 //
-// Work stealing: EnumerationSearch alone runs on the scheduler
-// (search/scheduler.hpp), one engine instance per SearchTask: the root
-// task on the calling thread, and — once its walk has grown the sweep —
-// every donated subtree on whichever worker takes it.  run(task, worker)
-// replays the task's seed and hands the engine its WorkerHandle; the DFS
-// then polls steal demand at every entry and answers it by donating the
-// deepest unexplored siblings of its current path as new tasks (adaptive
-// subtree splitting), removing them from its own walk so the visit sets
-// partition.  A MemoizedSearch donor could not drop a donated child (its
-// verdict must OR over every child), so its workers would duplicate work
-// instead of splitting it; it has no parallel mode.
+// Work stealing: the engine runs on the scheduler (search/scheduler.hpp),
+// one engine instance per SearchTask: the root task on the calling
+// thread, and — once its walk has grown the sweep — every donated
+// subtree on whichever worker takes it.  run(task, worker) replays the
+// task's seed and hands the engine its WorkerHandle; the DFS then polls
+// steal demand at every entry and answers it by donating the deepest
+// unexplored siblings of its current path as new tasks (adaptive subtree
+// splitting), removing them from its own walk so the visit sets
+// partition.
 //
 // Budget semantics (shared, via SharedContext):
 //   max_states    — claim-then-check: state #max_states is still claimed
 //                   and counted but not expanded; siblings continue (no
 //                   global unwind), matching the historical per-explorer
-//                   behaviour.  In MemoizedSearch a budgeted state
-//                   returns "not completable" WITHOUT memoizing it —
-//                   unsound once truncated, which is why `truncated` is
-//                   flagged.
+//                   behaviour.
 //   max_schedules — strict and global: a shared atomic counter ensures
 //                   the combined number of terminal visits never exceeds
 //                   the budget, serial or parallel.  An unbudgeted run
 //                   (max_schedules or max_states 0) never touches that
 //                   field's shared counter.
-//   deadline      — polled every 256 states (memo hits included); trips
-//                   request a global stop.
+//   deadline      — polled every 256 states; trips request a global
+//                   stop.
 //   max_memory_bytes — strict and global: the stores/scheduler/witness
-//                   buffers charge one shared MemoryAccountant and both
-//                   engines poll it per expanded state, stopping with
+//                   buffers charge one shared MemoryAccountant and the
+//                   engine polls it per expanded state, stopping with
 //                   StopReason::kMemory (overshoot bounded by one
 //                   state's charge per worker).  The deterministic
 //                   fault hooks (util/fault.hpp) ride the same polls.
-//
-// Budget cuts and the memo: a cut (requested stop, deadline, memory,
-// fault or max_states) makes a state's children report "not
-// completable" without having been searched.  A MemoizedSearch that has
-// seen a cut therefore never memoizes a `false` verdict, so every entry
-// in its store is a proven fact: a truncated run counts only states it
-// decided, and no lookup can read an unproven `false` as an answer.
-// `true` verdicts are always proven (a complete schedule was reached)
-// and are kept.
 #pragma once
 
 #include <algorithm>
@@ -515,147 +486,6 @@ class EnumerationSearch {
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;
   std::size_t num_events_;
-  std::uint32_t budget_poll_ = 0;
-};
-
-/// Memoized completability search: per state, "is a complete schedule
-/// reachable from here", with the answer cached in a FingerprintBoolMap
-/// keyed by the stepper's 64-bit state hash.  The state graph is acyclic,
-/// so the memoized recursion terminates.
-template <class Hooks>
-class MemoizedSearch {
- public:
-  MemoizedSearch(const Trace& trace, const StepperOptions& stepper_options,
-                 const SearchOptions& options, SharedContext* ctx,
-                 FingerprintBoolMap* memo, Hooks hooks)
-      : options_(options),
-        ctx_(ctx),
-        memo_(memo),
-        stepper_(trace, stepper_options),
-        hooks_(std::move(hooks)) {
-    // Exact-key mode: memoize directly on the injective packed word
-    // (front-end contract: the layout fits one word).
-    exact_ = memo_->exact_keys();
-    EVORD_CHECK(!exact_ || stepper_.layout().single_word(),
-                "exact-key memo requires a single-word packed layout");
-    enabled_stack_.reserve(trace.num_events() + 4);
-    stats_.depth_states.assign(trace.num_events() + 1, 0);
-  }
-
-  /// True iff the current state can be extended to a complete schedule.
-  /// `depth` indexes the per-depth scratch stack; re-entrant calls (from
-  /// on_completable_state hooks) must pass an index beyond the depths in
-  /// use.
-  bool explore(std::size_t depth) {
-    if (stepper_.complete()) return true;
-    // The deadline/memory polls run BEFORE the memo lookup: the memo-hit
-    // fast path is the common case in warmed sweeps, and a hit path that
-    // never polls would let a memo-dominated run overrun its
-    // time_budget_seconds arbitrarily.  Same 256-interval counter as the
-    // enumeration engine.
-    if ((((++budget_poll_ & 255u) == 0) && ctx_->deadline.expired()) ||
-        (fault::enabled() && fault::on_state_expanded())) {
-      stats_.truncated = true;
-      set_reason(StopReason::kDeadline);
-      ctx_->request_stop(StopReason::kDeadline);
-      return false;
-    }
-    if (ctx_->memory.exceeded()) {
-      stats_.truncated = true;
-      set_reason(StopReason::kMemory);
-      ctx_->request_stop(StopReason::kMemory);
-      return false;  // unsound once truncated; flagged
-    }
-    const std::uint64_t fp =
-        exact_ ? stepper_.packed_word() : stepper_.state_hash();
-    bool memoized = false;
-    if (memo_->lookup(fp, &memoized, payload())) {
-      ++stats_.dedup_hits;
-      return memoized;
-    }
-    if (ctx_->stop_requested()) {
-      stats_.truncated = true;
-      return false;  // unsound once truncated; flagged
-    }
-    if (options_.max_states != 0 &&
-        ctx_->states.load(std::memory_order_relaxed) >= options_.max_states) {
-      stats_.truncated = true;
-      set_reason(StopReason::kMaxStates);
-      return false;  // unsound once truncated; flagged
-    }
-
-    if (depth >= enabled_stack_.size()) enabled_stack_.resize(depth + 1);
-    stepper_.enabled_events(enabled_stack_[depth]);
-    bool completable = false;
-    // Iterate by index: recursion reuses deeper enabled_stack_ slots.
-    for (std::size_t i = 0; i < enabled_stack_[depth].size(); ++i) {
-      const EventId e = enabled_stack_[depth][i];
-      if (!hooks_.child_allowed(e, stepper_)) continue;
-      const TraceStepper::Undo u = stepper_.apply(e);
-      const bool child_ok = explore(depth + 1);
-      stepper_.undo(u);
-      if (child_ok) {
-        completable = true;
-        hooks_.on_child_completable(e, stepper_.done_bits());
-        if constexpr (Hooks::kFirstHit) break;
-      }
-    }
-    if (completable) hooks_.on_completable_state(*this, depth);
-    // Once a budget cut has stopped some child early, `false` is
-    // unproven: return it (the run is flagged truncated) but never let
-    // it into the store.
-    if (!completable && stats_.truncated) return false;
-    if (memo_->store(fp, completable, payload())) {
-      ++stats_.states_visited;
-      ++stats_.depth_states[stepper_.num_executed()];
-      if (options_.max_states != 0) {
-        ctx_->states.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return completable;
-  }
-
-  /// Can `first` then immediately `second` run from the current state and
-  /// still complete?  Used by coexistence marking; re-enters explore() at
-  /// `depth` (pass an unused stack index, e.g. current depth + 2).
-  bool pair_completable(EventId first, EventId second, std::size_t depth) {
-    const TraceStepper::Undo u1 = stepper_.apply(first);
-    bool ok = false;
-    if (stepper_.enabled(second)) {
-      const TraceStepper::Undo u2 = stepper_.apply(second);
-      ok = explore(depth);
-      stepper_.undo(u2);
-    }
-    stepper_.undo(u1);
-    return ok;
-  }
-
-  const std::vector<EventId>& enabled_at(std::size_t depth) const {
-    return enabled_stack_[depth];
-  }
-  const TraceStepper& stepper() const { return stepper_; }
-  const SearchStats& stats() const { return stats_; }
-
- private:
-  void set_reason(StopReason reason) {
-    if (stats_.stop_reason == StopReason::kNone) stats_.stop_reason = reason;
-  }
-
-  const std::vector<std::uint64_t>* payload() {
-    if (!memo_->verify_collisions()) return nullptr;
-    stepper_.encode_key(key_scratch_);
-    return &key_scratch_;
-  }
-
-  SearchOptions options_;
-  SharedContext* ctx_;
-  FingerprintBoolMap* memo_;
-  TraceStepper stepper_;
-  Hooks hooks_;
-  SearchStats stats_;
-  std::vector<std::vector<EventId>> enabled_stack_;
-  std::vector<std::uint64_t> key_scratch_;
-  bool exact_ = false;  ///< memoize on the packed word, not a hash
   std::uint32_t budget_poll_ = 0;
 };
 

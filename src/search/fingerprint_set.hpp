@@ -8,9 +8,10 @@
 //     with one mutex per shard, so the parallel enumeration workers share
 //     one store with minimal contention.
 //   * FingerprintBoolMap    — key -> bool memo.  Used by the memoized
-//     completability search (can-precede / coexistence), where each
-//     state memoizes "is a complete schedule reachable from here".  That
-//     search is always serial, so the map never locks.
+//     can-precede sweep (compute_can_precede, with its optional
+//     coexistence matrix), where each state memoizes "is a complete
+//     schedule reachable from here".  That sweep is always serial, so
+//     the map never locks.
 //
 // Keys are quotiented and bit-packed (see PackedStateRegistry), so a
 // retained state costs a fraction of the historical 8/9 bytes; with

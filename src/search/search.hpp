@@ -1,12 +1,13 @@
 // Unified options and statistics for the state-space search core.
 //
 // Every trace-level explorer (schedule enumeration, causal-class
-// enumeration, the memoized can-precede/coexist sweep, deadlock search)
-// runs on the generic engines in search/engine.hpp and reports through
-// the SearchStats defined here, so budgets, truncation provenance and
-// dedup behaviour look the same no matter which analysis ran.  See
-// docs/SEARCH.md for the tracker/visitor contracts and the fingerprint
-// safety argument.
+// enumeration, deadlock search on the generic engine in
+// search/engine.hpp, and the memoized can-precede/coexist sweep in
+// feasible/schedule_space.cpp) takes its budget from the SearchOptions
+// and reports through the SearchStats defined here, so budgets,
+// truncation provenance and dedup behaviour look the same no matter
+// which analysis ran.  See docs/SEARCH.md for the tracker/visitor
+// contracts and the fingerprint safety argument.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,7 @@ enum class StopReason : std::uint8_t {
 
 const char* to_string(StopReason reason);
 
-/// Partial-order reduction mode for the engines in search/engine.hpp.
+/// Partial-order reduction mode for the engine in search/engine.hpp.
 /// Reduction explores one representative schedule per Mazurkiewicz trace
 /// (events reorderable when adjacent and independent) instead of every
 /// interleaving.  Sound for per-trace facts — causal classes, deadlock

@@ -8,6 +8,7 @@
 #include "feasible/schedule_space.hpp"
 #include "feasible/stepper.hpp"
 #include "helpers.hpp"
+#include "ordering/witness.hpp"
 #include "trace/axioms.hpp"
 #include "trace/builder.hpp"
 #include "util/check.hpp"
@@ -290,8 +291,10 @@ TEST(Enumerate, ParallelMatchesSerialCount) {
 
 TEST(Enumerate, FindScheduleWithOrder) {
   const Trace t = independent_procs(1, 1);
-  const auto fwd = find_schedule_with_order(t, 0, 1);
-  const auto bwd = find_schedule_with_order(t, 1, 0);
+  const auto fwd = witness_could_happen_before(t, 0, 1,
+                                               Semantics::kInterleaving);
+  const auto bwd = witness_could_happen_before(t, 1, 0,
+                                               Semantics::kInterleaving);
   ASSERT_TRUE(fwd.has_value());
   ASSERT_TRUE(bwd.has_value());
   EXPECT_EQ((*fwd)[0], 0u);
@@ -301,8 +304,11 @@ TEST(Enumerate, FindScheduleWithOrder) {
 TEST(Enumerate, FindScheduleRespectsConstraints) {
   const Trace t = producer_consumer();
   // consume (3) before produce (0) is impossible.
-  EXPECT_FALSE(find_schedule_with_order(t, 3, 0).has_value());
-  EXPECT_TRUE(find_schedule_with_order(t, 0, 3).has_value());
+  EXPECT_FALSE(
+      witness_could_happen_before(t, 3, 0, Semantics::kInterleaving)
+          .has_value());
+  EXPECT_TRUE(witness_could_happen_before(t, 0, 3, Semantics::kInterleaving)
+                  .has_value());
 }
 
 TEST(Enumerate, EmptyTrace) {
@@ -373,7 +379,7 @@ TEST(ScheduleSpace, FeasibleNonEmptyForBuiltTraces) {
   Rng rng(29);
   for (int i = 0; i < 10; ++i) {
     const Trace t = random_trace({}, rng);
-    EXPECT_TRUE(has_feasible_schedule(t));
+    EXPECT_TRUE(compute_can_precede(t).feasible_nonempty);
   }
 }
 
@@ -421,42 +427,6 @@ TEST(ScheduleSpace, TruncationFlagged) {
   EXPECT_TRUE(r.truncated);
 }
 
-TEST(ScheduleSpace, PairQueryMatchesMatrixOnRandomTraces) {
-  Rng rng(43);
-  for (int i = 0; i < 12; ++i) {
-    RandomTraceConfig config;
-    config.num_events = 9;
-    config.num_event_vars = i % 2;
-    const Trace t = random_trace(config, rng);
-    const CanPrecedeResult full = compute_can_precede(t);
-    ASSERT_FALSE(full.truncated);
-    for (EventId a = 0; a < t.num_events(); ++a) {
-      for (EventId b = 0; b < t.num_events(); ++b) {
-        if (a == b) continue;
-        const PairQueryResult q = can_precede_pair(t, a, b);
-        ASSERT_FALSE(q.truncated);
-        EXPECT_EQ(q.possible, full.can_precede[b].test(a))
-            << a << " before " << b << " (iter " << i << ")";
-      }
-    }
-  }
-}
-
-TEST(ScheduleSpace, PairQueryVisitsFewerStatesOnEasyWitnesses) {
-  // A wide independent trace: the witness for "first event of p0 before
-  // first event of p1" is found almost immediately.
-  const Trace t = independent_procs(6, 6);
-  const PairQueryResult q = can_precede_pair(t, 0, 6);
-  EXPECT_TRUE(q.possible);
-  const CanPrecedeResult full = compute_can_precede(t);
-  EXPECT_LT(q.states_visited, full.states_visited);
-}
-
-TEST(ScheduleSpace, PairQueryIrreflexive) {
-  const Trace t = independent_procs(2, 2);
-  EXPECT_FALSE(can_precede_pair(t, 1, 1).possible);
-}
-
 TEST(ScheduleSpace, DeadlockOnlyTraceHasEmptyF) {
   // A trace cannot itself encode an always-deadlocking execution (its
   // own observed order is feasible), so F is never empty for valid
@@ -467,7 +437,7 @@ TEST(ScheduleSpace, DeadlockOnlyTraceHasEmptyF) {
     config.num_event_vars = 2;
     config.num_semaphores = 0;
     const Trace t = random_trace(config, rng);
-    EXPECT_TRUE(has_feasible_schedule(t));
+    EXPECT_TRUE(compute_can_precede(t).feasible_nonempty);
   }
 }
 

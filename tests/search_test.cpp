@@ -686,7 +686,7 @@ TEST(SearchBudgets, MemoryBudgetStopsDeadlockSearch) {
   EXPECT_LT(r.states_visited, full.states_visited);
 }
 
-TEST(SearchBudgets, MemoizedSearchPollsDeadlineOnMemoHits) {
+TEST(SearchBudgets, MemoizedSweepPollsDeadlineOnMemoHits) {
   // Regression: the memo-hit fast path used to skip the budget poll, so
   // a search spending all its time on hits never noticed an expired
   // deadline.  An already-expired deadline must now stop the sweep
