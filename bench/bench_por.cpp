@@ -60,7 +60,7 @@ ModeResult run_mode(const Trace& trace, search::ReductionMode mode) {
   Timer timer;
   r.stats = enumerate_causal_classes(
       trace, options,
-      [&](std::size_t, const std::vector<EventId>& s,
+      [&](const std::vector<EventId>& s,
           const std::vector<DynamicBitset>&) {
         r.classes.insert(class_fingerprint(trace, s));
         return true;
@@ -160,7 +160,7 @@ void BM_ClassEnum_WideFork_Unreduced(benchmark::State& state) {
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
         t, options,
-        [](std::size_t, const std::vector<EventId>&,
+        [](const std::vector<EventId>&,
            const std::vector<DynamicBitset>&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
@@ -171,7 +171,7 @@ void BM_ClassEnum_WideFork_Reduced(benchmark::State& state) {
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
         t, {},
-        [](std::size_t, const std::vector<EventId>&,
+        [](const std::vector<EventId>&,
            const std::vector<DynamicBitset>&) { return true; });
     benchmark::DoNotOptimize(stats);
   }

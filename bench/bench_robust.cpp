@@ -21,7 +21,7 @@
 //
 //   2. Memory-budget precision.  A budgeted sweep must stop with
 //      StopReason::kMemory without overshooting the byte budget by more
-//      than one state's charge per worker; rows record the ratio.
+//      than one state's charge; the row records the ratio.
 //
 //   3. Anytime-ladder overhead.  AnytimeQuery answers through an
 //      escalating budget ladder; rows compare a direct exhaustive
@@ -155,11 +155,9 @@ JsonRecord run_hook_overhead(const std::string& workload,
 // 2. Memory-budget precision.
 
 JsonRecord run_memory_budget(const std::string& workload, const Trace& trace,
-                             std::uint64_t budget_bytes,
-                             std::size_t num_threads) {
+                             std::uint64_t budget_bytes) {
   ExactOptions options;
   options.max_memory_bytes = budget_bytes;
-  options.num_threads = num_threads;
   Timer timer;
   const OrderingRelations rel =
       compute_exact(trace, Semantics::kCausal, options);
@@ -176,7 +174,6 @@ JsonRecord run_memory_budget(const std::string& workload, const Trace& trace,
       .add("engine", std::string("exact_causal"))
       .add("variant", std::string("memory_budget"))
       .add("workload", workload)
-      .add("threads", static_cast<std::uint64_t>(num_threads))
       .add("budget_bytes", budget_bytes)
       .add("memo_bytes_at_stop", rel.search.memo_bytes)
       .add("bytes_over_budget_ratio", ratio)
@@ -263,10 +260,7 @@ std::vector<JsonRecord> run_robust_sweep() {
   std::vector<JsonRecord> rows;
   rows.push_back(run_hook_overhead("theorem1_sat", sat));
   rows.push_back(run_hook_overhead("theorem1_unsat", unsat));
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    rows.push_back(
-        run_memory_budget("theorem1_unsat", unsat, 4096, threads));
-  }
+  rows.push_back(run_memory_budget("theorem1_unsat", unsat, 4096));
   for (auto& row : run_ladder_rows("theorem1_sat", sat)) {
     rows.push_back(std::move(row));
   }

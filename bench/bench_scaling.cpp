@@ -17,9 +17,7 @@
 #include "reductions/oracle.hpp"
 #include "reductions/reduction.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
-#include "workload/generators.hpp"
 
 namespace {
 
@@ -105,78 +103,6 @@ BENCHMARK(BM_SatOracle_LargeInstances)
     ->Range(4, 256)
     ->Unit(benchmark::kMicrosecond);
 
-// Thread sweep of the parallel causal engine (experiment E20): a
-// 36-event 6-process random semaphore trace (7,627 causal classes; over
-// 300 ms serial on a 4-core VM) analysed under causal semantics at
-// 1/2/4/8 worker threads.  Every multi-threaded result is checked
-// bit-identical to the serial one before its wall time is recorded, so
-// the emitted numbers can never describe a wrong answer.  Rows land in
-// BENCH_exact.json next to the binary's working directory.
-std::vector<JsonRecord> run_exact_thread_sweep() {
-  std::vector<JsonRecord> rows;
-  Rng rng(5);
-  SemTraceConfig config;
-  config.num_events = 36;
-  config.num_processes = 6;
-  const std::pair<const char*, Trace> instances[] = {
-      {"random_sem_36x6", random_semaphore_trace(config, rng)},
-  };
-  for (const auto& [name, trace] : instances) {
-    OrderingRelations serial;
-    double serial_ms = 0.0;
-    for (const std::size_t threads : {1, 2, 4, 8}) {
-      ExactOptions options;
-      options.num_threads = threads;
-      Timer timer;
-      const OrderingRelations r =
-          compute_exact(trace, Semantics::kCausal, options);
-      const double wall_ms =
-          static_cast<double>(timer.micros()) / 1000.0;
-      if (threads == 1) {
-        serial = r;
-        serial_ms = wall_ms;
-      } else {
-        EVORD_CHECK(r.matrices == serial.matrices &&
-                        r.causal_classes == serial.causal_classes &&
-                        r.feasible_empty == serial.feasible_empty,
-                    name << ": " << threads
-                         << "-thread result differs from serial");
-      }
-      // Requested thread counts are clamped to
-      // search::max_worker_threads(); effective_threads records what
-      // actually ran so speedups stay honest on small machines.
-      const std::uint64_t effective =
-          r.search.workers.empty()
-              ? 1
-              : static_cast<std::uint64_t>(r.search.workers.size());
-      rows.push_back(JsonRecord{}
-                         .add("name", std::string(name))
-                         .add("events",
-                              static_cast<std::uint64_t>(trace.num_events()))
-                         .add("classes", r.causal_classes)
-                         .add("threads",
-                              static_cast<std::uint64_t>(threads))
-                         .add("effective_threads", effective)
-                         .add("wall_ms", wall_ms)
-                         .add("speedup_vs_serial",
-                              wall_ms > 0.0 ? serial_ms / wall_ms : 0.0)
-                         .add("tasks_stolen", r.search.tasks_stolen())
-                         .add("tasks_spawned", r.search.tasks_spawned()));
-    }
-  }
-  return rows;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  const std::vector<JsonRecord> rows = run_exact_thread_sweep();
-  if (!write_json_records("BENCH_exact.json", rows)) {
-    return 1;
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -88,16 +88,6 @@ std::string summarize_relations(const Trace& trace,
     }
     os << '\n';
   }
-  if (!relations.search.workers.empty()) {
-    const search::SearchStats& s = relations.search;
-    os << "scheduler: workers=" << s.workers.size()
-       << " tasks=" << s.tasks_executed() << " stolen=" << s.tasks_stolen()
-       << " spawned=" << s.tasks_spawned()
-       << " steal attempts=" << s.steal_attempts()
-       << strprintf(" idle=%.1fms",
-                    static_cast<double>(s.idle_nanos()) / 1e6)
-       << '\n';
-  }
   if (!relations.search.depth_states.empty()) {
     os << "depth histogram: peak=" << relations.search.peak_depth()
        << " buckets=" << relations.search.depth_states.size() << '\n';

@@ -44,11 +44,6 @@ struct WitnessCandidate {
 /// witness candidate and, under reduction, a stuck-state fingerprint set
 /// that counts each distinct stuck state once across sleep contexts.
 struct DeadlockHooks {
-  /// The verdict, witness validity and distinct-stuck-state count are
-  /// all functions of reachable stepper states, so the broader
-  /// stepper-state excusals apply.
-  static constexpr bool kStateOnly = true;
-
   search::ShardedFingerprintSet* stuck_set;  ///< null when unreduced
   WitnessCandidate* witness;
 
@@ -65,8 +60,11 @@ struct DeadlockHooks {
   }
 };
 
+/// The verdict, witness validity and distinct-stuck-state count are all
+/// functions of reachable stepper states, so the untracked engine's
+/// broader stepper-state excusals apply.
 using DeadlockSearch =
-    search::EnumerationSearch<search::NullTracker, search::SharedSetDedup,
+    search::EnumerationSearch<search::NullTracker, search::SetDedup,
                               DeadlockHooks>;
 
 /// Reduction-aware canonical witness.  Which first shortest stuck
@@ -144,7 +142,7 @@ DeadlockReport analyze_deadlocks(const Trace& trace,
   DeadlockReport report;
   DeadlockSearch engine(trace, options.stepper, so, &ctx,
                         search::NullTracker{},
-                        search::SharedSetDedup(&visited),
+                        search::SetDedup(&visited),
                         DeadlockHooks{reduced ? &*stuck : nullptr, &witness},
                         indep.get());
   report.search = engine.run();

@@ -1,6 +1,5 @@
 #include "feasible/enumerate.hpp"
 
-#include <memory>
 #include <mutex>
 #include <optional>
 
@@ -13,7 +12,6 @@ namespace {
 /// Enumeration hooks: forward terminals to the caller's visitor with the
 /// worker slot; stuck prefixes are only counted (by the engine).
 struct EnumHooks {
-  static constexpr bool kStateOnly = false;
   const ScheduleVisitor* visit;
   std::size_t slot;
   bool on_terminal(const std::vector<EventId>& schedule,
@@ -31,14 +29,13 @@ using EnumSearch =
 EnumerateStats enumerate_schedules(const Trace& trace,
                                    const EnumerateOptions& options,
                                    const ScheduleVisitor& visit) {
-  const search::SearchOptions& so = options;
+  // Every schedule is visited: plain enumeration never reduces, so a
+  // task is a schedule prefix and nothing else.
+  search::SearchOptions so = options;
+  so.reduction = search::ReductionMode::kOff;
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
-  std::unique_ptr<search::IndependenceRelation> indep;
-  if (so.reduction != search::ReductionMode::kOff) {
-    indep = std::make_unique<search::IndependenceRelation>(trace);
-  }
   // The calling thread walks the tree; past search::kGrowAfterEntries
   // DFS entries the scheduler starts helpers that feed on the subtrees
   // it splits off.  All budgets stay strict and global: the tasks share
@@ -49,7 +46,7 @@ EnumerateStats enumerate_schedules(const Trace& trace,
       [&](const search::SearchTask& task, search::WorkerHandle& worker) {
         return EnumSearch(trace, options.stepper, so, &ctx,
                           search::NullTracker{}, search::NoDedup{},
-                          EnumHooks{&visit, worker.worker_id()}, indep.get())
+                          EnumHooks{&visit, worker.worker_id()})
             .run(task, worker);
       });
   EnumerateStats out;

@@ -11,11 +11,13 @@
 // calling thread walks the schedule tree; with num_threads > 1 a walk
 // that passes search::kGrowAfterEntries DFS entries starts the other
 // workers of the work-stealing scheduler (search/scheduler.hpp), which
-// take subtrees split off adaptively whenever a worker runs dry.  Each
-// task gets its own stepper, so the visitor must be thread-safe across
-// worker slots.  Budgets are strict and global: max_schedules is
-// enforced through a shared atomic counter, so the combined visit count
-// never exceeds it even in parallel mode.
+// take subtrees split off adaptively whenever a worker runs dry.  This
+// is the only explorer that runs workers: its walk is unreduced,
+// untracked and undeduplicated, so a task is just a schedule prefix and
+// no store is shared.  Each task gets its own stepper, so the visitor
+// must be thread-safe across worker slots.  Budgets are strict and
+// global: max_schedules is enforced through a shared atomic counter, so
+// the combined visit count never exceeds it even in parallel mode.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +35,20 @@ class PackedStateRegistry;
 
 namespace evord {
 
-/// Budget, workers and reduction come from search::SearchOptions; this
-/// explorer honours max_schedules, time_budget_seconds,
-/// max_memory_bytes, num_threads, steal and reduction.  It keeps no
-/// dedup store, so max_states has nothing to act on.
-///
-/// `reduction` is OFF by default because it changes this engine's
-/// contract: with kSourceWakeup only representative schedules (at least
-/// one per causal class) are visited, so schedule counts drop and
-/// per-schedule accumulation (e.g. "does any schedule order a before b")
-/// under-approximates when a/b commute.  Feasibility ("does a complete
-/// schedule exist") and deadlocked-prefix reachability remain exact, and
-/// the class-preserving conditional excusals keep the set of causal
-/// classes unchanged (tested in tests/por_test.cpp).
+/// Budget and workers come from search::SearchOptions; this explorer
+/// honours max_schedules, time_budget_seconds, max_memory_bytes,
+/// num_threads and steal.  It visits every schedule, so it ignores
+/// `reduction` (a reduced walk would drop schedules; class enumeration
+/// is the reduced explorer), and it keeps no dedup store, so max_states
+/// has nothing to act on.
 struct EnumerateOptions : search::SearchOptions {
   StepperOptions stepper;
   /// Optional caller-owned store (e.g. an exact solver's class-dedup
   /// set) attached to the search's memory accountant for the duration of
   /// the run, so its footprint counts against max_memory_bytes; detached
-  /// before return.
+  /// before return.  The store takes no locks: a visitor that inserts
+  /// into it must not be called from two worker slots, so run such a
+  /// sweep with num_threads = 1.
   search::PackedStateRegistry* charge_store = nullptr;
 };
 

@@ -264,22 +264,19 @@ class CausalTracker {
 
 /// Enumeration hooks: forward complete schedules and their causal
 /// closure rows (every event is executed, so every row is current) to
-/// the caller's visitor with the worker slot; deduped/stuck prefixes are
-/// counted by the engine.
+/// the caller's visitor; deduped/stuck prefixes are counted by the
+/// engine.
 struct ClassHooks {
-  static constexpr bool kStateOnly = false;
   const ClassVisitor* visit;
-  std::size_t slot;
   bool on_terminal(const std::vector<EventId>& schedule,
                    const CausalTracker& tracker) {
-    return (*visit)(slot, schedule, tracker.rows());
+    return (*visit)(schedule, tracker.rows());
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/) {}
 };
 
 using ClassSearch =
-    search::EnumerationSearch<CausalTracker, search::SharedSetDedup,
-                              ClassHooks>;
+    search::EnumerationSearch<CausalTracker, search::SetDedup, ClassHooks>;
 
 }  // namespace
 
@@ -290,11 +287,8 @@ ClassEnumStats enumerate_causal_classes(const Trace& trace,
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
-  // One prefix-fingerprint set shared by every task: a state reachable
-  // from two task regions is explored by whichever task gets there first
-  // (its completions are identical either way).  Hash mode: the prefix
-  // fingerprints fold the causal tracker's state into the hash, so the
-  // store never uses exact packed keys.
+  // Hash mode: the prefix fingerprints fold the causal tracker's state
+  // into the hash, so the store never uses exact packed keys.
   search::ShardedFingerprintSet prefix_seen(search::make_store_config(
       trace, so, 16, /*pure_state_key=*/false));
   prefix_seen.set_accountant(&ctx.memory);
@@ -302,18 +296,12 @@ ClassEnumStats enumerate_causal_classes(const Trace& trace,
   if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
-  // The root task claims the initial state like any other, so
-  // distinct-prefix counts match a serial walk exactly.
-  search::SearchStats stats = search::run_work_stealing(
-      search::resolve_num_threads(so.num_threads), so.steal.seed, ctx,
-      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-        return ClassSearch(trace, options.stepper, so, &ctx,
-                           CausalTracker(trace, options.causal),
-                           search::SharedSetDedup(&prefix_seen),
-                           ClassHooks{&visit, worker.worker_id()},
-                           indep.get())
-            .run(task, worker);
-      });
+  search::SearchStats stats =
+      ClassSearch(trace, options.stepper, so, &ctx,
+                  CausalTracker(trace, options.causal),
+                  search::SetDedup(&prefix_seen), ClassHooks{&visit},
+                  indep.get())
+          .run();
   ClassEnumStats out;
   out.schedules_visited = stats.terminals;
   out.prefixes_pruned = stats.dedup_hits;

@@ -19,6 +19,10 @@
 // This is the evord analogue of partial-order reduction: sound for
 // class-level accumulation (any/all over causal orders), unsound for
 // schedule counting — use the plain enumerator for that.
+//
+// The sweep runs on the calling thread whatever num_threads says: one
+// engine, one causal tracker and one prefix store per call.  Pruning,
+// not threads, is what keeps it small (docs/SEARCH.md §4).
 #pragma once
 
 #include <cstdint>
@@ -36,11 +40,11 @@ class PackedStateRegistry;
 
 namespace evord {
 
-/// Budget, workers and reduction come from search::SearchOptions; this
-/// explorer honours every field.  max_states caps distinct prefixes
-/// (prefixes past it are still claimed and counted but not expanded),
-/// and max_schedules caps complete schedules delivered to the visitor;
-/// both are global across workers.
+/// Budget and reduction come from search::SearchOptions; this explorer
+/// honours every field but num_threads and steal: it always runs on the
+/// calling thread.  max_states caps distinct prefixes (prefixes past it
+/// are still claimed and counted but not expanded), and max_schedules
+/// caps complete schedules delivered to the visitor.
 ///
 /// `reduction` is ON by default (kSourceWakeup — source sets + wakeup
 /// frames + tracked dynamic independence): class enumeration accumulates
@@ -74,29 +78,19 @@ struct ClassEnumStats {
   search::SearchStats search;  ///< unified engine statistics
 };
 
-/// Called with the executing worker's slot, one complete schedule and
-/// its causal order as strict ancestor rows: `ancestors[b]` = {a : a ->
-/// b}, the transpose of causal_closure(trace, schedule, options.causal)
-/// (tested).  The rows are valid only during the call.  Return false to
-/// stop the search.
+/// Called with one complete schedule and its causal order as strict
+/// ancestor rows: `ancestors[b]` = {a : a -> b}, the transpose of
+/// causal_closure(trace, schedule, options.causal) (tested).  The rows
+/// are valid only during the call.  Return false to stop the search.
 using ClassVisitor =
-    std::function<bool(std::size_t slot, const std::vector<EventId>& schedule,
+    std::function<bool(const std::vector<EventId>& schedule,
                        const std::vector<DynamicBitset>& ancestors)>;
 
-/// Visits complete schedules covering every complete causal class, on
-/// options.num_threads workers (0 = hardware concurrency; clamped to
-/// search::max_worker_threads()).  The calling thread walks the tree as
-/// slot 0 and starts the other workers only once its walk passes
-/// search::kGrowAfterEntries DFS entries.  Slots lie in [0, resolved
-/// thread count): calls with the same slot never overlap, so callers can
-/// keep per-slot accumulators lock-free; the visitor must otherwise be
-/// thread-safe.  Each scheduler task runs an engine with its own stepper
-/// and causal tracker, and prefix dedup runs through one sharded
-/// fingerprint set shared by all tasks: a prefix state reachable from two
-/// task regions is expanded by whichever task claims it first (its
-/// completions are identical either way), so every distinct state is
-/// expanded exactly once and — absent budgets — schedules_visited and the
-/// union of delivered causal classes match the serial engine exactly.
+/// Visits complete schedules covering every complete causal class.  One
+/// engine walks the tree on the calling thread with one causal tracker,
+/// deduplicating prefixes through one sharded fingerprint set, so every
+/// distinct prefix state is expanded exactly once and the visitor is
+/// never called from another thread.
 ClassEnumStats enumerate_causal_classes(const Trace& trace,
                                         const ClassEnumOptions& options,
                                         const ClassVisitor& visit);

@@ -1,6 +1,5 @@
 #include "ordering/exact.hpp"
 
-#include <memory>
 #include <vector>
 
 #include "feasible/enumerate.hpp"
@@ -110,11 +109,9 @@ OrderingRelations compute_interleaving(const Trace& trace,
   return r;
 }
 
-/// Per-causal-class accumulator for the causal and interval semantics.
-/// In parallel mode each worker slot gets a private accumulator (visits
-/// with the same slot never overlap); they all share one sharded
-/// fingerprint set so every distinct class is accumulated by exactly one
-/// of them, and merge() combines the results.
+/// Per-causal-class accumulator for the causal and interval semantics:
+/// deduplicates classes through one sharded fingerprint set and folds
+/// each new class into the any/all matrices.
 class CausalAccumulator {
  public:
   CausalAccumulator(const Trace& trace, const CausalOptions& causal,
@@ -203,21 +200,6 @@ class CausalAccumulator {
     accept(anc_);
   }
 
-  /// Associative cross-worker merge: any_* rows OR, all_* rows AND,
-  /// class counts summed (the shared dedup set guarantees each class was
-  /// accumulated by exactly one worker, so the sum is the distinct
-  /// count).  A worker that saw no classes contributes identities.
-  void merge(const CausalAccumulator& o) {
-    classes_ += o.classes_;
-    for (EventId a = 0; a < n_; ++a) {
-      any_c_.row(a) |= o.any_c_.row(a);
-      all_c_.row(a) &= o.all_c_.row(a);
-      any_incomp_.row(a) |= o.any_incomp_.row(a);
-      all_incomp_.row(a) &= o.all_incomp_.row(a);
-      any_notrev_.row(a) |= o.any_notrev_.row(a);
-    }
-  }
-
   void finish(OrderingRelations& r, Semantics semantics) const {
     r.causal_classes = classes_;
     if (classes_ == 0) {
@@ -283,21 +265,8 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
   const CausalOptions causal{.include_data_edges =
                                  options.causal_data_edges};
   search::ShardedFingerprintSet dedup;
-  // One private accumulator per worker slot (lock-free accepts —
-  // same-slot visits never overlap), class dedup shared through the
-  // sharded set, all budgets strict and global via the explorer's
-  // shared search context.  Slot 0 (the calling thread) always has one;
-  // a helper's is built at its first schedule, so a sweep that never
-  // grew builds one accumulator, not one per requested worker.
-  std::vector<std::unique_ptr<CausalAccumulator>> accs(
-      search::resolve_num_threads(options.num_threads));
-  accs[0] = std::make_unique<CausalAccumulator>(trace, causal, dedup);
-  const auto acc = [&](std::size_t slot) -> CausalAccumulator& {
-    if (accs[slot] == nullptr) {
-      accs[slot] = std::make_unique<CausalAccumulator>(trace, causal, dedup);
-    }
-    return *accs[slot];
-  };
+  CausalAccumulator acc(trace, causal, dedup);
+  // Both paths run on the calling thread, whatever num_threads says.
   if (options.class_dedup) {
     ClassEnumOptions co;
     static_cast<search::SearchOptions&>(co) = options;
@@ -310,9 +279,9 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
     co.charge_store = &dedup;
     const ClassEnumStats stats = enumerate_causal_classes(
         trace, co,
-        [&](std::size_t slot, const std::vector<EventId>&,
+        [&](const std::vector<EventId>&,
             const std::vector<DynamicBitset>& ancestors) {
-          acc(slot).accept(ancestors);
+          acc.accept(ancestors);
           return true;
         });
     r.schedules_seen = stats.schedules_visited;
@@ -322,32 +291,26 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
   } else {
     EnumerateOptions eo;
     static_cast<search::SearchOptions&>(eo) = options;
-    // The plain enumerator's schedule counts stay exact: never reduced.
-    eo.reduction = search::ReductionMode::kOff;
+    // The reference path: every schedule (plain enumeration never
+    // reduces), on this thread alone, so the visitor may insert into the
+    // class-dedup set, which takes no locks.
+    eo.num_threads = 1;
     eo.stepper.respect_dependences = options.respect_dependences;
     eo.charge_store = &dedup;
     const EnumerateStats stats = enumerate_schedules(
-        trace, eo, [&](std::size_t slot, const std::vector<EventId>& s) {
-          acc(slot).accept_schedule(s);
+        trace, eo, [&](std::size_t, const std::vector<EventId>& s) {
+          acc.accept_schedule(s);
           return true;
         });
     r.schedules_seen = stats.schedules;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated;
     r.search = stats.search;
-    // The plain enumerator keeps no store of its own; a sweep that grew
-    // workers reports the shared class-dedup set's load instead.
-    if (!r.search.workers.empty()) r.search.shard_sizes = dedup.shard_sizes();
   }
-  // The shared stores are authoritative for memo bytes: prefix-set bytes
-  // arrive via stats.search (set once from the set itself), and the
-  // class-dedup set is added here exactly once — never summed per
-  // worker.
+  // Prefix-set bytes arrive via stats.search; the class-dedup set's are
+  // added here.
   r.search.memo_bytes += dedup.bytes();
-  for (std::size_t i = 1; i < accs.size(); ++i) {
-    if (accs[i] != nullptr) accs[0]->merge(*accs[i]);
-  }
-  accs[0]->finish(r, semantics);
+  acc.finish(r, semantics);
   return r;
 }
 

@@ -8,7 +8,9 @@
 // tracker's closure rows, so no causal order is rebuilt per schedule.
 // Both are exponential in the worst case — Theorems 1-4 say they must
 // be, assuming P != NP — so budgets apply and results carry a
-// `truncated` flag.
+// `truncated` flag.  Every semantics runs on the calling thread: the
+// wall is met by pruning (class dedup, source-set reduction), the
+// anytime ladder and the SAT oracle, not by threads.
 #pragma once
 
 #include <cstdint>
@@ -19,30 +21,17 @@
 
 namespace evord {
 
-/// Budget, workers and reduction come from search::SearchOptions.
-/// Interleaving semantics runs the memoized state-space sweep
-/// (ScheduleSpaceOptions) serially on the calling thread and honours
-/// max_states, time_budget_seconds and max_memory_bytes — never
-/// num_threads or steal, and never `reduction`, whose matrices need the
+/// Budget and reduction come from search::SearchOptions.  Every
+/// semantics runs on the calling thread and ignores num_threads and
+/// steal.  Interleaving semantics runs the memoized state-space sweep
+/// (ScheduleSpaceOptions) and honours max_states, time_budget_seconds
+/// and max_memory_bytes — never `reduction`, whose matrices need the
 /// unreduced sweep.  Causal and interval semantics enumerate schedules
 /// (ClassEnumOptions with class_dedup, EnumerateOptions without) and
-/// honour max_schedules, time_budget_seconds, max_memory_bytes,
-/// num_threads and steal; the class_dedup path also honours `reduction`
-/// and ignores max_states for good (max_schedules is the causal budget),
-/// and the plain path ignores `reduction` for good (schedules_seen counts
-/// every schedule).
-///
-/// Every budget is strict and global across workers (one shared search
-/// context, so a budget of N caps the combined total at N).  The
-/// causal/interval search starts on the calling thread and grows onto
-/// the work-stealing scheduler only past search::kGrowAfterEntries DFS
-/// entries: workers accumulate into private per-slot state merged
-/// associatively at the end, and deduplicate classes AND class prefixes
-/// against shared sharded fingerprint sets, so every distinct prefix
-/// state is expanded exactly once across all workers.  Relation
-/// matrices, causal_classes, feasible_empty and — absent budgets —
-/// schedules_seen are identical to the serial engine's (tested),
-/// regardless of thread count, steal order or subtree splits.
+/// honour max_schedules, time_budget_seconds and max_memory_bytes; the
+/// class_dedup path also honours `reduction` and ignores max_states for
+/// good (max_schedules is the causal budget), and the plain path ignores
+/// `reduction` for good (schedules_seen counts every schedule).
 ///
 /// `reduction` defaults to kSourceWakeup: it preserves the set of
 /// complete causal classes (pruned schedules are commuting permutations

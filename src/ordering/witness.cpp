@@ -11,11 +11,9 @@ EnumerateOptions to_enum_options(const ExactOptions& options) {
   EnumerateOptions eo;
   static_cast<search::SearchOptions&>(eo) = options;
   // Witnesses are the first match in serial DFS order over every
-  // schedule: deterministic and never reduced, because a reduced walk
-  // can prune the only interleaving that orders two independent events
-  // the way the query asks.
+  // schedule (plain enumeration never reduces, so no interleaving that
+  // orders two independent events the way the query asks is pruned).
   eo.num_threads = 1;
-  eo.reduction = search::ReductionMode::kOff;
   eo.stepper.respect_dependences = options.respect_dependences;
   return eo;
 }

@@ -132,8 +132,8 @@ struct AnytimeOptions {
   /// Escalating budgets, tried in order; the first un-truncated rung
   /// answers exactly.  Empty = default_ladder().
   std::vector<QueryBudget> ladder;
-  /// Base exact configuration (semantics knobs, thread count, reduction
-  /// mode...).  The per-rung budgets override max_states, max_schedules,
+  /// Base exact configuration (semantics knobs, reduction mode...).
+  /// The per-rung budgets override max_states, max_schedules,
   /// max_memory_bytes and time_budget_seconds.
   ExactOptions exact;
 

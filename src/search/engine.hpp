@@ -20,64 +20,61 @@
 //   DynamicBitset& done, std::vector<std::uint64_t>&)` appends the
 //   tracker's full payload words for the debug collision cross-check.
 //
-//   Dedup: `ClaimResult claim(fp, payload)` — `expand` says this engine
-//   should expand the state; `first_claim` says the state was never seen
-//   by any engine sharing the store (it counts toward the global
-//   distinct-state budget).
+//   Dedup: `bool claim(fp, payload)` — true when the state was never
+//   seen before, so this engine expands (and counts) it.
 //
-//   Enumeration hooks: `kStateOnly` (true when every result the hooks
-//   build is a function of reachable stepper states — the deadlock
-//   search — so a NullTracker engine may use the unconditional
-//   stepper-state dynamic excusals; false whenever schedules or causal
-//   classes are surfaced), `bool on_terminal(const std::vector<EventId>&
+//   Enumeration hooks: `bool on_terminal(const std::vector<EventId>&
 //   schedule, const Tracker&)` (the tracker as it stands after the last
 //   event, so the causal-class hooks read the schedule's closure rows off
 //   it; false stops the whole search), `void on_stuck(const
 //   std::vector<EventId>& path, std::uint64_t fp)` — called in DFS
-//   discovery order, which the serial deadlock search relies on to keep
-//   the first shortest stuck prefix as its witness.
+//   discovery order, which the deadlock search relies on to keep the
+//   first shortest stuck prefix as its witness.
 //
 // Partial-order reduction (SearchOptions::reduction == kSourceWakeup):
 // the engine threads a sleep set through the DFS — inherited along
 // edges, extended across explored siblings — and expands only a source
 // subset of the enabled events at each state (search/independence.hpp:
 // necessary enabling closures and dynamic, state-aware independence).
-// Sleep inheritance uses per-depth wakeup frames (compute_wakeup_masks)
-// — one independence mask per sleeping/selected event, evaluated at the
-// expanded state — so excused pairs (surplus-token V/V, already-posted
-// Post ops) propagate into child sleep sets instead of being re-split.
-// The frames are a pure function of (stepper state, sleep set), so
-// dedup claims still key on exactly the (state, sleep set) pair:
-// the reduced subtree below a node is a deterministic function of that
-// pair, which keeps pruning sound and the parallel walk bit-identical
-// to serial.  Donated tasks carry their subtree root's sleep set in
-// SearchTask::sleep, derived from the donor's frame (the same masks the
-// in-walk children use, so donation is just serialization of the
-// frame).  Stuck states are still reported under their raw state
-// fingerprint (not sleep-folded), so distinct-stuck-state counting is
+// Dynamic independence preserves the tracker's state exactly when the
+// engine carries one (class enumeration); a NullTracker engine (deadlock
+// search) gets the broader stepper-state excusals.  Sleep inheritance
+// uses per-depth wakeup frames (compute_wakeup_masks) — one independence
+// mask per sleeping/selected event, evaluated at the expanded state — so
+// excused pairs (surplus-token V/V, already-posted Post ops) propagate
+// into child sleep sets instead of being re-split.  The frames are a
+// pure function of (stepper state, sleep set), so dedup claims key on
+// exactly the (state, sleep set) pair: the reduced subtree below a node
+// is a deterministic function of that pair, which keeps pruning sound.
+// Stuck states are still reported under their raw state fingerprint
+// (not sleep-folded), so distinct-stuck-state counting is
 // reduction-blind.  Soundness per explorer is a front-end decision; see
 // docs/SEARCH.md §POR.
 //
-// Work stealing: the engine runs on the scheduler (search/scheduler.hpp),
-// one engine instance per SearchTask: the root task on the calling
-// thread, and — once its walk has grown the sweep — every donated
-// subtree on whichever worker takes it.  run(task, worker) replays the
-// task's seed and hands the engine its WorkerHandle; the DFS then polls
-// steal demand at every entry and answers it by donating the deepest
-// unexplored siblings of its current path as new tasks (adaptive subtree
-// splitting), removing them from its own walk so the visit sets
-// partition.
+// Threads: run() walks the whole tree on the calling thread; that is how
+// class enumeration and deadlock search run.  Only plain schedule
+// enumeration — unreduced, untracked and undeduplicated, so its tasks
+// carry nothing but a schedule prefix — runs on the work-stealing
+// scheduler (search/scheduler.hpp), one engine instance per SearchTask:
+// the root task on the calling thread and, once its walk has grown the
+// sweep, every donated subtree on whichever worker takes it.
+// run(task, worker) replays the task's seed and hands the engine its
+// WorkerHandle; the DFS then polls steal demand at every entry and
+// answers it by donating the deepest unexplored siblings of its current
+// path as new tasks (adaptive subtree splitting), removing them from its
+// own walk so the visit sets partition.
 //
-// Budget semantics (shared, via SharedContext):
-//   max_states    — claim-then-check: state #max_states is still claimed
+// Budget semantics (via SharedContext):
+//   max_states    — claim-then-check against this engine's own
+//                   states_visited: state #max_states is still claimed
 //                   and counted but not expanded; siblings continue (no
 //                   global unwind), matching the historical per-explorer
-//                   behaviour.
+//                   behaviour.  Only dedup engines, which run
+//                   serially, check it.
 //   max_schedules — strict and global: a shared atomic counter ensures
 //                   the combined number of terminal visits never exceeds
 //                   the budget, serial or parallel.  An unbudgeted run
-//                   (max_schedules or max_states 0) never touches that
-//                   field's shared counter.
+//                   (max_schedules 0) never touches that counter.
 //   deadline      — polled every 256 states; trips request a global
 //                   stop.
 //   max_memory_bytes — strict and global: the stores/scheduler/witness
@@ -121,34 +118,27 @@ struct NullTracker {
                   std::vector<std::uint64_t>& /*key*/) const {}
 };
 
-struct ClaimResult {
-  bool expand = true;       ///< this engine should expand the state
-  bool first_claim = true;  ///< no engine sharing the store saw it before
-};
-
 /// No deduplication: every state is expanded wherever reached.
 struct NoDedup {
   static constexpr bool kEnabled = false;
   bool verify_collisions() const { return false; }
   bool exact_keys() const { return false; }
-  ClaimResult claim(std::uint64_t /*fp*/,
-                    const std::vector<std::uint64_t>* /*payload*/) {
-    return {true, true};
+  bool claim(std::uint64_t /*fp*/,
+             const std::vector<std::uint64_t>* /*payload*/) {
+    return true;
   }
 };
 
-/// Dedup against a (possibly shared) sharded set: whoever inserts first
-/// expands the state; everyone else prunes.
-class SharedSetDedup {
+/// Dedup against a sharded set: the first visit of a state expands it;
+/// every later one prunes.
+class SetDedup {
  public:
   static constexpr bool kEnabled = true;
-  explicit SharedSetDedup(ShardedFingerprintSet* set) : set_(set) {}
+  explicit SetDedup(ShardedFingerprintSet* set) : set_(set) {}
   bool verify_collisions() const { return set_->verify_collisions(); }
   bool exact_keys() const { return set_->exact_keys(); }
-  ClaimResult claim(std::uint64_t fp,
-                    const std::vector<std::uint64_t>* payload) {
-    const bool won = set_->insert(fp, payload);
-    return {won, won};
+  bool claim(std::uint64_t fp, const std::vector<std::uint64_t>* payload) {
+    return set_->insert(fp, payload);
   }
 
  private:
@@ -156,8 +146,8 @@ class SharedSetDedup {
 };
 
 /// State shared by every engine instance of one logical search (one
-/// instance per scheduler task in parallel mode; the serial case uses a
-/// single context the same way).
+/// instance per scheduler task when plain enumeration grows workers;
+/// every other search runs one engine against its own context).
 struct SharedContext {
   explicit SharedContext(const SearchOptions& options)
       : deadline(options.time_budget_seconds),
@@ -169,8 +159,6 @@ struct SharedContext {
   MemoryAccountant memory;
   /// Strict max_schedules gate; counts only under that budget.
   std::atomic<std::uint64_t> terminals{0};
-  /// Global distinct states; counts only under a max_states budget.
-  std::atomic<std::uint64_t> states{0};
   std::atomic<bool> stop{false};
   std::atomic<std::uint8_t> stop_reason{0};
 
@@ -205,10 +193,9 @@ class EnumerationSearch {
         hooks_(std::move(hooks)),
         indep_(indep),
         // Dynamic independence must preserve the tracker's state exactly
-        // when the engine carries one; NullTracker engines whose hooks
-        // are kStateOnly get the broader stepper-state excusals.
-        dyn_(indep,
-             !std::is_same_v<Tracker, NullTracker> || !Hooks::kStateOnly),
+        // when the engine carries one; NullTracker engines get the
+        // broader stepper-state excusals.
+        dyn_(indep, !std::is_same_v<Tracker, NullTracker>),
         source_selector_(indep, &dyn_),
         reduce_(options.reduction != ReductionMode::kOff),
         num_events_(trace.num_events()) {
@@ -239,18 +226,20 @@ class EnumerationSearch {
   }
 
   /// Runs one scheduler task: fast-forwards through its seed prefix
-  /// (every event must be enabled in sequence), starts from the sleep set
-  /// its subtree root inherits (SearchTask::sleep), and walks the subtree
-  /// with `worker` attached for steal demand and donation.
+  /// (every event must be enabled in sequence) and walks the subtree with
+  /// `worker` attached for steal demand and donation.  Only plain
+  /// enumeration runs here: a task carries a schedule prefix and nothing
+  /// else, so no sleep set, tracker state or dedup store crosses threads.
   SearchStats run(const SearchTask& task, WorkerHandle& worker) {
+    static_assert(std::is_same_v<Tracker, NullTracker> && !Dedup::kEnabled,
+                  "only untracked, undeduplicated walks run on workers");
+    EVORD_CHECK(!reduce_, "only unreduced walks run on workers");
     for (EventId e : task.seed) {
       EVORD_CHECK(stepper_.enabled(e), "seed prefix is not schedulable");
-      tracker_.apply(e, stepper_.done_bits());
       stepper_.apply(e);
       path_.push_back(e);
     }
     worker_ = &worker;
-    if (reduce_) sleep_stack_.assign(1, task.sleep);
     dfs(0);
     return stats_;
   }
@@ -325,14 +314,6 @@ class EnumerationSearch {
                          path_.begin() +
                              static_cast<std::ptrdiff_t>(seed_len + d));
         task.seed.push_back(siblings[j]);
-        if (reduce_) {
-          // The stolen subtree starts from exactly the sleep set the
-          // serial walk would carry into sibling j — the ancestor state's
-          // wakeup frame, since dynamic independence must be evaluated at
-          // the DONOR's state d.
-          child_sleep(*indep_, sleep_stack_[d], enabled_stack_[d], j,
-                      mask_stack_[d], task.sleep);
-        }
         worker_->spawn(std::move(task));
       }
       siblings.resize(sibling_index_[d] + 1);
@@ -352,27 +333,19 @@ class EnumerationSearch {
                   : tracker_.fingerprint(stepper_.state_hash());
       const std::uint64_t claim_fp =
           reduce_ ? fold_sleep(fp, sleep_set_hash(sleep_stack_[depth])) : fp;
-      const ClaimResult claim = dedup_.claim(claim_fp, payload(depth));
-      if (!claim.expand) {
+      if (!dedup_.claim(claim_fp, payload(depth))) {
         ++stats_.dedup_hits;
         return true;
       }
-      if (claim.first_claim) {
-        ++stats_.states_visited;
-        ++stats_.depth_states[stepper_.num_executed()];
-      }
+      ++stats_.states_visited;
+      ++stats_.depth_states[stepper_.num_executed()];
       // Claim-then-check: this state is counted but not expanded once the
       // budget is reached; siblings keep getting claimed (no unwind).
-      if (options_.max_states != 0) {
-        const std::uint64_t global =
-            claim.first_claim
-                ? ctx_->states.fetch_add(1, std::memory_order_relaxed) + 1
-                : ctx_->states.load(std::memory_order_relaxed);
-        if (global >= options_.max_states) {
-          stats_.truncated = true;
-          set_reason(StopReason::kMaxStates);
-          return true;
-        }
+      if (options_.max_states != 0 &&
+          stats_.states_visited >= options_.max_states) {
+        stats_.truncated = true;
+        set_reason(StopReason::kMaxStates);
+        return true;
       }
     } else {
       ++stats_.states_visited;
@@ -424,7 +397,7 @@ class EnumerationSearch {
       if (selected.empty()) return true;
       // This state's wakeup frame: dynamic-independence masks over the
       // post-filter selected events, read by the child-sleep computation
-      // below AND by try_split donation from this depth.
+      // below.
       if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
       compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
                            mask_stack_[depth], &stats_.dyn_excused);
@@ -480,8 +453,7 @@ class EnumerationSearch {
   bool exact_ = false;  ///< dedup on the packed word, not a hash
   std::vector<std::vector<EventId>> sleep_stack_;  ///< sleep set per depth
   /// Wakeup frame per depth: dynamic-independence masks for (sleep ∪
-  /// selected) at that state, shared by the in-walk child-sleep
-  /// computation and try_split donation.
+  /// selected) at that state, read by the child-sleep computation.
   std::vector<std::vector<std::uint64_t>> mask_stack_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;

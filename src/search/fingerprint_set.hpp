@@ -4,14 +4,14 @@
 // through one of the two containers here, both thin fronts over the
 // packed state layer (search/state_registry.hpp):
 //   * ShardedFingerprintSet — membership only.  Used to dedup causal
-//     classes, causal-class prefixes and deadlock-search states.  Sharded
-//     with one mutex per shard, so the parallel enumeration workers share
-//     one store with minimal contention.
+//     classes, causal-class prefixes and deadlock-search states.
 //   * FingerprintBoolMap    — key -> bool memo.  Used by the memoized
 //     can-precede sweep (compute_can_precede, with its optional
 //     coexistence matrix), where each state memoizes "is a complete
-//     schedule reachable from here".  That sweep is always serial, so
-//     the map never locks.
+//     schedule reachable from here".
+//
+// Every store belongs to one search running on the calling thread, so
+// neither container locks (docs/SEARCH.md §8).
 //
 // Keys are quotiented and bit-packed (see PackedStateRegistry), so a
 // retained state costs a fraction of the historical 8/9 bytes; with
@@ -67,7 +67,7 @@ inline PackedStateRegistry::Config make_store_config(
   return cfg;
 }
 
-/// Sharded key -> bool memo table for single-threaded use (no locking).
+/// Sharded key -> bool memo table.
 /// The memoized predicate is deterministic, so a duplicate store of the
 /// same value is a no-op and a re-store with a different value throws
 /// CheckError.
@@ -82,11 +82,10 @@ class FingerprintBoolMap {
       std::size_t num_shards = 16,
       bool verify_collisions = PackedStateRegistry::kVerifyByDefault)
       : core_(PackedStateRegistry::Config{num_shards, verify_collisions, 64,
-                                          false, false, 1}) {}
-  /// Full-config constructor (exact keys); value_bits is forced to 1 and
-  /// locking off.
+                                          false, 1}) {}
+  /// Full-config constructor (exact keys); value_bits is forced to 1.
   explicit FingerprintBoolMap(PackedStateRegistry::Config config)
-      : core_((config.value_bits = 1, config.synchronized = false, config)) {}
+      : core_((config.value_bits = 1, config)) {}
 
   FingerprintBoolMap(const FingerprintBoolMap&) = delete;
   FingerprintBoolMap& operator=(const FingerprintBoolMap&) = delete;

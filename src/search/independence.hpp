@@ -192,8 +192,8 @@ class IndependenceRelation {
 /// reaches the same stepper state from ANY state where both are enabled,
 /// and neither side disables the other.  Pairs with a hard (data/D)
 /// dependence are never excused.  All conditions are pure functions of
-/// the stepper state — exactly what keeps (state, sleep)-keyed dedup and
-/// donated subtrees deterministic.
+/// the stepper state — exactly what keeps (state, sleep)-keyed dedup
+/// deterministic.
 class DynamicIndependence {
  public:
   DynamicIndependence(const IndependenceRelation* rel, bool tracker_sensitive)
@@ -571,18 +571,14 @@ inline void child_sleep_set(const IndependenceRelation& indep,
 // Wakeup frames (ReductionMode::kSourceWakeup).
 //
 // Under dynamic independence the sleep set a child inherits depends on
-// independence evaluated AT the parent state — and a donated subtree's
-// root sleep must be computed from the DONOR's ancestor state, not the
-// thief's.  Each engine therefore keeps one wakeup frame per DFS depth:
-// for every event x in (sleep ∪ selected), a bitmask over the selected
-// indices j with x independent-of-selected[j] at that state.  The frame
-// is computed once per expanded state and read by both the in-walk
-// child-sleep computation and try_split donation, which is what
-// serializes the wakeup scheduling state across work stealing (the
-// donated SearchTask::sleep is a pure function of the frame).  Frames
-// need selected.size() <= 64; beyond that engines fall back to the
-// static child_sleep_set — still sound, just coarser, and a
-// deterministic function of the state either way.
+// independence evaluated AT the parent state.  Each engine therefore
+// keeps one wakeup frame per DFS depth: for every event x in (sleep ∪
+// selected), a bitmask over the selected indices j with x
+// independent-of-selected[j] at that state.  The frame is computed once
+// per expanded state and read by the child-sleep computation of each of
+// its children.  Frames need selected.size() <= 64; beyond that engines
+// fall back to the static child_sleep_set — still sound, just coarser,
+// and a deterministic function of the state either way.
 
 /// Fills `masks` (one word per event of sleep ++ selected; bit j =
 /// independent of selected[j] at the stepper's state).  Leaves `masks`
@@ -618,8 +614,7 @@ inline void compute_wakeup_masks(const DynamicIndependence& dyn,
 
 /// child_sleep_set evaluated through a wakeup frame: keep every sleeping
 /// event and every earlier sibling whose frame bit for the chosen index
-/// is set, sorted by id.  `sleep` must be the frame's sleep set;
-/// `selected` may have had its tail donated away (indices are stable).
+/// is set, sorted by id.  `sleep` must be the frame's sleep set.
 inline void child_sleep_from_masks(const std::vector<EventId>& sleep,
                                    const std::vector<EventId>& selected,
                                    std::size_t chosen_index,

@@ -19,8 +19,7 @@ namespace {
 
 /// Heap footprint of a task descriptor (charged while it sits queued).
 std::uint64_t task_bytes(const SearchTask& task) {
-  return sizeof(SearchTask) + task.seed.size() * sizeof(EventId) +
-         task.sleep.size() * sizeof(EventId);
+  return sizeof(SearchTask) + task.seed.size() * sizeof(EventId);
 }
 
 /// Chase–Lev work-stealing deque of SearchTask*.  The owner pushes and

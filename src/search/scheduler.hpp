@@ -1,4 +1,4 @@
-// Work-stealing scheduler for the two enumeration explorers.
+// Work-stealing scheduler for plain schedule enumeration.
 //
 // Every sweep starts serial: the calling thread walks the root task (the
 // empty schedule prefix) as worker 0, and its engine polls
@@ -17,11 +17,11 @@
 // task.
 //
 // Determinism: the tasks partition the schedule tree, so any split and
-// steal pattern covers exactly the serial state space.  The two
-// explorers that run here (schedule and causal-class enumeration)
-// report counts and sets of schedules or classes, none of which depends
-// on the order in which tasks complete.  See docs/SEARCH.md §"Parallel
-// execution".
+// steal pattern covers exactly the serial schedules.  The one explorer
+// that runs here, plain schedule enumeration, walks unreduced with no
+// tracker and no dedup store, so a task is its seed prefix alone and no
+// store is shared between workers; its counts do not depend on the
+// order in which tasks complete.  See docs/SEARCH.md §4.
 //
 // Termination is lock-free: an atomic outstanding-task counter is
 // incremented before each spawn and decremented after the task runs;
@@ -45,24 +45,13 @@ class WorkStealingScheduler;
 /// One unit of search work: a schedule prefix to explore.
 struct SearchTask {
   std::vector<EventId> seed;
-  /// Partial-order reduction only: the sleep set of the subtree root
-  /// this task replays to (sorted event ids).  Donors compute it at
-  /// donation time — sleep sets are inherited along DFS edges, so a
-  /// stolen subtree must start from exactly the sleep set the serial
-  /// walk would carry into it; the engine installs it when it starts
-  /// the task.  Under kSourceWakeup the donor derives it
-  /// from its per-depth wakeup frame (the dynamic-independence masks it
-  /// computed when expanding the donated child's parent), so donation
-  /// serializes the frame: the thief starts from the exact conditional
-  /// sleep set the donor's in-walk child would carry, and the parallel
-  /// walk stays bit-identical to serial.  Empty when reduction is off.
-  std::vector<EventId> sleep;
 };
 
 /// DFS entries the calling thread's walk makes before a multi-worker
 /// sweep starts its helpers: about where a 2-worker causal sweep of
-/// cold-shaped traces, parallel from its first entry, stops costing more
-/// than the serial walk (docs/SEARCH.md §4 has the measured table).
+/// cold-shaped traces, parallel from its first entry, stopped costing
+/// more than the serial walk when causal sweeps still ran workers
+/// (docs/SEARCH.md §4 has the measured table).
 inline constexpr std::uint64_t kGrowAfterEntries = 16384;
 
 /// Per-worker face of the scheduler, handed to the task runner.  The

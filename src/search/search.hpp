@@ -33,8 +33,9 @@ const char* to_string(StopReason reason);
 /// (events reorderable when adjacent and independent) instead of every
 /// interleaving.  Sound for per-trace facts — causal classes, deadlock
 /// verdicts, exact causal/interval relations — and unsound for schedule
-/// counts or interleaving-semantics matrices; each explorer front-end
-/// picks the default that matches its semantics (docs/SEARCH.md §POR).
+/// counts or interleaving-semantics matrices; class enumeration and
+/// deadlock search read it, while plain enumeration and the memoized
+/// sweep never reduce (docs/SEARCH.md §POR).
 enum class ReductionMode : std::uint8_t {
   /// Every interleaving: the reference the reduced walk is checked
   /// against.
@@ -45,19 +46,20 @@ enum class ReductionMode : std::uint8_t {
   /// independence reclaims commutations the static relation misses —
   /// semaphore V/V with enough surplus tokens, Post/Post and Post/Wait
   /// on an already posted variable, Clear/Clear — evaluated per state
-  /// through the per-depth wakeup frames the engines maintain (and
-  /// serialize across work-stealing donation).  Every transition-less
-  /// state stays reachable and causal classes are preserved; the walk
-  /// explores one schedule per causal class on every bench family.
+  /// through the per-depth wakeup frames the engines maintain.  Every
+  /// transition-less state stays reachable and causal classes are
+  /// preserved; the walk explores one schedule per causal class on
+  /// every bench family.
   kSourceWakeup = 1,
 };
 
 const char* to_string(ReductionMode mode);
 
-/// Work-stealing scheduler tuning, read only by the explorers that run
-/// workers (see SearchOptions::num_threads).  None of these affect
-/// results — the tasks partition the schedule tree, so any split pattern
-/// and any victim order produce bit-identical output (the stress test in
+/// Work-stealing scheduler tuning, read only by plain schedule
+/// enumeration, the one explorer that runs workers (see
+/// SearchOptions::num_threads).  None of these affect results — the
+/// tasks partition the schedule tree, so any split pattern and any
+/// victim order produce bit-identical output (the stress test in
 /// tests/search_test.cpp perturbs `seed` to prove it).
 struct StealOptions {
   /// Minimum number of still-unexecuted events below a donated subtree
@@ -81,8 +83,9 @@ struct StealOptions {
 struct SearchOptions {
   SearchOptions() = default;
 
-  /// Stop expanding new distinct states after this many (global across
-  /// all workers in parallel mode).
+  /// Stop expanding new distinct states after this many.  Only the
+  /// explorers with a dedup or memo store count states, and they run on
+  /// the calling thread.
   std::size_t max_states = 0;
   /// Stop after this many terminal (complete-schedule) visits.  Enforced
   /// strictly via a shared atomic counter: the combined visit count never
@@ -100,11 +103,11 @@ struct SearchOptions {
   std::uint64_t max_memory_bytes = 0;
   /// Worker count: 0 = hardware concurrency, 1 = serial.  Clamped to
   /// max_worker_threads() (scheduler.hpp) so oversubscription is
-  /// impossible.  Results never depend on it.  Only the two enumeration
-  /// explorers (schedules and causal classes, and the causal/interval
-  /// compute_exact built on them) run workers, and a sweep starts them
-  /// only past kGrowAfterEntries DFS entries; the state-keyed explorers
-  /// (the memoized sweep and deadlock search) always run serially.
+  /// impossible.  Results never depend on it.  Only plain schedule
+  /// enumeration runs workers, and a sweep starts them only past
+  /// kGrowAfterEntries DFS entries; every other explorer (class
+  /// enumeration, compute_exact, the memoized sweep and deadlock search)
+  /// runs on the calling thread.
   std::size_t num_threads = 1;
   /// Work-stealing knobs (grain / max_split_depth / seed); read only
   /// where num_threads is.
@@ -159,9 +162,8 @@ struct SearchStats {
   std::uint64_t dyn_excused = 0;
   /// Heap bytes held by the dedup/memo store at the end of the search
   /// (packed keys; debug payload retention is excluded — it exists only
-  /// to cross-check collisions).  In parallel mode this is set once from
-  /// the shared stores, never summed per worker (workers report 0), so
-  /// shared-set insertions are not double-counted.
+  /// to cross-check collisions).  Set once from the store by the
+  /// explorer that owns it; engines report 0.
   std::uint64_t memo_bytes = 0;
   bool truncated = false;          ///< a budget stopped the search
   bool stopped_by_visitor = false;
@@ -175,9 +177,9 @@ struct SearchStats {
   /// sweeps that never grew past search::kGrowAfterEntries.  Index-wise
   /// merged (worker i of every task batch is the same OS thread).
   std::vector<WorkerStats> workers;
-  /// Final per-shard sizes of the shared fingerprint store (load-factor
-  /// diagnostics); empty when the explorer used no shared store.  Set
-  /// once at top level; merge() adopts whichever side is non-empty.
+  /// Final per-shard sizes of the explorer's fingerprint store
+  /// (load-factor diagnostics); empty when the explorer used no store.
+  /// Set once at top level; merge() adopts whichever side is non-empty.
   std::vector<std::uint64_t> shard_sizes;
 
   void merge(const SearchStats& other);

@@ -174,9 +174,7 @@ void raw_append(std::vector<std::uint64_t>& words, std::uint32_t count,
 }  // namespace
 
 PackedStateRegistry::PackedStateRegistry(Config config)
-    : verify_(config.verify_collisions),
-      exact_keys_(config.exact_keys),
-      synchronized_(config.synchronized) {
+    : verify_(config.verify_collisions), exact_keys_(config.exact_keys) {
   key_bits_ = std::clamp<std::uint32_t>(config.key_bits, 1, 64);
   value_bits_ = config.value_bits;
   EVORD_CHECK(value_bits_ <= 1, "registry supports at most one value bit");
@@ -193,23 +191,20 @@ PackedStateRegistry::PackedStateRegistry(Config config)
   while (key_bits_ - shard_bits_ - init_bucket_bits + value_bits_ > 64) {
     ++init_bucket_bits;
   }
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    Shard& s = *shards_.back();
+  shards_.resize(n);
+  for (Shard& s : shards_) {
     s.bucket_bits = init_bucket_bits;
     s.buckets.resize(std::size_t{1} << init_bucket_bits);
     s.resident_bytes = shard_heap_bytes(s);
-    charged_.fetch_add(s.resident_bytes, std::memory_order_relaxed);
+    charged_ += s.resident_bytes;
   }
 }
 
 void PackedStateRegistry::set_accountant(MemoryAccountant* accountant) noexcept {
   if (accountant_ == accountant) return;
-  const std::uint64_t held = charged_.load(std::memory_order_relaxed);
-  if (accountant_ != nullptr) accountant_->release(held);
+  if (accountant_ != nullptr) accountant_->release(charged_);
   accountant_ = accountant;
-  if (accountant_ != nullptr) accountant_->charge(held);
+  if (accountant_ != nullptr) accountant_->charge(charged_);
 }
 
 std::uint64_t PackedStateRegistry::mix(std::uint64_t key) const noexcept {
@@ -256,11 +251,11 @@ void PackedStateRegistry::recount_shard_bytes(Shard& s) noexcept {
   const std::uint64_t now = shard_heap_bytes(s);
   if (now >= s.resident_bytes) {
     const std::uint64_t d = now - s.resident_bytes;
-    charged_.fetch_add(d, std::memory_order_relaxed);
+    charged_ += d;
     if (accountant_ != nullptr) accountant_->charge(d);
   } else {
     const std::uint64_t d = s.resident_bytes - now;
-    charged_.fetch_sub(d, std::memory_order_relaxed);
+    charged_ -= d;
     if (accountant_ != nullptr) accountant_->release(d);
   }
   s.resident_bytes = now;
@@ -275,7 +270,7 @@ void PackedStateRegistry::append_entry(Shard& s, Bucket& b,
   if (b.words.capacity() != old_cap) {
     const std::uint64_t d = (b.words.capacity() - old_cap) * 8;
     s.resident_bytes += d;
-    charged_.fetch_add(d, std::memory_order_relaxed);
+    charged_ += d;
     if (accountant_ != nullptr) accountant_->charge(d);
   }
 }
@@ -322,7 +317,7 @@ void PackedStateRegistry::check_payload(
   if (inserted) {
     const std::uint64_t d = payload->size() * sizeof(std::uint64_t);
     s.payload_bytes += d;
-    charged_.fetch_add(d, std::memory_order_relaxed);
+    charged_ += d;
     if (accountant_ != nullptr) accountant_->charge(d);
   } else {
     EVORD_CHECK(it->second == *payload,
@@ -341,9 +336,7 @@ bool PackedStateRegistry::insert(std::uint64_t key,
   EVORD_DCHECK(key_bits_ >= 64 || (key >> key_bits_) == 0,
                "key wider than the registry's key_bits");
   const std::uint64_t mixed = mix(key);
-  Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
-  std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-  if (synchronized_) lock.lock();
+  Shard& s = shards_[mixed & mask_bits(shard_bits_)];
   bool inserted = false;
   const std::uint32_t w = entry_width(s);
   const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
@@ -367,9 +360,7 @@ bool PackedStateRegistry::store(std::uint64_t key, bool value,
     accountant_->exhaust();
   }
   const std::uint64_t mixed = mix(key);
-  Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
-  std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-  if (synchronized_) lock.lock();
+  Shard& s = shards_[mixed & mask_bits(shard_bits_)];
   bool inserted = false;
   const std::uint32_t w = entry_width(s);
   const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
@@ -397,9 +388,7 @@ bool PackedStateRegistry::lookup(std::uint64_t key, bool* value,
                                  const std::vector<std::uint64_t>* payload) {
   EVORD_DCHECK(value_bits_ == 1, "lookup() requires a value bit");
   const std::uint64_t mixed = mix(key);
-  Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
-  std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-  if (synchronized_) lock.lock();
+  Shard& s = shards_[mixed & mask_bits(shard_bits_)];
   const std::uint32_t w = entry_width(s);
   const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
   const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
@@ -414,32 +403,20 @@ bool PackedStateRegistry::lookup(std::uint64_t key, bool* value,
 
 std::uint64_t PackedStateRegistry::size() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mu, std::defer_lock);
-    if (synchronized_) lock.lock();
-    total += shard->count;
-  }
+  for (const Shard& shard : shards_) total += shard.count;
   return total;
 }
 
 std::uint64_t PackedStateRegistry::bytes() const {
   std::uint64_t payload = 0;
-  for (const auto& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mu, std::defer_lock);
-    if (synchronized_) lock.lock();
-    payload += shard->payload_bytes;
-  }
-  return charged_.load(std::memory_order_relaxed) - payload;
+  for (const Shard& shard : shards_) payload += shard.payload_bytes;
+  return charged_ - payload;
 }
 
 std::vector<std::uint64_t> PackedStateRegistry::shard_sizes() const {
   std::vector<std::uint64_t> sizes;
   sizes.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mu, std::defer_lock);
-    if (synchronized_) lock.lock();
-    sizes.push_back(shard->count);
-  }
+  for (const Shard& shard : shards_) sizes.push_back(shard.count);
   return sizes;
 }
 

@@ -38,12 +38,12 @@
 // store's actual heap footprint (bucket arrays + packed words + retained
 // debug payloads) as it grows; bytes() reports the same footprint
 // without the debug payloads, so Debug and Release builds agree.
+//
+// The registry takes no locks: every store belongs to one search running
+// on one thread (docs/SEARCH.md §8).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -341,9 +341,6 @@ class PackedStateRegistry {
     /// Keys are injective state encodings, not hashes: a duplicate key
     /// IS a duplicate state, so no collision cross-check is needed.
     bool exact_keys = false;
-    /// With false, per-shard locking is skipped entirely — valid only
-    /// for single-threaded use.
-    bool synchronized = true;
     /// 0 = membership set; 1 = one value bit per key (bool map).
     std::uint32_t value_bits = 0;
   };
@@ -354,7 +351,7 @@ class PackedStateRegistry {
   explicit PackedStateRegistry(std::size_t num_shards = 16,
                                bool verify_collisions = kVerifyByDefault)
       : PackedStateRegistry(Config{num_shards, verify_collisions, 64, false,
-                                   true, 0}) {}
+                                   0}) {}
 
   PackedStateRegistry(const PackedStateRegistry&) = delete;
   PackedStateRegistry& operator=(const PackedStateRegistry&) = delete;
@@ -366,12 +363,11 @@ class PackedStateRegistry {
 
   /// Attaches the accountant; the store's current resident bytes are
   /// charged immediately and future growth is charged/released as it
-  /// happens.  Call before any concurrent use; nullptr detaches (and
-  /// releases the store's charges).
+  /// happens.  nullptr detaches (and releases the store's charges).
   void set_accountant(MemoryAccountant* accountant) noexcept;
 
   /// Inserts `key`; returns true iff it was not present (the caller owns
-  /// this element).  Thread-safe.  When collision verification is on and
+  /// this element).  When collision verification is on and
   /// `payload` is non-null, the payload is retained on first insert and
   /// compared on every hash-equal re-insert; a mismatch (a true 64-bit
   /// collision) throws CheckError.
@@ -388,17 +384,15 @@ class PackedStateRegistry {
   bool lookup(std::uint64_t key, bool* value,
               const std::vector<std::uint64_t>* payload = nullptr);
 
-  /// Total distinct keys.  Thread-safe snapshot.
+  /// Total distinct keys.
   std::uint64_t size() const;
 
   /// Actual heap bytes of the stored keys (bucket arrays, packed entry
   /// words).  Retained debug payloads are charged to the accountant but
   /// left out here, so this is the footprint a Release build reports.
-  /// Thread-safe snapshot.
   std::uint64_t bytes() const;
 
-  /// Per-shard distinct-key counts (load-factor diagnostics).  Snapshot
-  /// under concurrency.
+  /// Per-shard distinct-key counts (load-factor diagnostics).
   std::vector<std::uint64_t> shard_sizes() const;
 
  private:
@@ -407,7 +401,6 @@ class PackedStateRegistry {
     std::uint32_t count = 0;
   };
   struct Shard {
-    mutable std::mutex mu;
     std::vector<Bucket> buckets;
     std::uint32_t bucket_bits = 0;
     std::uint64_t count = 0;           ///< distinct keys
@@ -439,16 +432,15 @@ class PackedStateRegistry {
 
   std::uint64_t mix(std::uint64_t key) const noexcept;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   std::uint32_t shard_bits_ = 0;
   std::uint32_t key_bits_ = 64;
   std::uint32_t value_bits_ = 0;
   std::uint32_t max_bucket_bits_ = 0;
   bool verify_ = false;
   bool exact_keys_ = false;
-  bool synchronized_ = true;
   MemoryAccountant* accountant_ = nullptr;
-  std::atomic<std::uint64_t> charged_{0};
+  std::uint64_t charged_ = 0;  ///< resident + payload bytes
 };
 
 /// RAII attachment of a store to a memory accountant: charges the

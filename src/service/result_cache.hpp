@@ -55,8 +55,8 @@ struct CacheKey {
   QueryKind kind = QueryKind::kRelations;
   std::uint8_t semantics = kNoSemantics;
   /// Digest of every option that can change the cached result —
-  /// including budgets and thread counts, since the embedded SearchStats
-  /// differ per configuration even when the matrices agree.
+  /// including budgets, since the embedded SearchStats differ per
+  /// configuration even when the matrices agree.
   std::uint64_t options_digest = 0;
 
   friend bool operator==(const CacheKey&, const CacheKey&) = default;

@@ -81,16 +81,14 @@ BoundedVerdict deadlock_verdict(const DeadlockReport& run,
   return v;
 }
 
-/// Folds every search::SearchOptions field into `h`.
+/// Folds the search::SearchOptions fields a session's engines read into
+/// `h`: every one but num_threads and steal, since every engine behind
+/// the session runs on the calling thread.
 std::uint64_t digest_budget(std::uint64_t h, const search::SearchOptions& o) {
   h = hash_mix(0x01, h, o.max_states);
   h = hash_mix(0x02, h, o.max_schedules);
   h = hash_mix(0x03, h, double_bits(o.time_budget_seconds));
   h = hash_mix(0x04, h, o.max_memory_bytes);
-  h = hash_mix(0x06, h, o.num_threads);
-  h = hash_mix(0x07, h, o.steal.grain);
-  h = hash_mix(0x08, h, o.steal.max_split_depth);
-  h = hash_mix(0x09, h, o.steal.seed);
   return hash_mix(0x0a, h, static_cast<std::uint64_t>(o.reduction));
 }
 

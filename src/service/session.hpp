@@ -39,11 +39,11 @@
 //
 // Sessions are internally locked (one coarse mutex for bookkeeping);
 // the exponential engines run OUTSIDE the session mutex (see the
-// coalescing bullet), so concurrent distinct queries overlap, and the
-// enumeration-based ones also parallelize internally via
-// ExactOptions::num_threads.  shared_ptr results stay valid for as long
-// as the caller holds them, even across cache eviction: a caller that
-// needs a stable result holds the returned pointer.
+// coalescing bullet), so concurrent distinct queries overlap.  Each
+// engine runs on the thread that asked; ExactOptions::num_threads means
+// nothing here.  shared_ptr results stay valid for as long as the
+// caller holds them, even across cache eviction: a caller that needs a
+// stable result holds the returned pointer.
 #pragma once
 
 #include <array>
@@ -68,8 +68,9 @@
 namespace evord::service {
 
 /// Digest of every ExactOptions field that can change a result —
-/// budgets and thread counts included, since the SearchStats embedded
-/// in cached results differ per configuration even when matrices agree.
+/// budgets included, since the SearchStats embedded in cached results
+/// differ per configuration even when matrices agree.  num_threads and
+/// steal are left out: no engine behind a session reads them.
 std::uint64_t digest_options(const ExactOptions& options);
 
 /// One must/could question about one ordered pair.

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "search/fingerprint_set.hpp"
@@ -70,29 +69,6 @@ TEST(ShardedFingerprintSet, NoVerifyIgnoresPayloads) {
   const std::vector<std::uint64_t> other{4, 5, 6};
   EXPECT_TRUE(set.insert(99, &payload));
   EXPECT_FALSE(set.insert(99, &other));  // release path: dedup only
-}
-
-// Concurrent inserts from several threads must agree on exactly one
-// winner per fingerprint and lose no entries (exercised under TSan via
-// the `tsan` ctest label).
-TEST(ShardedFingerprintSet, ConcurrentInsertsCountEachValueOnce) {
-  ShardedFingerprintSet set(8, /*verify_collisions=*/false);
-  constexpr std::uint64_t kValues = 2000;
-  constexpr int kThreads = 4;
-  std::vector<std::uint64_t> wins(kThreads, 0);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&set, &wins, t] {
-      for (std::uint64_t v = 0; v < kValues; ++v) {
-        if (set.insert(v * 0x9e3779b97f4a7c15ull)) ++wins[t];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(set.size(), kValues);
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : wins) total += w;
-  EXPECT_EQ(total, kValues);  // each fingerprint won exactly once
 }
 
 TEST(FingerprintBoolMap, StoreThenLookup) {

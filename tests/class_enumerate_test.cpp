@@ -4,7 +4,6 @@
 
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "feasible/enumerate.hpp"
@@ -49,7 +48,7 @@ TEST(ClassEnumerate, CoversEveryClassThePlainEnumeratorFinds) {
     std::uint64_t visits = 0;
     const ClassEnumStats stats = enumerate_causal_classes(
         t, {},
-        [&](std::size_t, const std::vector<EventId>& s,
+        [&](const std::vector<EventId>& s,
             const std::vector<DynamicBitset>&) {
           dedup_classes.insert(class_fingerprint(t, s));
           ++visits;
@@ -70,7 +69,7 @@ TEST(ClassEnumerate, VisitsNoMoreThanThePlainEnumerator) {
     const std::uint64_t plain = count_schedules(t);
     std::uint64_t dedup = 0;
     enumerate_causal_classes(t, {},
-                             [&](std::size_t, const std::vector<EventId>&,
+                             [&](const std::vector<EventId>&,
                                  const std::vector<DynamicBitset>&) {
                                ++dedup;
                                return true;
@@ -95,7 +94,7 @@ TEST(ClassEnumerate, SyncOnlyModeCoversSyncOnlyClasses) {
   ClassEnumOptions options;
   options.causal = sync_only;
   enumerate_causal_classes(t, options,
-                           [&](std::size_t, const std::vector<EventId>& s,
+                           [&](const std::vector<EventId>& s,
                                const std::vector<DynamicBitset>&) {
                              dedup_classes.insert(
                                  class_fingerprint(t, s, sync_only));
@@ -134,7 +133,7 @@ TEST(ClassEnumerate, BudgetsAndVisitorStop) {
 
   const ClassEnumStats stopped = enumerate_causal_classes(
       t, {},
-      [](std::size_t, const std::vector<EventId>&,
+      [](const std::vector<EventId>&,
          const std::vector<DynamicBitset>&) { return false; });
   EXPECT_TRUE(stopped.stopped_by_visitor);
   EXPECT_EQ(stopped.schedules_visited, 1u);
@@ -173,50 +172,43 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
 
 // The visitor's ancestor rows are the schedule's causal order: for every
 // delivered schedule, rows[b] = {a : a -> b} is exactly the transpose of
-// causal_closure(), with data edges on and off — serial on small random
-// traces, and from every worker of a sweep that grows helpers.
+// causal_closure(), with data edges on and off — on small random traces
+// and on a sweep past search::kGrowAfterEntries DFS entries.
 TEST(ClassEnumerate, AncestorRowsAreTheTransposedCausalClosure) {
-  std::vector<std::pair<Trace, std::size_t>> runs;
+  std::vector<Trace> traces;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     testing::RandomTraceConfig config;
     config.num_events = 12;
     config.num_event_vars = seed % 2;
-    runs.emplace_back(testing::random_trace(config, rng), 1);
+    traces.push_back(testing::random_trace(config, rng));
   }
   {
     Rng rng(5);
-    runs.emplace_back(testing::random_fork_join_trace(3, 3, rng), 1);
+    traces.push_back(testing::random_fork_join_trace(3, 3, rng));
   }
-  runs.emplace_back(testing::contended_trace(4, 2), 4);
-  for (const auto& [t, threads] : runs) {
+  traces.push_back(testing::contended_trace(4, 2));
+  for (const Trace& t : traces) {
     for (const bool data_edges : {true, false}) {
       ClassEnumOptions options;
       options.causal.include_data_edges = data_edges;
-      options.num_threads = threads;
-      std::vector<std::uint64_t> checked(threads, 0);
-      std::vector<std::uint64_t> wrong(threads, 0);
+      std::uint64_t checked = 0;
+      std::uint64_t wrong = 0;
       const ClassEnumStats stats = enumerate_causal_classes(
           t, options,
-          [&](std::size_t slot, const std::vector<EventId>& s,
+          [&](const std::vector<EventId>& s,
               const std::vector<DynamicBitset>& ancestors) {
             const TransitiveClosure tc = causal_closure(t, s, options.causal);
             for (EventId a = 0; a < t.num_events(); ++a) {
               for (EventId b = 0; b < t.num_events(); ++b) {
-                if (ancestors[b].test(a) != tc.reachable(a, b)) ++wrong[slot];
+                if (ancestors[b].test(a) != tc.reachable(a, b)) ++wrong;
               }
             }
-            ++checked[slot];
+            ++checked;
             return true;
           });
-      std::uint64_t total = 0;
-      for (std::size_t i = 0; i < threads; ++i) {
-        EXPECT_EQ(wrong[i], 0u) << "slot " << i << " data edges "
-                                << data_edges;
-        total += checked[i];
-      }
-      EXPECT_EQ(total, stats.schedules_visited);
-      if (threads > 1) testing::expect_grew(stats.search, threads);
+      EXPECT_EQ(wrong, 0u) << "data edges " << data_edges;
+      EXPECT_EQ(checked, stats.schedules_visited);
     }
   }
 }

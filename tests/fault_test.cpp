@@ -3,8 +3,9 @@
 // the search cleanly with the matching StopReason and `truncated`
 // provenance, result-preserving faults (steal stall / poison) must keep
 // every result bit-identical, and any witness that survives a fault must
-// still replay.  The sweep runs serial and at 2/4/8 workers (the tsan
-// label re-runs it under ThreadSanitizer).
+// still replay.  The sweep asks for 1/2/4/8 workers (only plain
+// enumeration starts them; the tsan label re-runs it under
+// ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -227,11 +228,11 @@ TEST(FaultSweep, StoreFaultIsInertForStorelessEnumeration) {
 // ------------------------------------- result-preserving steal faults
 
 TEST(FaultSweep, StealPoisonPreservesExactResults) {
-  // A sweep that grows its helpers, so there are steals to poison.
+  // A plain enumeration sweep that grows its helpers, so there are
+  // steals to poison.
   const Trace trace = testing::contended_trace(4, 2);
-  ExactOptions eo;
-  const OrderingRelations baseline =
-      compute_exact(trace, Semantics::kCausal, eo);
+  const EnumerateStats baseline = enumerate_schedules(
+      trace, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
   ASSERT_FALSE(baseline.truncated);
   for (const fault::FaultKind kind : {fault::FaultKind::kStealStall,
                                       fault::FaultKind::kStealPoison}) {
@@ -241,41 +242,39 @@ TEST(FaultSweep, StealPoisonPreservesExactResults) {
                    " threads=" + std::to_string(threads));
       fault::ScopedFaultPlan armed({.kind = kind,
                                     .worker = fault::kAnyWorker});
-      ExactOptions peo;
+      EnumerateOptions peo;
       peo.num_threads = threads;
-      const OrderingRelations r =
-          compute_exact(trace, Semantics::kCausal, peo);
+      const EnumerateStats r = enumerate_schedules(
+          trace, peo,
+          [](std::size_t, const std::vector<EventId>&) { return true; });
       EXPECT_TRUE(fault::tripped());
       EXPECT_FALSE(r.truncated);
       testing::expect_grew(r.search, threads);
-      EXPECT_EQ(r.causal_classes, baseline.causal_classes);
-      EXPECT_EQ(r.feasible_empty, baseline.feasible_empty);
-      for (RelationKind k : kAllRelationKinds) {
-        EXPECT_EQ(r[k], baseline[k]) << "relation " << to_string(k);
-      }
+      EXPECT_EQ(r.schedules, baseline.schedules);
+      EXPECT_EQ(r.deadlocked_prefixes, baseline.deadlocked_prefixes);
     }
   }
 }
 
 TEST(FaultSweep, TargetedStealPoisonOnlyHitsOneWorker) {
   const Trace trace = testing::contended_trace(4, 2);
-  ExactOptions eo;
-  const OrderingRelations baseline =
-      compute_exact(trace, Semantics::kCausal, eo);
+  const EnumerateStats baseline = enumerate_schedules(
+      trace, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
   fault::ScopedFaultPlan armed({.kind = fault::FaultKind::kStealPoison,
                                 .worker = 1});
-  ExactOptions peo;
+  EnumerateOptions peo;
   peo.num_threads = 4;
-  const OrderingRelations r = compute_exact(trace, Semantics::kCausal, peo);
+  const EnumerateStats r = enumerate_schedules(
+      trace, peo,
+      [](std::size_t, const std::vector<EventId>&) { return true; });
   EXPECT_TRUE(fault::tripped());
   EXPECT_FALSE(r.truncated);
   testing::expect_grew(r.search, 4);
   ASSERT_EQ(r.search.workers.size(), 4u);
   // Worker 1's every probe round reports empty: it runs no stolen task.
   EXPECT_EQ(r.search.workers[1].tasks_stolen, 0u);
-  for (RelationKind k : kAllRelationKinds) {
-    EXPECT_EQ(r[k], baseline[k]) << "relation " << to_string(k);
-  }
+  EXPECT_EQ(r.schedules, baseline.schedules);
+  EXPECT_EQ(r.deadlocked_prefixes, baseline.deadlocked_prefixes);
 }
 
 // --------------------------------- witnesses surviving injected faults

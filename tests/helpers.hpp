@@ -26,7 +26,7 @@ inline void expect_grew(const search::SearchStats& stats,
 
 /// A causal-class visitor (ordering/class_enumerate.hpp) that keeps the
 /// search going after every schedule.
-inline bool accept_every_class(std::size_t, const std::vector<EventId>&,
+inline bool accept_every_class(const std::vector<EventId>&,
                                const std::vector<DynamicBitset>&) {
   return true;
 }

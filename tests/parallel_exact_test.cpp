@@ -1,14 +1,13 @@
-// Serial vs parallel exact engine equivalence.
+// compute_exact ignores num_threads.
 //
-// A multi-worker causal or interval sweep starts on the calling thread
-// and grows its helpers only past search::kGrowAfterEntries DFS entries.
-// The workers share one sharded fingerprint set, so every distinct
-// prefix state is expanded exactly once and — absent budgets — the
-// results are bit-identical to the serial engine's.  These tests pin that
-// contract on traces whose sweeps grow (workload-generator shapes led by
-// a few contended critical sections), across all three semantics and
-// both settings of causal_data_edges, and pin that a sweep below the
-// threshold starts no thread at all.
+// Every semantics runs on the calling thread: asking for workers changes
+// nothing, not even on traces whose sweeps pass
+// search::kGrowAfterEntries DFS entries, the point where plain schedule
+// enumeration would start its helpers.  These tests pin that contract
+// on such traces (workload-generator shapes led by a few contended
+// critical sections), across all three semantics and both settings of
+// causal_data_edges: the results match num_threads = 1 bit for bit,
+// report no workers, and no sweep starts an OS thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,17 +50,6 @@ void expect_identical(const OrderingRelations& serial,
   }
 }
 
-/// The enumeration-based semantics grew every requested worker; the
-/// interleaving sweep stays serial.
-void expect_workers(const OrderingRelations& r, Semantics semantics,
-                    std::size_t threads) {
-  if (semantics == Semantics::kInterleaving) {
-    EXPECT_TRUE(r.search.workers.empty());
-  } else {
-    testing::expect_grew(r.search, threads);
-  }
-}
-
 void check_trace(const Trace& trace, const std::string& label) {
   for (const Semantics semantics :
        {Semantics::kInterleaving, Semantics::kCausal, Semantics::kInterval}) {
@@ -76,7 +64,7 @@ void check_trace(const Trace& trace, const std::string& label) {
       expect_identical(serial, parallel, os.str());
       SCOPED_TRACE(os.str());
       EXPECT_TRUE(serial.search.workers.empty());
-      expect_workers(parallel, semantics, 4);
+      EXPECT_TRUE(parallel.search.workers.empty());
     }
   }
 }
@@ -144,9 +132,7 @@ TEST(ParallelExact, HardwareConcurrencyRequestMatchesSerial) {
   const OrderingRelations parallel =
       analyze(trace, Semantics::kCausal, /*data_edges=*/true, 0);
   expect_identical(serial, parallel, "hardware-concurrency");
-  if (search::resolve_num_threads(0) > 1) {
-    expect_workers(parallel, Semantics::kCausal, 0);
-  }
+  EXPECT_TRUE(parallel.search.workers.empty());
 }
 
 /// Threads of this process, from /proc (Linux); 0 where it is missing.
@@ -160,19 +146,21 @@ std::size_t process_threads() {
   return n;
 }
 
-// A sweep that ends below search::kGrowAfterEntries runs on the calling
-// thread alone, whatever num_threads asks for: it matches serial,
-// reports no workers and starts no thread.
+// A sweep below search::kGrowAfterEntries runs on the calling thread
+// alone, whatever num_threads asks for, and so does one past it: each
+// matches serial, reports no workers, starts no thread and delivers
+// every class on the calling thread.
 TEST(ParallelExact, SweepBelowThresholdStartsNoThread) {
   Rng rng(11);
   testing::RandomTraceConfig config;
   config.num_events = 12;
-  const Trace trace = testing::random_trace(config, rng);
+  const Trace small = testing::random_trace(config, rng);
+  const Trace contended = testing::contended_trace(4, 2);
   for (const Semantics semantics : {Semantics::kCausal, Semantics::kInterval}) {
     for (const bool data_edges : {true, false}) {
       const OrderingRelations serial =
-          analyze(trace, semantics, data_edges, 1);
-      const OrderingRelations wide = analyze(trace, semantics, data_edges, 8);
+          analyze(small, semantics, data_edges, 1);
+      const OrderingRelations wide = analyze(small, semantics, data_edges, 8);
       expect_identical(serial, wide, to_string(semantics));
       EXPECT_TRUE(wide.search.workers.empty());
       EXPECT_LT(wide.search.states_visited, search::kGrowAfterEntries);
@@ -182,23 +170,28 @@ TEST(ParallelExact, SweepBelowThresholdStartsNoThread) {
   const std::size_t before = process_threads();
   if (before == 0) GTEST_SKIP() << "no /proc/self/task to count threads";
   const std::thread::id caller = std::this_thread::get_id();
-  std::size_t most = 0;
-  bool off_thread = false;
-  ClassEnumOptions options;
-  options.num_threads = 8;
-  const ClassEnumStats stats = enumerate_causal_classes(
-      trace, options,
-      [&](std::size_t slot, const std::vector<EventId>&,
-          const std::vector<DynamicBitset>&) {
-        most = std::max(most, process_threads());
-        off_thread = off_thread || slot != 0 ||
-                     std::this_thread::get_id() != caller;
-        return true;
-      });
-  EXPECT_GT(stats.schedules_visited, 0u);
-  EXPECT_TRUE(stats.search.workers.empty());
-  EXPECT_FALSE(off_thread);
-  EXPECT_EQ(most, before);
+  for (const Trace* trace : {&small, &contended}) {
+    std::size_t most = 0;
+    bool off_thread = false;
+    ClassEnumOptions options;
+    options.num_threads = 8;
+    const ClassEnumStats stats = enumerate_causal_classes(
+        *trace, options,
+        [&](const std::vector<EventId>&, const std::vector<DynamicBitset>&) {
+          most = std::max(most, process_threads());
+          off_thread = off_thread || std::this_thread::get_id() != caller;
+          return true;
+        });
+    EXPECT_GT(stats.schedules_visited, 0u);
+    EXPECT_TRUE(stats.search.workers.empty());
+    EXPECT_FALSE(off_thread);
+    EXPECT_EQ(most, before);
+  }
+  // The contended sweep really passes the threshold.
+  const OrderingRelations r = analyze(contended, Semantics::kCausal, true, 8);
+  const search::SearchStats& s = r.search;
+  EXPECT_GT(s.states_visited + s.dedup_hits + s.terminals,
+            search::kGrowAfterEntries);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // schedule counts over random traces, under all three semantics and with
 // dependences (F3) both enforced and ignored.  The multi-worker runs use
 // traces whose walks pass search::kGrowAfterEntries, and check that the
-// helpers really ran.  Also pins down the strict global budget semantics
-// and the stepper's incremental state hash.
+// helpers really ran where they run at all (plain schedule enumeration)
+// and did not start anywhere else.  Also pins down the strict global
+// budget semantics and the stepper's incremental state hash.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -271,11 +272,12 @@ TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
 }
 
 // ----------------------------------------------------------------------
-// Exact relations: serial == parallel under all three semantics.
+// Exact relations: num_threads changes nothing under any semantics.
 
 TEST(SearchEquivalence, ExactRelationsSerialVsParallel) {
   // Both walks — plain (2,520 or 3,432 schedules, one per class) and
-  // class-deduplicated — pass search::kGrowAfterEntries on these traces.
+  // class-deduplicated — pass search::kGrowAfterEntries on these traces,
+  // and still run on the calling thread at 4 requested workers.
   const Trace traces[] = {evord::testing::contended_trace(4, 2),
                           evord::testing::contended_trace(2, 7)};
   for (const bool respect_deps : {true, false}) {
@@ -305,12 +307,8 @@ TEST(SearchEquivalence, ExactRelationsSerialVsParallel) {
                 << to_string(k) << " trace " << i << " semantics "
                 << to_string(semantics);
           }
-          // The interleaving sweep runs serially at any num_threads.
-          if (semantics == Semantics::kInterleaving) {
-            EXPECT_TRUE(parallel.search.workers.empty());
-          } else {
-            evord::testing::expect_grew(parallel.search, 4);
-          }
+          // compute_exact runs serially at any num_threads.
+          EXPECT_TRUE(parallel.search.workers.empty());
         }
       }
     }
@@ -391,13 +389,15 @@ TEST(StateHash, PathIndependentAndExactUnderUndo) {
 
 // ----------------------------------------------------------------------
 // Steal-order stress (runs under the `tsan` and `scaling-smoke` ctest
-// labels): every explorer that runs workers is run repeatedly at 2/4/8
-// workers with perturbed seeded victim selection and maximally
-// aggressive subtree splitting (steal grain 0-1 instead of the default
-// 4, so nearly every DFS level is eligible for donation), on traces
-// whose walks grow helpers.  Results and strict-budget stop points must
-// be bit-identical to serial on every run — the scheduler may only
-// change WHO explores a subtree, never what is found.
+// labels): plain enumeration, the one explorer that runs workers, is run
+// repeatedly at 2/4/8 workers with perturbed seeded victim selection and
+// maximally aggressive subtree splitting (steal grain 0-1 instead of the
+// default 4, so nearly every DFS level is eligible for donation), on
+// traces whose walks grow helpers.  Results and strict-budget stop
+// points must be bit-identical to serial on every run — the scheduler
+// may only change WHO explores a subtree, never what is found.  Class
+// enumeration and compute_exact get the same requests and must ignore
+// them.
 
 /// Perturbed scheduler tuning for stress run `run`: alternating split
 /// aggressiveness and a different victim-selection seed every time.
@@ -479,7 +479,7 @@ TEST(StealStress, ClassEnumerationCountsBitIdentical) {
           << "run " << run << " threads " << threads;
       EXPECT_EQ(parallel.distinct_prefixes, serial.distinct_prefixes);
       EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
-      evord::testing::expect_grew(parallel.search, threads);
+      EXPECT_TRUE(parallel.search.workers.empty());
     }
   }
 }
@@ -499,13 +499,8 @@ TEST(StealStress, ExactRelationsBitIdentical) {
         options.steal = stress_steal(run, threads);
         const OrderingRelations parallel =
             compute_exact(t, semantics, options);
-        // Only the enumeration-based semantics run workers; the
-        // interleaving sweep stays serial.
-        if (semantics == Semantics::kInterleaving) {
-          EXPECT_TRUE(parallel.search.workers.empty());
-        } else {
-          evord::testing::expect_grew(parallel.search, threads);
-        }
+        // compute_exact runs serially under every semantics.
+        EXPECT_TRUE(parallel.search.workers.empty());
         EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
         EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen)
             << "run " << run << " threads " << threads << " semantics "
@@ -526,17 +521,32 @@ TEST(StealStress, ExactRelationsBitIdentical) {
 
 TEST(StealStress, SchedulerCountersAndHistogramsSurfaced) {
   const Trace t = evord::testing::contended_trace(4, 2);
+
+  // One WorkerStats per resolved worker of a plain enumeration sweep
+  // that grew; every executed task was either the root task or spawned
+  // by a split, and the counts match serial.
+  EnumerateOptions serial_options;
+  const EnumerateStats serial = enumerate_schedules(
+      t, serial_options,
+      [](std::size_t, const std::vector<EventId>&) { return true; });
+  for (const std::size_t threads : kStressThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EnumerateOptions options;
+    options.num_threads = threads;
+    options.steal.grain = 1;
+    const EnumerateStats e = enumerate_schedules(
+        t, options,
+        [](std::size_t, const std::vector<EventId>&) { return true; });
+    EXPECT_EQ(e.schedules, serial.schedules);
+    EXPECT_EQ(e.deadlocked_prefixes, serial.deadlocked_prefixes);
+    evord::testing::expect_grew(e.search, threads);
+    EXPECT_EQ(e.search.tasks_executed(), e.search.tasks_spawned() + 1);
+    EXPECT_LE(e.search.tasks_stolen(), e.search.tasks_executed());
+  }
+
   ClassEnumOptions options;
-  options.num_threads = 4;
-  options.steal.grain = 1;
   const ClassEnumStats r = enumerate_causal_classes(
       t, options, evord::testing::accept_every_class);
-
-  // One WorkerStats per resolved worker; every executed task was either
-  // the root task or spawned by a split.
-  evord::testing::expect_grew(r.search, 4);
-  EXPECT_EQ(r.search.tasks_executed(), r.search.tasks_spawned() + 1);
-  EXPECT_LE(r.search.tasks_stolen(), r.search.tasks_executed());
 
   // The depth histogram counts every distinct state exactly once.
   std::uint64_t histogram_total = 0;
@@ -544,20 +554,15 @@ TEST(StealStress, SchedulerCountersAndHistogramsSurfaced) {
   EXPECT_EQ(histogram_total, r.search.states_visited);
   EXPECT_LE(r.search.peak_depth(), t.num_events());
 
-  // Shard loads sum to the states in the shared fingerprint set.
+  // Shard loads sum to the states in the prefix fingerprint set.
   std::uint64_t shard_total = 0;
   for (const std::uint64_t s : r.search.shard_sizes) shard_total += s;
   EXPECT_EQ(shard_total, r.search.states_visited);
   EXPECT_GE(r.search.shard_imbalance(), 1.0);
 
-  // And the relations report mentions the scheduler when the exact
-  // analysis ran parallel.
-  ExactOptions eo;
-  eo.num_threads = 4;
-  eo.steal.grain = 1;
+  // And the relations report carries the histogram.
   const std::string report =
-      summarize_relations(t, compute_exact(t, Semantics::kCausal, eo));
-  EXPECT_NE(report.find("scheduler: workers="), std::string::npos);
+      summarize_relations(t, compute_exact(t, Semantics::kCausal, {}));
   EXPECT_NE(report.find("depth histogram:"), std::string::npos);
 }
 
