@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -19,12 +18,10 @@
 
 #include "feasible/stepper.hpp"
 #include "sat/formula.hpp"
-#include "search/search.hpp"
 #include "trace/builder.hpp"
 #include "util/dynamic_bitset.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace evord::bench {
 
@@ -121,55 +118,6 @@ inline bool append_json_records(const std::string& path,
   }
   out << "]\n";
   return out.good();
-}
-
-// ----------------------------------------------------------------------
-// Shared thread-sweep harness for the work-stealing scheduler benches:
-// runs `work(threads)` at 1, 2, 4 and 8 requested workers, times each
-// run and renders one BENCH row per thread count carrying the
-// scheduler's steal counters and idle-time fraction.  `work` returns
-// the run's SearchStats (the scheduler fills the per-worker vector in
-// parallel mode; serial runs leave it empty).  Note that requested
-// thread counts are clamped to search::max_worker_threads(), so
-// `effective_threads` — the worker count that actually ran — is
-// reported alongside the requested count for honest speedup reading on
-// small machines.
-
-inline std::vector<JsonRecord> run_thread_sweep(
-    const std::string& engine, const std::string& workload,
-    const std::function<search::SearchStats(std::size_t threads)>& work) {
-  std::vector<JsonRecord> rows;
-  double serial_ms = 0.0;
-  for (const std::size_t threads : {1, 2, 4, 8}) {
-    Timer timer;
-    const search::SearchStats stats = work(threads);
-    const double wall_ms = static_cast<double>(timer.micros()) / 1000.0;
-    if (threads == 1) serial_ms = wall_ms;
-    const std::size_t effective = std::max<std::size_t>(
-        stats.workers.size(), 1);
-    // Idle fraction: time workers spent hungry (probing for steals)
-    // over total worker-seconds.
-    const double worker_ns = wall_ms * 1e6 * static_cast<double>(effective);
-    rows.push_back(
-        JsonRecord{}
-            .add("engine", engine)
-            .add("variant", std::string("thread_sweep"))
-            .add("workload", workload)
-            .add("threads", static_cast<std::uint64_t>(threads))
-            .add("effective_threads", static_cast<std::uint64_t>(effective))
-            .add("wall_ms", wall_ms)
-            .add("speedup_vs_serial", wall_ms > 0.0 ? serial_ms / wall_ms
-                                                    : 0.0)
-            .add("tasks", stats.tasks_executed())
-            .add("tasks_stolen", stats.tasks_stolen())
-            .add("tasks_spawned", stats.tasks_spawned())
-            .add("steal_attempts", stats.steal_attempts())
-            .add("idle_fraction",
-                 worker_ns > 0.0
-                     ? static_cast<double>(stats.idle_nanos()) / worker_ns
-                     : 0.0));
-  }
-  return rows;
 }
 
 // ----------------------------------------------------------------------

@@ -5,8 +5,7 @@
 // * the state-merged engine visits (len+1)^procs states where the
 //   enumeration engine walks exponentially many schedules — the counters
 //   expose the gap that makes interleaving queries tractable per state
-//   but exponential overall;
-// * the multi-worker enumerator is compared with the serial one.
+//   but exponential overall.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -15,7 +14,6 @@
 #include "reductions/figure1.hpp"
 #include "reductions/reduction.hpp"
 #include "search/fingerprint_set.hpp"
-#include "search/scheduler.hpp"
 #include "sync/scheduler.hpp"
 #include "trace/builder.hpp"
 #include "util/check.hpp"
@@ -111,31 +109,6 @@ void BM_Enumerate_SemTraceSerial(benchmark::State& state) {
   state.counters["schedules"] = static_cast<double>(count);
 }
 BENCHMARK(BM_Enumerate_SemTraceSerial)
-    ->DenseRange(8, 14, 2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Enumerate_SemTraceParallel(benchmark::State& state) {
-  Rng rng(11);
-  const Trace t = evord::bench::random_sem_trace(
-      static_cast<std::size_t>(state.range(0)), 3, 2, rng);
-  const std::uint64_t expected = count_schedules(t);
-  std::atomic<std::uint64_t> seen{0};
-  EnumerateOptions options;
-  options.num_threads = 2;
-  for (auto _ : state) {
-    seen = 0;
-    const EnumerateStats stats = enumerate_schedules(
-        t, options, [&](std::size_t, const std::vector<EventId>&) {
-          seen.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        });
-    EVORD_CHECK(stats.schedules == expected,
-                "parallel enumeration lost schedules");
-    benchmark::DoNotOptimize(stats);
-  }
-  state.counters["schedules"] = static_cast<double>(expected);
-}
-BENCHMARK(BM_Enumerate_SemTraceParallel)
     ->DenseRange(8, 14, 2)
     ->Unit(benchmark::kMillisecond);
 
@@ -250,41 +223,28 @@ std::vector<evord::bench::JsonRecord> run_space_memory_sweep() {
               engine_ms)};
 }
 
-// Work-stealing thread sweep of the plain enumerator (rows appended to
-// BENCH_search.json): a 16-event 3-process random semaphore trace
-// (763,476 schedules; over 100 ms serial on a 4-core VM) enumerated at
-// 1/2/4/8 requested workers.  The visitor counts per worker slot, so it
-// adds no shared counter of its own; schedule counts are checked against
-// the serial engine before each row is recorded.
-std::vector<evord::bench::JsonRecord> run_enumerate_thread_sweep() {
+// Serial plain enumeration (one row appended to BENCH_search.json): a
+// 16-event 3-process random semaphore trace, 763,476 schedules, over
+// 100 ms on a 4-core VM.  The schedule and state counts are
+// deterministic, so the perf_counts gate checks them; wall_ms times the
+// enumerator.
+evord::bench::JsonRecord run_enumerate_serial() {
   Rng rng(11);
   const Trace t = evord::bench::random_sem_trace(16, 3, 2, rng);
-  struct alignas(64) SlotCount {
-    std::uint64_t n = 0;
-  };
-  std::uint64_t serial_count = 0;
-  return evord::bench::run_thread_sweep(
-      "enumerate", "random_sem_16", [&](std::size_t threads) {
-        std::vector<SlotCount> seen(search::resolve_num_threads(threads));
-        EnumerateOptions options;
-        options.num_threads = threads;
-        const EnumerateStats stats = enumerate_schedules(
-            t, options, [&](std::size_t slot, const std::vector<EventId>&) {
-              ++seen[slot].n;
-              return true;
-            });
-        std::uint64_t visits = 0;
-        for (const SlotCount& c : seen) visits += c.n;
-        if (threads == 1) {
-          serial_count = stats.schedules;
-        } else {
-          EVORD_CHECK(stats.schedules == serial_count &&
-                          visits == serial_count,
-                      threads << "-thread enumeration count differs from "
-                                 "serial");
-        }
-        return stats.search;
-      });
+  Timer timer;
+  const EnumerateStats stats = enumerate_schedules(
+      t, {}, [](const std::vector<EventId>&) { return true; });
+  const double wall_ms = static_cast<double>(timer.micros()) / 1000.0;
+  return evord::bench::JsonRecord{}
+      .add("engine", std::string("enumerate"))
+      .add("variant", std::string("serial"))
+      .add("workload", std::string("random_sem_16"))
+      .add("schedules", stats.schedules)
+      .add("states", stats.search.states_visited)
+      .add("wall_ms", wall_ms)
+      .add("states_per_sec",
+           static_cast<double>(stats.search.states_visited) /
+               (wall_ms / 1000.0));
 }
 
 }  // namespace
@@ -295,9 +255,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   std::vector<evord::bench::JsonRecord> rows = run_space_memory_sweep();
-  for (evord::bench::JsonRecord& row : run_enumerate_thread_sweep()) {
-    rows.push_back(std::move(row));
-  }
+  rows.push_back(run_enumerate_serial());
   if (!evord::bench::append_json_records("BENCH_search.json", rows)) {
     return 1;
   }

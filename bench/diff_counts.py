@@ -7,14 +7,10 @@ Both files are the JSON arrays of flat rows the benches write
 (bench_por, bench_enumerate and bench_deadlock with
 --benchmark_filter=NONE write BENCH_por.json and BENCH_search.json).
 Rows are matched in order, so run the benches in the same order for
-both files.  Every field of every row is compared except:
-
-  * timing fields: any field named for a time unit (an `ms`, `us` or
-    `ns` word, e.g. wall_ms, wall_ms_off) and the rates derived from
-    wall time (states_per_sec, idle_fraction, speedup*);
-  * in `thread_sweep` rows, the scheduler columns tasks, tasks_stolen,
-    tasks_spawned and steal_attempts, which depend on how the OS
-    schedules the workers and differ between two runs of one build.
+both files.  Every field of every row is compared except the timing
+fields: any field named for a time unit (an `ms`, `us` or `ns` word,
+e.g. wall_ms, wall_ms_off) and the rates derived from wall time
+(states_per_sec, speedup*).
 
 Prints each difference and exits 1 on any difference or when the row
 counts differ; exits 0 when every compared field is identical.
@@ -25,20 +21,16 @@ import re
 import sys
 
 TIME_UNIT = re.compile(r"(^|_)(ms|us|ns)(_|$)")
-TIME_RATES = {"states_per_sec", "idle_fraction"}
-SCHEDULER_FIELDS = {"tasks", "tasks_stolen", "tasks_spawned", "steal_attempts"}
+TIME_RATES = {"states_per_sec"}
 
 
-def ignored(row, field):
-    if TIME_UNIT.search(field) or field in TIME_RATES:
-        return True
-    if field.startswith("speedup"):
-        return True
-    return row.get("variant") == "thread_sweep" and field in SCHEDULER_FIELDS
+def ignored(field):
+    return (TIME_UNIT.search(field) is not None or field in TIME_RATES
+            or field.startswith("speedup"))
 
 
 def label(index, row):
-    parts = [str(row[k]) for k in ("engine", "variant", "workload", "threads")
+    parts = [str(row[k]) for k in ("engine", "variant", "workload")
              if k in row]
     return f"row {index} ({'/'.join(parts)})"
 
@@ -50,7 +42,7 @@ def diff_rows(parent, change):
         out.append(f"row count: parent {len(parent)}, change {len(change)}")
     for i, (p, c) in enumerate(zip(parent, change)):
         for field in list(p) + [f for f in c if f not in p]:
-            if ignored(p, field) or ignored(c, field):
+            if ignored(field):
                 continue
             pv = p.get(field, "<missing>")
             cv = c.get(field, "<missing>")

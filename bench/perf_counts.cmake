@@ -6,15 +6,11 @@
 #   cmake -DPOR=<bench_por> -DENUMERATE=<bench_enumerate>
 #         -DPYTHON=<python3> -DSOURCE=<repo root> -DWORK=<scratch dir>
 #         -P perf_counts.cmake
-#
-# EVORD_MAX_THREADS=8 fixes the worker cap, so the thread sweep's
-# effective_threads column reads the same on any machine.
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 foreach(bench ${POR} ${ENUMERATE})
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env EVORD_MAX_THREADS=8
-            ${bench} --benchmark_filter=NONE
+    COMMAND ${bench} --benchmark_filter=NONE
     WORKING_DIRECTORY ${WORK}
     OUTPUT_QUIET
     RESULT_VARIABLE status)

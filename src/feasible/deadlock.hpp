@@ -26,10 +26,8 @@ namespace evord {
 /// Budget and reduction come from search::SearchOptions; this explorer
 /// honours max_states, time_budget_seconds, max_memory_bytes and
 /// reduction.  It decides reachability of stuck states, not of complete
-/// schedules, so max_schedules is ignored.  It always runs serially on
-/// the calling thread, so num_threads and steal are ignored too: the
-/// shortest-witness rule would make workers re-explore the states their
-/// regions share instead of splitting them (docs/SEARCH.md §4).
+/// schedules, so max_schedules is ignored.  It runs on the calling
+/// thread, as every search does (docs/SEARCH.md §4).
 ///
 /// `reduction` is ON by default (kSourceWakeup — source sets + wakeup
 /// frames + stepper-state dynamic independence): the reduction preserves

@@ -1,6 +1,5 @@
 #include "feasible/enumerate.hpp"
 
-#include <mutex>
 #include <optional>
 
 #include "search/engine.hpp"
@@ -9,14 +8,13 @@ namespace evord {
 
 namespace {
 
-/// Enumeration hooks: forward terminals to the caller's visitor with the
-/// worker slot; stuck prefixes are only counted (by the engine).
+/// Enumeration hooks: forward terminals to the caller's visitor; stuck
+/// prefixes are only counted (by the engine).
 struct EnumHooks {
   const ScheduleVisitor* visit;
-  std::size_t slot;
   bool on_terminal(const std::vector<EventId>& schedule,
                    const search::NullTracker& /*tracker*/) {
-    return (*visit)(slot, schedule);
+    return (*visit)(schedule);
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/) {}
 };
@@ -29,26 +27,16 @@ using EnumSearch =
 EnumerateStats enumerate_schedules(const Trace& trace,
                                    const EnumerateOptions& options,
                                    const ScheduleVisitor& visit) {
-  // Every schedule is visited: plain enumeration never reduces, so a
-  // task is a schedule prefix and nothing else.
+  // Every schedule is visited: plain enumeration never reduces.
   search::SearchOptions so = options;
   so.reduction = search::ReductionMode::kOff;
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
-  // The calling thread walks the tree; past search::kGrowAfterEntries
-  // DFS entries the scheduler starts helpers that feed on the subtrees
-  // it splits off.  All budgets stay strict and global: the tasks share
-  // one SharedContext, so max_schedules caps the combined visit count
-  // exactly.
-  search::SearchStats stats = search::run_work_stealing(
-      search::resolve_num_threads(so.num_threads), so.steal.seed, ctx,
-      [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-        return EnumSearch(trace, options.stepper, so, &ctx,
-                          search::NullTracker{}, search::NoDedup{},
-                          EnumHooks{&visit, worker.worker_id()})
-            .run(task, worker);
-      });
+  search::SearchStats stats =
+      EnumSearch(trace, options.stepper, so, &ctx, search::NullTracker{},
+                 search::NoDedup{}, EnumHooks{&visit})
+          .run();
   EnumerateStats out;
   out.schedules = stats.terminals;
   out.deadlocked_prefixes = stats.deadlocked_prefixes;
@@ -61,23 +49,19 @@ EnumerateStats enumerate_schedules(const Trace& trace,
 std::optional<std::vector<EventId>> find_schedule_where(
     const Trace& trace, const EnumerateOptions& options,
     const std::function<bool(const std::vector<EventId>&)>& pred) {
-  std::mutex mu;
   std::optional<std::vector<EventId>> found;
-  enumerate_schedules(trace, options,
-                      [&](std::size_t, const std::vector<EventId>& s) {
-                        if (!pred(s)) return true;
-                        const std::lock_guard<std::mutex> lock(mu);
-                        if (!found.has_value()) found = s;
-                        return false;
-                      });
+  enumerate_schedules(trace, options, [&](const std::vector<EventId>& s) {
+    if (!pred(s)) return true;
+    found = s;
+    return false;
+  });
   return found;
 }
 
 std::uint64_t count_schedules(const Trace& trace,
                               const EnumerateOptions& options) {
-  return enumerate_schedules(
-             trace, options,
-             [](std::size_t, const std::vector<EventId>&) { return true; })
+  return enumerate_schedules(trace, options,
+                             [](const std::vector<EventId>&) { return true; })
       .schedules;
 }
 

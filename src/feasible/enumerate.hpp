@@ -7,17 +7,10 @@
 // the paper's theorem — so callers bound it with max_schedules and a time
 // budget, and the tests/benches use it on deliberately small traces.
 //
-// The engine runs on the unified search core (search/engine.hpp).  The
-// calling thread walks the schedule tree; with num_threads > 1 a walk
-// that passes search::kGrowAfterEntries DFS entries starts the other
-// workers of the work-stealing scheduler (search/scheduler.hpp), which
-// take subtrees split off adaptively whenever a worker runs dry.  This
-// is the only explorer that runs workers: its walk is unreduced,
-// untracked and undeduplicated, so a task is just a schedule prefix and
-// no store is shared.  Each task gets its own stepper, so the visitor
-// must be thread-safe across worker slots.  Budgets are strict and
-// global: max_schedules is enforced through a shared atomic counter, so
-// the combined visit count never exceeds it even in parallel mode.
+// The engine runs on the unified search core (search/engine.hpp), on the
+// calling thread: the walk is unreduced, untracked and undeduplicated,
+// and the visitor is called on the thread that asked, in DFS order.
+// Budgets are strict: the visit count never exceeds max_schedules.
 #pragma once
 
 #include <cstdint>
@@ -35,20 +28,17 @@ class PackedStateRegistry;
 
 namespace evord {
 
-/// Budget and workers come from search::SearchOptions; this explorer
-/// honours max_schedules, time_budget_seconds, max_memory_bytes,
-/// num_threads and steal.  It visits every schedule, so it ignores
-/// `reduction` (a reduced walk would drop schedules; class enumeration
-/// is the reduced explorer), and it keeps no dedup store, so max_states
-/// has nothing to act on.
+/// The budget comes from search::SearchOptions; this explorer honours
+/// max_schedules, time_budget_seconds and max_memory_bytes.  It visits
+/// every schedule, so it ignores `reduction` (a reduced walk would drop
+/// schedules; class enumeration is the reduced explorer), and it keeps
+/// no dedup store, so max_states has nothing to act on.
 struct EnumerateOptions : search::SearchOptions {
   StepperOptions stepper;
   /// Optional caller-owned store (e.g. an exact solver's class-dedup
   /// set) attached to the search's memory accountant for the duration of
   /// the run, so its footprint counts against max_memory_bytes; detached
-  /// before return.  The store takes no locks: a visitor that inserts
-  /// into it must not be called from two worker slots, so run such a
-  /// sweep with num_threads = 1.
+  /// before return.
   search::PackedStateRegistry* charge_store = nullptr;
 };
 
@@ -60,17 +50,11 @@ struct EnumerateStats {
   search::SearchStats search;            ///< unified engine statistics
 };
 
-/// Called with each complete schedule and the slot of the worker that
-/// found it (in [0, resolved thread count); always 0 when serial or
-/// when the sweep never grew); return
-/// false to stop the search.  Calls with the same slot never overlap, so
-/// callers can keep per-slot accumulators and merge without locking; it
-/// must otherwise be thread-safe across slots.
-using ScheduleVisitor = std::function<bool(
-    std::size_t slot, const std::vector<EventId>& schedule)>;
+/// Called with each complete schedule; return false to stop the search.
+using ScheduleVisitor =
+    std::function<bool(const std::vector<EventId>& schedule)>;
 
-/// Visits every complete schedule, on options.num_threads workers
-/// (0 = hardware concurrency; clamped to search::max_worker_threads()).
+/// Visits every complete schedule, in DFS order.
 EnumerateStats enumerate_schedules(const Trace& trace,
                                    const EnumerateOptions& options,
                                    const ScheduleVisitor& visit);

@@ -62,13 +62,13 @@ class MemoizedSweep {
         (fault::enabled() && fault::on_state_expanded())) {
       stats_.truncated = true;
       set_reason(StopReason::kDeadline);
-      ctx_->request_stop(StopReason::kDeadline);
+      ctx_->request_stop();
       return false;
     }
     if (ctx_->memory.exceeded()) {
       stats_.truncated = true;
       set_reason(StopReason::kMemory);
-      ctx_->request_stop(StopReason::kMemory);
+      ctx_->request_stop();
       return false;  // unsound once truncated; flagged
     }
     const std::uint64_t fp =

@@ -36,11 +36,10 @@ namespace evord {
 
 /// The budget comes from search::SearchOptions; this explorer honours
 /// max_states, time_budget_seconds and max_memory_bytes.  It has no
-/// complete-schedule budget: max_schedules is ignored.  It always runs
-/// serially on the calling thread, so num_threads and steal are ignored
-/// too: memoizing workers would duplicate each other's walks instead of
-/// splitting them (docs/SEARCH.md §4).  It never reduces, so
-/// `reduction` is ignored as well: a reduced walk marks only the
+/// complete-schedule budget: max_schedules is ignored.  It runs on the
+/// calling thread, as every search does (docs/SEARCH.md §4).  It never
+/// reduces, so `reduction` is ignored as well: a reduced walk marks only
+/// the
 /// children it expands, so can_precede / can_coexist would become
 /// under-approximations.
 struct ScheduleSpaceOptions : search::SearchOptions {

@@ -20,7 +20,7 @@
 // class-level accumulation (any/all over causal orders), unsound for
 // schedule counting — use the plain enumerator for that.
 //
-// The sweep runs on the calling thread whatever num_threads says: one
+// The sweep runs on the calling thread, as every search does: one
 // engine, one causal tracker and one prefix store per call.  Pruning,
 // not threads, is what keeps it small (docs/SEARCH.md §4).
 #pragma once
@@ -41,8 +41,8 @@ class PackedStateRegistry;
 namespace evord {
 
 /// Budget and reduction come from search::SearchOptions; this explorer
-/// honours every field but num_threads and steal: it always runs on the
-/// calling thread.  max_states caps distinct prefixes (prefixes past it
+/// honours all of them.  max_states caps distinct prefixes (prefixes
+/// past it
 /// are still claimed and counted but not expanded), and max_schedules
 /// caps complete schedules delivered to the visitor.
 ///

@@ -266,7 +266,6 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
                                  options.causal_data_edges};
   search::ShardedFingerprintSet dedup;
   CausalAccumulator acc(trace, causal, dedup);
-  // Both paths run on the calling thread, whatever num_threads says.
   if (options.class_dedup) {
     ClassEnumOptions co;
     static_cast<search::SearchOptions&>(co) = options;
@@ -292,13 +291,11 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
     EnumerateOptions eo;
     static_cast<search::SearchOptions&>(eo) = options;
     // The reference path: every schedule (plain enumeration never
-    // reduces), on this thread alone, so the visitor may insert into the
-    // class-dedup set, which takes no locks.
-    eo.num_threads = 1;
+    // reduces).
     eo.stepper.respect_dependences = options.respect_dependences;
     eo.charge_store = &dedup;
-    const EnumerateStats stats = enumerate_schedules(
-        trace, eo, [&](std::size_t, const std::vector<EventId>& s) {
+    const EnumerateStats stats =
+        enumerate_schedules(trace, eo, [&](const std::vector<EventId>& s) {
           acc.accept_schedule(s);
           return true;
         });

@@ -22,8 +22,8 @@
 namespace evord {
 
 /// Budget and reduction come from search::SearchOptions.  Every
-/// semantics runs on the calling thread and ignores num_threads and
-/// steal.  Interleaving semantics runs the memoized state-space sweep
+/// semantics runs on the calling thread.  Interleaving semantics runs
+/// the memoized state-space sweep
 /// (ScheduleSpaceOptions) and honours max_states, time_budget_seconds
 /// and max_memory_bytes — never `reduction`, whose matrices need the
 /// unreduced sweep.  Causal and interval semantics enumerate schedules

@@ -10,10 +10,9 @@ namespace {
 EnumerateOptions to_enum_options(const ExactOptions& options) {
   EnumerateOptions eo;
   static_cast<search::SearchOptions&>(eo) = options;
-  // Witnesses are the first match in serial DFS order over every
-  // schedule (plain enumeration never reduces, so no interleaving that
-  // orders two independent events the way the query asks is pruned).
-  eo.num_threads = 1;
+  // Witnesses are the first match in DFS order over every schedule
+  // (plain enumeration never reduces, so no interleaving that orders two
+  // independent events the way the query asks is pruned).
   eo.stepper.respect_dependences = options.respect_dependences;
   return eo;
 }

@@ -51,42 +51,28 @@
 // reduction-blind.  Soundness per explorer is a front-end decision; see
 // docs/SEARCH.md §POR.
 //
-// Threads: run() walks the whole tree on the calling thread; that is how
-// class enumeration and deadlock search run.  Only plain schedule
-// enumeration — unreduced, untracked and undeduplicated, so its tasks
-// carry nothing but a schedule prefix — runs on the work-stealing
-// scheduler (search/scheduler.hpp), one engine instance per SearchTask:
-// the root task on the calling thread and, once its walk has grown the
-// sweep, every donated subtree on whichever worker takes it.
-// run(task, worker) replays the task's seed and hands the engine its
-// WorkerHandle; the DFS then polls steal demand at every entry and
-// answers it by donating the deepest unexplored siblings of its current
-// path as new tasks (adaptive subtree splitting), removing them from its
-// own walk so the visit sets partition.
+// Threads: run() walks the whole tree on the calling thread, and so
+// does every explorer built on it; no search starts a thread
+// (docs/SEARCH.md §4).
 //
 // Budget semantics (via SharedContext):
 //   max_states    — claim-then-check against this engine's own
 //                   states_visited: state #max_states is still claimed
 //                   and counted but not expanded; siblings continue (no
 //                   global unwind), matching the historical per-explorer
-//                   behaviour.  Only dedup engines, which run
-//                   serially, check it.
-//   max_schedules — strict and global: a shared atomic counter ensures
-//                   the combined number of terminal visits never exceeds
-//                   the budget, serial or parallel.  An unbudgeted run
-//                   (max_schedules 0) never touches that counter.
-//   deadline      — polled every 256 states; trips request a global
-//                   stop.
-//   max_memory_bytes — strict and global: the stores/scheduler/witness
-//                   buffers charge one shared MemoryAccountant and the
-//                   engine polls it per expanded state, stopping with
+//                   behaviour.  Only dedup engines check it.
+//   max_schedules — strict: the run stops at its max_schedules-th
+//                   terminal visit.
+//   deadline      — polled every 256 states; a trip stops the search.
+//   max_memory_bytes — strict: the stores and witness buffers charge the
+//                   context's MemoryAccountant and the engine polls it
+//                   per expanded state, stopping with
 //                   StopReason::kMemory (overshoot bounded by one
-//                   state's charge per worker).  The deterministic
-//                   fault hooks (util/fault.hpp) ride the same polls.
+//                   state's charge).  The deterministic fault hooks
+//                   (util/fault.hpp) ride the same polls.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -95,7 +81,6 @@
 #include "search/fingerprint_set.hpp"
 #include "search/independence.hpp"
 #include "search/memory.hpp"
-#include "search/scheduler.hpp"
 #include "search/search.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -145,36 +130,24 @@ class SetDedup {
   ShardedFingerprintSet* set_;
 };
 
-/// State shared by every engine instance of one logical search (one
-/// instance per scheduler task when plain enumeration grows workers;
-/// every other search runs one engine against its own context).
+/// What one search shares with its stores: the deadline, the byte budget
+/// and a sticky stop flag.  Each context belongs to one engine (or one
+/// memoized sweep) on one thread; the engine keeps its own stop reason
+/// in SearchStats.
 struct SharedContext {
   explicit SharedContext(const SearchOptions& options)
       : deadline(options.time_budget_seconds),
         memory(options.max_memory_bytes) {}
 
   Deadline deadline;
-  /// Strict global max_memory_bytes gate; the stores, scheduler and
-  /// witness buffers charge it, the engines poll it (search/memory.hpp).
+  /// Strict max_memory_bytes gate; the stores and witness buffers charge
+  /// it, the engines poll it (search/memory.hpp).
   MemoryAccountant memory;
-  /// Strict max_schedules gate; counts only under that budget.
-  std::atomic<std::uint64_t> terminals{0};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint8_t> stop_reason{0};
+  /// Sticky once set: every later poll of the search unwinds.
+  bool stop = false;
 
-  /// First caller's reason sticks; everyone observes the stop flag.
-  void request_stop(StopReason reason) {
-    std::uint8_t expected = 0;
-    stop_reason.compare_exchange_strong(expected,
-                                        static_cast<std::uint8_t>(reason));
-    stop.store(true, std::memory_order_release);
-  }
-  bool stop_requested() const {
-    return stop.load(std::memory_order_acquire);
-  }
-  StopReason reason() const {
-    return static_cast<StopReason>(stop_reason.load());
-  }
+  void request_stop() { stop = true; }
+  bool stop_requested() const { return stop; }
 };
 
 /// DFS over the schedule tree; delivers terminals and stuck prefixes.
@@ -197,8 +170,7 @@ class EnumerationSearch {
         // broader stepper-state excusals.
         dyn_(indep, !std::is_same_v<Tracker, NullTracker>),
         source_selector_(indep, &dyn_),
-        reduce_(options.reduction != ReductionMode::kOff),
-        num_events_(trace.num_events()) {
+        reduce_(options.reduction != ReductionMode::kOff) {
     EVORD_CHECK(!reduce_ || indep_ != nullptr,
                 "reduction requires an IndependenceRelation");
     // Exact-key mode: when the store holds injective single-word packed
@@ -212,34 +184,15 @@ class EnumerationSearch {
                   "exact-key dedup requires a single-word packed layout "
                   "and no tracker state");
     }
-    path_.reserve(num_events_);
-    enabled_stack_.reserve(num_events_ + 1);
-    sibling_index_.reserve(num_events_ + 1);
-    stats_.depth_states.assign(num_events_ + 1, 0);
+    const std::size_t n = trace.num_events();
+    path_.reserve(n);
+    enabled_stack_.reserve(n + 1);
+    stats_.depth_states.assign(n + 1, 0);
   }
 
-  /// Walks the whole tree from the initial state, on this thread alone.
+  /// Walks the whole tree from the initial state, on this thread.
   SearchStats run() {
     if (reduce_) sleep_stack_.assign(1, std::vector<EventId>{});
-    dfs(0);
-    return stats_;
-  }
-
-  /// Runs one scheduler task: fast-forwards through its seed prefix
-  /// (every event must be enabled in sequence) and walks the subtree with
-  /// `worker` attached for steal demand and donation.  Only plain
-  /// enumeration runs here: a task carries a schedule prefix and nothing
-  /// else, so no sleep set, tracker state or dedup store crosses threads.
-  SearchStats run(const SearchTask& task, WorkerHandle& worker) {
-    static_assert(std::is_same_v<Tracker, NullTracker> && !Dedup::kEnabled,
-                  "only untracked, undeduplicated walks run on workers");
-    EVORD_CHECK(!reduce_, "only unreduced walks run on workers");
-    for (EventId e : task.seed) {
-      EVORD_CHECK(stepper_.enabled(e), "seed prefix is not schedulable");
-      stepper_.apply(e);
-      path_.push_back(e);
-    }
-    worker_ = &worker;
     dfs(0);
     return stats_;
   }
@@ -262,69 +215,29 @@ class EnumerationSearch {
     return &key_scratch_;
   }
 
-  /// Visits one complete schedule under the strict global terminal
-  /// budget; returns false to unwind the whole search.
+  /// Visits one complete schedule under the strict terminal budget;
+  /// returns false to unwind the whole search.
   bool visit_terminal() {
-    const std::uint64_t count =
-        options_.max_schedules == 0
-            ? 0
-            : ctx_->terminals.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options_.max_schedules != 0 && count > options_.max_schedules) {
-      stats_.truncated = true;
-      set_reason(StopReason::kMaxTerminals);
-      ctx_->request_stop(StopReason::kMaxTerminals);
-      return false;
-    }
     ++stats_.terminals;
     if (!hooks_.on_terminal(path_, tracker_)) {
       stats_.stopped_by_visitor = true;
       set_reason(StopReason::kVisitor);
-      ctx_->request_stop(StopReason::kVisitor);
+      ctx_->request_stop();
       return false;
     }
-    if (options_.max_schedules != 0 && count >= options_.max_schedules) {
+    if (options_.max_schedules != 0 &&
+        stats_.terminals >= options_.max_schedules) {
       stats_.truncated = true;
       set_reason(StopReason::kMaxTerminals);
-      ctx_->request_stop(StopReason::kMaxTerminals);
+      ctx_->request_stop();
       return false;
     }
     return true;
   }
 
-  /// Answers steal demand by donating the deepest unexplored siblings of
-  /// the current path that satisfy the grain/depth cutoffs, as one task
-  /// each.  The donated siblings are removed from this walk: the
-  /// enumeration visit sets partition across tasks, so the donor must
-  /// not revisit them.
-  void try_split(std::size_t cur_depth) {
-    const std::size_t seed_len = path_.size() - cur_depth;
-    for (std::size_t d = cur_depth; d-- > 0;) {
-      if (sibling_index_[d] + 1 >= enabled_stack_[d].size()) continue;
-      // Depth of a subtree donated from here, in events executed.
-      const std::size_t donated_depth = seed_len + d + 1;
-      if (options_.steal.max_split_depth != 0 &&
-          donated_depth > options_.steal.max_split_depth) {
-        continue;
-      }
-      if (num_events_ - donated_depth < options_.steal.grain) continue;
-      std::vector<EventId>& siblings = enabled_stack_[d];
-      for (std::size_t j = sibling_index_[d] + 1; j < siblings.size(); ++j) {
-        SearchTask task;
-        task.seed.assign(path_.begin(),
-                         path_.begin() +
-                             static_cast<std::ptrdiff_t>(seed_len + d));
-        task.seed.push_back(siblings[j]);
-        worker_->spawn(std::move(task));
-      }
-      siblings.resize(sibling_index_[d] + 1);
-      return;
-    }
-  }
-
   /// Returns false to unwind the whole search (stop / strict budgets).
   bool dfs(std::size_t depth) {
     if (ctx_->stop_requested()) return false;
-    if (worker_ != nullptr && worker_->split_wanted()) try_split(depth);
     if (stepper_.complete()) return visit_terminal();
 
     std::uint64_t fp = 0;
@@ -355,25 +268,22 @@ class EnumerationSearch {
         (fault::enabled() && fault::on_state_expanded())) {
       stats_.truncated = true;
       set_reason(StopReason::kDeadline);
-      ctx_->request_stop(StopReason::kDeadline);
+      ctx_->request_stop();
       return false;
     }
     // Memory is polled per expanded state (one relaxed load): the store
     // charge for this state has just landed, so a budget of N bytes
-    // overshoots by at most one state's charge per worker.
+    // overshoots by at most one state's charge.
     if (ctx_->memory.exceeded()) {
       stats_.truncated = true;
       set_reason(StopReason::kMemory);
-      ctx_->request_stop(StopReason::kMemory);
+      ctx_->request_stop();
       return false;
     }
 
     // One vector per depth, reused across siblings (capacity kept); the
     // ctor reserve keeps per-depth slots stable across recursion.
-    if (depth == enabled_stack_.size()) {
-      enabled_stack_.emplace_back();
-      sibling_index_.push_back(0);
-    }
+    if (depth == enabled_stack_.size()) enabled_stack_.emplace_back();
     if (reduce_) {
       stepper_.enabled_events(full_enabled_);
       if (full_enabled_.empty()) {
@@ -413,11 +323,8 @@ class EnumerationSearch {
       }
     }
     bool keep_going = true;
-    // The loop re-reads size() each iteration: try_split() deeper in the
-    // recursion may shrink this very vector to donate its tail.
     for (std::size_t i = 0;
          keep_going && i < enabled_stack_[depth].size(); ++i) {
-      sibling_index_[depth] = static_cast<std::uint32_t>(i);
       const EventId e = enabled_stack_[depth][i];
       if (reduce_) {
         if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
@@ -444,7 +351,6 @@ class EnumerationSearch {
   SearchStats stats_;
   std::vector<EventId> path_;
   std::vector<std::vector<EventId>> enabled_stack_;
-  std::vector<std::uint32_t> sibling_index_;
   std::vector<std::uint64_t> key_scratch_;
   const IndependenceRelation* indep_;
   DynamicIndependence dyn_;
@@ -456,8 +362,6 @@ class EnumerationSearch {
   /// selected) at that state, read by the child-sleep computation.
   std::vector<std::vector<std::uint64_t>> mask_stack_;
   std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
-  WorkerHandle* worker_ = nullptr;
-  std::size_t num_events_;
   std::uint32_t budget_poll_ = 0;
 };
 

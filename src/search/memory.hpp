@@ -3,16 +3,17 @@
 // Every byte-bounded search shares one MemoryAccountant through its
 // SharedContext: the fingerprint/memo stores charge it per retained
 // entry (and per retained collision-check payload in verify builds),
-// the scheduler charges donated task descriptors (seed buffers), and
-// explorer front-ends charge witness buffers.  Engines
-// poll exceeded() once per expanded state and stop with
-// StopReason::kMemory — the same strict global contract as max_states:
-// a budget of N bytes caps the COMBINED total across all workers at
-// roughly N (overshoot is bounded by one state's charge per worker,
-// since the poll follows the charge).
+// and explorer front-ends charge witness buffers.  Engines poll
+// exceeded() once per expanded state and stop with StopReason::kMemory
+// — the same strict contract as max_states: a budget of N bytes caps
+// the total at roughly N (overshoot is bounded by one state's charge,
+// since the poll follows the charge).  Searches run on the calling
+// thread; the counters stay atomic because the service layer's result
+// cache shares one accountant across the threads that query it.
 //
 // charge() is monotone except for release(), which un-charges
-// transient allocations (a donated task's buffers die with the task).
+// transient allocations (a store detaching, a deadlock witness buffer
+// being replaced).
 // exhaust() force-trips the budget regardless of the limit — the
 // deterministic fault-injection layer uses it to model a failed store
 // insertion (util/fault.hpp).

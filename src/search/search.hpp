@@ -55,62 +55,37 @@ enum class ReductionMode : std::uint8_t {
 
 const char* to_string(ReductionMode mode);
 
-/// Work-stealing scheduler tuning, read only by plain schedule
-/// enumeration, the one explorer that runs workers (see
-/// SearchOptions::num_threads).  None of these affect results — the
-/// tasks partition the schedule tree, so any split pattern and any
-/// victim order produce bit-identical output (the stress test in
-/// tests/search_test.cpp perturbs `seed` to prove it).
-struct StealOptions {
-  /// Minimum number of still-unexecuted events below a donated subtree
-  /// root.  Subtrees smaller than this are never split off, keeping the
-  /// task grain coarse enough to amortise task setup (seed replay).
-  std::size_t grain = 4;
-  /// Maximum schedule depth (events executed from the initial state) at
-  /// which a split may occur.  0 = no depth cutoff.
-  std::size_t max_split_depth = 0;
-  /// Seeds the per-worker victim-selection RNG.  Varying it perturbs the
-  /// steal order without affecting results.
-  std::uint64_t seed = 0;
-};
+/// Read by nothing: no search runs workers.  Kept, empty, until the next
+/// change to bench_e2e/, whose harness assigns SearchOptions::steal.
+struct StealOptions {};
 
-/// The one budget and parallelism struct of the search core.  Every
-/// explorer's options struct (EnumerateOptions, ScheduleSpaceOptions,
-/// DeadlockOptions, ClassEnumOptions, ExactOptions) inherits it, so a
-/// front-end hands its budget to the engines by slicing; the table in
-/// docs/SEARCH.md §3 lists which explorer honours which field.  All zero
-/// values mean "unlimited".
+/// The one budget struct of the search core.  Every explorer's options
+/// struct (EnumerateOptions, ScheduleSpaceOptions, DeadlockOptions,
+/// ClassEnumOptions, ExactOptions) inherits it, so a front-end hands its
+/// budget to the engines by slicing; the table in docs/SEARCH.md §3
+/// lists which explorer honours which field.  All zero values mean
+/// "unlimited".
 struct SearchOptions {
   SearchOptions() = default;
 
   /// Stop expanding new distinct states after this many.  Only the
-  /// explorers with a dedup or memo store count states, and they run on
-  /// the calling thread.
+  /// explorers with a dedup or memo store count states.
   std::size_t max_states = 0;
-  /// Stop after this many terminal (complete-schedule) visits.  Enforced
-  /// strictly via a shared atomic counter: the combined visit count never
-  /// exceeds the budget, serial or parallel.
+  /// Stop after this many terminal (complete-schedule) visits; strict,
+  /// the visit count never exceeds it.
   std::uint64_t max_schedules = 0;
   /// Stop after this many seconds of wall clock.
   double time_budget_seconds = 0.0;
   /// Stop once the search's charged memory — fingerprint/memo store
-  /// entries, retained collision payloads, donated task descriptors,
-  /// witness buffers — reaches this many bytes.  Strict and global
-  /// across all workers (one shared MemoryAccountant per search, see
-  /// search/memory.hpp): a budget of N caps the combined total at N,
-  /// the same contract as max_states.  Engines poll per expanded state,
-  /// so overshoot is bounded by one state's charge per worker.
+  /// entries, retained collision payloads, witness buffers — reaches
+  /// this many bytes.  Strict (one MemoryAccountant per search, see
+  /// search/memory.hpp), the same contract as max_states.  Engines poll
+  /// per expanded state, so overshoot is bounded by one state's charge.
   std::uint64_t max_memory_bytes = 0;
-  /// Worker count: 0 = hardware concurrency, 1 = serial.  Clamped to
-  /// max_worker_threads() (scheduler.hpp) so oversubscription is
-  /// impossible.  Results never depend on it.  Only plain schedule
-  /// enumeration runs workers, and a sweep starts them only past
-  /// kGrowAfterEntries DFS entries; every other explorer (class
-  /// enumeration, compute_exact, the memoized sweep and deadlock search)
-  /// runs on the calling thread.
+  /// Read by nothing: every explorer runs on the calling thread.  Kept
+  /// until the next change to bench_e2e/, whose harness assigns it.
   std::size_t num_threads = 1;
-  /// Work-stealing knobs (grain / max_split_depth / seed); read only
-  /// where num_threads is.
+  /// Read by nothing; kept with num_threads.
   StealOptions steal;
   /// Partial-order reduction.  Engines running with kSourceWakeup must
   /// be handed an IndependenceRelation (search/independence.hpp).  The
@@ -129,21 +104,10 @@ struct SearchOptions {
 /// schedule space, exact) default to.
 inline constexpr std::size_t kDefaultMaxStates = 4'000'000;
 
-/// Per-worker scheduler counters (SearchStats::workers, one entry per
-/// worker thread of the work-stealing scheduler).
-struct WorkerStats {
-  std::uint64_t tasks_executed = 0;  ///< tasks this worker ran
-  std::uint64_t tasks_stolen = 0;    ///< of those, taken from another deque
-  std::uint64_t tasks_spawned = 0;   ///< tasks this worker split off
-  std::uint64_t steal_attempts = 0;  ///< victim probes (successful or not)
-  std::uint64_t idle_nanos = 0;      ///< time spent looking for work
+/// Element of SearchStats::workers, which is always empty.
+struct WorkerStats {};
 
-  void merge(const WorkerStats& other);
-};
-
-/// What one engine run did.  Per-worker instances are merged
-/// associatively by merge(); counters sum, flags OR, and the first
-/// recorded stop reason wins.
+/// What one engine run did.
 struct SearchStats {
   std::uint64_t states_visited = 0;  ///< distinct states expanded
   std::uint64_t dedup_hits = 0;      ///< states pruned as already seen
@@ -169,39 +133,32 @@ struct SearchStats {
   bool stopped_by_visitor = false;
   StopReason stop_reason = StopReason::kNone;
 
-  /// States counted per schedule depth (events executed, including any
-  /// seed prefix), same counting rule as states_visited.  Element-wise
-  /// summed by merge().
+  /// States counted per schedule depth (events executed), same counting
+  /// rule as states_visited.
   std::vector<std::uint64_t> depth_states;
-  /// Per-worker scheduler counters; empty for serial runs and for
-  /// sweeps that never grew past search::kGrowAfterEntries.  Index-wise
-  /// merged (worker i of every task batch is the same OS thread).
+  /// Always empty, and tasks_stolen() and idle_nanos() always 0: no
+  /// search runs workers.  Kept until the next change to bench_e2e/,
+  /// whose per-layer ledger reads all three.
   std::vector<WorkerStats> workers;
   /// Final per-shard sizes of the explorer's fingerprint store
   /// (load-factor diagnostics); empty when the explorer used no store.
-  /// Set once at top level; merge() adopts whichever side is non-empty.
+  /// Set once by the explorer that owns the store.
   std::vector<std::uint64_t> shard_sizes;
 
-  void merge(const SearchStats& other);
-
-  std::uint64_t tasks_executed() const;
-  std::uint64_t tasks_stolen() const;
-  std::uint64_t tasks_spawned() const;
-  std::uint64_t steal_attempts() const;
-  std::uint64_t idle_nanos() const;
+  std::uint64_t tasks_stolen() const { return 0; }
+  std::uint64_t idle_nanos() const { return 0; }
   /// Peak depth_states entry and its depth; {0, 0} when no histogram.
   std::uint64_t peak_depth() const;
   /// max(shard size) / mean(shard size); 0 when no shard data.
   double shard_imbalance() const;
 
   /// Approximate resident footprint of this stats object itself (struct
-  /// plus histogram / per-worker / per-shard vectors) — results that
-  /// embed a SearchStats charge it to the service result cache's byte
-  /// budget through their own approx_bytes().
+  /// plus histogram / per-shard vectors) — results that embed a
+  /// SearchStats charge it to the service result cache's byte budget
+  /// through their own approx_bytes().
   std::uint64_t approx_bytes() const {
     return sizeof(SearchStats) +
            depth_states.capacity() * sizeof(std::uint64_t) +
-           workers.capacity() * sizeof(WorkerStats) +
            shard_sizes.capacity() * sizeof(std::uint64_t);
   }
 };

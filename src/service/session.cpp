@@ -82,8 +82,7 @@ BoundedVerdict deadlock_verdict(const DeadlockReport& run,
 }
 
 /// Folds the search::SearchOptions fields a session's engines read into
-/// `h`: every one but num_threads and steal, since every engine behind
-/// the session runs on the calling thread.
+/// `h`: every one but num_threads and steal, which no search reads.
 std::uint64_t digest_budget(std::uint64_t h, const search::SearchOptions& o) {
   h = hash_mix(0x01, h, o.max_states);
   h = hash_mix(0x02, h, o.max_schedules);

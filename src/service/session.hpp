@@ -40,8 +40,8 @@
 // Sessions are internally locked (one coarse mutex for bookkeeping);
 // the exponential engines run OUTSIDE the session mutex (see the
 // coalescing bullet), so concurrent distinct queries overlap.  Each
-// engine runs on the thread that asked; ExactOptions::num_threads means
-// nothing here.  shared_ptr results stay valid for as long as the
+// engine runs on the thread that asked, as every search does.
+// shared_ptr results stay valid for as long as the
 // caller holds them, even across cache eviction: a caller that needs a
 // stable result holds the returned pointer.
 #pragma once
@@ -70,7 +70,7 @@ namespace evord::service {
 /// Digest of every ExactOptions field that can change a result —
 /// budgets included, since the SearchStats embedded in cached results
 /// differ per configuration even when matrices agree.  num_threads and
-/// steal are left out: no engine behind a session reads them.
+/// steal are left out: no search reads them.
 std::uint64_t digest_options(const ExactOptions& options);
 
 /// One must/could question about one ordered pair.

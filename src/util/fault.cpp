@@ -2,8 +2,6 @@
 
 #ifndef EVORD_NO_FAULT_INJECTION
 #include <atomic>
-#include <chrono>
-#include <thread>
 #endif
 
 #include "util/hash.hpp"
@@ -18,10 +16,6 @@ const char* to_string(FaultKind kind) {
       return "deadline-at-state";
     case FaultKind::kStoreFailAt:
       return "store-fail-at";
-    case FaultKind::kStealStall:
-      return "steal-stall";
-    case FaultKind::kStealPoison:
-      return "steal-poison";
     case FaultKind::kAcceptFail:
       return "accept-fail";
     case FaultKind::kMidFrameDisconnect:
@@ -49,11 +43,9 @@ struct FaultState {
   std::atomic<bool> enabled{false};
   std::atomic<std::uint8_t> kind{0};
   std::atomic<std::uint64_t> threshold{0};
-  std::atomic<std::size_t> worker{kAnyWorker};
   std::atomic<std::uint32_t> stall_micros{0};
   std::atomic<std::uint64_t> states{0};
   std::atomic<std::uint64_t> inserts{0};
-  std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> accepts{0};
   std::atomic<std::uint64_t> frames{0};
   std::atomic<bool> tripped{false};
@@ -73,11 +65,9 @@ void arm(const FaultPlan& plan) {
                      std::memory_order_relaxed);
   g_fault.threshold.store(plan.resolved_threshold(),
                           std::memory_order_relaxed);
-  g_fault.worker.store(plan.worker, std::memory_order_relaxed);
   g_fault.stall_micros.store(plan.stall_micros, std::memory_order_relaxed);
   g_fault.states.store(0, std::memory_order_relaxed);
   g_fault.inserts.store(0, std::memory_order_relaxed);
-  g_fault.steals.store(0, std::memory_order_relaxed);
   g_fault.accepts.store(0, std::memory_order_relaxed);
   g_fault.frames.store(0, std::memory_order_relaxed);
   g_fault.tripped.store(false, std::memory_order_relaxed);
@@ -95,10 +85,6 @@ std::uint64_t states_observed() {
 
 std::uint64_t inserts_observed() {
   return g_fault.inserts.load(std::memory_order_relaxed);
-}
-
-std::uint64_t steals_observed() {
-  return g_fault.steals.load(std::memory_order_relaxed);
 }
 
 bool tripped() { return g_fault.tripped.load(std::memory_order_relaxed); }
@@ -131,29 +117,6 @@ bool on_store_insert() noexcept {
     return true;
   }
   return false;
-}
-
-StealAction on_steal_attempt(std::size_t worker) noexcept {
-  if (!g_fault.enabled.load(std::memory_order_acquire)) {
-    return StealAction::kProceed;
-  }
-  const auto kind =
-      static_cast<FaultKind>(g_fault.kind.load(std::memory_order_relaxed));
-  if (kind != FaultKind::kStealStall && kind != FaultKind::kStealPoison) {
-    return StealAction::kProceed;
-  }
-  const std::size_t target = g_fault.worker.load(std::memory_order_relaxed);
-  if (target != kAnyWorker && target != worker) return StealAction::kProceed;
-  g_fault.steals.fetch_add(1, std::memory_order_relaxed);
-  g_fault.tripped.store(true, std::memory_order_relaxed);
-  if (kind == FaultKind::kStealStall) {
-    const std::uint32_t micros =
-        g_fault.stall_micros.load(std::memory_order_relaxed);
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(micros != 0 ? micros : 50));
-    return StealAction::kStall;
-  }
-  return StealAction::kPoison;
 }
 
 bool on_accept_connection() noexcept {

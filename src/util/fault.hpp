@@ -10,18 +10,11 @@
 //     insertion "fails": the store force-exhausts the search's
 //     MemoryAccountant, so the engines stop with StopReason::kMemory
 //     exactly as if the byte budget had tripped.
-//   * kStealStall     — every steal attempt by the targeted worker (or
-//     all workers) first sleeps briefly, stressing the termination
-//     protocol's idle path without changing any result.
-//   * kStealPoison    — every steal attempt by the targeted worker
-//     fails (the worker can run only tasks pushed to its own deque).
-//     Results must still be bit-identical: the parallel explorers'
-//     results do not depend on which worker ran which task.
 //
 // The threshold may be given explicitly or derived from `seed`, and all
 // counters are process-global atomics, so a given plan replays the same
-// failure point on every run (serial runs are exactly deterministic;
-// parallel runs trip at the same global count).
+// failure point on every run (every search runs on the calling thread,
+// so its trip point is exactly deterministic).
 //
 // Cost when disarmed: one relaxed atomic load per hook site.  Defining
 // EVORD_NO_FAULT_INJECTION compiles every hook down to a constant so
@@ -33,7 +26,6 @@
 // running — tests wrap each searched region in a ScopedFaultPlan.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace evord::fault {
@@ -42,8 +34,6 @@ enum class FaultKind : std::uint8_t {
   kNone = 0,
   kDeadlineAtState,  ///< trip the deadline at expanded state #threshold
   kStoreFailAt,      ///< fail the #threshold-th store insertion
-  kStealStall,       ///< stall the targeted worker's steal attempts
-  kStealPoison,      ///< make the targeted worker's steals always fail
   // Network fault points (the evord daemon and its client library):
   kAcceptFail,          ///< drop the first #threshold accepted connections
   kMidFrameDisconnect,  ///< sever the #threshold-th frame send mid-frame
@@ -52,21 +42,15 @@ enum class FaultKind : std::uint8_t {
 
 const char* to_string(FaultKind kind);
 
-/// All workers (for the steal faults).
-inline constexpr std::size_t kAnyWorker = static_cast<std::size_t>(-1);
-
 struct FaultPlan {
   FaultKind kind = FaultKind::kNone;
   /// Trip point for kDeadlineAtState / kStoreFailAt.  0 = derive from
   /// `seed` (resolved_threshold()), so seed-only plans replay exactly.
   std::uint64_t threshold = 0;
-  /// Target worker id for the steal faults; kAnyWorker targets all.
-  std::size_t worker = kAnyWorker;
   /// Replay seed: derives the threshold when it is 0.
   std::uint64_t seed = 0;
-  /// Stall duration for kSlowLoris (and an override for kStealStall).
-  /// 0 keeps the defaults: 200 ms for kSlowLoris — comfortably past any
-  /// realistic daemon idle timeout — and 50 us for kStealStall.
+  /// Stall duration for kSlowLoris.  0 keeps the default of 200 ms,
+  /// comfortably past any realistic daemon idle timeout.
   std::uint32_t stall_micros = 0;
 
   /// The effective trip point: `threshold`, or a deterministic function
@@ -89,7 +73,6 @@ void disarm();
 /// Counters observed by the armed plan so far (test provenance).
 std::uint64_t states_observed();
 std::uint64_t inserts_observed();
-std::uint64_t steals_observed();
 /// True iff the armed plan's trip point has been reached at least once.
 bool tripped();
 
@@ -103,16 +86,6 @@ bool on_state_expanded() noexcept;
 /// a kStoreFailAt plan's threshold is reached (sticky) — the caller
 /// then exhausts its MemoryAccountant.
 bool on_store_insert() noexcept;
-
-/// What a steal attempt should do.
-enum class StealAction : std::uint8_t {
-  kProceed = 0,
-  kStall,   ///< sleep briefly, then proceed
-  kPoison,  ///< report the steal as failed
-};
-
-/// Schedulers call this before each steal attempt by `worker`.
-StealAction on_steal_attempt(std::size_t worker) noexcept;
 
 // ---- network hook sites (called by the daemon / client library) ----
 
@@ -148,14 +121,9 @@ inline void arm(const FaultPlan&) {}
 inline void disarm() {}
 inline std::uint64_t states_observed() { return 0; }
 inline std::uint64_t inserts_observed() { return 0; }
-inline std::uint64_t steals_observed() { return 0; }
 inline bool tripped() { return false; }
 inline bool on_state_expanded() noexcept { return false; }
 inline bool on_store_insert() noexcept { return false; }
-enum class StealAction : std::uint8_t { kProceed = 0, kStall, kPoison };
-inline StealAction on_steal_attempt(std::size_t) noexcept {
-  return StealAction::kProceed;
-}
 inline bool on_accept_connection() noexcept { return false; }
 enum class FrameSendAction : std::uint8_t { kProceed = 0, kDisconnect, kStall };
 inline FrameSendAction on_frame_send() noexcept {

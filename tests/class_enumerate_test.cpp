@@ -39,7 +39,7 @@ TEST(ClassEnumerate, CoversEveryClassThePlainEnumeratorFinds) {
     const Trace t = random_trace(config, rng);
 
     std::set<std::string> plain_classes;
-    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
       plain_classes.insert(class_fingerprint(t, s));
       return true;
     });
@@ -86,7 +86,7 @@ TEST(ClassEnumerate, SyncOnlyModeCoversSyncOnlyClasses) {
   const CausalOptions sync_only{.include_data_edges = false};
 
   std::set<std::string> plain_classes;
-  enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+  enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
     plain_classes.insert(class_fingerprint(t, s, sync_only));
     return true;
   });
@@ -173,7 +173,7 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
 // The visitor's ancestor rows are the schedule's causal order: for every
 // delivered schedule, rows[b] = {a : a -> b} is exactly the transpose of
 // causal_closure(), with data edges on and off — on small random traces
-// and on a sweep past search::kGrowAfterEntries DFS entries.
+// and on a sweep of over 22,000 DFS entries.
 TEST(ClassEnumerate, AncestorRowsAreTheTransposedCausalClosure) {
   std::vector<Trace> traces;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {

@@ -1,14 +1,9 @@
 // Deterministic fault-injection sweep (util/fault.hpp) across every
 // explorer of the unified search core: each armed FaultPlan must stop
 // the search cleanly with the matching StopReason and `truncated`
-// provenance, result-preserving faults (steal stall / poison) must keep
-// every result bit-identical, and any witness that survives a fault must
-// still replay.  The sweep asks for 1/2/4/8 workers (only plain
-// enumeration starts them; the tsan label re-runs it under
-// ThreadSanitizer).
+// provenance, and any witness that survives a fault must still replay.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "feasible/deadlock.hpp"
@@ -25,8 +20,6 @@
 
 namespace evord {
 namespace {
-
-const std::vector<std::size_t> kWorkerCounts{1, 2, 4, 8};
 
 /// A semaphore trace with a state space far larger than any fault
 /// threshold used below, so every trip lands mid-search.
@@ -69,8 +62,10 @@ TEST(FaultPlan, NamesAreExhaustive) {
   EXPECT_STREQ(fault::to_string(FaultKind::kDeadlineAtState),
                "deadline-at-state");
   EXPECT_STREQ(fault::to_string(FaultKind::kStoreFailAt), "store-fail-at");
-  EXPECT_STREQ(fault::to_string(FaultKind::kStealStall), "steal-stall");
-  EXPECT_STREQ(fault::to_string(FaultKind::kStealPoison), "steal-poison");
+  EXPECT_STREQ(fault::to_string(FaultKind::kAcceptFail), "accept-fail");
+  EXPECT_STREQ(fault::to_string(FaultKind::kMidFrameDisconnect),
+               "mid-frame-disconnect");
+  EXPECT_STREQ(fault::to_string(FaultKind::kSlowLoris), "slow-loris");
   EXPECT_STREQ(fault::to_string(static_cast<FaultKind>(0xff)), "unknown");
 }
 
@@ -92,7 +87,8 @@ TEST(FaultPlan, DisarmedHooksAreInert) {
   EXPECT_FALSE(fault::enabled());
   EXPECT_FALSE(fault::on_state_expanded());
   EXPECT_FALSE(fault::on_store_insert());
-  EXPECT_EQ(fault::on_steal_attempt(0), fault::StealAction::kProceed);
+  EXPECT_FALSE(fault::on_accept_connection());
+  EXPECT_EQ(fault::on_frame_send(), fault::FrameSendAction::kProceed);
 }
 
 // --------------------------------------------- deadline-at-state tripping
@@ -101,58 +97,44 @@ TEST(FaultSweep, DeadlineAtStateStopsEveryExplorer) {
   const Trace trace = sweep_trace();
   const fault::FaultPlan plan{.kind = fault::FaultKind::kDeadlineAtState,
                               .threshold = 5};
-  for (const std::size_t threads : kWorkerCounts) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    {
-      fault::ScopedFaultPlan armed(plan);
-      ExactOptions eo;
-      eo.num_threads = threads;
-      const OrderingRelations r =
-          compute_exact(trace, Semantics::kCausal, eo);
-      EXPECT_TRUE(r.truncated);
-      EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
-      EXPECT_TRUE(fault::tripped());
-      EXPECT_GE(fault::states_observed(), plan.threshold);
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      ScheduleSpaceOptions so;
-      so.num_threads = threads;
-      const CanPrecedeResult r = compute_can_precede(trace, so);
-      EXPECT_TRUE(r.truncated);
-      EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
-      EXPECT_TRUE(fault::tripped());
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      DeadlockOptions dopts;
-      dopts.num_threads = threads;
-      const DeadlockReport r = analyze_deadlocks(trace, dopts);
-      EXPECT_TRUE(r.truncated);
-      EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
-      EXPECT_TRUE(fault::tripped());
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      EnumerateOptions eo;
-      eo.num_threads = threads;
-      const EnumerateStats stats = enumerate_schedules(
-          trace, eo,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
-      EXPECT_TRUE(stats.truncated);
-      EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
-      EXPECT_TRUE(fault::tripped());
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      ClassEnumOptions co;
-      co.num_threads = threads;
-      const ClassEnumStats stats = enumerate_causal_classes(
-          trace, co, testing::accept_every_class);
-      EXPECT_TRUE(stats.truncated);
-      EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
-      EXPECT_TRUE(fault::tripped());
-    }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const OrderingRelations r =
+        compute_exact(trace, Semantics::kCausal, {});
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
+    EXPECT_TRUE(fault::tripped());
+    EXPECT_GE(fault::states_observed(), plan.threshold);
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const CanPrecedeResult r = compute_can_precede(trace, {});
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
+    EXPECT_TRUE(fault::tripped());
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const DeadlockReport r = analyze_deadlocks(trace, {});
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
+    EXPECT_TRUE(fault::tripped());
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const EnumerateStats stats = enumerate_schedules(
+        trace, {}, [](const std::vector<EventId>&) { return true; });
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
+    EXPECT_TRUE(fault::tripped());
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const ClassEnumStats stats = enumerate_causal_classes(
+        trace, {}, testing::accept_every_class);
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(stats.search.stop_reason, search::StopReason::kDeadline);
+    EXPECT_TRUE(fault::tripped());
   }
   EXPECT_FALSE(fault::enabled());
 }
@@ -163,47 +145,36 @@ TEST(FaultSweep, StoreFailureStopsStoreBackedExplorers) {
   const Trace trace = sweep_trace();
   const fault::FaultPlan plan{.kind = fault::FaultKind::kStoreFailAt,
                               .threshold = 3};
-  for (const std::size_t threads : kWorkerCounts) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    {
-      fault::ScopedFaultPlan armed(plan);
-      ExactOptions eo;
-      eo.num_threads = threads;
-      const OrderingRelations r =
-          compute_exact(trace, Semantics::kCausal, eo);
-      EXPECT_TRUE(r.truncated);
-      EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
-      EXPECT_TRUE(fault::tripped());
-      EXPECT_GE(fault::inserts_observed(), plan.threshold);
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      ScheduleSpaceOptions so;
-      so.num_threads = threads;
-      const CanPrecedeResult r = compute_can_precede(trace, so);
-      EXPECT_TRUE(r.truncated);
-      EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
-      EXPECT_TRUE(fault::tripped());
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      DeadlockOptions dopts;
-      dopts.num_threads = threads;
-      const DeadlockReport r = analyze_deadlocks(trace, dopts);
-      EXPECT_TRUE(r.truncated);
-      EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
-      EXPECT_TRUE(fault::tripped());
-    }
-    {
-      fault::ScopedFaultPlan armed(plan);
-      ClassEnumOptions co;
-      co.num_threads = threads;
-      const ClassEnumStats stats = enumerate_causal_classes(
-          trace, co, testing::accept_every_class);
-      EXPECT_TRUE(stats.truncated);
-      EXPECT_EQ(stats.search.stop_reason, search::StopReason::kMemory);
-      EXPECT_TRUE(fault::tripped());
-    }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const OrderingRelations r =
+        compute_exact(trace, Semantics::kCausal, {});
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
+    EXPECT_TRUE(fault::tripped());
+    EXPECT_GE(fault::inserts_observed(), plan.threshold);
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const CanPrecedeResult r = compute_can_precede(trace, {});
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
+    EXPECT_TRUE(fault::tripped());
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const DeadlockReport r = analyze_deadlocks(trace, {});
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
+    EXPECT_TRUE(fault::tripped());
+  }
+  {
+    fault::ScopedFaultPlan armed(plan);
+    const ClassEnumStats stats = enumerate_causal_classes(
+        trace, {}, testing::accept_every_class);
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(stats.search.stop_reason, search::StopReason::kMemory);
+    EXPECT_TRUE(fault::tripped());
   }
 }
 
@@ -214,67 +185,15 @@ TEST(FaultSweep, StoreFaultIsInertForStorelessEnumeration) {
   const Trace trace = sweep_trace();
   EnumerateOptions eo;
   const EnumerateStats baseline = enumerate_schedules(
-      trace, eo, [](std::size_t, const std::vector<EventId>&) { return true; });
+      trace, eo, [](const std::vector<EventId>&) { return true; });
   fault::ScopedFaultPlan armed({.kind = fault::FaultKind::kStoreFailAt,
                                 .threshold = 1});
   const EnumerateStats faulted = enumerate_schedules(
-      trace, eo, [](std::size_t, const std::vector<EventId>&) { return true; });
+      trace, eo, [](const std::vector<EventId>&) { return true; });
   EXPECT_FALSE(faulted.truncated);
   EXPECT_FALSE(fault::tripped());
   EXPECT_EQ(faulted.schedules, baseline.schedules);
   EXPECT_EQ(faulted.deadlocked_prefixes, baseline.deadlocked_prefixes);
-}
-
-// ------------------------------------- result-preserving steal faults
-
-TEST(FaultSweep, StealPoisonPreservesExactResults) {
-  // A plain enumeration sweep that grows its helpers, so there are
-  // steals to poison.
-  const Trace trace = testing::contended_trace(4, 2);
-  const EnumerateStats baseline = enumerate_schedules(
-      trace, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
-  ASSERT_FALSE(baseline.truncated);
-  for (const fault::FaultKind kind : {fault::FaultKind::kStealStall,
-                                      fault::FaultKind::kStealPoison}) {
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}}) {
-      SCOPED_TRACE(std::string(fault::to_string(kind)) +
-                   " threads=" + std::to_string(threads));
-      fault::ScopedFaultPlan armed({.kind = kind,
-                                    .worker = fault::kAnyWorker});
-      EnumerateOptions peo;
-      peo.num_threads = threads;
-      const EnumerateStats r = enumerate_schedules(
-          trace, peo,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
-      EXPECT_TRUE(fault::tripped());
-      EXPECT_FALSE(r.truncated);
-      testing::expect_grew(r.search, threads);
-      EXPECT_EQ(r.schedules, baseline.schedules);
-      EXPECT_EQ(r.deadlocked_prefixes, baseline.deadlocked_prefixes);
-    }
-  }
-}
-
-TEST(FaultSweep, TargetedStealPoisonOnlyHitsOneWorker) {
-  const Trace trace = testing::contended_trace(4, 2);
-  const EnumerateStats baseline = enumerate_schedules(
-      trace, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
-  fault::ScopedFaultPlan armed({.kind = fault::FaultKind::kStealPoison,
-                                .worker = 1});
-  EnumerateOptions peo;
-  peo.num_threads = 4;
-  const EnumerateStats r = enumerate_schedules(
-      trace, peo,
-      [](std::size_t, const std::vector<EventId>&) { return true; });
-  EXPECT_TRUE(fault::tripped());
-  EXPECT_FALSE(r.truncated);
-  testing::expect_grew(r.search, 4);
-  ASSERT_EQ(r.search.workers.size(), 4u);
-  // Worker 1's every probe round reports empty: it runs no stolen task.
-  EXPECT_EQ(r.search.workers[1].tasks_stolen, 0u);
-  EXPECT_EQ(r.schedules, baseline.schedules);
-  EXPECT_EQ(r.deadlocked_prefixes, baseline.deadlocked_prefixes);
 }
 
 // --------------------------------- witnesses surviving injected faults
@@ -282,7 +201,7 @@ TEST(FaultSweep, TargetedStealPoisonOnlyHitsOneWorker) {
 TEST(FaultSweep, TruncatedDeadlockSearchStillYieldsReplayableWitness) {
   // Sweep the deadline trip point upward: once the budget admits a stuck
   // state, the truncated report must carry a witness that replays to a
-  // wedged frontier.  (Serial, so the sweep is exactly deterministic.)
+  // wedged frontier.
   const Trace trace = wedgeable_trace();
   bool found_truncated_witness = false;
   for (std::uint64_t threshold = 2; threshold <= 4096 &&

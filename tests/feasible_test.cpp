@@ -189,7 +189,7 @@ TEST(Enumerate, EveryScheduleIsValidAndUnique) {
     config.num_event_vars = i % 2;
     const Trace t = random_trace(config, rng);
     std::set<std::vector<EventId>> seen;
-    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
       EXPECT_TRUE(seen.insert(s).second) << "duplicate schedule";
       const ScheduleCheck check = check_schedule(t, s);
       EXPECT_TRUE(check.valid) << check.reason;
@@ -204,7 +204,7 @@ TEST(Enumerate, ObservedOrderIsAmongSchedules) {
   for (int i = 0; i < 10; ++i) {
     const Trace t = random_trace({}, rng);
     bool found = false;
-    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
       if (s == t.observed_order()) found = true;
       return true;
     });
@@ -224,10 +224,8 @@ TEST(Enumerate, DependencesReduceScheduleCount) {
   EXPECT_EQ(count_schedules(t), 1u);
   EnumerateOptions no_deps;
   no_deps.stepper.respect_dependences = false;
-  EXPECT_EQ(enumerate_schedules(t, no_deps,
-                                [](std::size_t, const std::vector<EventId>&) {
-                                  return true;
-                                })
+  EXPECT_EQ(enumerate_schedules(
+                t, no_deps, [](const std::vector<EventId>&) { return true; })
                 .schedules,
             2u);
 }
@@ -243,7 +241,7 @@ TEST(Enumerate, CountsDeadlockedPrefixes) {
   b.clear(p2, e);
   const Trace t = b.build();
   const EnumerateStats stats = enumerate_schedules(
-      t, {}, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, {}, [](const std::vector<EventId>&) { return true; });
   // Valid schedules: post wait clear, post clear? (wait blocked -> dead),
   // clear is enabled first too: clear post wait is fine.
   EXPECT_GT(stats.schedules, 0u);
@@ -255,7 +253,7 @@ TEST(Enumerate, MaxSchedulesTruncates) {
   EnumerateOptions options;
   options.max_schedules = 5;
   const EnumerateStats stats = enumerate_schedules(
-      t, options, [](std::size_t, const std::vector<EventId>&) { return true; });
+      t, options, [](const std::vector<EventId>&) { return true; });
   EXPECT_EQ(stats.schedules, 5u);
   EXPECT_TRUE(stats.truncated);
 }
@@ -264,29 +262,9 @@ TEST(Enumerate, VisitorCanStopEarly) {
   const Trace t = independent_procs(3, 3);
   std::uint64_t seen = 0;
   const EnumerateStats stats = enumerate_schedules(
-      t, {}, [&](std::size_t, const std::vector<EventId>&) { return ++seen < 3; });
+      t, {}, [&](const std::vector<EventId>&) { return ++seen < 3; });
   EXPECT_EQ(seen, 3u);
   EXPECT_TRUE(stats.stopped_by_visitor);
-}
-
-TEST(Enumerate, ParallelMatchesSerialCount) {
-  Rng rng(17);
-  for (int i = 0; i < 6; ++i) {
-    RandomTraceConfig config;
-    config.num_events = 9;
-    const Trace t = random_trace(config, rng);
-    const std::uint64_t serial = count_schedules(t);
-    std::atomic<std::uint64_t> parallel_visits{0};
-    EnumerateOptions options;
-    options.num_threads = 2;
-    const EnumerateStats stats = enumerate_schedules(
-        t, options, [&](std::size_t, const std::vector<EventId>&) {
-          ++parallel_visits;
-          return true;
-        });
-    EXPECT_EQ(stats.schedules, serial);
-    EXPECT_EQ(parallel_visits.load(), serial);
-  }
 }
 
 TEST(Enumerate, FindScheduleWithOrder) {
@@ -316,7 +294,7 @@ TEST(Enumerate, EmptyTrace) {
   const Trace t = b.build();
   std::uint64_t visits = 0;
   const EnumerateStats stats =
-      enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+      enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
         EXPECT_TRUE(s.empty());
         ++visits;
         return true;
@@ -352,7 +330,7 @@ TEST(Feasibility, ReorderTraceProducesValidTrace) {
     RandomTraceConfig config;
     config.num_events = 8;
     const Trace t = random_trace(config, rng);
-    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
       std::vector<EventId> mapping;
       const Trace u = reorder_trace(t, s, &mapping);
       EXPECT_TRUE(validate_axioms(u).ok());
@@ -397,7 +375,7 @@ TEST(ScheduleSpace, CanPrecedeMatchesEnumerationOnSmallTraces) {
     // Reference: brute-force over all schedules.
     std::vector<DynamicBitset> ref(t.num_events(),
                                    DynamicBitset(t.num_events()));
-    enumerate_schedules(t, {}, [&](std::size_t, const std::vector<EventId>& s) {
+    enumerate_schedules(t, {}, [&](const std::vector<EventId>& s) {
       DynamicBitset done(t.num_events());
       for (EventId e : s) {
         ref[e] |= done;

@@ -7,8 +7,6 @@
 
 #include <vector>
 
-#include "search/scheduler.hpp"
-#include "search/search.hpp"
 #include "trace/builder.hpp"
 #include "trace/trace.hpp"
 #include "util/dynamic_bitset.hpp"
@@ -16,36 +14,11 @@
 
 namespace evord::testing {
 
-/// A multi-worker sweep really grew: every requested worker reports its
-/// counters, and tasks split off the root walk ran.
-inline void expect_grew(const search::SearchStats& stats,
-                        std::size_t threads) {
-  EXPECT_EQ(stats.workers.size(), search::resolve_num_threads(threads));
-  EXPECT_GT(stats.tasks_executed(), 1u);
-}
-
 /// A causal-class visitor (ordering/class_enumerate.hpp) that keeps the
 /// search going after every schedule.
 inline bool accept_every_class(const std::vector<EventId>&,
                                const std::vector<DynamicBitset>&) {
   return true;
-}
-
-/// Appends `rounds` critical sections per process of `procs`, in turn:
-/// P(m), a private computation, V(m) on one counting semaphore `m` with
-/// a single initial token.  Every order of the critical sections is its
-/// own causal class.  No-op (no semaphore either) for 0 rounds.
-inline void add_mutex_rounds(TraceBuilder& b, const std::vector<ProcId>& procs,
-                             std::size_t rounds) {
-  if (rounds == 0) return;
-  const ObjectId m = b.semaphore("m", /*initial=*/1);
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (const ProcId p : procs) {
-      b.sem_p(p, m);
-      b.compute(p, "");
-      b.sem_v(p, m);
-    }
-  }
 }
 
 struct RandomTraceConfig {
@@ -56,10 +29,6 @@ struct RandomTraceConfig {
   std::size_t num_events = 12;
   double sync_probability = 0.5;  ///< vs. computation events
   bool allow_clear = true;
-  /// Critical sections per process (add_mutex_rounds) before the random
-  /// events: each one multiplies the causal classes, so the enumeration
-  /// sweeps grow past search::kGrowAfterEntries.
-  std::size_t mutex_rounds = 0;
 };
 
 /// Generates a random valid trace.  Every op is chosen among the ops that
@@ -83,7 +52,6 @@ inline Trace random_trace(const RandomTraceConfig& config, Rng& rng) {
   }
   std::vector<ProcId> procs{b.root()};
   while (procs.size() < config.num_processes) procs.push_back(b.add_process());
-  add_mutex_rounds(b, procs, config.mutex_rounds);
 
   std::vector<int> count(config.num_semaphores, 0);
   std::vector<bool> posted(config.num_event_vars, false);
@@ -125,11 +93,9 @@ inline Trace random_trace(const RandomTraceConfig& config, Rng& rng) {
 }
 
 /// A trace with fork/join structure: root forks children that do a few
-/// computation/sync events (after `mutex_rounds` critical sections each),
-/// then joins them.
+/// computation/sync events, then joins them.
 inline Trace random_fork_join_trace(std::size_t num_children,
-                                    std::size_t events_per_child, Rng& rng,
-                                    std::size_t mutex_rounds = 0) {
+                                    std::size_t events_per_child, Rng& rng) {
   TraceBuilder b;
   const ObjectId s = b.semaphore("s");
   const VarId x = b.variable("x");
@@ -138,7 +104,6 @@ inline Trace random_fork_join_trace(std::size_t num_children,
   for (std::size_t c = 0; c < num_children; ++c) {
     children.push_back(b.fork(b.root()));
   }
-  add_mutex_rounds(b, children, mutex_rounds);
   for (std::size_t i = 0; i < num_children * events_per_child; ++i) {
     const ProcId p = children[rng.below(children.size())];
     const auto choice = rng.below(3);
@@ -159,15 +124,23 @@ inline Trace random_fork_join_trace(std::size_t num_children,
 }
 
 /// `procs` processes (the root among them) taking one mutex `rounds`
-/// times each.  At 4 x 2 (24 events, 2,520 schedules, each its own causal
-/// class) both the plain and the class enumeration walk make over 22,000
-/// DFS entries, past search::kGrowAfterEntries, so multi-worker sweeps of
-/// it really start their helpers.
+/// times each: P(m), a private computation, V(m) on a counting semaphore
+/// with one initial token, every process in turn.  Every order of the
+/// critical sections is its own causal class.  At 4 x 2 (24 events,
+/// 2,520 schedules) both the plain and the class enumeration walk make
+/// over 22,000 DFS entries.
 inline Trace contended_trace(std::size_t procs, std::size_t rounds) {
   TraceBuilder b;
   std::vector<ProcId> ps{b.root()};
   while (ps.size() < procs) ps.push_back(b.add_process());
-  add_mutex_rounds(b, ps, rounds);
+  const ObjectId m = b.semaphore("m", /*initial=*/1);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (const ProcId p : ps) {
+      b.sem_p(p, m);
+      b.compute(p, "");
+      b.sem_v(p, m);
+    }
+  }
   return b.build();
 }
 

@@ -8,10 +8,8 @@
 //     shrinks),
 //   * deadlock analysis keeps its verdict, its distinct-stuck-state
 //     count, and a valid witness,
-//   * exact causal/interval relation matrices are bit-identical,
-//   * the reduced walks run on the calling thread, so asking for workers
-//     or perturbing steal seeds changes nothing.
-// This suite pins all four on randomized and structured trace families.
+//   * exact causal/interval relation matrices are bit-identical.
+// This suite pins all three on randomized and structured trace families.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -191,39 +189,13 @@ TEST(Por, ExactMatricesMatchUnreduced) {
   }
 }
 
-TEST(Por, ParallelReducedDeadlockBitIdentical) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    for (const auto& [label, trace] : test_traces(seed)) {
-      const DeadlockReport serial = analyze_deadlocks(trace, {});
-      for (const std::size_t threads : {2u, 4u, 8u}) {
-        for (const std::uint64_t steal_seed : {1ull, 7ull, 12345ull}) {
-          std::ostringstream os;
-          os << label << " seed " << seed << " threads " << threads
-             << " steal " << steal_seed;
-          SCOPED_TRACE(os.str());
-          DeadlockOptions options;
-          options.num_threads = threads;
-          options.steal.seed = steal_seed;
-          options.steal.grain = 1;
-          const DeadlockReport parallel = analyze_deadlocks(trace, options);
-          EXPECT_EQ(parallel.can_deadlock, serial.can_deadlock);
-          EXPECT_EQ(parallel.witness_prefix, serial.witness_prefix);
-          EXPECT_EQ(parallel.stuck_states, serial.stuck_states);
-          EXPECT_EQ(parallel.states_visited, serial.states_visited);
-        }
-      }
-    }
-  }
-}
-
 // ----- dynamic-independence (kSourceWakeup) excusal families -----------
 
 /// Surplus-token V/V family: initial tokens plus early V's cover every
 /// remaining P partway through the run, so late V/V commutations are
 /// causally invisible (the tokens they push are never popped).  V/P
-/// placement is randomized per seed.  `mutex_rounds` critical sections
-/// per process (testing::add_mutex_rounds) lead the run when nonzero.
-Trace vv_surplus_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
+/// placement is randomized per seed.
+Trace vv_surplus_trace(std::uint64_t seed) {
   Rng rng(seed);
   TraceBuilder b;
   const ObjectId s =
@@ -231,7 +203,6 @@ Trace vv_surplus_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
   const ProcId p1 = b.add_process();
   const ProcId p2 = b.add_process();
   const ProcId p3 = b.add_process();
-  testing::add_mutex_rounds(b, {p1, p2, p3}, mutex_rounds);
   b.sem_v(p1, s);
   if (rng.chance(0.6)) b.compute(p1, "a");
   b.sem_v(p1, s);
@@ -248,15 +219,13 @@ Trace vv_surplus_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
 /// posted variable), Waits, and Clears from distinct processes.  The
 /// conditional Post excusals and the unconditional Clear/Clear excusal
 /// are all reachable; some interleavings wedge a Wait (deadlock path).
-/// `mutex_rounds` as for vv_surplus_trace.
-Trace post_clear_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
+Trace post_clear_trace(std::uint64_t seed) {
   Rng rng(seed);
   TraceBuilder b;
   const ObjectId e = b.event_var("e", /*initially_posted=*/seed % 2 == 0);
   const ProcId p1 = b.add_process();
   const ProcId p2 = b.add_process();
   const ProcId p3 = b.add_process();
-  testing::add_mutex_rounds(b, {p1, p2, p3}, mutex_rounds);
   b.post(b.root(), e);
   b.post(p1, e);
   if (rng.chance(0.6)) b.wait(p2, e);
@@ -268,17 +237,12 @@ Trace post_clear_trace(std::uint64_t seed, std::size_t mutex_rounds = 0) {
 }
 
 std::vector<std::pair<std::string, Trace>> excusal_traces(
-    std::uint64_t seed, std::size_t mutex_rounds = 0) {
+    std::uint64_t seed) {
   std::vector<std::pair<std::string, Trace>> traces;
-  traces.emplace_back("vv", vv_surplus_trace(seed, mutex_rounds));
-  traces.emplace_back("postclear", post_clear_trace(seed, mutex_rounds));
+  traces.emplace_back("vv", vv_surplus_trace(seed));
+  traces.emplace_back("postclear", post_clear_trace(seed));
   return traces;
 }
-
-/// Three critical sections per process ahead of the excusal families:
-/// 26,000 to 110,000 reduced DFS entries each, past the point where
-/// plain enumeration would grow its helpers (search::kGrowAfterEntries).
-constexpr std::size_t kGrowingRounds = 3;
 
 TEST(Por, SourceWakeupClassSetsMatchOnExcusalFamilies) {
   // Randomized sweep pinning the dynamic excusals (surplus-token V/V,
@@ -375,42 +339,6 @@ TEST(Por, SourceWakeupDeadlockAndExactMatchOnExcusalFamilies) {
       EXPECT_EQ(exact_reduced.causal_classes, exact_full.causal_classes);
       for (const RelationKind kind : kAllRelationKinds) {
         EXPECT_EQ(exact_reduced[kind], exact_full[kind]) << to_string(kind);
-      }
-    }
-  }
-}
-
-TEST(Por, ParallelReducedExactBitIdentical) {
-  // The contended trace alone and the excusal families behind three
-  // contended rounds: reduced sweeps past search::kGrowAfterEntries run
-  // on the calling thread at every requested worker count, split grain
-  // and victim seed, so they match serial and report no workers.
-  std::vector<std::pair<std::string, Trace>> traces =
-      excusal_traces(/*seed=*/3, kGrowingRounds);
-  traces.emplace_back("contended", testing::contended_trace(4, 2));
-  for (const auto& [label, trace] : traces) {
-    ExactOptions serial_options;  // reduction ON by default
-    const OrderingRelations serial =
-        compute_exact(trace, Semantics::kCausal, serial_options);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      for (const std::uint64_t steal_seed : {1ull, 7ull, 12345ull}) {
-        std::ostringstream os;
-        os << label << " threads " << threads << " steal " << steal_seed;
-        SCOPED_TRACE(os.str());
-        ExactOptions options;
-        options.num_threads = threads;
-        options.steal.seed = steal_seed;
-        options.steal.grain = 1;  // provoke deep splits
-        const OrderingRelations parallel =
-            compute_exact(trace, Semantics::kCausal, options);
-        EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
-        EXPECT_EQ(parallel.causal_classes, serial.causal_classes);
-        EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen);
-        EXPECT_EQ(parallel.states_visited, serial.states_visited);
-        for (const RelationKind kind : kAllRelationKinds) {
-          EXPECT_EQ(parallel[kind], serial[kind]) << to_string(kind);
-        }
-        EXPECT_TRUE(parallel.search.workers.empty());
       }
     }
   }

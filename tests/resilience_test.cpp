@@ -246,23 +246,18 @@ TEST(Anytime, MemoryBudgetTripsWithinTenPercent) {
   EXPECT_TRUE(sample.provenance.truncated);
 }
 
-TEST(Anytime, MemoryBudgetIsGlobalAcrossWorkers) {
+TEST(Anytime, MemoryBudgetCapsTheExactSweep) {
   const Trace trace = theorem1_trace();
   constexpr std::uint64_t kBudget = 4096;
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExactOptions budgeted;
-    budgeted.max_memory_bytes = kBudget;
-    budgeted.num_threads = threads;
-    const OrderingRelations r =
-        compute_exact(trace, Semantics::kCausal, budgeted);
-    ASSERT_TRUE(r.truncated);
-    EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
-    // The budget of N bytes caps the COMBINED footprint at N (same
-    // contract as max_states), not N per worker; allow the documented
-    // per-worker overshoot of one state's charge.
-    EXPECT_LE(r.search.memo_bytes, kBudget + kBudget / 10);
-  }
+  ExactOptions budgeted;
+  budgeted.max_memory_bytes = kBudget;
+  const OrderingRelations r =
+      compute_exact(trace, Semantics::kCausal, budgeted);
+  ASSERT_TRUE(r.truncated);
+  EXPECT_EQ(r.search.stop_reason, search::StopReason::kMemory);
+  // The budget of N bytes caps the footprint at N (same contract as
+  // max_states); allow the documented overshoot of one state's charge.
+  EXPECT_LE(r.search.memo_bytes, kBudget + kBudget / 10);
 }
 
 // -------------------------------------------------- deadlocks and races

@@ -1,20 +1,18 @@
 // Cross-engine equivalence sweep for the unified search core
-// (src/search/): every explorer — serial, multi-worker, and a
-// deliberately naive brute-force reference that shares no code with the
-// engine — must agree on coexistence matrices, deadlock verdicts and
-// schedule counts over random traces, under all three semantics and with
-// dependences (F3) both enforced and ignored.  The multi-worker runs use
-// traces whose walks pass search::kGrowAfterEntries, and check that the
-// helpers really ran where they run at all (plain schedule enumeration)
-// and did not start anywhere else.  Also pins down the strict global
-// budget semantics and the stepper's incremental state hash.
+// (src/search/): every explorer and a deliberately naive brute-force
+// reference that shares no code with the engine must agree on
+// coexistence matrices, deadlock verdicts and schedule counts over random
+// traces, with dependences (F3) both enforced and ignored.  Also pins
+// down that no search starts a thread, the strict budget semantics and
+// the stepper's incremental state hash.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <iterator>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -134,7 +132,7 @@ Trace small_random_trace(std::uint64_t seed, std::size_t num_events) {
 
 /// `procs` processes of `per_proc` independent computations each: every
 /// interleaving is a schedule.  At 3 x 4 that is 12!/(4!)^3 = 34,650
-/// schedules, a walk far past search::kGrowAfterEntries.
+/// schedules.
 Trace independent_trace(std::size_t procs, std::size_t per_proc) {
   TraceBuilder b;
   std::vector<ProcId> ps{b.root()};
@@ -165,10 +163,9 @@ Trace deadlockable_trace() {
 }
 
 // ----------------------------------------------------------------------
-// Schedule-space engine: serial == brute force, and num_threads > 1
-// still runs serially.
+// Schedule-space engine == brute force.
 
-TEST(SearchEquivalence, CoexistMatricesMatchBruteAndParallel) {
+TEST(SearchEquivalence, CoexistMatricesMatchBrute) {
   for (const bool respect_deps : {true, false}) {
     for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
       const Trace t = small_random_trace(seed, 10);
@@ -176,33 +173,20 @@ TEST(SearchEquivalence, CoexistMatricesMatchBruteAndParallel) {
       options.stepper.respect_dependences = respect_deps;
       options.build_coexist = true;
 
-      options.num_threads = 1;
-      const CanPrecedeResult serial = compute_can_precede(t, options);
-      options.num_threads = 4;
-      const CanPrecedeResult parallel = compute_can_precede(t, options);
+      const CanPrecedeResult r = compute_can_precede(t, options);
       const BruteResult brute = brute_force(t, options.stepper);
 
-      EXPECT_EQ(serial.feasible_nonempty, brute.schedules > 0)
-          << "seed " << seed;
-      EXPECT_EQ(serial.can_precede, brute.can_precede) << "seed " << seed;
-      EXPECT_EQ(serial.can_coexist, brute.can_coexist) << "seed " << seed;
-
-      // The memoized sweep ignores num_threads: no scheduler workers,
-      // and results bit-identical to serial.
-      EXPECT_TRUE(parallel.search.workers.empty());
-      EXPECT_EQ(parallel.feasible_nonempty, serial.feasible_nonempty);
-      EXPECT_EQ(parallel.can_precede, serial.can_precede) << "seed " << seed;
-      EXPECT_EQ(parallel.can_coexist, serial.can_coexist) << "seed " << seed;
-      EXPECT_EQ(parallel.states_visited, serial.states_visited);
+      EXPECT_EQ(r.feasible_nonempty, brute.schedules > 0) << "seed " << seed;
+      EXPECT_EQ(r.can_precede, brute.can_precede) << "seed " << seed;
+      EXPECT_EQ(r.can_coexist, brute.can_coexist) << "seed " << seed;
     }
   }
 }
 
 // ----------------------------------------------------------------------
-// Deadlock engine: serial == brute force, and num_threads > 1 still runs
-// serially.
+// Deadlock engine == brute force.
 
-TEST(SearchEquivalence, DeadlockVerdictsMatchBruteAndParallel) {
+TEST(SearchEquivalence, DeadlockVerdictsMatchBrute) {
   std::size_t deadlocks_seen = 0;
   for (const bool respect_deps : {true, false}) {
     for (const std::uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
@@ -211,33 +195,20 @@ TEST(SearchEquivalence, DeadlockVerdictsMatchBruteAndParallel) {
       DeadlockOptions options;
       options.stepper.respect_dependences = respect_deps;
 
-      options.num_threads = 1;
-      const DeadlockReport serial = analyze_deadlocks(t, options);
-      options.num_threads = 4;
-      const DeadlockReport parallel = analyze_deadlocks(t, options);
+      const DeadlockReport r = analyze_deadlocks(t, options);
       const BruteResult brute = brute_force(t, options.stepper);
 
-      EXPECT_EQ(serial.can_deadlock, brute.can_deadlock) << "seed " << seed;
-      if (serial.can_deadlock) ++deadlocks_seen;
-
-      // Deadlock search ignores num_threads: no scheduler workers, and a
-      // bit-identical report (verdict, witness, distinct stuck states
-      // and distinct states visited).
-      EXPECT_TRUE(parallel.search.workers.empty());
-      EXPECT_EQ(parallel.can_deadlock, serial.can_deadlock);
-      EXPECT_EQ(parallel.witness_prefix, serial.witness_prefix)
-          << "seed " << seed;
-      EXPECT_EQ(parallel.stuck_states, serial.stuck_states);
-      EXPECT_EQ(parallel.states_visited, serial.states_visited);
+      EXPECT_EQ(r.can_deadlock, brute.can_deadlock) << "seed " << seed;
+      if (r.can_deadlock) ++deadlocks_seen;
     }
   }
   EXPECT_GE(deadlocks_seen, 2u);  // the sweep exercised real deadlocks
 }
 
 // ----------------------------------------------------------------------
-// Enumerator: serial == parallel == brute force.
+// Enumerator == brute force.
 
-TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
+TEST(SearchEquivalence, ScheduleCountsMatchBrute) {
   for (const bool respect_deps : {true, false}) {
     for (const std::uint64_t seed : {31u, 32u}) {
       // Seed 31 at 12 events makes over 46,000 DFS entries; seed 32 has
@@ -246,82 +217,85 @@ TEST(SearchEquivalence, ScheduleCountsMatchBruteAndParallel) {
       EnumerateOptions options;
       options.stepper.respect_dependences = respect_deps;
 
-      const EnumerateStats serial = enumerate_schedules(
-          t, options,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
-      std::atomic<std::uint64_t> parallel_visits{0};
-      EnumerateOptions parallel_options = options;
-      parallel_options.num_threads = 4;
-      const EnumerateStats parallel = enumerate_schedules(
-          t, parallel_options,
-          [&parallel_visits](std::size_t, const std::vector<EventId>&) {
-            parallel_visits.fetch_add(1, std::memory_order_relaxed);
+      std::uint64_t visits = 0;
+      const EnumerateStats stats =
+          enumerate_schedules(t, options, [&](const std::vector<EventId>&) {
+            ++visits;
             return true;
           });
       const BruteResult brute = brute_force(t, options.stepper);
 
-      EXPECT_EQ(serial.schedules, brute.schedules) << "seed " << seed;
-      EXPECT_EQ(serial.deadlocked_prefixes, brute.stuck_prefixes);
-      EXPECT_EQ(parallel.schedules, serial.schedules) << "seed " << seed;
-      EXPECT_EQ(parallel_visits.load(), serial.schedules);
-      EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
-      EXPECT_TRUE(serial.search.workers.empty());
-      evord::testing::expect_grew(parallel.search, 4);
+      EXPECT_EQ(stats.schedules, brute.schedules) << "seed " << seed;
+      EXPECT_EQ(visits, stats.schedules);
+      EXPECT_EQ(stats.deadlocked_prefixes, brute.stuck_prefixes);
     }
   }
 }
 
 // ----------------------------------------------------------------------
-// Exact relations: num_threads changes nothing under any semantics.
+// No search starts a thread.
 
-TEST(SearchEquivalence, ExactRelationsSerialVsParallel) {
-  // Both walks — plain (2,520 or 3,432 schedules, one per class) and
-  // class-deduplicated — pass search::kGrowAfterEntries on these traces,
-  // and still run on the calling thread at 4 requested workers.
-  const Trace traces[] = {evord::testing::contended_trace(4, 2),
-                          evord::testing::contended_trace(2, 7)};
-  for (const bool respect_deps : {true, false}) {
-    for (const bool class_dedup : {true, false}) {
-      for (std::size_t i = 0; i < std::size(traces); ++i) {
-        const Trace& t = traces[i];
-        for (const Semantics semantics :
-             {Semantics::kInterleaving, Semantics::kCausal,
-              Semantics::kInterval}) {
-          ExactOptions options;
-          options.respect_dependences = respect_deps;
-          options.class_dedup = class_dedup;
-          options.num_threads = 1;
-          const OrderingRelations serial =
-              compute_exact(t, semantics, options);
-          options.num_threads = 4;
-          const OrderingRelations parallel =
-              compute_exact(t, semantics, options);
-
-          EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
-          EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen)
-              << "trace " << i << " semantics " << to_string(semantics)
-              << " dedup " << class_dedup;
-          EXPECT_EQ(parallel.causal_classes, serial.causal_classes);
-          for (const RelationKind k : kAllRelationKinds) {
-            EXPECT_EQ(parallel[k], serial[k])
-                << to_string(k) << " trace " << i << " semantics "
-                << to_string(semantics);
-          }
-          // compute_exact runs serially at any num_threads.
-          EXPECT_TRUE(parallel.search.workers.empty());
-        }
-      }
-    }
+/// Threads of this process, from /proc (Linux); 0 where it is missing.
+std::size_t process_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
   }
+  return n;
+}
+
+// Every visit of plain and class enumeration arrives on the calling
+// thread and the process never gains a thread, even at num_threads = 8
+// on walks of over 22,000 DFS entries; the counts are the serial ones.
+TEST(SearchThreads, NoSearchStartsAThread) {
+  const Trace t = evord::testing::contended_trace(4, 2);
+  const std::size_t before = process_threads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t most = 0;
+  bool off_thread = false;
+  std::uint64_t visits = 0;
+  const auto seen = [&] {
+    most = std::max(most, process_threads());
+    off_thread = off_thread || std::this_thread::get_id() != caller;
+    ++visits;
+    return true;
+  };
+
+  EnumerateOptions eo;
+  eo.num_threads = 8;
+  const EnumerateStats plain = enumerate_schedules(
+      t, eo, [&](const std::vector<EventId>&) { return seen(); });
+  EXPECT_EQ(plain.schedules, 2520u);
+  EXPECT_EQ(plain.schedules, count_schedules(t));
+  EXPECT_EQ(visits, plain.schedules);
+
+  visits = 0;
+  ClassEnumOptions co;
+  co.num_threads = 8;
+  const ClassEnumStats classes = enumerate_causal_classes(
+      t, co,
+      [&](const std::vector<EventId>&, const std::vector<DynamicBitset>&) {
+        return seen();
+      });
+  const ClassEnumStats serial = enumerate_causal_classes(
+      t, {}, evord::testing::accept_every_class);
+  EXPECT_EQ(classes.schedules_visited, serial.schedules_visited);
+  EXPECT_EQ(visits, classes.schedules_visited);
+
+  EXPECT_FALSE(off_thread);
+  EXPECT_EQ(most, before);
+  EXPECT_EQ(process_threads(), before);
 }
 
 // ----------------------------------------------------------------------
-// Strict global budgets (the historical per-subtree overshoot is gone).
+// Strict budgets.
 
-TEST(SearchBudget, ParallelMaxSchedulesIsStrictAndGlobal) {
+TEST(SearchBudget, MaxSchedulesIsStrict) {
   // 3 processes x 4 independent computes: 12!/(4!)^3 = 34,650
-  // schedules.  Budgets from kTotal / 2 up let the walk grow helpers
-  // before the cap.
+  // schedules.
   const Trace t = independent_trace(3, 4);
   constexpr std::uint64_t kTotal = 34650;
 
@@ -330,24 +304,24 @@ TEST(SearchBudget, ParallelMaxSchedulesIsStrictAndGlobal) {
         std::uint64_t{0}}) {
     EnumerateOptions options;
     options.max_schedules = budget;
-    options.num_threads = 4;
-    std::atomic<std::uint64_t> visits{0};
-    const EnumerateStats stats = enumerate_schedules(
-        t, options, [&visits](std::size_t, const std::vector<EventId>&) {
-          visits.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t visits = 0;
+    const EnumerateStats stats =
+        enumerate_schedules(t, options, [&visits](const std::vector<EventId>&) {
+          ++visits;
           return true;
         });
     const std::uint64_t expect =
         budget == 0 ? kTotal : std::min(budget, kTotal);
-    EXPECT_EQ(visits.load(), expect) << "budget " << budget;
+    EXPECT_EQ(visits, expect) << "budget " << budget;
     EXPECT_EQ(stats.schedules, expect) << "budget " << budget;
     // Hitting the cap flags truncation even at budget == kTotal: the
     // engine stops there without learning the space was exhausted
-    // (the serial enumerator has always reported it this way).
-    EXPECT_EQ(stats.truncated, budget != 0 && budget <= kTotal);
-    if (budget == 0 || budget >= kTotal / 2) {
-      evord::testing::expect_grew(stats.search, 4);
-    }
+    // (the enumerator has always reported it this way).
+    const bool capped = budget != 0 && budget <= kTotal;
+    EXPECT_EQ(stats.truncated, capped);
+    EXPECT_EQ(stats.search.stop_reason,
+              capped ? search::StopReason::kMaxTerminals
+                     : search::StopReason::kNone);
   }
 }
 
@@ -388,165 +362,13 @@ TEST(StateHash, PathIndependentAndExactUnderUndo) {
 }
 
 // ----------------------------------------------------------------------
-// Steal-order stress (runs under the `tsan` and `scaling-smoke` ctest
-// labels): plain enumeration, the one explorer that runs workers, is run
-// repeatedly at 2/4/8 workers with perturbed seeded victim selection and
-// maximally aggressive subtree splitting (steal grain 0-1 instead of the
-// default 4, so nearly every DFS level is eligible for donation), on
-// traces whose walks grow helpers.  Results and strict-budget stop
-// points must be bit-identical to serial on every run — the scheduler
-// may only change WHO explores a subtree, never what is found.  Class
-// enumeration and compute_exact get the same requests and must ignore
-// them.
+// Search instrumentation: the depth histogram and shard load factors are
+// filled in and consistent.
 
-/// Perturbed scheduler tuning for stress run `run`: alternating split
-/// aggressiveness and a different victim-selection seed every time.
-search::StealOptions stress_steal(int run, std::size_t threads) {
-  search::StealOptions steal;
-  steal.grain = static_cast<std::size_t>(run % 2);
-  steal.seed = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(run + 1) +
-               threads;
-  return steal;
-}
-
-constexpr std::size_t kStressThreads[] = {2, 4, 8};
-constexpr int kStressRunsPerThreadCount = 4;  // 12 parallel runs total
-
-TEST(StealStress, EnumerateCountsAndBudgetStopsBitIdentical) {
-  // Half of its 34,650 schedules lie past search::kGrowAfterEntries, so
-  // the budgeted runs grow helpers too.
-  const Trace t = independent_trace(3, 4);
-  EnumerateOptions options;
-  const EnumerateStats serial = enumerate_schedules(
-      t, options,
-      [](std::size_t, const std::vector<EventId>&) { return true; });
-
-  EnumerateOptions budgeted = options;
-  budgeted.max_schedules = serial.schedules / 2 + 1;
-
-  int run = 0;
-  for (const std::size_t threads : kStressThreads) {
-    for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
-      options.steal = stress_steal(run, threads);
-      options.num_threads = threads;
-      std::atomic<std::uint64_t> visits{0};
-      const EnumerateStats parallel = enumerate_schedules(
-          t, options, [&visits](std::size_t, const std::vector<EventId>&) {
-            visits.fetch_add(1, std::memory_order_relaxed);
-            return true;
-          });
-      EXPECT_EQ(parallel.schedules, serial.schedules)
-          << "run " << run << " threads " << threads;
-      EXPECT_EQ(visits.load(), serial.schedules);
-      EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
-      EXPECT_FALSE(parallel.truncated);
-      evord::testing::expect_grew(parallel.search, threads);
-
-      // Strict budget: the stop point is exactly the budget, at every
-      // thread count and steal order.
-      budgeted.steal = options.steal;
-      budgeted.num_threads = threads;
-      std::atomic<std::uint64_t> capped{0};
-      const EnumerateStats stopped = enumerate_schedules(
-          t, budgeted, [&capped](std::size_t, const std::vector<EventId>&) {
-            capped.fetch_add(1, std::memory_order_relaxed);
-            return true;
-          });
-      EXPECT_EQ(capped.load(), budgeted.max_schedules) << "run " << run;
-      EXPECT_EQ(stopped.schedules, budgeted.max_schedules);
-      EXPECT_TRUE(stopped.truncated);
-      EXPECT_EQ(stopped.search.stop_reason,
-                search::StopReason::kMaxTerminals);
-      evord::testing::expect_grew(stopped.search, threads);
-    }
-  }
-}
-
-TEST(StealStress, ClassEnumerationCountsBitIdentical) {
+TEST(SearchStats, DepthHistogramAndShardLoadsSurfaced) {
   const Trace t = evord::testing::contended_trace(4, 2);
-  ClassEnumOptions options;
-  const ClassEnumStats serial = enumerate_causal_classes(
-      t, options, evord::testing::accept_every_class);
-
-  int run = 0;
-  for (const std::size_t threads : kStressThreads) {
-    for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
-      options.steal = stress_steal(run, threads);
-      options.num_threads = threads;
-      const ClassEnumStats parallel = enumerate_causal_classes(
-          t, options, evord::testing::accept_every_class);
-      EXPECT_EQ(parallel.schedules_visited, serial.schedules_visited)
-          << "run " << run << " threads " << threads;
-      EXPECT_EQ(parallel.distinct_prefixes, serial.distinct_prefixes);
-      EXPECT_EQ(parallel.deadlocked_prefixes, serial.deadlocked_prefixes);
-      EXPECT_TRUE(parallel.search.workers.empty());
-    }
-  }
-}
-
-TEST(StealStress, ExactRelationsBitIdentical) {
-  const Trace t = evord::testing::contended_trace(4, 2);
-  for (const Semantics semantics :
-       {Semantics::kInterleaving, Semantics::kCausal, Semantics::kInterval}) {
-    ExactOptions options;
-    options.num_threads = 1;
-    const OrderingRelations serial = compute_exact(t, semantics, options);
-
-    int run = 0;
-    for (const std::size_t threads : kStressThreads) {
-      for (int i = 0; i < kStressRunsPerThreadCount; ++i, ++run) {
-        options.num_threads = threads;
-        options.steal = stress_steal(run, threads);
-        const OrderingRelations parallel =
-            compute_exact(t, semantics, options);
-        // compute_exact runs serially under every semantics.
-        EXPECT_TRUE(parallel.search.workers.empty());
-        EXPECT_EQ(parallel.feasible_empty, serial.feasible_empty);
-        EXPECT_EQ(parallel.schedules_seen, serial.schedules_seen)
-            << "run " << run << " threads " << threads << " semantics "
-            << to_string(semantics);
-        EXPECT_EQ(parallel.causal_classes, serial.causal_classes);
-        for (const RelationKind k : kAllRelationKinds) {
-          EXPECT_EQ(parallel[k], serial[k])
-              << to_string(k) << " run " << run << " threads " << threads;
-        }
-      }
-    }
-  }
-}
-
-// ----------------------------------------------------------------------
-// Scheduler instrumentation: per-worker counters, the depth histogram
-// and shard load factors are filled in and consistent.
-
-TEST(StealStress, SchedulerCountersAndHistogramsSurfaced) {
-  const Trace t = evord::testing::contended_trace(4, 2);
-
-  // One WorkerStats per resolved worker of a plain enumeration sweep
-  // that grew; every executed task was either the root task or spawned
-  // by a split, and the counts match serial.
-  EnumerateOptions serial_options;
-  const EnumerateStats serial = enumerate_schedules(
-      t, serial_options,
-      [](std::size_t, const std::vector<EventId>&) { return true; });
-  for (const std::size_t threads : kStressThreads) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    EnumerateOptions options;
-    options.num_threads = threads;
-    options.steal.grain = 1;
-    const EnumerateStats e = enumerate_schedules(
-        t, options,
-        [](std::size_t, const std::vector<EventId>&) { return true; });
-    EXPECT_EQ(e.schedules, serial.schedules);
-    EXPECT_EQ(e.deadlocked_prefixes, serial.deadlocked_prefixes);
-    evord::testing::expect_grew(e.search, threads);
-    EXPECT_EQ(e.search.tasks_executed(), e.search.tasks_spawned() + 1);
-    EXPECT_LE(e.search.tasks_stolen(), e.search.tasks_executed());
-  }
-
-  ClassEnumOptions options;
   const ClassEnumStats r = enumerate_causal_classes(
-      t, options, evord::testing::accept_every_class);
+      t, {}, evord::testing::accept_every_class);
 
   // The depth histogram counts every distinct state exactly once.
   std::uint64_t histogram_total = 0;
@@ -710,13 +532,13 @@ TEST(SearchBudgets, MemoizedSweepPollsDeadlineOnMemoHits) {
   EXPECT_EQ(r.search.stop_reason, search::StopReason::kDeadline);
 }
 
-TEST(SearchBudgets, ParallelStateCapNeverMemoizesUnprovenFalse) {
-  // Regression: a worker whose children were cut by the shared
-  // max_states budget used to memoize "not completable" for the parent,
-  // while a worker that had finished the same state first stored
-  // "completable" — a CheckError ("memoized value mismatch") in about a
-  // third of these runs.  A cut `false` is unproven and must never reach
-  // the shared memo; the truncated matrices stay under-approximations.
+TEST(SearchBudgets, StateCapNeverMemoizesUnprovenFalse) {
+  // Regression: a sweep whose children were cut by max_states used to
+  // memoize "not completable" for their parent, while a walk that had
+  // finished the same state first stored "completable" — a CheckError
+  // ("memoized value mismatch") in about a third of these runs.  A cut
+  // `false` is unproven and must never reach the memo; the truncated
+  // matrices stay under-approximations.
   int truncated_runs = 0;
   for (int run = 0; run < 400; ++run) {
     Rng rng(1 + run % 16);
@@ -726,7 +548,6 @@ TEST(SearchBudgets, ParallelStateCapNeverMemoizesUnprovenFalse) {
     config.num_events = 30;
     const Trace trace = random_semaphore_trace(config, rng);
     ScheduleSpaceOptions options;
-    options.num_threads = 4;
     options.max_states = 3 + (run * 37) % 25;
     CanPrecedeResult r;
     ASSERT_NO_THROW(r = compute_can_precede(trace, options)) << "run " << run;
