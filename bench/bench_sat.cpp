@@ -146,7 +146,7 @@ struct OracleSweep {
   SatOracleStats stats;
 };
 
-OracleSweep run_oracle_pairs(const std::string& workload,
+OracleSweep sweep_every_pair(const std::string& workload,
                              const Trace& trace) {
   const std::size_t n = trace.num_events();
   SatOracle oracle(trace);
@@ -183,7 +183,7 @@ OracleSweep run_oracle_pairs(const std::string& workload,
 JsonRecord run_oracle_family(const std::string& workload, const Trace& trace,
                              std::size_t explicit_max_states) {
   const std::size_t n = trace.num_events();
-  const OracleSweep sweep = run_oracle_pairs(workload, trace);
+  const OracleSweep sweep = sweep_every_pair(workload, trace);
 
   // The explicit side answers the same matrix in one memoized
   // state-space sweep — or fails to, when the budget truncates it.

@@ -5,7 +5,8 @@ Usage: python3 bench/diff_counts.py PARENT.json CHANGE.json
 
 Both files are the JSON arrays of flat rows the benches write
 (bench_por, bench_enumerate and bench_deadlock with
---benchmark_filter=NONE write BENCH_por.json and BENCH_search.json).
+--benchmark_filter=NONE write BENCH_por.json and BENCH_search.json,
+bench_service writes BENCH_service.json).
 Rows are matched in order, so run the benches in the same order for
 both files.  Every field of every row is compared except the timing
 fields: any field named for a time unit (an `ms`, `us` or `ns` word,

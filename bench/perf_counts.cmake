@@ -1,14 +1,14 @@
-# Runs bench_por and bench_enumerate with --benchmark_filter=NONE in a
-# fresh directory and compares the deterministic counts they write
-# against the kept baselines with diff_counts.py; fails on any
-# difference.
+# Runs bench_por, bench_enumerate and bench_service with
+# --benchmark_filter=NONE in a fresh directory and compares the
+# deterministic counts they write against the kept baselines with
+# diff_counts.py; fails on any difference.
 #
 #   cmake -DPOR=<bench_por> -DENUMERATE=<bench_enumerate>
-#         -DPYTHON=<python3> -DSOURCE=<repo root> -DWORK=<scratch dir>
-#         -P perf_counts.cmake
+#         -DSERVICE=<bench_service> -DPYTHON=<python3>
+#         -DSOURCE=<repo root> -DWORK=<scratch dir> -P perf_counts.cmake
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
-foreach(bench ${POR} ${ENUMERATE})
+foreach(bench ${POR} ${ENUMERATE} ${SERVICE})
   execute_process(
     COMMAND ${bench} --benchmark_filter=NONE
     WORKING_DIRECTORY ${WORK}
@@ -18,7 +18,7 @@ foreach(bench ${POR} ${ENUMERATE})
     message(FATAL_ERROR "${bench} exited with ${status}")
   endif()
 endforeach()
-foreach(file BENCH_por.json BENCH_search.json)
+foreach(file BENCH_por.json BENCH_search.json BENCH_service.json)
   execute_process(
     COMMAND ${PYTHON} ${SOURCE}/bench/diff_counts.py
             ${SOURCE}/bench/baseline/${file} ${WORK}/${file}

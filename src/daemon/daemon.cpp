@@ -314,60 +314,25 @@ bool Daemon::admit(Connection& conn, const Frame& frame, Frame& reply) {
     reply = make_error(FrameType::kRejected, frame.request_id,
                        ErrorCode::kNone,
                        "tenant '" + conn.tenant_name + "' is over quota");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejections;
-    }
-    note_bounce(conn, frame, /*shed=*/false);
-    return false;
-  }
-  bool shed = false;
-  {
     std::lock_guard<std::mutex> lock(mu_);
-    if (in_flight_ >= options_.max_queue_depth ||
-        in_flight_bytes_ >= options_.max_inflight_bytes) {
-      reply = make_error(FrameType::kOverloaded, frame.request_id,
-                         ErrorCode::kNone,
-                         in_flight_ >= options_.max_queue_depth
-                             ? "queue depth watermark reached"
-                             : "in-flight byte watermark reached");
-      ++stats_.sheds;
-      shed = true;
-    } else {
-      ++in_flight_;
-      ++handling_;
-      in_flight_bytes_ += frame.payload.size();
-    }
-  }
-  if (shed) {
-    note_bounce(conn, frame, /*shed=*/true);
+    ++stats_.rejections;
     return false;
   }
-  return true;
-}
-
-void Daemon::note_bounce(Connection& conn, const Frame& frame, bool shed) {
-  // Attribute the bounce to the trace the request named, so per-trace
-  // SessionStats::shed / ::rejected move in real deployments — but only
-  // when a warm session already exists: a bounce path must never do the
-  // admission-bypassing work of building one.  Called WITHOUT mu_ held
-  // (the registry and session take their own locks).
-  const auto type = static_cast<FrameType>(frame.type);
-  const bool names_trace = type == FrameType::kPairQuery ||
-                           type == FrameType::kBatchQuery ||
-                           type == FrameType::kDeadlockQuery ||
-                           type == FrameType::kRaceQuery ||
-                           type == FrameType::kAnytimeQuery;
-  if (!names_trace || frame.payload.size() < 8) return;
-  WireReader r(frame.payload);
-  const std::shared_ptr<service::AnalysisSession> session =
-      conn.tenant->registry.find_session(r.u64(), options_.exact);
-  if (session == nullptr) return;
-  if (shed) {
-    session->note_shed();
-  } else {
-    session->note_rejected();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (in_flight_ >= options_.max_queue_depth ||
+      in_flight_bytes_ >= options_.max_inflight_bytes) {
+    reply = make_error(FrameType::kOverloaded, frame.request_id,
+                       ErrorCode::kNone,
+                       in_flight_ >= options_.max_queue_depth
+                           ? "queue depth watermark reached"
+                           : "in-flight byte watermark reached");
+    ++stats_.sheds;
+    return false;
   }
+  ++in_flight_;
+  ++handling_;
+  in_flight_bytes_ += frame.payload.size();
+  return true;
 }
 
 // ----------------------------------------------------------- connection
@@ -723,7 +688,6 @@ Frame Daemon::run_anytime_query(Connection& conn, const Frame& frame) {
   }
   const bool degraded = !verdict.provenance.exact_complete;
   if (deadline_ms != 0 && verdict.provenance.truncated) {
-    session->note_deadline_degraded();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.deadline_degraded;
   }

@@ -177,10 +177,6 @@ class Daemon {
   /// Admission control for one request; fills `reply` and returns false
   /// when the request must NOT run (rejected / shed / draining).
   bool admit(Connection& conn, const Frame& frame, Frame& reply);
-  /// Attributes a quota/watermark bounce to the named trace's existing
-  /// session (SessionStats::shed / ::rejected); no-op when the request
-  /// carries no fingerprint or the session was never built.
-  void note_bounce(Connection& conn, const Frame& frame, bool shed);
   /// RAII hold on one of the executor_threads slots.
   class ExecutorSlot;
   /// Joins connection threads that finished since the last sweep.

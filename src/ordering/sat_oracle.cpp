@@ -183,8 +183,8 @@ SatOracle::Tri SatOracle::precedes(EventId a, EventId b) {
   }
   build_solver();
   ++stats_.sat_calls;
-  CdclResult r = solver_->solve_under_assumptions({encoder_->order_lit(a, b)},
-                                                  conflict_override_);
+  CdclResult r = solver_->solve_under_assumptions(
+      {encoder_->order_lit(a, b)}, conflict_override_, time_override_);
   if (!r.decided) {
     ++stats_.sat_undecided;
     return Tri::kUnknown;
@@ -218,7 +218,8 @@ OracleVerdict SatOracle::feasible() {
   }
   if (feasible_ == Tri::kUnknown) {
     ++stats_.sat_calls;
-    CdclResult r = solver_->solve_under_assumptions({}, conflict_override_);
+    CdclResult r = solver_->solve_under_assumptions({}, conflict_override_,
+                                                    time_override_);
     if (!r.decided) {
       ++stats_.sat_undecided;
       return OracleVerdict::kUnknown;

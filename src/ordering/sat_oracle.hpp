@@ -71,7 +71,7 @@ struct SatOracleStats {
   std::uint64_t sat_calls = 0;
   std::uint64_t sat_models = 0;
   std::uint64_t sat_unsat = 0;
-  std::uint64_t sat_undecided = 0;  ///< conflict budget exhausted
+  std::uint64_t sat_undecided = 0;  ///< conflict or time budget exhausted
   std::uint64_t witnesses_replayed = 0;
   std::uint64_t witness_replay_failures = 0;
   std::uint64_t pair_memo_hits = 0;
@@ -104,9 +104,13 @@ class SatOracle {
     return last_witness_;
   }
 
-  /// Per-call conflict budget override (0 = back to the options default).
-  void set_max_conflicts(std::uint64_t max_conflicts) {
+  /// Per-call budget override: conflicts (0 = back to the options
+  /// default) and seconds (0 = no time limit).  A call that runs out of
+  /// either answers kUnknown and counts in sat_undecided.
+  void set_call_budget(std::uint64_t max_conflicts,
+                       double time_budget_seconds = 0.0) {
     conflict_override_ = max_conflicts;
+    time_override_ = time_budget_seconds;
   }
 
   SatOracleStats stats() const;
@@ -135,6 +139,7 @@ class SatOracle {
   std::size_t n_ = 0;
   bool available_ = false;
   std::uint64_t conflict_override_ = 0;
+  double time_override_ = 0.0;
 
   std::unique_ptr<TraceCnf> encoder_;
   std::unique_ptr<CdclSolver> solver_;

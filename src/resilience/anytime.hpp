@@ -20,11 +20,13 @@
 //     concrete feasible execution;
 //   * partial-search witnesses: a stuck prefix found by a truncated
 //     deadlock search is a valid deadlock witness regardless of
-//     truncation, and a schedule witnessing a could-relation replays
-//     validly no matter which budget found it.
+//     truncation.
 //
 // Every verdict carries full provenance: which engine answered, which
-// budget tripped, and the resources spent getting there.
+// budget tripped, and the resources spent getting there.  A verdict is
+// its answer: the climb starts no search after it decides, so a
+// verdict carries a schedule only when the deciding engine already
+// holds one (ordering/witness.hpp extracts one for any pair).
 //
 // The climb itself is a policy of service::AnalysisSession (the
 // `anytime_*` methods), so its runs, bounds and SAT oracle are the
@@ -69,7 +71,8 @@ struct QueryBudget {
   /// SAT-oracle portfolio rung: per-call conflict budget for the CDCL
   /// solver (maps to CdclOptions::max_conflicts) when the explicit
   /// engines truncate and the oracle is consulted.  0 = the oracle's
-  /// own default budget, NOT unlimited.
+  /// own default budget, NOT unlimited.  A nonzero time_budget_seconds
+  /// boxes that call too.
   std::uint64_t max_conflicts = 0;
 };
 
@@ -100,8 +103,8 @@ struct QueryProvenance {
   std::uint64_t memo_bytes = 0;      ///< final rung's store footprint
   double seconds_spent = 0.0;        ///< wall clock across ALL rungs
   /// True iff the SAT-oracle portfolio was consulted and gave up by
-  /// exhausting its per-call conflict budget (as opposed to not being
-  /// consulted at all).  Repeated exhaustions on one trace are the
+  /// exhausting its per-call conflict budget or time box (as opposed to
+  /// not being consulted at all).  Repeated exhaustions on one trace are the
   /// signal the daemon's circuit breaker trips on — the oracle is
   /// burning its budget without deciding, so stop consulting it.
   bool oracle_exhausted = false;
@@ -114,10 +117,11 @@ struct QueryProvenance {
 struct BoundedVerdict {
   VerdictState state = VerdictState::kUnknown;
   QueryProvenance provenance;
-  /// Supporting schedule when one exists: a witness schedule for proven
-  /// could-queries, a counterexample schedule for refuted must-queries,
-  /// a stuck prefix for a proven deadlock.  May be absent even for
-  /// definitive verdicts (e.g. refutations need no schedule).
+  /// Evidence the deciding engine already holds: a proven deadlock's
+  /// stuck prefix, or the SAT oracle's replay-validated schedule (a
+  /// witness for a proven could-query, a counterexample for a refuted
+  /// MHB).  Absent for every verdict an exact run or a polynomial bound
+  /// decided; ordering/witness.hpp extracts one on request.
   std::optional<std::vector<EventId>> witness;
 
   bool proven() const { return state == VerdictState::kProven; }
@@ -160,8 +164,8 @@ std::vector<QueryBudget> deadline_ladder(double deadline_seconds);
 /// runs, bounds and oracle.  When every explicit rung truncated and the
 /// bounds leave an ordering pair open, the climb consults the session's
 /// SAT oracle (ordering/sat_oracle.hpp) before answering kUnknown; its
-/// verdicts are definitive (engine "sat-oracle") and a conflict-budget
-/// exhaustion still degrades to kUnknown.
+/// verdicts are definitive (engine "sat-oracle") and a call that runs
+/// out of conflicts or time still degrades to kUnknown.
 class AnytimeQuery {
  public:
   explicit AnytimeQuery(const Trace& trace, AnytimeOptions options = {});

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/timer.hpp"
 
 namespace evord {
 
@@ -114,7 +115,8 @@ class CdclSolver::Impl {
   bool inconsistent() const { return !ok_; }
 
   CdclResult solve(const std::vector<Lit>& ext_assumptions,
-                   std::uint64_t max_conflicts) {
+                   std::uint64_t max_conflicts, double time_budget_seconds) {
+    const Deadline deadline(time_budget_seconds);
     stats_ = SolverStats{};
     CdclResult result;
     if (!ok_) {
@@ -157,7 +159,8 @@ class CdclSolver::Impl {
           enqueue(clauses_[id][0], id);
         }
         decay_activities();
-        if (budget != 0 && stats_.conflicts >= budget) {
+        if ((budget != 0 && stats_.conflicts >= budget) ||
+            deadline.expired()) {
           result.decided = false;
           return finish(result);
         }
@@ -444,8 +447,9 @@ void CdclSolver::add_formula(const CnfFormula& formula) {
 }
 bool CdclSolver::inconsistent() const { return impl_->inconsistent(); }
 CdclResult CdclSolver::solve_under_assumptions(
-    const std::vector<Lit>& assumptions, std::uint64_t max_conflicts) {
-  return impl_->solve(assumptions, max_conflicts);
+    const std::vector<Lit>& assumptions, std::uint64_t max_conflicts,
+    double time_budget_seconds) {
+  return impl_->solve(assumptions, max_conflicts, time_budget_seconds);
 }
 const SolverStats& CdclSolver::cumulative_stats() const {
   return impl_->cumulative_stats();

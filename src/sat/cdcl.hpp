@@ -32,7 +32,7 @@ struct CdclOptions {
 };
 
 struct CdclResult {
-  bool decided = true;  ///< false iff the conflict budget ran out
+  bool decided = true;  ///< false iff the conflict or time budget ran out
   /// Verdict + model + per-call counters.  `sat.stats` is filled on every
   /// exit path, including `decided == false` (conflicts / learned_clauses
   /// / restarts describe the aborted attempt).
@@ -70,11 +70,14 @@ class CdclSolver {
   bool inconsistent() const;
 
   /// Solves under the given assumption literals.  `max_conflicts`
-  /// bounds this call only (0 = the constructor options' budget).
-  /// Learned clauses, activity and phases persist across calls;
-  /// `result.sat.stats` counts this call alone (see cumulative_stats()).
+  /// bounds this call only (0 = the constructor options' budget), and
+  /// so does `time_budget_seconds` (0 = no time limit), polled at every
+  /// conflict.  Learned clauses, activity and phases persist across
+  /// calls; `result.sat.stats` counts this call alone (see
+  /// cumulative_stats()).
   CdclResult solve_under_assumptions(const std::vector<Lit>& assumptions,
-                                     std::uint64_t max_conflicts = 0);
+                                     std::uint64_t max_conflicts = 0,
+                                     double time_budget_seconds = 0.0);
   CdclResult solve() { return solve_under_assumptions({}); }
 
   /// Counters accumulated over every call on this instance.

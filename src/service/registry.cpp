@@ -98,14 +98,6 @@ std::shared_ptr<const Trace> TraceRegistry::find(
   return it == traces_.end() ? nullptr : it->second;
 }
 
-std::shared_ptr<AnalysisSession> TraceRegistry::find_session(
-    std::uint64_t fingerprint, ExactOptions options) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it =
-      sessions_.find(SessionKey{fingerprint, digest_options(options)});
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
 std::size_t TraceRegistry::num_traces() const {
   std::lock_guard<std::mutex> lock(mu_);
   return traces_.size();

@@ -65,13 +65,6 @@ class TraceRegistry {
   /// The canonical entry for a fingerprint; nullptr when unknown.
   std::shared_ptr<const Trace> find(std::uint64_t fingerprint) const;
 
-  /// The EXISTING session for (fingerprint, options), or nullptr —
-  /// never creates one.  Two map lookups, so it is safe on hot bounce
-  /// paths (the daemon uses it to attribute shed/rejected requests to
-  /// the trace they named without doing admission-bypassing work).
-  std::shared_ptr<AnalysisSession> find_session(std::uint64_t fingerprint,
-                                                ExactOptions options = {}) const;
-
   const std::shared_ptr<ResultCache>& cache() const { return cache_; }
   std::size_t num_traces() const;
   std::size_t num_sessions() const;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "ordering/witness.hpp"
 #include "trace/axioms.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -19,10 +18,6 @@ constexpr std::uint64_t kOptionsSalt = 0x0975;
 constexpr std::uint64_t kRaceSalt = 0x7ace;
 constexpr std::uint64_t kVerdictSalt = 0xa17e;
 constexpr std::uint64_t kRungSalt = 0x2a9e;
-
-/// Hard cap on witness-extraction enumeration when the rung that
-/// produced the verdict carries no schedule budget of its own.
-constexpr std::uint64_t kWitnessScheduleCap = 1 << 14;
 
 using Clock = std::chrono::steady_clock;
 
@@ -233,54 +228,19 @@ bool AnalysisSession::pair_query(const PairQuery& query) {
 }
 
 std::vector<bool> AnalysisSession::query_batch(
-    const std::vector<PairQuery>& queries, BatchRouting routing) {
+    const std::vector<PairQuery>& queries) {
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.queries;
   stats_.batched_pairs += queries.size();
-  std::vector<bool> answers(queries.size());
-  // Indices still unanswered after (optional) oracle routing.
-  std::vector<std::size_t> pending;
-  if (routing == BatchRouting::kOracleFirst) {
-    std::uint64_t offered = 0;
-    std::uint64_t decided = 0;
-    lock.unlock();
-    {
-      std::lock_guard<std::mutex> oracle_guard(oracle_mu_);
-      SatOracle& oracle = oracle_locked();
-      oracle.set_max_conflicts(0);  // the oracle's default budget
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const PairQuery& q = queries[i];
-        if (!oracle.available()) {
-          pending.push_back(i);
-          continue;
-        }
-        ++offered;
-        const OracleVerdict v =
-            oracle.query(q.relation, q.a, q.b, q.semantics);
-        if (v == OracleVerdict::kUnknown) {
-          pending.push_back(i);
-        } else {
-          ++decided;
-          answers[i] = v == OracleVerdict::kProven;
-        }
-      }
-    }
-    lock.lock();
-    stats_.oracle_pairs += offered;
-    stats_.oracle_decided += decided;
-  } else {
-    pending.resize(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) pending[i] = i;
-  }
-  // One sweep per DISTINCT semantics among the remaining pairs (at most
-  // three); every answer after that is a bit read out of the shared
-  // matrices.
+  std::vector<bool> answers;
+  answers.reserve(queries.size());
+  // One sweep per DISTINCT semantics among the pairs (at most three);
+  // every answer after that is a bit read out of the shared matrices.
   std::array<std::shared_ptr<const OrderingRelations>, 3> per_semantics;
-  for (const std::size_t i : pending) {
-    const PairQuery& q = queries[i];
+  for (const PairQuery& q : queries) {
     auto& rel = per_semantics[static_cast<std::size_t>(q.semantics)];
     if (rel == nullptr) rel = relations_coalesced(lock, q.semantics);
-    answers[i] = rel->holds(q.relation, q.a, q.b);
+    answers.push_back(rel->holds(q.relation, q.a, q.b));
   }
   return answers;
 }
@@ -397,20 +357,6 @@ ExactOptions AnalysisSession::rung_options(const QueryBudget& rung) const {
   return options;
 }
 
-ExactOptions AnalysisSession::witness_options(
-    const QueryProvenance& provenance,
-    const std::vector<QueryBudget>& ladder) const {
-  ExactOptions options = rung_options(last_rung(provenance, ladder));
-  // Witnesses are best-effort decoration on an already-sound verdict,
-  // and their extraction enumerates plain schedules — which charge no
-  // dedup store, so a bytes-only rung would leave them unbounded.
-  // Always cap the enumeration; a missed witness just stays nullopt.
-  if (options.max_schedules == 0) {
-    options.max_schedules = kWitnessScheduleCap;
-  }
-  return options;
-}
-
 template <class T, class Decide, class Rung>
 BoundedVerdict AnalysisSession::climb(LadderRun<T>& slot,
                                       const Ladder& ladder,
@@ -492,8 +438,6 @@ BoundedVerdict AnalysisSession::relation_verdict(
     // it over-approximates — a clear bit is still a sound refutation.
     if (!run.holds(kind, a, b)) {
       v.state = VerdictState::kRefuted;
-      v.witness = refute_must_happen_before(
-          *trace_, a, b, semantics, witness_options(provenance, ladder));
       return v;
     }
     if (provenance.exact_complete) {
@@ -507,18 +451,10 @@ BoundedVerdict AnalysisSession::relation_verdict(
       return v;
     }
   } else {
-    const auto witness = [&] {
-      const ExactOptions options = witness_options(provenance, ladder);
-      return kind == RelationKind::kCCW
-                 ? witness_could_be_concurrent(*trace_, a, b, options)
-                 : witness_could_happen_before(*trace_, a, b, semantics,
-                                               options);
-    };
     // The could-matrices union over the visited classes: a set bit is a
     // sound proof whether or not the run truncated.
     if (run.holds(kind, a, b)) {
       v.state = VerdictState::kProven;
-      v.witness = witness();
       return v;
     }
     if (provenance.exact_complete) {
@@ -538,7 +474,6 @@ BoundedVerdict AnalysisSession::relation_verdict(
       if (shown) {
         v.state = VerdictState::kProven;
         v.provenance.engine = "vector-clock";
-        v.witness = witness();
         return v;
       }
       const bool ruled_out = kind == RelationKind::kCHB
@@ -552,25 +487,20 @@ BoundedVerdict AnalysisSession::relation_verdict(
     }
   }
   // Portfolio: the SAT oracle settles pairs the enumeration wall hid.
-  consult_oracle(kind, a, b, semantics,
-                 last_rung(provenance, ladder).max_conflicts, oracle, v);
+  consult_oracle(kind, a, b, semantics, last_rung(provenance, ladder), oracle,
+                 v);
   return v;
 }
 
 BoundedVerdict AnalysisSession::race_verdict(
     EventId a, EventId b, const RaceReport& run,
-    const QueryProvenance& provenance,
-    const std::vector<QueryBudget>& ladder) {
+    const QueryProvenance& provenance) {
   BoundedVerdict v;
   v.provenance = provenance;
   if (run.contains(a, b)) {
     // A truncated exact detector under-reports, so a reported race is
-    // a reported race.  Race semantics judges concurrency against
-    // synchronization-only causal orders; witnesses follow suit.
+    // a reported race.
     v.state = VerdictState::kProven;
-    ExactOptions options = witness_options(provenance, ladder);
-    options.causal_data_edges = false;
-    v.witness = witness_could_be_concurrent(*trace_, a, b, options);
     return v;
   }
   if (provenance.exact_complete) {
@@ -591,21 +521,23 @@ BoundedVerdict AnalysisSession::race_verdict(
 
 void AnalysisSession::consult_oracle(RelationKind kind, EventId a, EventId b,
                                      Semantics semantics,
-                                     std::uint64_t conflicts, OracleUse use,
+                                     const QueryBudget& rung, OracleUse use,
                                      BoundedVerdict& v) {
   if (use == OracleUse::kNone) return;
   std::lock_guard<std::mutex> guard(oracle_mu_);
   if (use == OracleUse::kIfBuilt && oracle_ == nullptr) return;
   SatOracle& oracle = oracle_locked();
   if (!oracle.available()) return;
-  // 0 falls back to the oracle's own default budget.
-  oracle.set_max_conflicts(conflicts);
+  // Zero conflicts fall back to the oracle's own default budget; zero
+  // seconds leave the call bounded by conflicts alone.
+  oracle.set_call_budget(rung.max_conflicts, rung.time_budget_seconds);
   const std::uint64_t undecided_before = oracle.stats().sat_undecided;
   const OracleVerdict verdict = oracle.query(kind, a, b, semantics);
   if (verdict == OracleVerdict::kUnknown) {
-    // Distinguish "the oracle burned its conflict budget" from "the
-    // oracle was structurally unable to answer": only the former grows
-    // sat_undecided, and only the former should feed a circuit breaker.
+    // Distinguish "the oracle burned its conflict or time budget" from
+    // "the oracle was structurally unable to answer": only the former
+    // grows sat_undecided, and only the former should feed a circuit
+    // breaker.
     if (oracle.stats().sat_undecided > undecided_before) {
       v.provenance.oracle_exhausted = true;
     }
@@ -664,7 +596,7 @@ BoundedVerdict AnalysisSession::anytime_verdict(
       cached.verdict = climb(
           race_run_, climbing, race_key(RaceDetector::kExact),
           [&](const RaceReport& run, const QueryProvenance& p, OracleUse) {
-            return race_verdict(a, b, run, p, rungs);
+            return race_verdict(a, b, run, p);
           },
           [&](const ExactOptions& budget) {
             return detect_races_exact(*trace_, budget);
@@ -730,28 +662,12 @@ BoundedVerdict AnalysisSession::anytime_can_deadlock(
 
 void AnalysisSession::set_use_sat_oracle(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (use_sat_oracle_ && !enabled) ++stats_.breaker_trips;
   use_sat_oracle_ = enabled;
 }
 
 bool AnalysisSession::use_sat_oracle() const {
   std::lock_guard<std::mutex> lock(mu_);
   return use_sat_oracle_;
-}
-
-void AnalysisSession::note_shed() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.shed;
-}
-
-void AnalysisSession::note_rejected() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.rejected;
-}
-
-void AnalysisSession::note_deadline_degraded() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.deadline_degraded;
 }
 
 }  // namespace evord::service

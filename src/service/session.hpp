@@ -32,10 +32,8 @@
 //     in-flight entry and shares the result instead of launching a
 //     duplicate sweep (its states_explored contribution is zero);
 //   * one warm incremental SAT oracle (ordering/sat_oracle.hpp) is kept
-//     per session, shared by query_batch (BatchRouting::kOracleFirst
-//     routes pair batches through solver assumptions, any pair the
-//     oracle leaves unknown falling back to the exact sweep) and the
-//     anytime portfolio rung; each call sets its own conflict budget.
+//     per session for the anytime portfolio rung; each call is bounded
+//     by the conflict budget and time box of the last rung tried.
 //
 // Sessions are internally locked (one coarse mutex for bookkeeping);
 // the exponential engines run OUTSIDE the session mutex (see the
@@ -103,35 +101,6 @@ struct SessionStats {
   /// waited for its result instead of recomputing (cross-thread
   /// coalescing; such a wait also counts as a cache_hit once served).
   std::uint64_t coalesced = 0;
-  std::uint64_t oracle_pairs = 0;    ///< batch pairs offered to the oracle
-  std::uint64_t oracle_decided = 0;  ///< ... settled without an exact sweep
-  // ---- robustness counters (filled by the daemon front end via the
-  // note_* methods, so per-trace overload behaviour surfaces in the
-  // same stats block the functional counters live in; a shed/rejected
-  // bounce is attributed only when the bounced request named a trace
-  // with an already-built session — earlier bounces are counted
-  // daemon-wide in DaemonStats only) ----
-  std::uint64_t shed = 0;      ///< queries shed at an overload watermark
-  std::uint64_t rejected = 0;  ///< queries bounced by a tenant quota
-  /// Deadline-armed queries whose ladder truncated — the client got a
-  /// sound degraded BoundedVerdict instead of a timeout error.
-  std::uint64_t deadline_degraded = 0;
-  /// SAT-oracle circuit-breaker trips (repeated conflict-budget
-  /// exhaustion disabled the portfolio rung for this trace).
-  std::uint64_t breaker_trips = 0;
-};
-
-/// How query_batch executes its pairs.
-enum class BatchRouting : std::uint8_t {
-  /// One cached relations sweep per distinct semantics, then bit reads
-  /// (the historic — and default — path; exact-complete answers).
-  kExactSweep = 0,
-  /// Route every pair through the session's warm incremental SAT oracle
-  /// first (one assumption-based solve per undecided pair, learned
-  /// clauses shared across the batch); pairs the oracle cannot settle
-  /// fall back to the exact sweep, so answers are identical to
-  /// kExactSweep whenever the exact engine completes.
-  kOracleFirst = 1,
 };
 
 class AnalysisSession {
@@ -158,20 +127,16 @@ class AnalysisSession {
       Semantics semantics = Semantics::kCausal);
   /// One Table-1 pair answer via the (cached) relations sweep.
   bool pair_query(const PairQuery& query);
-  /// Batched pair execution.  kExactSweep: N queries cost at most one
-  /// relations sweep per DISTINCT semantics among them (at most three),
-  /// every further answer being a bit read.  kOracleFirst: pairs go
-  /// through the session's warm SAT oracle (shared incremental solver)
-  /// and only oracle-unknown pairs pay for a sweep.
-  std::vector<bool> query_batch(const std::vector<PairQuery>& queries,
-                                BatchRouting routing = BatchRouting::kExactSweep);
+  /// Batched pair execution: N queries cost at most one relations sweep
+  /// per DISTINCT semantics among them (at most three), every further
+  /// answer being a bit read.
+  std::vector<bool> query_batch(const std::vector<PairQuery>& queries);
 
   /// A snapshot of the session's SAT oracle counters (all zeros before
   /// the oracle is built).  The oracle itself is lazily built on first
   /// use (one CNF encode + one incremental solver per session, shared by
-  /// all three semantics, query_batch and the anytime portfolio rung)
-  /// and only ever touched under the session's oracle lock, which this
-  /// read takes too.
+  /// all three semantics' anytime portfolio rungs) and only ever
+  /// touched under the session's oracle lock, which this read takes too.
   SatOracleStats oracle_stats() const;
 
   std::shared_ptr<const DeadlockReport> deadlocks();
@@ -208,18 +173,13 @@ class AnalysisSession {
 
   // ----- robustness hooks (the daemon front end) -------------------------
   /// Enables / disables the SAT-oracle portfolio rung for this session's
-  /// anytime queries.  The circuit breaker calls this with `false` after
-  /// repeated conflict-budget exhaustions on one trace; the flag is part
-  /// of the cached-verdict digest, so an `unknown` computed WITH the
-  /// oracle is recomputed (oracle-free, from the stored runs) after a
-  /// trip rather than served stale.  Counts a breaker trip on every
-  /// enabled -> disabled edge.
+  /// anytime queries.  The daemon's circuit breaker calls this with
+  /// `false` after repeated oracle budget exhaustions on one trace; the
+  /// flag is part of the cached-verdict digest, so an `unknown` computed
+  /// WITH the oracle is recomputed (oracle-free, from the stored runs)
+  /// after a trip rather than served stale.
   void set_use_sat_oracle(bool enabled);
   bool use_sat_oracle() const;
-  /// Overload / quota / degradation accounting (see SessionStats).
-  void note_shed();
-  void note_rejected();
-  void note_deadline_degraded();
 
  private:
   /// One computation another caller may be waiting on.  Lives in
@@ -289,8 +249,6 @@ class AnalysisSession {
 
   // ----- the anytime climb policy -----
   ExactOptions rung_options(const QueryBudget& rung) const;
-  ExactOptions witness_options(const QueryProvenance& provenance,
-                               const std::vector<QueryBudget>& ladder) const;
   BoundedVerdict anytime_verdict(Ask ask, EventId a, EventId b,
                                  Semantics semantics,
                                  const std::vector<QueryBudget>& ladder);
@@ -309,12 +267,12 @@ class AnalysisSession {
                                   const std::vector<QueryBudget>& ladder,
                                   OracleUse oracle);
   BoundedVerdict race_verdict(EventId a, EventId b, const RaceReport& run,
-                              const QueryProvenance& provenance,
-                              const std::vector<QueryBudget>& ladder);
+                              const QueryProvenance& provenance);
   /// Portfolio rung: fills `v` when the oracle settles the pair; sets
-  /// `v.provenance.oracle_exhausted` when it burned `conflicts` instead.
+  /// `v.provenance.oracle_exhausted` when it burned `rung`'s conflict
+  /// budget or time box instead.
   void consult_oracle(RelationKind kind, EventId a, EventId b,
-                      Semantics semantics, std::uint64_t conflicts,
+                      Semantics semantics, const QueryBudget& rung,
                       OracleUse use, BoundedVerdict& v);
 
   std::shared_ptr<const Trace> trace_;

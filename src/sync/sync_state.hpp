@@ -1,9 +1,9 @@
 // Runtime state of the synchronization objects of a trace or program:
 // semaphore counts and event-variable posted flags.
 //
-// This tiny state machine is shared by the axiom validator's replay, the
-// program scheduler and the feasible-schedule enumerator, so all three
-// agree on the semantics:
+// Only the program scheduler uses this tiny state machine; the axiom
+// validator's replay (trace/axioms.cpp) and TraceStepper
+// (feasible/stepper.hpp) keep their own state under the same rules:
 //   * counting semaphore: V increments, P decrements and is enabled only
 //     when the count is positive (sequential consistency turns blocking
 //     into an enabledness condition);

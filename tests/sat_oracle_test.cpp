@@ -344,14 +344,14 @@ TEST(SatOracle, ConflictBudgetExhaustionIsUnknownNotUnsound) {
       execute_reduction(reduce_3sat_semaphores(unsat_x));
   SatOracle oracle(e.trace, {});
   ASSERT_TRUE(oracle.available());
-  oracle.set_max_conflicts(1);
+  oracle.set_call_budget(1);
   const OracleVerdict starved =
       oracle.query(RelationKind::kMHB, e.a, e.b, Semantics::kInterleaving);
   EXPECT_EQ(starved, OracleVerdict::kUnknown);
   EXPECT_GT(oracle.stats().sat_undecided, 0u);
   // Restoring the default budget decides the same pair on the same warm
   // solver.
-  oracle.set_max_conflicts(0);
+  oracle.set_call_budget(0);
   EXPECT_EQ(
       oracle.query(RelationKind::kMHB, e.a, e.b, Semantics::kInterleaving),
       OracleVerdict::kProven);

@@ -9,6 +9,7 @@
 #include "sat/gen.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace evord {
 namespace {
@@ -183,6 +184,19 @@ TEST(Cdcl, ConflictBudget) {
   options.max_conflicts = 1;
   const CdclResult r = solve_cdcl(f, options);
   EXPECT_FALSE(r.decided);
+}
+
+TEST(CdclSolver, TimeBudgetBoundsTheCall) {
+  // PHP(12, 11) takes far longer than 20 ms to refute; the time box,
+  // polled at every conflict, ends the call undecided instead.
+  CdclSolver s;
+  s.add_formula(pigeonhole(11));
+  const Timer timer;
+  const CdclResult r = s.solve_under_assumptions({}, 0, 0.020);
+  EXPECT_LT(timer.seconds(), 2.0);
+  EXPECT_FALSE(r.decided);
+  EXPECT_GE(r.sat.stats.conflicts, 1u);
+  EXPECT_FALSE(s.inconsistent());
 }
 
 TEST(Cdcl, StatsPopulated) {
