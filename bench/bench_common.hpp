@@ -131,6 +131,12 @@ inline bool append_json_records(const std::string& path,
 // measured before/after states/sec and bytes/state.  They live here, in
 // bench code, on purpose: no analysis engine keeps a private DFS anymore.
 
+/// Nominal release-build bytes per retained state before the packed
+/// store: one 64-bit fingerprint per visited state, plus one verdict
+/// byte per memoized state.  The benches' bytes/state baseline.
+inline constexpr std::uint64_t kVisitedBytesPerEntry = 8;
+inline constexpr std::uint64_t kMemoBytesPerEntry = 9;
+
 struct KeyVectorHash {
   std::size_t operator()(const std::vector<std::uint64_t>& key) const {
     return static_cast<std::size_t>(

@@ -14,7 +14,6 @@
 #include "feasible/deadlock.hpp"
 #include "feasible/schedule_space.hpp"
 #include "reductions/reduction.hpp"
-#include "search/fingerprint_set.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
@@ -147,8 +146,7 @@ std::vector<JsonRecord> run_deadlock_memory_sweep() {
                   << legacy_bytes << " -> " << engine_bytes
                   << " bytes/state");
   EVORD_CHECK(2.0 * engine_bytes <=
-                  static_cast<double>(
-                      search::ShardedFingerprintSet::kBytesPerEntry),
+                  static_cast<double>(kVisitedBytesPerEntry),
               "packed visited set regressed below 2x vs the 8-byte "
               "fingerprint baseline: " << engine_bytes << " bytes/state");
 

@@ -13,7 +13,6 @@
 #include "feasible/schedule_space.hpp"
 #include "reductions/figure1.hpp"
 #include "reductions/reduction.hpp"
-#include "search/fingerprint_set.hpp"
 #include "sync/scheduler.hpp"
 #include "trace/builder.hpp"
 #include "util/check.hpp"
@@ -200,8 +199,7 @@ std::vector<evord::bench::JsonRecord> run_space_memory_sweep() {
                   << legacy_bytes << " -> " << engine_bytes
                   << " bytes/state");
   EVORD_CHECK(2.0 * engine_bytes <=
-                  static_cast<double>(
-                      search::FingerprintBoolMap::kBytesPerEntry),
+                  static_cast<double>(evord::bench::kMemoBytesPerEntry),
               "packed memo regressed below 2x vs the 9-byte fingerprint "
               "baseline: " << engine_bytes << " bytes/state");
 

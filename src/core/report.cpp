@@ -92,11 +92,6 @@ std::string summarize_relations(const Trace& trace,
     os << "depth histogram: peak=" << relations.search.peak_depth()
        << " buckets=" << relations.search.depth_states.size() << '\n';
   }
-  if (!relations.search.shard_sizes.empty()) {
-    os << strprintf("fingerprint shards: %zu, load imbalance=%.2f\n",
-                    relations.search.shard_sizes.size(),
-                    relations.search.shard_imbalance());
-  }
   if (relations.search.stop_reason != search::StopReason::kNone) {
     os << "search stopped by: "
        << search::to_string(relations.search.stop_reason) << '\n';

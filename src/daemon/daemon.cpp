@@ -294,10 +294,7 @@ std::shared_ptr<Daemon::Tenant> Daemon::tenant_for(const std::string& name) {
 
 std::shared_ptr<service::AnalysisSession> Daemon::session_for(
     Connection& conn, std::uint64_t fingerprint) {
-  std::shared_ptr<const Trace> trace =
-      conn.tenant->registry.find(fingerprint);
-  if (trace == nullptr) return nullptr;
-  return conn.tenant->registry.session(std::move(trace), options_.exact);
+  return conn.tenant->registry.session_for(fingerprint, options_.exact);
 }
 
 // ------------------------------------------------------------ admission

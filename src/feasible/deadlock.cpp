@@ -44,7 +44,7 @@ struct WitnessCandidate {
 /// witness candidate and, under reduction, a stuck-state fingerprint set
 /// that counts each distinct stuck state once across sleep contexts.
 struct DeadlockHooks {
-  search::ShardedFingerprintSet* stuck_set;  ///< null when unreduced
+  search::PackedStateRegistry* stuck_set;  ///< null when unreduced
   WitnessCandidate* witness;
 
   bool on_terminal(const std::vector<EventId>& /*schedule*/,
@@ -123,18 +123,19 @@ DeadlockReport analyze_deadlocks(const Trace& trace,
   std::unique_ptr<search::IndependenceRelation> indep;
   if (reduced) indep = std::make_unique<search::IndependenceRelation>(trace);
   search::SharedContext ctx(so);
-  search::ShardedFingerprintSet visited(
-      search::make_store_config(trace, so, 1));
+  search::PackedStateRegistry visited(
+      search::make_store_config(trace, so, /*initial_buckets=*/1));
   visited.set_accountant(&ctx.memory);
   // Under reduction the visited claims key (state, sleep set) pairs, so
   // the engine's per-visit deadlocked_prefixes can count one physical
   // stuck frontier once per sleep context; a raw-fingerprint stuck set
   // restores the distinct-stuck-state count.
-  std::optional<search::ShardedFingerprintSet> stuck;
+  std::optional<search::PackedStateRegistry> stuck;
   if (reduced) {
     // Raw state fingerprints, already collision-checked by the visited
     // set: no payload verification.
-    stuck.emplace(1, /*verify_collisions=*/false);
+    stuck.emplace(search::PackedStateRegistry::Config{
+        .initial_buckets = 1, .verify_collisions = false});
     stuck->set_accountant(&ctx.memory);
   }
   WitnessCandidate witness;
@@ -149,7 +150,6 @@ DeadlockReport analyze_deadlocks(const Trace& trace,
   report.can_deadlock = witness.found;
   report.witness_prefix = std::move(witness.path);
   report.search.memo_bytes = visited.bytes();
-  report.search.shard_sizes = visited.shard_sizes();
   if (reduced) report.search.deadlocked_prefixes = stuck->size();
   report.stuck_states = report.search.deadlocked_prefixes;
   report.states_visited = static_cast<std::size_t>(visited.size());
@@ -164,7 +164,7 @@ DeadlockReport analyze_deadlocks(const Trace& trace,
 }
 
 std::uint64_t DeadlockReport::approx_bytes() const {
-  return sizeof(DeadlockReport) + search.approx_bytes() +
+  return sizeof(DeadlockReport) + search.heap_bytes() +
          witness_prefix.capacity() * sizeof(EventId);
 }
 

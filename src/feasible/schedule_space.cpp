@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "search/engine.hpp"
-#include "search/fingerprint_set.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
 
@@ -14,11 +13,12 @@ namespace {
 using search::StopReason;
 
 /// The memoized completability sweep: per state, "is a complete schedule
-/// reachable from here", with the answer cached in a FingerprintBoolMap
-/// keyed by the stepper's 64-bit state hash (or by the packed word itself
-/// when the store has exact keys).  The state graph is acyclic, so the
-/// memoized recursion terminates.  Every enabled child is expanded, and
-/// each completable one marks the matrices of `out`.
+/// reachable from here", with the answer cached in a PackedStateRegistry
+/// with one value bit, keyed by the stepper's 64-bit state hash (or by
+/// the packed word itself when the store has exact keys).  The state
+/// graph is acyclic, so the memoized recursion terminates.  Every enabled
+/// child is expanded, and each completable one marks the matrices of
+/// `out`.
 ///
 /// Budget cuts and the memo: a cut (requested stop, deadline, memory,
 /// fault or max_states) makes a state's children report "not
@@ -31,7 +31,7 @@ using search::StopReason;
 class MemoizedSweep {
  public:
   MemoizedSweep(const Trace& trace, const ScheduleSpaceOptions& options,
-                search::SharedContext* ctx, search::FingerprintBoolMap* memo,
+                search::SharedContext* ctx, search::PackedStateRegistry* memo,
                 CanPrecedeResult& out)
       : max_states_(options.max_states),
         ctx_(ctx),
@@ -166,7 +166,7 @@ class MemoizedSweep {
 
   std::size_t max_states_;
   search::SharedContext* ctx_;
-  search::FingerprintBoolMap* memo_;
+  search::PackedStateRegistry* memo_;
   TraceStepper stepper_;
   std::vector<DynamicBitset>& can_precede_;
   std::vector<DynamicBitset>* can_coexist_;  ///< null = no coexistence
@@ -191,13 +191,15 @@ CanPrecedeResult compute_can_precede(const Trace& trace,
   search::SearchOptions so = options;
   so.reduction = search::ReductionMode::kOff;
   search::SharedContext ctx(so);
-  search::FingerprintBoolMap memo(search::make_store_config(trace, so, 1));
+  search::PackedStateRegistry::Config memo_config =
+      search::make_store_config(trace, so, /*initial_buckets=*/1);
+  memo_config.value_bits = 1;
+  search::PackedStateRegistry memo(memo_config);
   memo.set_accountant(&ctx.memory);
   MemoizedSweep sweep(trace, options, &ctx, &memo, result);
   result.feasible_nonempty = sweep.explore();
   result.search = sweep.stats();
   result.search.memo_bytes = memo.bytes();
-  result.search.shard_sizes = memo.shard_sizes();
   result.states_visited = static_cast<std::size_t>(memo.size());
   result.truncated = result.search.truncated;
   return result;

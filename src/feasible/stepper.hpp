@@ -91,7 +91,7 @@ class TraceStepper {
   /// them.  On single-word layouts it is a bijection of the word.  Dedup
   /// engines fingerprint states with it when a tracker or a sleep set
   /// folds in (debug builds cross-check collisions against encode_key();
-  /// see search/fingerprint_set.hpp).
+  /// see search/state_registry.hpp).
   std::uint64_t state_hash() const { return splitmix_words(packed_); }
 
   int sem_count(ObjectId sem) const { return counts_[sem]; }

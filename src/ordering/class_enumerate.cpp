@@ -289,8 +289,8 @@ ClassEnumStats enumerate_causal_classes(const Trace& trace,
                                               &ctx.memory);
   // Hash mode: the prefix fingerprints fold the causal tracker's state
   // into the hash, so the store never uses exact packed keys.
-  search::ShardedFingerprintSet prefix_seen(search::make_store_config(
-      trace, so, 16, /*pure_state_key=*/false));
+  search::PackedStateRegistry prefix_seen(search::make_store_config(
+      trace, so, /*initial_buckets=*/16, /*pure_state_key=*/false));
   prefix_seen.set_accountant(&ctx.memory);
   std::unique_ptr<search::IndependenceRelation> indep;
   if (so.reduction != search::ReductionMode::kOff) {
@@ -311,7 +311,6 @@ ClassEnumStats enumerate_causal_classes(const Trace& trace,
   out.stopped_by_visitor = stats.stopped_by_visitor;
   out.search = std::move(stats);
   out.search.memo_bytes = prefix_seen.bytes();
-  out.search.shard_sizes = prefix_seen.shard_sizes();
   return out;
 }
 

@@ -88,7 +88,7 @@ using ClassVisitor =
 
 /// Visits complete schedules covering every complete causal class.  One
 /// engine walks the tree on the calling thread with one causal tracker,
-/// deduplicating prefixes through one sharded fingerprint set, so every
+/// deduplicating prefixes through one fingerprint store, so every
 /// distinct prefix state is expanded exactly once and the visitor is
 /// never called from another thread.
 ClassEnumStats enumerate_causal_classes(const Trace& trace,

@@ -8,7 +8,6 @@
 #include "ordering/causal.hpp"
 #include "ordering/class_enumerate.hpp"
 #include "search/engine.hpp"
-#include "search/fingerprint_set.hpp"
 #include "util/check.hpp"
 
 namespace evord {
@@ -110,12 +109,12 @@ OrderingRelations compute_interleaving(const Trace& trace,
 }
 
 /// Per-causal-class accumulator for the causal and interval semantics:
-/// deduplicates classes through one sharded fingerprint set and folds
+/// deduplicates classes through one fingerprint store and folds
 /// each new class into the any/all matrices.
 class CausalAccumulator {
  public:
   CausalAccumulator(const Trace& trace, const CausalOptions& causal,
-                    search::ShardedFingerprintSet& dedup)
+                    search::PackedStateRegistry& dedup)
       : trace_(trace), causal_(causal), dedup_(&dedup),
         n_(trace.num_events()) {
     any_c_.reset(n_, n_);
@@ -244,7 +243,7 @@ class CausalAccumulator {
  private:
   const Trace& trace_;
   CausalOptions causal_;
-  search::ShardedFingerprintSet* dedup_;
+  search::PackedStateRegistry* dedup_;
   std::size_t n_;
   std::uint64_t classes_ = 0;
   // One contiguous word arena per matrix (search::PerStateBitset): the
@@ -264,7 +263,7 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
   OrderingRelations r = make_empty_result(trace, semantics);
   const CausalOptions causal{.include_data_edges =
                                  options.causal_data_edges};
-  search::ShardedFingerprintSet dedup;
+  search::PackedStateRegistry dedup({.initial_buckets = 16});
   CausalAccumulator acc(trace, causal, dedup);
   if (options.class_dedup) {
     ClassEnumOptions co;

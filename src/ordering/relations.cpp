@@ -72,7 +72,7 @@ std::uint64_t RelationMatrix::approx_bytes() const {
 }
 
 std::uint64_t OrderingRelations::approx_bytes() const {
-  std::uint64_t bytes = sizeof(OrderingRelations) + search.approx_bytes();
+  std::uint64_t bytes = sizeof(OrderingRelations) + search.heap_bytes();
   for (const RelationMatrix& m : matrices) bytes += m.approx_bytes();
   return bytes;
 }

@@ -139,7 +139,7 @@ RaceReport detect_races(const Trace& trace, RaceDetector detector,
 }
 
 std::uint64_t RaceReport::approx_bytes() const {
-  return sizeof(RaceReport) + search.approx_bytes() +
+  return sizeof(RaceReport) + search.heap_bytes() +
          races.capacity() * sizeof(Race);
 }
 

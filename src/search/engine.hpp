@@ -78,10 +78,10 @@
 #include <vector>
 
 #include "feasible/stepper.hpp"
-#include "search/fingerprint_set.hpp"
 #include "search/independence.hpp"
 #include "search/memory.hpp"
 #include "search/search.hpp"
+#include "search/state_registry.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -114,12 +114,35 @@ struct NoDedup {
   }
 };
 
-/// Dedup against a sharded set: the first visit of a state expands it;
+/// Store configuration for an explorer's dedup/memo store.  Engages
+/// exact packed keys when the trace's whole scheduling state fits one
+/// 64-bit word AND the search runs unreduced with no tracker state in
+/// the dedup key (`pure_state_key`) — the store then dedups
+/// collision-free on key_bits, storing each state in a fraction of 8
+/// bytes.  Collision verification is dropped when keys are exact (no
+/// collisions exist).
+inline PackedStateRegistry::Config make_store_config(
+    const Trace& trace, const SearchOptions& options,
+    std::size_t initial_buckets, bool pure_state_key = true) {
+  PackedStateRegistry::Config cfg;
+  cfg.initial_buckets = initial_buckets;
+  if (pure_state_key && options.reduction == ReductionMode::kOff) {
+    const PackedStateLayout layout(trace);
+    if (layout.single_word() && layout.key_bits() > 0) {
+      cfg.exact_keys = true;
+      cfg.key_bits = layout.key_bits();
+    }
+  }
+  if (cfg.exact_keys) cfg.verify_collisions = false;
+  return cfg;
+}
+
+/// Dedup against a state set: the first visit of a state expands it;
 /// every later one prunes.
 class SetDedup {
  public:
   static constexpr bool kEnabled = true;
-  explicit SetDedup(ShardedFingerprintSet* set) : set_(set) {}
+  explicit SetDedup(PackedStateRegistry* set) : set_(set) {}
   bool verify_collisions() const { return set_->verify_collisions(); }
   bool exact_keys() const { return set_->exact_keys(); }
   bool claim(std::uint64_t fp, const std::vector<std::uint64_t>* payload) {
@@ -127,7 +150,7 @@ class SetDedup {
   }
 
  private:
-  ShardedFingerprintSet* set_;
+  PackedStateRegistry* set_;
 };
 
 /// What one search shares with its stores: the deadline, the byte budget

@@ -38,18 +38,4 @@ std::uint64_t SearchStats::peak_depth() const {
   return static_cast<std::uint64_t>(it - depth_states.begin());
 }
 
-double SearchStats::shard_imbalance() const {
-  if (shard_sizes.empty()) return 0.0;
-  std::uint64_t total = 0;
-  std::uint64_t peak = 0;
-  for (std::uint64_t s : shard_sizes) {
-    total += s;
-    peak = std::max(peak, s);
-  }
-  if (total == 0) return 0.0;
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(shard_sizes.size());
-  return static_cast<double>(peak) / mean;
-}
-
 }  // namespace evord::search

@@ -140,26 +140,18 @@ struct SearchStats {
   /// search runs workers.  Kept until the next change to bench_e2e/,
   /// whose per-layer ledger reads all three.
   std::vector<WorkerStats> workers;
-  /// Final per-shard sizes of the explorer's fingerprint store
-  /// (load-factor diagnostics); empty when the explorer used no store.
-  /// Set once by the explorer that owns the store.
-  std::vector<std::uint64_t> shard_sizes;
 
   std::uint64_t tasks_stolen() const { return 0; }
   std::uint64_t idle_nanos() const { return 0; }
-  /// Peak depth_states entry and its depth; {0, 0} when no histogram.
+  /// Depth of the largest depth_states entry (the shallowest on ties);
+  /// 0 when there is no histogram.
   std::uint64_t peak_depth() const;
-  /// max(shard size) / mean(shard size); 0 when no shard data.
-  double shard_imbalance() const;
 
-  /// Approximate resident footprint of this stats object itself (struct
-  /// plus histogram / per-shard vectors) — results that embed a
-  /// SearchStats charge it to the service result cache's byte budget
-  /// through their own approx_bytes().
-  std::uint64_t approx_bytes() const {
-    return sizeof(SearchStats) +
-           depth_states.capacity() * sizeof(std::uint64_t) +
-           shard_sizes.capacity() * sizeof(std::uint64_t);
+  /// Heap bytes this object holds (the depth histogram).  Results embed
+  /// a SearchStats by value, so their own sizeof already covers the
+  /// struct; they add only this to their approx_bytes().
+  std::uint64_t heap_bytes() const {
+    return depth_states.capacity() * sizeof(std::uint64_t);
   }
 };
 

@@ -178,26 +178,14 @@ PackedStateRegistry::PackedStateRegistry(Config config)
   key_bits_ = std::clamp<std::uint32_t>(config.key_bits, 1, 64);
   value_bits_ = config.value_bits;
   EVORD_CHECK(value_bits_ <= 1, "registry supports at most one value bit");
-  std::size_t n = std::bit_ceil(std::max<std::size_t>(1, config.num_shards));
-  auto sb = static_cast<std::uint32_t>(std::countr_zero(n));
-  if (sb > key_bits_) {
-    sb = key_bits_;
-    n = std::size_t{1} << sb;
-  }
-  shard_bits_ = sb;
-  max_bucket_bits_ = key_bits_ - shard_bits_;
+  const std::size_t n =
+      std::bit_ceil(std::max<std::size_t>(1, config.initial_buckets));
+  bucket_bits_ = std::min<std::uint32_t>(
+      static_cast<std::uint32_t>(std::countr_zero(n)), key_bits_);
   // Entries must fit one 64-bit read: rem_bits + value_bits <= 64.
-  std::uint32_t init_bucket_bits = 0;
-  while (key_bits_ - shard_bits_ - init_bucket_bits + value_bits_ > 64) {
-    ++init_bucket_bits;
-  }
-  shards_.resize(n);
-  for (Shard& s : shards_) {
-    s.bucket_bits = init_bucket_bits;
-    s.buckets.resize(std::size_t{1} << init_bucket_bits);
-    s.resident_bytes = shard_heap_bytes(s);
-    charged_ += s.resident_bytes;
-  }
+  while (entry_width() > 64) ++bucket_bits_;
+  buckets_.resize(std::size_t{1} << bucket_bits_);
+  charged_ = heap_bytes();
 }
 
 void PackedStateRegistry::set_accountant(MemoryAccountant* accountant) noexcept {
@@ -207,11 +195,21 @@ void PackedStateRegistry::set_accountant(MemoryAccountant* accountant) noexcept 
   if (accountant_ != nullptr) accountant_->charge(charged_);
 }
 
+void PackedStateRegistry::charge(std::uint64_t bytes) noexcept {
+  charged_ += bytes;
+  if (accountant_ != nullptr) accountant_->charge(bytes);
+}
+
+void PackedStateRegistry::release(std::uint64_t bytes) noexcept {
+  charged_ -= bytes;
+  if (accountant_ != nullptr) accountant_->release(bytes);
+}
+
 std::uint64_t PackedStateRegistry::mix(std::uint64_t key) const noexcept {
   if (key_bits_ >= 64) return splitmix64(key);
   // Invertible mix within key_bits: odd multiplications mod 2^bits and
   // xorshifts are bijections, so distinct keys stay distinct and the
-  // full key is recoverable from shard + bucket + remainder bits.
+  // full key is recoverable from bucket + remainder bits.
   const std::uint64_t mask = mask_bits(key_bits_);
   const std::uint32_t h = (key_bits_ + 1) / 2;
   std::uint64_t x = key & mask;
@@ -223,102 +221,99 @@ std::uint64_t PackedStateRegistry::mix(std::uint64_t key) const noexcept {
   return x;
 }
 
-std::int64_t PackedStateRegistry::find_in_bucket(
-    const Bucket& b, std::uint64_t rem, std::uint32_t width,
-    std::uint32_t value_bits) noexcept {
+PackedStateRegistry::Slot PackedStateRegistry::locate(
+    std::uint64_t key) const {
+  EVORD_DCHECK(key_bits_ >= 64 || (key >> key_bits_) == 0,
+               "key wider than the registry's key_bits");
+  Slot slot;
+  slot.mixed = mix(key);
+  const Bucket& b = buckets_[slot.mixed & mask_bits(bucket_bits_)];
+  const std::uint64_t rem = slot.mixed >> bucket_bits_;
+  const std::uint32_t w = entry_width();
   for (std::uint32_t i = 0; i < b.count; ++i) {
     const std::uint64_t e =
-        read_bits(b.words, static_cast<std::uint64_t>(i) * width, width);
-    if ((e >> value_bits) == rem) return i;
+        read_bits(b.words, static_cast<std::uint64_t>(i) * w, w);
+    if ((e >> value_bits_) == rem) {
+      slot.found = true;
+      slot.value = e & mask_bits(value_bits_);
+      break;
+    }
   }
-  return -1;
+  return slot;
 }
 
-std::uint64_t PackedStateRegistry::read_entry(const Bucket& b,
-                                              std::uint64_t idx,
-                                              std::uint32_t width) noexcept {
-  return read_bits(b.words, idx * width, width);
-}
-
-std::uint64_t PackedStateRegistry::shard_heap_bytes(
-    const Shard& s) const noexcept {
-  std::uint64_t b = s.buckets.capacity() * sizeof(Bucket);
-  for (const Bucket& bk : s.buckets) b += bk.words.capacity() * 8;
+std::uint64_t PackedStateRegistry::heap_bytes() const noexcept {
+  std::uint64_t b = buckets_.capacity() * sizeof(Bucket);
+  for (const Bucket& bk : buckets_) b += bk.words.capacity() * 8;
   return b;
 }
 
-void PackedStateRegistry::recount_shard_bytes(Shard& s) noexcept {
-  const std::uint64_t now = shard_heap_bytes(s);
-  if (now >= s.resident_bytes) {
-    const std::uint64_t d = now - s.resident_bytes;
-    charged_ += d;
-    if (accountant_ != nullptr) accountant_->charge(d);
-  } else {
-    const std::uint64_t d = s.resident_bytes - now;
-    charged_ -= d;
-    if (accountant_ != nullptr) accountant_->release(d);
-  }
-  s.resident_bytes = now;
-}
-
-void PackedStateRegistry::append_entry(Shard& s, Bucket& b,
-                                       std::uint64_t entry) {
-  const std::uint32_t w = entry_width(s);
+void PackedStateRegistry::append(std::uint64_t mixed, std::uint64_t value) {
+  maybe_grow();
+  Bucket& b = buckets_[mixed & mask_bits(bucket_bits_)];
   const std::size_t old_cap = b.words.capacity();
-  raw_append(b.words, b.count, w, entry);
+  raw_append(b.words, b.count, entry_width(),
+             ((mixed >> bucket_bits_) << value_bits_) | value);
   ++b.count;
+  ++count_;
   if (b.words.capacity() != old_cap) {
-    const std::uint64_t d = (b.words.capacity() - old_cap) * 8;
-    s.resident_bytes += d;
-    charged_ += d;
-    if (accountant_ != nullptr) accountant_->charge(d);
+    charge((b.words.capacity() - old_cap) * 8);
   }
 }
 
-void PackedStateRegistry::maybe_grow(Shard& s) {
-  if (s.bucket_bits >= max_bucket_bits_) return;
-  const std::uint64_t buckets = std::uint64_t{1} << s.bucket_bits;
-  if (s.count + 1 <= kTargetFill * buckets) return;
+void PackedStateRegistry::maybe_grow() {
+  if (bucket_bits_ >= key_bits_) return;
+  if (count_ + 1 <= kTargetFill * buckets_.size()) return;
   if (accountant_ != nullptr && accountant_->limit() != 0) {
-    // A rehash transiently ~doubles this shard's footprint.  Near the
+    // A rehash transiently ~doubles the table's footprint.  Near the
     // budget we skip it (scans lengthen, results are unaffected) so the
     // memory overshoot past the limit stays small.
-    if (accountant_->bytes() + shard_heap_bytes(s) >= accountant_->limit()) {
-      return;
-    }
+    if (accountant_->bytes() + bytes() >= accountant_->limit()) return;
   }
-  const std::uint32_t old_w = entry_width(s);
-  const std::uint32_t old_bb = s.bucket_bits;
-  const std::uint32_t new_w = old_w - 1;
-  std::vector<Bucket> grown(std::size_t{1} << (old_bb + 1));
+  const std::uint32_t old_w = entry_width();
+  const std::uint32_t old_bb = bucket_bits_;
+  std::vector<Bucket> grown(buckets_.size() * 2);
   const std::uint64_t vmask = mask_bits(value_bits_);
-  for (std::size_t bi = 0; bi < s.buckets.size(); ++bi) {
-    const Bucket& ob = s.buckets[bi];
+  for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
+    const Bucket& ob = buckets_[bi];
     for (std::uint32_t i = 0; i < ob.count; ++i) {
-      const std::uint64_t e = read_entry(ob, i, old_w);
-      const std::uint64_t value = e & vmask;
+      const std::uint64_t e =
+          read_bits(ob.words, static_cast<std::uint64_t>(i) * old_w, old_w);
       const std::uint64_t rem = e >> value_bits_;
       // One remainder bit moves into the bucket index.
       Bucket& nb = grown[bi | ((rem & 1) << old_bb)];
-      raw_append(nb.words, nb.count, new_w,
-                 ((rem >> 1) << value_bits_) | value);
+      raw_append(nb.words, nb.count, old_w - 1,
+                 ((rem >> 1) << value_bits_) | (e & vmask));
       ++nb.count;
     }
   }
-  s.buckets = std::move(grown);
-  s.bucket_bits = old_bb + 1;
-  recount_shard_bytes(s);
+  const std::uint64_t before = bytes();
+  buckets_ = std::move(grown);
+  bucket_bits_ = old_bb + 1;
+  const std::uint64_t now = heap_bytes();
+  if (now >= before) {
+    charge(now - before);
+  } else {
+    release(before - now);
+  }
+}
+
+void PackedStateRegistry::fail_if_injected() {
+  if (fault::enabled() && fault::on_store_insert() && accountant_ != nullptr) {
+    // Injected insertion failure: the store refuses to grow, surfaced
+    // through the governed memory path (StopReason::kMemory).
+    accountant_->exhaust();
+  }
 }
 
 void PackedStateRegistry::check_payload(
-    Shard& s, std::uint64_t key, const std::vector<std::uint64_t>* payload) {
+    std::uint64_t key, const std::vector<std::uint64_t>* payload) {
   if (!verify_ || payload == nullptr) return;
-  const auto [it, inserted] = s.payloads.try_emplace(key, *payload);
+  const auto [it, inserted] = payloads_.try_emplace(key, *payload);
   if (inserted) {
     const std::uint64_t d = payload->size() * sizeof(std::uint64_t);
-    s.payload_bytes += d;
-    charged_ += d;
-    if (accountant_ != nullptr) accountant_->charge(d);
+    payload_bytes_ += d;
+    charge(d);
   } else {
     EVORD_CHECK(it->second == *payload,
                 "64-bit fingerprint collision: distinct payloads hash to "
@@ -328,96 +323,36 @@ void PackedStateRegistry::check_payload(
 
 bool PackedStateRegistry::insert(std::uint64_t key,
                                  const std::vector<std::uint64_t>* payload) {
-  if (fault::enabled() && fault::on_store_insert() && accountant_ != nullptr) {
-    // Injected insertion failure: the store refuses to grow, surfaced
-    // through the governed memory path (StopReason::kMemory).
-    accountant_->exhaust();
-  }
-  EVORD_DCHECK(key_bits_ >= 64 || (key >> key_bits_) == 0,
-               "key wider than the registry's key_bits");
-  const std::uint64_t mixed = mix(key);
-  Shard& s = shards_[mixed & mask_bits(shard_bits_)];
-  bool inserted = false;
-  const std::uint32_t w = entry_width(s);
-  const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-  const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-  if (find_in_bucket(s.buckets[bi], rem, w, value_bits_) < 0) {
-    maybe_grow(s);
-    const std::uint64_t bi2 = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-    const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
-    append_entry(s, s.buckets[bi2], rem2 << value_bits_);
-    ++s.count;
-    inserted = true;
-  }
-  check_payload(s, key, payload);
-  return inserted;
+  fail_if_injected();
+  const Slot slot = locate(key);
+  if (!slot.found) append(slot.mixed, 0);
+  check_payload(key, payload);
+  return !slot.found;
 }
 
 bool PackedStateRegistry::store(std::uint64_t key, bool value,
                                 const std::vector<std::uint64_t>* payload) {
   EVORD_DCHECK(value_bits_ == 1, "store() requires a value bit");
-  if (fault::enabled() && fault::on_store_insert() && accountant_ != nullptr) {
-    accountant_->exhaust();
-  }
-  const std::uint64_t mixed = mix(key);
-  Shard& s = shards_[mixed & mask_bits(shard_bits_)];
-  bool inserted = false;
-  const std::uint32_t w = entry_width(s);
-  const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-  const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-  const std::int64_t at = find_in_bucket(s.buckets[bi], rem, w, value_bits_);
-  if (at >= 0) {
-    const std::uint64_t e =
-        read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
-    EVORD_CHECK((e & 1u) == static_cast<std::uint64_t>(value),
+  fail_if_injected();
+  const Slot slot = locate(key);
+  if (slot.found) {
+    EVORD_CHECK(slot.value == static_cast<std::uint64_t>(value),
                 "memoized value mismatch for fingerprint " << key);
   } else {
-    maybe_grow(s);
-    const std::uint64_t bi2 = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-    const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
-    append_entry(s, s.buckets[bi2],
-                 (rem2 << 1) | static_cast<std::uint64_t>(value));
-    ++s.count;
-    inserted = true;
+    append(slot.mixed, static_cast<std::uint64_t>(value));
   }
-  check_payload(s, key, payload);
-  return inserted;
+  check_payload(key, payload);
+  return !slot.found;
 }
 
 bool PackedStateRegistry::lookup(std::uint64_t key, bool* value,
                                  const std::vector<std::uint64_t>* payload) {
   EVORD_DCHECK(value_bits_ == 1, "lookup() requires a value bit");
-  const std::uint64_t mixed = mix(key);
-  Shard& s = shards_[mixed & mask_bits(shard_bits_)];
-  const std::uint32_t w = entry_width(s);
-  const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-  const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-  const std::int64_t at = find_in_bucket(s.buckets[bi], rem, w, value_bits_);
-  if (at < 0) return false;
-  const std::uint64_t e =
-      read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
-  *value = (e & 1u) != 0;
-  check_payload(s, key, payload);
+  const Slot slot = locate(key);
+  if (!slot.found) return false;
+  *value = slot.value != 0;
+  check_payload(key, payload);
   return true;
-}
-
-std::uint64_t PackedStateRegistry::size() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.count;
-  return total;
-}
-
-std::uint64_t PackedStateRegistry::bytes() const {
-  std::uint64_t payload = 0;
-  for (const Shard& shard : shards_) payload += shard.payload_bytes;
-  return charged_ - payload;
-}
-
-std::vector<std::uint64_t> PackedStateRegistry::shard_sizes() const {
-  std::vector<std::uint64_t> sizes;
-  sizes.reserve(shards_.size());
-  for (const Shard& shard : shards_) sizes.push_back(shard.count);
-  return sizes;
 }
 
 }  // namespace evord::search

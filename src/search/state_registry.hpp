@@ -22,22 +22,32 @@
 //     in-place 64x64 bit-matrix transpose used to turn row-oriented
 //     reachability into column-oriented ancestor masks in O(n^2/64).
 //
-//   * PackedStateRegistry — the sharded state store behind
-//     ShardedFingerprintSet / FingerprintBoolMap.  Keys are quotiented:
-//     an invertible mix of the key's low key_bits selects shard and
-//     bucket from its low bits, and only the remaining
-//     (key_bits - shard_bits - bucket_bits) remainder bits are stored,
-//     bit-packed into per-bucket arrays.  With exact single-word keys
-//     this stores states at a fraction of the historical 8 bytes each;
-//     with 64-bit hash fingerprints it still undercuts the old
-//     unordered_set node overhead.  Buckets double (one remainder bit
-//     moves into the bucket index) when average fill passes a
-//     threshold, so lookups stay short scans of packed words.
+//   * PackedStateRegistry — the search core's one state store: every
+//     explorer dedups or memoizes its states in one.  Keys are
+//     quotiented: an invertible mix of the key's low key_bits selects
+//     the bucket from its low bits, and only the remaining
+//     (key_bits - bucket_bits) remainder bits are stored, bit-packed
+//     into per-bucket arrays, plus an optional value bit (a bool memo).
+//     With exact single-word keys this stores states at a fraction of
+//     the historical 8 bytes each; with 64-bit hash fingerprints it
+//     still undercuts the old unordered_set node overhead.  Buckets
+//     double (one remainder bit moves into the bucket index) when
+//     average fill passes a threshold, so lookups stay short scans of
+//     packed words.
+//
+// Collision safety net: with `verify_collisions` on (the default in
+// !NDEBUG builds) the full word payload of each hashed key is retained
+// and every hash-equal access is checked for genuine equality, so a
+// 64-bit collision throws CheckError instead of silently pruning an
+// unexplored state or reusing a wrong memo value.
 //
 // Memory accounting is real: the attached accountant is charged the
-// store's actual heap footprint (bucket arrays + packed words + retained
+// store's actual heap footprint (bucket array + packed words + retained
 // debug payloads) as it grows; bytes() reports the same footprint
-// without the debug payloads, so Debug and Release builds agree.
+// without the debug payloads, so Debug and Release builds agree.  The
+// fault layer (util/fault.hpp, kStoreFailAt) can make the K-th insertion
+// "fail": the store then exhausts the accountant, so the owning search
+// stops with StopReason::kMemory as if the byte budget tripped.
 //
 // The registry takes no locks: every store belongs to one search running
 // on one thread (docs/SEARCH.md §8).
@@ -319,10 +329,6 @@ class PerStateBitset {
 
 class PackedStateRegistry {
  public:
-  /// Legacy nominal release-build bytes per retained fingerprint — the
-  /// pre-packed-layer cost, kept as the bench baseline for the
-  /// bytes/state comparison rows.
-  static constexpr std::uint64_t kBytesPerEntry = 8;
 #ifndef NDEBUG
   static constexpr bool kVerifyByDefault = true;
 #else
@@ -330,8 +336,11 @@ class PackedStateRegistry {
 #endif
 
   struct Config {
-    /// Rounded up to a power of two (minimum 1; clamped to 2^key_bits).
-    std::size_t num_shards = 16;
+    /// Starting bucket count, rounded up to a power of two (minimum 1;
+    /// clamped to 2^key_bits).  Each bucket costs 32 bytes empty, while
+    /// every miss scans its whole bucket, so small state memos start at
+    /// 1 and the causal-class stores at 16 (docs/SEARCH.md §8).
+    std::size_t initial_buckets = 1;
     /// Retain full key payloads and check every hash-equal access for
     /// genuine equality (debug collision safety net).
     bool verify_collisions = kVerifyByDefault;
@@ -346,20 +355,12 @@ class PackedStateRegistry {
   };
 
   explicit PackedStateRegistry(Config config);
-  /// ShardedFingerprintSet-compatible constructor: 64-bit hash keys,
-  /// membership only.
-  explicit PackedStateRegistry(std::size_t num_shards = 16,
-                               bool verify_collisions = kVerifyByDefault)
-      : PackedStateRegistry(Config{num_shards, verify_collisions, 64, false,
-                                   0}) {}
 
   PackedStateRegistry(const PackedStateRegistry&) = delete;
   PackedStateRegistry& operator=(const PackedStateRegistry&) = delete;
 
   bool verify_collisions() const noexcept { return verify_; }
   bool exact_keys() const noexcept { return exact_keys_; }
-  std::uint32_t key_bits() const noexcept { return key_bits_; }
-  std::size_t num_shards() const noexcept { return shards_.size(); }
 
   /// Attaches the accountant; the store's current resident bytes are
   /// charged immediately and future growth is charged/released as it
@@ -375,7 +376,9 @@ class PackedStateRegistry {
               const std::vector<std::uint64_t>* payload = nullptr);
 
   /// Memoizes `key` -> `value` (requires value_bits == 1); returns true
-  /// iff newly inserted.  A re-store must carry the same value (checked).
+  /// iff newly inserted.  The memoized predicate is deterministic, so a
+  /// re-store must carry the same value (checked); payload handling is
+  /// as in insert().
   bool store(std::uint64_t key, bool value,
              const std::vector<std::uint64_t>* payload = nullptr);
 
@@ -385,62 +388,55 @@ class PackedStateRegistry {
               const std::vector<std::uint64_t>* payload = nullptr);
 
   /// Total distinct keys.
-  std::uint64_t size() const;
+  std::uint64_t size() const noexcept { return count_; }
 
-  /// Actual heap bytes of the stored keys (bucket arrays, packed entry
+  /// Actual heap bytes of the stored keys (bucket array, packed entry
   /// words).  Retained debug payloads are charged to the accountant but
   /// left out here, so this is the footprint a Release build reports.
-  std::uint64_t bytes() const;
-
-  /// Per-shard distinct-key counts (load-factor diagnostics).
-  std::vector<std::uint64_t> shard_sizes() const;
+  std::uint64_t bytes() const noexcept { return charged_ - payload_bytes_; }
 
  private:
   struct Bucket {
     std::vector<std::uint64_t> words;  ///< entries bit-packed LE
     std::uint32_t count = 0;
   };
-  struct Shard {
-    std::vector<Bucket> buckets;
-    std::uint32_t bucket_bits = 0;
-    std::uint64_t count = 0;           ///< distinct keys
-    std::uint64_t resident_bytes = 0;  ///< tracked bucket heap bytes
-    std::uint64_t payload_bytes = 0;   ///< retained debug payload bytes
-    /// Populated only in collision-verification mode.
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> payloads;
+  /// Where a key lives: its mixed form (low bucket_bits_ bits select the
+  /// bucket, the rest is the stored remainder) and, when present, its
+  /// value bits.
+  struct Slot {
+    std::uint64_t mixed = 0;
+    bool found = false;
+    std::uint64_t value = 0;
   };
 
-  std::uint32_t rem_bits(const Shard& s) const noexcept {
-    return key_bits_ - shard_bits_ - s.bucket_bits;
-  }
-  std::uint32_t entry_width(const Shard& s) const noexcept {
-    return rem_bits(s) + value_bits_;
+  std::uint32_t entry_width() const noexcept {
+    return key_bits_ - bucket_bits_ + value_bits_;
   }
 
-  /// Looks up `rem` in `b`; returns the entry index or -1.
-  static std::int64_t find_in_bucket(const Bucket& b, std::uint64_t rem,
-                                     std::uint32_t width,
-                                     std::uint32_t value_bits) noexcept;
-  static std::uint64_t read_entry(const Bucket& b, std::uint64_t idx,
-                                  std::uint32_t width) noexcept;
-  void append_entry(Shard& s, Bucket& b, std::uint64_t entry);
-  void maybe_grow(Shard& s);
-  std::uint64_t shard_heap_bytes(const Shard& s) const noexcept;
-  void recount_shard_bytes(Shard& s) noexcept;
-  void check_payload(Shard& s, std::uint64_t key,
+  Slot locate(std::uint64_t key) const;
+  void append(std::uint64_t mixed, std::uint64_t value);
+  void maybe_grow();
+  void fail_if_injected();
+  void check_payload(std::uint64_t key,
                      const std::vector<std::uint64_t>* payload);
+  std::uint64_t heap_bytes() const noexcept;
+  void charge(std::uint64_t bytes) noexcept;
+  void release(std::uint64_t bytes) noexcept;
 
   std::uint64_t mix(std::uint64_t key) const noexcept;
 
-  std::vector<Shard> shards_;
-  std::uint32_t shard_bits_ = 0;
+  std::vector<Bucket> buckets_;
+  std::uint32_t bucket_bits_ = 0;
+  std::uint64_t count_ = 0;  ///< distinct keys
   std::uint32_t key_bits_ = 64;
   std::uint32_t value_bits_ = 0;
-  std::uint32_t max_bucket_bits_ = 0;
   bool verify_ = false;
   bool exact_keys_ = false;
   MemoryAccountant* accountant_ = nullptr;
-  std::uint64_t charged_ = 0;  ///< resident + payload bytes
+  std::uint64_t charged_ = 0;        ///< heap + payload bytes
+  std::uint64_t payload_bytes_ = 0;  ///< retained debug payload bytes
+  /// Populated only in collision-verification mode.
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> payloads_;
 };
 
 /// RAII attachment of a store to a memory accountant: charges the

@@ -41,10 +41,8 @@ TraceRegistry::TraceRegistry(std::shared_ptr<ResultCache> cache,
 }
 
 std::shared_ptr<const Trace> TraceRegistry::register_locked(
-    std::shared_ptr<const Trace> trace) {
-  EVORD_CHECK(trace != nullptr, "TraceRegistry needs a trace");
+    std::shared_ptr<const Trace> trace, std::uint64_t fingerprint) {
   ++stats_.traces_registered;
-  const std::uint64_t fingerprint = trace->fingerprint();
   const auto it = traces_.find(fingerprint);
   if (it != traces_.end()) {
     EVORD_CHECK(structurally_equal(*it->second, *trace),
@@ -65,8 +63,10 @@ std::shared_ptr<const Trace> TraceRegistry::register_trace(Trace trace) {
 
 std::shared_ptr<const Trace> TraceRegistry::register_trace(
     std::shared_ptr<const Trace> trace) {
+  EVORD_CHECK(trace != nullptr, "TraceRegistry needs a trace");
+  const std::uint64_t fingerprint = trace->fingerprint();
   std::lock_guard<std::mutex> lock(mu_);
-  return register_locked(std::move(trace));
+  return register_locked(std::move(trace), fingerprint);
 }
 
 std::shared_ptr<AnalysisSession> TraceRegistry::session(
@@ -76,17 +76,33 @@ std::shared_ptr<AnalysisSession> TraceRegistry::session(
 
 std::shared_ptr<AnalysisSession> TraceRegistry::session(
     std::shared_ptr<const Trace> trace, ExactOptions options) {
+  EVORD_CHECK(trace != nullptr, "TraceRegistry needs a trace");
+  const std::uint64_t fingerprint = trace->fingerprint();
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const Trace> canonical = register_locked(std::move(trace));
+  return session_locked(register_locked(std::move(trace), fingerprint),
+                        fingerprint, options);
+}
+
+std::shared_ptr<AnalysisSession> TraceRegistry::session_for(
+    std::uint64_t fingerprint, const ExactOptions& options) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = traces_.find(fingerprint);
+  if (it == traces_.end()) return nullptr;
+  return session_locked(it->second, fingerprint, options);
+}
+
+std::shared_ptr<AnalysisSession> TraceRegistry::session_locked(
+    const std::shared_ptr<const Trace>& canonical, std::uint64_t fingerprint,
+    const ExactOptions& options) {
   ++stats_.sessions_requested;
-  const SessionKey key{canonical->fingerprint(), digest_options(options)};
+  const SessionKey key{fingerprint, digest_options(options)};
   const auto it = sessions_.find(key);
   if (it != sessions_.end()) {
     ++stats_.session_hits;
     return it->second;
   }
-  auto created = std::make_shared<AnalysisSession>(std::move(canonical),
-                                                   options, cache_);
+  auto created = std::make_shared<AnalysisSession>(canonical, options,
+                                                   cache_);
   sessions_.emplace(key, created);
   return created;
 }

@@ -62,6 +62,13 @@ class TraceRegistry {
   std::shared_ptr<AnalysisSession> session(
       std::shared_ptr<const Trace> trace, ExactOptions options = {});
 
+  /// The memoized session for an already registered trace, created on
+  /// first use; nullptr when no trace has `fingerprint`.  Registers
+  /// nothing, so a request that names its trace by fingerprint pays no
+  /// fingerprint recomputation and no structural cross-check.
+  std::shared_ptr<AnalysisSession> session_for(std::uint64_t fingerprint,
+                                               const ExactOptions& options);
+
   /// The canonical entry for a fingerprint; nullptr when unknown.
   std::shared_ptr<const Trace> find(std::uint64_t fingerprint) const;
 
@@ -84,7 +91,10 @@ class TraceRegistry {
   };
 
   std::shared_ptr<const Trace> register_locked(
-      std::shared_ptr<const Trace> trace);
+      std::shared_ptr<const Trace> trace, std::uint64_t fingerprint);
+  std::shared_ptr<AnalysisSession> session_locked(
+      const std::shared_ptr<const Trace>& canonical,
+      std::uint64_t fingerprint, const ExactOptions& options);
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const Trace>> traces_;

@@ -2,7 +2,8 @@
 //
 // Four building blocks:
 //   * splitmix64      — finalizer mix; turns any 64-bit value into a
-//                       well-distributed one (shard selection, seeding);
+//                       well-distributed one (store bucket selection,
+//                       seeding);
 //   * hash_mix        — salted two-operand mix: chains components into a
 //                       running hash (sleep-set folds, option digests) or
 //                       gives one XOR-combinable term per component (the

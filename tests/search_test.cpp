@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "core/report.hpp"
 #include "feasible/deadlock.hpp"
 #include "feasible/enumerate.hpp"
@@ -24,9 +25,9 @@
 #include "ordering/class_enumerate.hpp"
 #include "ordering/exact.hpp"
 #include "helpers.hpp"
-#include "search/fingerprint_set.hpp"
 #include "search/memory.hpp"
 #include "search/search.hpp"
+#include "search/state_registry.hpp"
 #include "service/session.hpp"
 #include "trace/builder.hpp"
 #include "util/rng.hpp"
@@ -362,10 +363,10 @@ TEST(StateHash, PathIndependentAndExactUnderUndo) {
 }
 
 // ----------------------------------------------------------------------
-// Search instrumentation: the depth histogram and shard load factors are
-// filled in and consistent.
+// Search instrumentation: the depth histogram is filled in and
+// consistent.
 
-TEST(SearchStats, DepthHistogramAndShardLoadsSurfaced) {
+TEST(SearchStats, DepthHistogramSurfaced) {
   const Trace t = evord::testing::contended_trace(4, 2);
   const ClassEnumStats r = enumerate_causal_classes(
       t, {}, evord::testing::accept_every_class);
@@ -375,12 +376,6 @@ TEST(SearchStats, DepthHistogramAndShardLoadsSurfaced) {
   for (const std::uint64_t c : r.search.depth_states) histogram_total += c;
   EXPECT_EQ(histogram_total, r.search.states_visited);
   EXPECT_LE(r.search.peak_depth(), t.num_events());
-
-  // Shard loads sum to the states in the prefix fingerprint set.
-  std::uint64_t shard_total = 0;
-  for (const std::uint64_t s : r.search.shard_sizes) shard_total += s;
-  EXPECT_EQ(shard_total, r.search.states_visited);
-  EXPECT_GE(r.search.shard_imbalance(), 1.0);
 
   // And the relations report carries the histogram.
   const std::string report =
@@ -402,13 +397,13 @@ TEST(SearchStats, SurfacedThroughResultsAnalyzerAndReport) {
   // and well under the historical 9 bytes per state (packed entries).
   EXPECT_GT(cp.search.memo_bytes, 0u);
   EXPECT_LE(cp.search.memo_bytes,
-            2 * cp.states_visited * search::FingerprintBoolMap::kBytesPerEntry);
+            2 * cp.states_visited * bench::kMemoBytesPerEntry);
 
   const DeadlockReport dl = analyze_deadlocks(t, {});
   EXPECT_EQ(dl.search.states_visited, dl.states_visited);
   EXPECT_GT(dl.search.memo_bytes, 0u);
   EXPECT_LE(dl.search.memo_bytes,
-            2 * dl.states_visited * search::ShardedFingerprintSet::kBytesPerEntry);
+            2 * dl.states_visited * bench::kVisitedBytesPerEntry);
 
   service::AnalysisSession session(std::make_shared<const Trace>(t));
   const auto causal = session.relations(Semantics::kCausal);
@@ -464,7 +459,8 @@ TEST(MemoryAccountant, StoreChargesMatchReportedMemoBytes) {
   // accountant's total must equal bytes() exactly, stay in the ballpark
   // of the nominal 8 B/state, and be released in full on detach.
   search::MemoryAccountant acc(0);
-  search::ShardedFingerprintSet set(4, /*verify_collisions=*/false);
+  search::PackedStateRegistry set(
+      {.initial_buckets = 4, .verify_collisions = false});
   set.set_accountant(&acc);
   std::uint64_t inserted = 0;
   for (std::uint64_t i = 1; i <= 500; ++i) {
@@ -474,23 +470,22 @@ TEST(MemoryAccountant, StoreChargesMatchReportedMemoBytes) {
   EXPECT_EQ(set.size(), inserted);
   EXPECT_EQ(acc.bytes(), set.bytes());
   EXPECT_GT(acc.bytes(), 0u);
-  EXPECT_LE(acc.bytes(),
-            2 * inserted * search::ShardedFingerprintSet::kBytesPerEntry);
+  EXPECT_LE(acc.bytes(), 2 * inserted * bench::kVisitedBytesPerEntry);
   set.set_accountant(nullptr);
   EXPECT_EQ(acc.bytes(), 0u);
 }
 
 TEST(MemoryAccountant, BoolMapChargesPerStoredState) {
   search::MemoryAccountant acc(0);
-  search::FingerprintBoolMap memo(2, /*verify_collisions=*/false);
+  search::PackedStateRegistry memo(
+      {.initial_buckets = 2, .verify_collisions = false, .value_bits = 1});
   memo.set_accountant(&acc);
   for (std::uint64_t i = 1; i <= 100; ++i) {
     memo.store(i * 0x9e3779b97f4a7c15ull, (i & 1) != 0);
   }
   EXPECT_EQ(acc.bytes(), memo.bytes());
   EXPECT_GT(acc.bytes(), 0u);
-  EXPECT_LE(acc.bytes(),
-            2 * memo.size() * search::FingerprintBoolMap::kBytesPerEntry);
+  EXPECT_LE(acc.bytes(), 2 * memo.size() * bench::kMemoBytesPerEntry);
 }
 
 TEST(SearchBudgets, MemoryBudgetStopsDeadlockSearch) {
@@ -612,17 +607,6 @@ TEST(SearchStats, PeakDepthEdgeCases) {
   EXPECT_EQ(s.peak_depth(), 0u);  // single bucket: the peak is depth 0
   s.depth_states = {0, 1, 9, 9, 2};
   EXPECT_EQ(s.peak_depth(), 2u);  // ties resolve to the shallower depth
-}
-
-TEST(SearchStats, ShardImbalanceEdgeCases) {
-  search::SearchStats s;
-  EXPECT_EQ(s.shard_imbalance(), 0.0);  // no shard data
-  s.shard_sizes = {42};
-  EXPECT_EQ(s.shard_imbalance(), 1.0);  // single shard: peak == mean
-  s.shard_sizes = {0, 0, 0};
-  EXPECT_EQ(s.shard_imbalance(), 0.0);  // empty shards: no load factor
-  s.shard_sizes = {1, 3};
-  EXPECT_EQ(s.shard_imbalance(), 1.5);  // peak 3 over mean 2
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "feasible/deadlock.hpp"
 #include "helpers.hpp"
+#include "race/race_detector.hpp"
 #include "service/registry.hpp"
 #include "service/result_cache.hpp"
 #include "service/session.hpp"
@@ -200,6 +202,30 @@ TEST(TraceRegistry, SessionValidatesAxioms) {
   EXPECT_THROW(registry.session(b.build_unchecked()), CheckError);
 }
 
+TEST(TraceRegistry, FingerprintLookupServesTheMemoizedSession) {
+  TraceRegistry registry;
+  const Trace trace = quickstart_trace();
+  const std::uint64_t fp = trace.fingerprint();
+  EXPECT_EQ(registry.session_for(fp, {}), nullptr);  // never registered
+  const auto session = registry.session(trace);
+  const RegistryStats before = registry.stats();
+  // The same session object, and no registration is counted.
+  EXPECT_EQ(registry.session_for(fp, {}).get(), session.get());
+  const RegistryStats after = registry.stats();
+  EXPECT_EQ(after.traces_registered, before.traces_registered);
+  EXPECT_EQ(after.trace_dedup_hits, before.trace_dedup_hits);
+  EXPECT_EQ(after.session_hits, before.session_hits + 1);
+  // A new options digest creates its session on first use, and
+  // registering the trace again finds that one.
+  ExactOptions other;
+  other.respect_dependences = false;
+  const auto created = registry.session_for(fp, other);
+  ASSERT_NE(created, nullptr);
+  EXPECT_NE(created.get(), session.get());
+  EXPECT_EQ(registry.session(trace, other).get(), created.get());
+  EXPECT_EQ(registry.num_sessions(), 2u);
+}
+
 // ------------------------------------------------------------ result cache
 
 TEST(ResultCache, LruEvictionOrderAndStats) {
@@ -268,6 +294,42 @@ TEST(ResultCache, ShrinkingBudgetEvictsDownToIt) {
   cache.clear();
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(ResultCache, CachedResultsCountTheirSearchStatsOnce) {
+  // A result's sizeof already covers its embedded SearchStats, so only
+  // the stats' heap part (the depth histogram) is added on top.
+  const auto histogram = [](const search::SearchStats& stats) {
+    EXPECT_FALSE(stats.depth_states.empty());
+    return stats.depth_states.capacity() * sizeof(std::uint64_t);
+  };
+  const Trace wedged = wedgeable_trace();
+  const OrderingRelations relations =
+      compute_exact(wedged, Semantics::kCausal, {});
+  std::uint64_t matrices = 0;
+  for (const RelationMatrix& m : relations.matrices) {
+    matrices += m.approx_bytes();
+  }
+  EXPECT_EQ(relations.approx_bytes(),
+            sizeof(relations) + matrices + histogram(relations.search));
+
+  const DeadlockReport deadlocks = analyze_deadlocks(wedged, {});
+  ASSERT_TRUE(deadlocks.can_deadlock);
+  EXPECT_EQ(deadlocks.approx_bytes(),
+            sizeof(deadlocks) +
+                deadlocks.witness_prefix.capacity() * sizeof(EventId) +
+                histogram(deadlocks.search));
+
+  TraceBuilder b;  // two unsynchronized writes of x: one race
+  const VarId x = b.variable("x");
+  const ProcId p1 = b.add_process();
+  b.compute(b.root(), "w0", {}, {x});
+  b.compute(p1, "w1", {}, {x});
+  const RaceReport races = detect_races_exact(b.build(), {});
+  ASSERT_FALSE(races.races.empty());
+  EXPECT_EQ(races.approx_bytes(),
+            sizeof(races) + races.races.capacity() * sizeof(Race) +
+                histogram(races.search));
 }
 
 // ----------------------------------------------------- session: pure hits

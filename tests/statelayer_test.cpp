@@ -1,8 +1,10 @@
 // Packed state layer tests: layout round-trips against the legacy key
 // encoding, incremental maintenance vs. from-scratch encoding, the state
-// hash as a function of the packed words, registry semantics (quotiented
-// keys, exact mode, bucket growth) against reference containers, the
-// 64x64 transpose kernel and the PerStateBitset row arena.
+// hash as a function of the packed words, the state store (quotiented
+// keys, exact mode, bucket growth against reference containers, and the
+// debug collision safety net that keeps full payloads and cross-checks
+// them on every hash-equal access), the 64x64 transpose kernel and the
+// PerStateBitset row arena.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -13,9 +15,9 @@
 
 #include "feasible/stepper.hpp"
 #include "helpers.hpp"
-#include "search/fingerprint_set.hpp"
 #include "search/state_registry.hpp"
 #include "trace/builder.hpp"
+#include "util/check.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -150,23 +152,25 @@ TEST(PackedLayout, EncodeKeyReusesTheCallerBuffer) {
 // ----------------------------------------------------------------------
 // Registry semantics against reference containers.
 
+/// A 64-bit hash-keyed store; `value_bits` 1 makes it a bool memo.
+PackedStateRegistry hash_store(std::size_t initial_buckets, bool verify,
+                               std::uint32_t value_bits = 0) {
+  return PackedStateRegistry({.initial_buckets = initial_buckets,
+                              .verify_collisions = verify,
+                              .value_bits = value_bits});
+}
+
 TEST(PackedRegistry, MatchesUnorderedSetThroughBucketDoubling) {
   Rng rng(123);
-  PackedStateRegistry::Config cfg;
-  cfg.num_shards = 4;
-  cfg.verify_collisions = false;
-  PackedStateRegistry set(cfg);
+  PackedStateRegistry set = hash_store(4, /*verify=*/false);
   std::unordered_set<std::uint64_t> ref;
-  // Enough inserts to force several bucket doublings per shard, with a
+  // Enough inserts to force several bucket doublings, with a
   // duplicate-heavy key stream.
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t key = rng.next() % 6000;
     ASSERT_EQ(set.insert(key), ref.insert(key).second);
   }
   EXPECT_EQ(set.size(), ref.size());
-  std::uint64_t shard_total = 0;
-  for (const std::uint64_t s : set.shard_sizes()) shard_total += s;
-  EXPECT_EQ(shard_total, ref.size());
   EXPECT_GT(set.bytes(), 0u);
 }
 
@@ -175,7 +179,7 @@ TEST(PackedRegistry, ExactReducedWidthKeysNeverCollide) {
   // reduced-width mix is a bijection: any information loss would make a
   // fresh key look like a duplicate.
   PackedStateRegistry::Config cfg;
-  cfg.num_shards = 4;
+  cfg.initial_buckets = 4;
   cfg.exact_keys = true;
   cfg.key_bits = 12;
   cfg.verify_collisions = false;
@@ -193,8 +197,8 @@ TEST(PackedRegistry, ExactReducedWidthKeysNeverCollide) {
 
 TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
   Rng rng(55);
-  search::FingerprintBoolMap memo(/*num_shards=*/2,
-                                  /*verify_collisions=*/false);
+  PackedStateRegistry memo = hash_store(2, /*verify=*/false,
+                                        /*value_bits=*/1);
   std::unordered_map<std::uint64_t, bool> ref;
   for (int i = 0; i < 5000; ++i) {
     const std::uint64_t key = rng.next() % 2000;
@@ -211,6 +215,90 @@ TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
     }
   }
   EXPECT_EQ(memo.size(), ref.size());
+}
+
+TEST(PackedRegistry, InitialBucketsRoundUpAndClampToKeyWidth) {
+  // 5 buckets round up to 8: the empty tables are the same size.
+  EXPECT_EQ(hash_store(5, false).bytes(), hash_store(8, false).bytes());
+  // More buckets than keys: the table clamps to 2^key_bits buckets and
+  // stores no remainder bits, yet still dedups and memoizes.
+  for (std::uint32_t bits = 1; bits <= 4; ++bits) {
+    const std::uint64_t keys = std::uint64_t{1} << bits;
+    PackedStateRegistry set({.initial_buckets = 16,
+                             .verify_collisions = false,
+                             .key_bits = bits,
+                             .exact_keys = true});
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      ASSERT_TRUE(set.insert(k)) << bits << " bits, key " << k;
+    }
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      ASSERT_FALSE(set.insert(k)) << bits << " bits, key " << k;
+    }
+    EXPECT_EQ(set.size(), keys);
+
+    PackedStateRegistry memo({.initial_buckets = 16,
+                              .verify_collisions = false,
+                              .key_bits = bits,
+                              .exact_keys = true,
+                              .value_bits = 1});
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      ASSERT_TRUE(memo.store(k, (k & 1) != 0));
+    }
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      bool value = false;
+      ASSERT_TRUE(memo.lookup(k, &value)) << bits << " bits, key " << k;
+      EXPECT_EQ(value, (k & 1) != 0) << bits << " bits, key " << k;
+    }
+    EXPECT_EQ(memo.size(), keys);
+  }
+}
+
+TEST(PackedRegistry, VerifyAcceptsIdenticalPayloads) {
+  PackedStateRegistry set = hash_store(4, /*verify=*/true);
+  const std::vector<std::uint64_t> payload{1, 2, 3};
+  EXPECT_TRUE(set.insert(99, &payload));
+  // A true duplicate (same state re-reached) must dedup silently.
+  EXPECT_FALSE(set.insert(99, &payload));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(PackedRegistry, VerifyThrowsOnRealCollision) {
+  PackedStateRegistry set = hash_store(4, /*verify=*/true);
+  const std::vector<std::uint64_t> payload{1, 2, 3};
+  const std::vector<std::uint64_t> other{4, 5, 6};
+  EXPECT_TRUE(set.insert(99, &payload));
+  // Same 64-bit fingerprint, different underlying state: the safety net
+  // must refuse to silently merge two distinct causal classes.
+  EXPECT_THROW(set.insert(99, &other), CheckError);
+}
+
+TEST(PackedRegistry, NoVerifyIgnoresPayloads) {
+  PackedStateRegistry set = hash_store(4, /*verify=*/false);
+  const std::vector<std::uint64_t> payload{1, 2, 3};
+  const std::vector<std::uint64_t> other{4, 5, 6};
+  EXPECT_TRUE(set.insert(99, &payload));
+  EXPECT_FALSE(set.insert(99, &other));  // release path: dedup only
+}
+
+TEST(PackedRegistry, BoolMapVerifyThrowsOnRealCollision) {
+  PackedStateRegistry memo = hash_store(4, /*verify=*/true, /*value_bits=*/1);
+  const std::vector<std::uint64_t> payload{1, 2, 3};
+  const std::vector<std::uint64_t> other{4, 5, 6};
+  EXPECT_TRUE(memo.store(99, true, &payload));
+  bool value = false;
+  EXPECT_TRUE(memo.lookup(99, &value, &payload));  // true duplicate: fine
+  // Same fingerprint, different state: a silent hit would reuse the
+  // wrong memoized verdict, so the safety net throws instead.
+  EXPECT_THROW(memo.lookup(99, &value, &other), CheckError);
+  EXPECT_THROW(memo.store(99, true, &other), CheckError);
+}
+
+TEST(PackedRegistry, RestoreMustAgreeOnValue) {
+  PackedStateRegistry memo = hash_store(1, /*verify=*/false, /*value_bits=*/1);
+  EXPECT_TRUE(memo.store(5, true));
+  // The memoized predicate is deterministic; a disagreeing re-store
+  // means the caller computed two different verdicts for one state.
+  EXPECT_THROW(memo.store(5, false), CheckError);
 }
 
 // ----------------------------------------------------------------------

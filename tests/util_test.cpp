@@ -9,6 +9,7 @@
 
 #include "util/check.hpp"
 #include "util/dynamic_bitset.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/string_util.hpp"
@@ -194,6 +195,15 @@ TEST(DynamicBitset, HashWordsChains) {
   c.set(1);
   EXPECT_NE(c.hash_words(a.hash_words(DynamicBitset::kHashSeed)),
             a.hash_words(c.hash_words(DynamicBitset::kHashSeed)));
+}
+
+TEST(FingerprintWords, DependsOnContentOrderAndSeed) {
+  const std::vector<std::uint64_t> ab{1, 2};
+  const std::vector<std::uint64_t> ba{2, 1};
+  const std::uint64_t seed = DynamicBitset::kHashSeed;
+  EXPECT_EQ(fingerprint_words(ab, seed), fingerprint_words({1, 2}, seed));
+  EXPECT_NE(fingerprint_words(ab, seed), fingerprint_words(ba, seed));
+  EXPECT_NE(fingerprint_words(ab, seed), fingerprint_words(ab, seed + 1));
 }
 
 TEST(DynamicBitset, OrComplement) {
